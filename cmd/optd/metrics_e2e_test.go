@@ -192,6 +192,7 @@ func TestOptdMetricsE2E(t *testing.T) {
 		"sched_batches_total",
 		"sched_tasks_total",
 		"sim_draws_total",
+		"sim_points_total",
 		"core_iterations_total",
 		"jobs_completed_total",
 		"dist_frames_total",
@@ -220,6 +221,11 @@ func TestOptdMetricsE2E(t *testing.T) {
 		if v := sumSeries(agentSeries, m); v <= 0 {
 			t.Errorf("optworker /metrics: %s = %v, want > 0", m, v)
 		}
+	}
+	// A healthy two-lane fleet never asks an agent for a draw behind its
+	// cached position, so the restart counter must be exposed but may read 0.
+	if _, ok := agentSeries["dist_worker_stream_reseeds_total"]; !ok {
+		t.Error("optworker /metrics: dist_worker_stream_reseeds_total missing")
 	}
 
 	// pprof rides the same mux on both processes.

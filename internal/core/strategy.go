@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/noise"
 	"repro/internal/sim"
 )
 
@@ -335,7 +336,7 @@ func (s nmStrategy) Run(ctx context.Context, space sim.Space, spec *RunSpec) (*R
 	cfg.Algorithm = s.alg
 	initial := spec.Initial
 	if initial == nil && spec.Resume == nil {
-		initial = UniformSimplex(space.Dim(), spec.Lo, spec.Hi, rand.New(rand.NewSource(spec.Seed)))
+		initial = UniformSimplex(space.Dim(), spec.Lo, spec.Hi, rand.New(noise.NewSource(spec.Seed)))
 	}
 	if spec.Restarts > 0 {
 		scale, err := spec.ScaleVector(space.Dim())

@@ -48,6 +48,8 @@ var (
 		"coordinator sessions a worker agent completed the handshake for")
 	mWorkerTasks = obs.Default().Counter("dist_worker_tasks_total",
 		"tasks executed by this worker agent")
+	mWorkerReseeds = obs.Default().Counter("dist_worker_stream_reseeds_total",
+		"cached noise streams restarted from their seed because a task asked for a draw behind the cached position (re-dispatch, out-of-order)")
 )
 
 // countFrameTx records one written frame of total bytes n (prefix

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/noise"
 )
 
 // TestFrameRoundTripProperty drives randomly generated messages through
@@ -161,5 +163,65 @@ func TestWorkerDrawMatchesStreamReplay(t *testing.T) {
 		if got, want := w.draw(1234, skip), expect(1234, skip); got != want {
 			t.Fatalf("sequential draw(1234, %d) = %x, want %x", skip, got, want)
 		}
+	}
+}
+
+// TestWorkerDrawWalksStreamForward walks one point's stream across agents
+// the way a fleet does: consecutive increments land on whichever agent is
+// free, so each agent sees a skip sequence with gaps. A cached position
+// behind the requested one must discard its way forward, never start over:
+// the stream is restarted from its seed only by a task behind the cached
+// position (a re-dispatch, an out-of-order arrival), and
+// dist_worker_stream_reseeds_total counts exactly those. Whatever the route,
+// applying the agents' draws must leave a noise.Stream in the state its own
+// Sample would.
+func TestWorkerDrawWalksStreamForward(t *testing.T) {
+	alternate := func(n int) (route [][2]int) {
+		for skip := 0; skip < n; skip++ {
+			route = append(route, [2]int{skip % 2, skip})
+		}
+		return route
+	}
+	tests := []struct {
+		name        string
+		route       [][2]int // (agent, skip) in arrival order; skips 0..n-1 once each, in order, unless noted
+		wantReseeds int64
+	}{
+		{"one agent, sequential", [][2]int{{0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}, 0},
+		// 700 increments: each agent discards every other variate, across
+		// the generator's state-vector build and first wraps.
+		{"two agents alternating", alternate(700), 0},
+		{"agent joins late", [][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 3}, {1, 4}, {0, 5}}, 0},
+		// Agent 1 died holding skip 2; agent 0, already past it, redoes it.
+		{"re-dispatch behind the cache", [][2]int{{0, 0}, {1, 1}, {0, 2}, {0, 3}, {0, 2}, {0, 4}}, 1},
+		{"same task twice", [][2]int{{0, 0}, {0, 0}, {0, 1}, {0, 1}, {0, 2}}, 2},
+	}
+	const seed, f, sigma0, dt = 77, 3.0, 2.0, 0.25
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			agents := []*Worker{NewWorker(WorkerConfig{Addr: "unused"}), NewWorker(WorkerConfig{Addr: "unused"})}
+			local, fleet := noise.NewStream(f, sigma0, seed), noise.NewStream(f, sigma0, seed)
+			before := mWorkerReseeds.Value()
+			var applied []float64 // by skip
+			for _, hop := range tc.route {
+				z := agents[hop[0]].draw(seed, hop[1])
+				if hop[1] < len(applied) {
+					// A repeated task: the same bits again, and nothing to apply.
+					if math.Float64bits(z) != math.Float64bits(applied[hop[1]]) {
+						t.Fatalf("skip %d redone by agent %d: %x, first time %x", hop[1], hop[0], z, applied[hop[1]])
+					}
+					continue
+				}
+				applied = append(applied, z)
+				fleet.ApplyDraw(dt, z)
+				local.Sample(dt)
+				if g, w := fleet.State(), local.State(); g != w {
+					t.Fatalf("after skip %d from agent %d: state %+v, local stream %+v", hop[1], hop[0], g, w)
+				}
+			}
+			if got := mWorkerReseeds.Value() - before; got != tc.wantReseeds {
+				t.Errorf("stream restarted from its seed %d times, want %d", got, tc.wantReseeds)
+			}
+		})
 	}
 }

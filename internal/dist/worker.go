@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/testfunc"
 )
@@ -73,7 +74,8 @@ type Worker struct {
 	// streams caches RNG positions per stream seed, so consecutive draws of
 	// one point cost one variate instead of a replay from zero. The cache is
 	// pure optimization: a miss replays Skip draws from the seed, which is
-	// the same sequence bit for bit.
+	// the same sequence bit for bit. Seeding itself is O(1) (noise.Source),
+	// so a miss costs the discarded variates and nothing else.
 	mu      sync.Mutex
 	streams map[int64]*streamPos
 }
@@ -365,8 +367,10 @@ func (w *Worker) execute(t Task) TaskResult {
 // draw returns the standard-normal variate at position skip of the stream
 // seeded seed — the exact value noise.NewStream(..., seed) would produce as
 // its (skip+1)-th draw. Sequential sampling of one point hits the cache and
-// costs one variate; a re-dispatched or out-of-order task replays the stream
-// from its seed, yielding the same bits.
+// costs one variate; a cached position behind skip (another agent took the
+// draws in between) discards its way forward; only a position ahead of skip
+// (a re-dispatched or out-of-order task) starts over from the seed. Every
+// route yields the same bits.
 func (w *Worker) draw(seed int64, skip int) float64 {
 	// The global lock covers only the map lookup; the (possibly long) replay
 	// runs under the stream's own lock. A cache reset may orphan an entry
@@ -378,19 +382,20 @@ func (w *Worker) draw(seed int64, skip int) float64 {
 		if len(w.streams) >= maxCachedStreams {
 			w.streams = make(map[int64]*streamPos)
 		}
-		sp = &streamPos{}
+		sp = &streamPos{rng: rand.New(noise.NewSource(seed))}
 		w.streams[seed] = sp
 	}
 	w.mu.Unlock()
 
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	if sp.rng == nil || sp.pos != skip {
-		sp.rng = rand.New(rand.NewSource(seed))
+	if sp.pos > skip {
+		sp.rng.Seed(seed)
 		sp.pos = 0
-		for ; sp.pos < skip; sp.pos++ {
-			sp.rng.NormFloat64()
-		}
+		mWorkerReseeds.Inc()
+	}
+	for ; sp.pos < skip; sp.pos++ {
+		sp.rng.NormFloat64()
 	}
 	z := sp.rng.NormFloat64()
 	sp.pos++

@@ -16,8 +16,8 @@ import (
 //   - calls (or references) to time.Now, time.Since, time.Until;
 //   - references to math/rand (or math/rand/v2) package-level functions,
 //     which share the auto-seeded global source — constructing seeded
-//     streams (rand.New, rand.NewSource, ...) is the sanctioned pattern
-//     and stays legal;
+//     streams stays legal, and rand.New(noise.NewSource(seed)) is the
+//     sanctioned way to (the stdlib generator bit for bit, seeded in O(1));
 //   - `range` over a map whose body writes state declared outside the
 //     loop: iteration order is deliberately randomized by the runtime, so
 //     such writes are ordered differently run to run.
@@ -78,7 +78,7 @@ func runDeterminism(p *Pass) error {
 					// Methods on *rand.Rand have a receiver; only
 					// package-level functions share the global source.
 					if fn.Signature().Recv() == nil && !seededRandCtors[fn.Name()] && !p.Suppressed(n.Pos(), VerbNondeterministicOK) {
-						p.Reportf(n.Pos(), "rand.%s uses the process-global RNG: results must come from seeded streams (rand.New(rand.NewSource(seed)))", fn.Name())
+						p.Reportf(n.Pos(), "rand.%s uses the process-global RNG: results must come from seeded streams (rand.New(noise.NewSource(seed)))", fn.Name())
 					}
 				}
 			case *ast.RangeStmt:

@@ -38,6 +38,40 @@ func TestPerDrawAllocFree(t *testing.T) {
 	}
 }
 
+// TestStreamFirstTouchAllocs budgets the calls AllocsPerRun's warm-up hides
+// above: the first of each kind on a stream. Applying external draws never
+// touches the generator, so it allocates nothing even on a fresh stream (a
+// fleet master's every increment); the first local draw allocates the
+// rand.Rand front end and nothing else — the state vector is not built
+// before draw 274.
+func TestStreamFirstTouchAllocs(t *testing.T) {
+	zs := []float64{0.3, -0.2, 1.1}
+	cases := []struct {
+		name   string
+		fn     func(*Stream)
+		budget float64
+	}{
+		{"first ApplyDraw", func(s *Stream) { s.ApplyDraw(0.01, 0.3) }, 0},
+		{"first ApplyDraws", func(s *Stream) { s.ApplyDraws(0.01, zs) }, 0},
+		{"first Sample", func(s *Stream) { s.Sample(0.01) }, 1},
+	}
+	for _, c := range cases {
+		const runs = 50
+		fresh := make([]*Stream, runs+1) // +1: AllocsPerRun's warm-up call
+		for i := range fresh {
+			fresh[i] = NewStream(1.0, 0.5, int64(i))
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			c.fn(fresh[next])
+			next++
+		})
+		if allocs > c.budget {
+			t.Errorf("%s: %.1f allocs, want <= %.0f", c.name, allocs, c.budget)
+		}
+	}
+}
+
 // TestApplyDrawsMatchesSequential pins the batched fold's bitwise contract:
 // ApplyDraws(dt, zs) must leave a stream in exactly the state len(zs)
 // sequential ApplyDraw calls would — same accumulator moments, same RNG

@@ -17,6 +17,7 @@
 package noise
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -190,20 +191,28 @@ func (a *Accumulator) Increments() int { return a.n }
 // concurrently or in what order. Sample is safe to call from one goroutine at
 // a time per stream (the batch scheduler's guarantee); the mutex additionally
 // tolerates a point appearing twice in one batch.
+//
+// The invariant is that a local draw for increment k is always variate k of
+// rand.New(NewSource(seed)). Increments that arrive with their draw attached
+// (ApplyDraw, ApplyDraws, Restore) do not touch the generator: they only
+// widen the gap between the increment count and the generator's position,
+// and Sample closes the gap by discarding variates before it draws. A fleet
+// master, whose every draw is computed by a worker, therefore never runs the
+// generator at all.
 type Stream struct {
 	*Accumulator
-	mu  sync.Mutex
-	rng *rand.Rand // guarded by mu (the pointer is fixed; mu serializes draws)
+	seed int64
+	mu   sync.Mutex
+	src  Source     // guarded by mu; seeded, like rng, by the first local draw
+	rng  *rand.Rand // guarded by mu; rand.New(&src), nil until the first local draw
+	pos  int        // guarded by mu; normal variates rng has produced, <= Increments()
 }
 
 // NewStream builds the sampling stream for a point with noise-free value f,
 // inherent noise strength sigma0, and the given RNG seed (typically derived
 // with sched.StreamSeed from the space seed and the point's creation index).
 func NewStream(f, sigma0 float64, seed int64) *Stream {
-	return &Stream{
-		Accumulator: NewAccumulator(f, sigma0),
-		rng:         rand.New(rand.NewSource(seed)),
-	}
+	return &Stream{Accumulator: NewAccumulator(f, sigma0), seed: seed}
 }
 
 // Sample accrues dt additional seconds of sampling, drawing the noise
@@ -212,32 +221,46 @@ func NewStream(f, sigma0 float64, seed int64) *Stream {
 //optlint:noalloc
 func (s *Stream) Sample(dt float64) {
 	s.mu.Lock()
+	if s.rng == nil || s.pos != s.n {
+		s.catchUpLocked()
+	}
 	s.Accumulator.Sample(dt, s.rng)
+	s.pos++
 	s.mu.Unlock()
+}
+
+// catchUpLocked brings the generator to the increment count: it seeds the
+// source on the stream's first local draw, then discards one variate per
+// increment that was applied without one. (The ziggurat consumes a
+// data-dependent number of source words per variate, so the position can
+// only be reached by drawing.)
+func (s *Stream) catchUpLocked() {
+	if s.rng == nil {
+		s.src.Seed(s.seed)
+		s.rng = rand.New(&s.src)
+	}
+	for ; s.pos < s.n; s.pos++ {
+		s.rng.NormFloat64()
+	}
 }
 
 // ApplyDraw folds in one sampling increment whose standard-normal draw z was
 // computed externally (by a remote fleet worker replaying this stream's seed).
-// The stream's own RNG is advanced by exactly one discarded draw, preserving
-// the invariant that the RNG position always equals the increment count — so
-// local and remote sampling can interleave on one point, and Restore (which
-// replays Increments() draws) stays exact. When z really came from a replica
-// of this stream, the discarded local draw is bit-identical to z; the remote
-// worker merely paid the simulation cost of producing it.
+// The stream's own RNG now owes one discarded draw, which the next Sample
+// pays: local and remote sampling can interleave on one point, and a restored
+// stream stays exact. When z really came from a replica of this stream, the
+// discarded local draw is bit-identical to z; the remote worker merely paid
+// the simulation cost of producing it.
 //
 //optlint:noalloc
 func (s *Stream) ApplyDraw(dt, z float64) {
 	s.mu.Lock()
-	s.rng.NormFloat64()
 	s.Accumulator.ApplyDraw(dt, z)
 	s.mu.Unlock()
 }
 
 // ApplyDraws folds in len(zs) externally computed increments under a single
-// lock acquisition: the RNG fast-forwards by len(zs) discarded draws (keeping
-// the position == increment-count invariant) and the accumulator applies the
-// batch through Accumulator.ApplyDraws. Bitwise identical to len(zs)
-// sequential ApplyDraw calls.
+// lock acquisition. Bitwise identical to len(zs) sequential ApplyDraw calls.
 //
 //optlint:noalloc
 func (s *Stream) ApplyDraws(dt float64, zs []float64) {
@@ -245,24 +268,23 @@ func (s *Stream) ApplyDraws(dt float64, zs []float64) {
 		return
 	}
 	s.mu.Lock()
-	for range zs {
-		s.rng.NormFloat64()
-	}
 	s.Accumulator.ApplyDraws(dt, zs)
 	s.mu.Unlock()
 }
 
 // Restore rebuilds the stream's sampling state from a snapshot taken by
 // State. The stream must be freshly built by NewStream with the same seed the
-// original had: Restore replays st.N normal draws to advance the RNG to the
-// exact position the original stream was at, then overwrites the accumulator
-// state, so the resumed stream is bitwise indistinguishable from one that was
-// never interrupted.
+// original had: Restore overwrites the accumulator state, and the next Sample
+// replays st.N normal draws to put the RNG at the exact position the original
+// stream was at, so the resumed stream is bitwise indistinguishable from one
+// that was never interrupted. A stream that already holds increments cannot
+// be rewound to a snapshot — its generator may be past st.N — so Restore
+// panics on one instead of resuming a divergent sequence.
 func (s *Stream) Restore(st State) {
 	s.mu.Lock()
-	for i := 0; i < st.N; i++ {
-		s.rng.NormFloat64()
+	defer s.mu.Unlock()
+	if s.n != 0 {
+		panic(fmt.Sprintf("noise: Restore on a stream that already holds %d increments (%d drawn locally); restore only into a fresh NewStream", s.n, s.pos))
 	}
 	s.Accumulator.restore(st)
-	s.mu.Unlock()
 }

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/sim"
 )
 
@@ -144,7 +145,7 @@ func OptimizeContext(ctx context.Context, space sim.Space, cfg Config) (*Result,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(noise.NewSource(cfg.Seed))
 	clock := space.Clock()
 	start := clock.Now()
 

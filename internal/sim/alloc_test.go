@@ -51,3 +51,28 @@ func TestSampleBatchAllocBudget(t *testing.T) {
 		t.Logf("concurrent SampleBatch(64): %.1f allocs per call (budget %d)", allocs, budget)
 	})
 }
+
+// TestNewPointAllocBudget caps what creating a point costs the allocator:
+// the coordinate copy, the point, its stream and its accumulator. With the
+// stdlib generator there were two more (the 4.9 KB state vector and the
+// rand.Rand over it); now the generator's front end arrives with the first
+// local draw, and the state vector only if the point lives to draw 274.
+func TestNewPointAllocBudget(t *testing.T) {
+	s := NewLocalSpace(LocalConfig{Dim: 2, F: func(x []float64) float64 { return x[0] * x[0] }, Sigma0: ConstSigma(0.5), Seed: 3, Workers: 1})
+	defer s.Close()
+	x := []float64{0.5, -0.25}
+	if allocs := testing.AllocsPerRun(100, func() { s.NewPoint(x) }); allocs > 4 {
+		t.Errorf("NewPoint: %.1f allocs per call, want <= 4", allocs)
+	}
+	// The trial-point shape: create, draw three times, discard.
+	lifecycle := testing.AllocsPerRun(100, func() {
+		p := s.NewPoint(x)
+		for i := 0; i < 3; i++ {
+			p.Sample(0.01)
+		}
+		p.Close()
+	})
+	if lifecycle > 5 {
+		t.Errorf("NewPoint + 3 draws: %.1f allocs, want <= 5", lifecycle)
+	}
+}

@@ -114,3 +114,22 @@ func BenchmarkSampleAllCheap(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPointLifecycle is the trial-point shape of a simplex iteration:
+// create a point, draw three increments, discard it. Seeding the point's
+// noise stream is part of it, so this is where O(1) seeding shows (the
+// steady-state draw has its own benchmark in internal/noise).
+func BenchmarkPointLifecycle(b *testing.B) {
+	s := NewLocalSpace(LocalConfig{Dim: 3, F: testfunc.Rosenbrock, Sigma0: ConstSigma(10), Seed: 1, Parallel: true})
+	defer s.Close()
+	x := []float64{0.5, 1, 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := s.NewPoint(x)
+		for k := 0; k < 3; k++ {
+			p.Sample(0.1)
+		}
+		p.Close()
+	}
+}

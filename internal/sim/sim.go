@@ -40,6 +40,8 @@ import (
 var (
 	mDraws = obs.Default().Counter("sim_draws_total",
 		"sampling increments performed (in-process and fleet)")
+	mPoints = obs.Default().Counter("sim_points_total",
+		"points created or restored from a checkpoint; sim_draws_total over this is the draws one stream seeding is spread across")
 	mSampleBatches = obs.Default().Counter("sim_batches_total",
 		"completed sampling batches across all spaces")
 	mAdaptiveRounds = obs.Default().Counter("sim_adaptive_rounds_total",
@@ -279,6 +281,7 @@ func (s *LocalSpace) NewPoint(x []float64) Point {
 	s.nextStream++
 	s.mu.Unlock()
 	seed := sched.StreamSeed(s.cfg.Seed, stream)
+	mPoints.Inc()
 	return &localPoint{
 		space:     s,
 		x:         xc,

@@ -116,5 +116,6 @@ func (s *LocalSpace) RestorePoint(st PointState) (Point, error) {
 	seed := sched.StreamSeed(s.cfg.Seed, st.Stream)
 	stream := noise.NewStream(s.cfg.F(xc), sigma0, seed)
 	stream.Restore(st.Noise)
+	mPoints.Inc()
 	return &localPoint{space: s, x: xc, streamIdx: st.Stream, seed: seed, stream: stream}, nil
 }
