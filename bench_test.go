@@ -7,6 +7,7 @@ package repro
 // come from `go run ./cmd/experiments -run all`.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -73,7 +74,7 @@ func benchAlgorithm(b *testing.B, alg core.Algorithm) {
 		cfg := DefaultConfig(alg)
 		cfg.MaxWalltime = 2e4
 		cfg.Tol = 0
-		if _, err := Optimize(space, initial, cfg); err != nil {
+		if _, err := Run(context.Background(), space, WithConfig(cfg), WithInitialSimplex(initial)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +117,7 @@ func benchScope(b *testing.B, scope core.ResampleScope) {
 		cfg.Scope = scope
 		cfg.MaxWalltime = 2e4
 		cfg.Tol = 0
-		res, err := Optimize(space, initial, cfg)
+		res, err := Run(context.Background(), space, WithConfig(cfg), WithInitialSimplex(initial))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,8 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/experiments"
@@ -20,42 +18,13 @@ import (
 
 func main() {
 	var (
-		runName   = flag.String("run", "", "experiment to run (e.g. Table3.1, Fig3.5), or 'all'")
-		quick     = flag.Bool("quick", false, "reduced protocol for smoke runs")
-		seed      = flag.Int64("seed", 1, "base random seed")
-		list      = flag.Bool("list", false, "list available experiments")
-		benchJSON = flag.String("benchjson", "", "write a benchmark study as JSON to this path; the basename selects the study (BENCH_sched.json, BENCH_jobs.json)")
+		runName = flag.String("run", "", "experiment to run (e.g. Table3.1, Fig3.5), or 'all'")
+		quick   = flag.Bool("quick", false, "reduced protocol for smoke runs")
+		seed    = flag.Int64("seed", 1, "base random seed")
+		list    = flag.Bool("list", false, "list available experiments")
 	)
 	flag.Parse()
 	fmt.Printf("experiments: seed=%d quick=%v\n", *seed, *quick)
-
-	if *benchJSON != "" {
-		writers := experiments.BenchJSONWriters()
-		gen, ok := writers[filepath.Base(*benchJSON)]
-		if !ok {
-			names := make([]string, 0, len(writers))
-			for n := range writers {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			fmt.Fprintf(os.Stderr, "unknown benchmark artifact %q; the basename must be one of %v\n",
-				filepath.Base(*benchJSON), names)
-			os.Exit(1)
-		}
-		payload, err := gen(experiments.Options{Quick: *quick, Seed: *seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchJSON, append(payload, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-		if *runName == "" && !*list {
-			return
-		}
-	}
 
 	if *list || *runName == "" {
 		fmt.Println("Available experiments:")

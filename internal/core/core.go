@@ -19,8 +19,7 @@
 //   - PCMN: PC and MN combined (Algorithm 4).
 //   - AndersonNM: the convergence criterion of Anderson et al. (eq 2.4,
 //     sigma_i^2 < k1 * 2^(-l(1+k2)) at contraction level l) evaluated inside
-//     the same NM skeleton, exactly as the paper's comparison does. The full
-//     Anderson structure-based direct search lives in internal/anderson.
+//     the same NM skeleton, exactly as the paper's comparison does.
 //
 // One interpretation decision is worth flagging: Algorithm 3's written
 // condition 5 is the literal complement of condition 1, which would make the
@@ -222,7 +221,8 @@ type Config struct {
 	// accepted move from the landed results and discards the rest. A step
 	// costs one batch round-trip instead of up to four sequential ones, so
 	// on a worker pool of >= 3 the per-step latency drops by the depth of
-	// the skipped round-trips (see BENCH_sched.json). Speculative runs are
+	// the skipped round-trips (BENCHMARK.json's jobs.run_ms on
+	// local_compute, half of whose jobs are speculative). Speculative runs are
 	// bitwise-deterministic at any worker count (per-candidate noise
 	// streams are pre-assigned in a fixed order) but follow a different —
 	// equally valid — trajectory than sequential runs, because candidates

@@ -125,7 +125,7 @@ type task struct {
 	idx  int           // result slot in the owning batch
 	w    *remoteWorker // nil while queued
 	done bool          // completed or abandoned; skip if popped
-	sent time.Time     // latest dispatch time, for the RTT histogram; zero if untracked
+	sent time.Time     // latest dispatch time, for the RTT histogram; zero until dispatched
 }
 
 // batch is one SampleFleet call in flight.
@@ -474,9 +474,7 @@ func (c *Coordinator) dispatchLocked() {
 			continue
 		}
 		t.w = best
-		if obs.Enabled() {
-			t.sent = time.Now() //optlint:nondeterministic-ok RTT metric timestamp, never reaches a sample
-		}
+		t.sent = time.Now() //optlint:nondeterministic-ok RTT metric timestamp, never reaches a sample
 		best.outstanding[t.id] = t
 		select {
 		case best.sendq <- t.wire:

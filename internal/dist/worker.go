@@ -52,12 +52,8 @@ type WorkerConfig struct {
 	Dial func(ctx context.Context) (net.Conn, error)
 	// Events, when non-nil, receives structured agent events
 	// (codec_negotiated after each handshake, session_end with the error
-	// and reconnect delay). Takes precedence over Logf.
+	// and reconnect delay). nil is silent.
 	Events *obs.Logger
-	// Logf, if non-nil and Events is nil, receives the same events
-	// rendered as flat printf lines — the legacy sink, kept so existing
-	// call sites compile and keep their output. nil is silent.
-	Logf func(format string, args ...any)
 }
 
 // Worker is one remote sampling agent: it dials the coordinator, registers
@@ -68,7 +64,7 @@ type Worker struct {
 	cfg        WorkerConfig
 	addrs      []string    // coordinator addresses, dialed in rotation
 	dialIdx    int         // next addrs entry to dial; only touched from Run's goroutine
-	events     *obs.Logger // cfg.Events, or cfg.Logf wrapped; nil-safe
+	events     *obs.Logger // cfg.Events; nil-safe
 	objectives map[string]func([]float64) float64
 
 	// streams caches RNG positions per stream seed, so consecutive draws of
@@ -122,9 +118,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		}
 	}
 	w.events = cfg.Events
-	if w.events == nil {
-		w.events = obs.NewFuncLogger(cfg.Logf)
-	}
 	w.objectives = cfg.Objectives
 	if w.objectives == nil {
 		w.objectives = make(map[string]func([]float64) float64, len(testfunc.Catalog))

@@ -89,19 +89,6 @@ func Registry() []Driver {
 		{"Fig3.18", "MW scale-up: d=20/50/100 time, steps, time/step", Fig318},
 		{"Fig3.19", "Optimized gOO(r) vs TIP4P and experiment", Fig319},
 		{"Fig3.20", "gOO(r) at successive optimization stages", Fig320},
-		{"BenchSched", "sched worker-pool scaling of SampleAll on an expensive objective", BenchSched},
-		{"BenchJobs", "jobs-service throughput and latency vs run-pool width", BenchJobs},
-		{"BenchServe", "sharded serving: router throughput/latency plus shard-kill failover recovery", BenchServe},
-	}
-}
-
-// BenchJSONWriters maps benchmark artifact basenames to their JSON payload
-// generators (the cmd/experiments -benchjson flag selects by basename).
-func BenchJSONWriters() map[string]func(Options) ([]byte, error) {
-	return map[string]func(Options) ([]byte, error){
-		"BENCH_sched.json": SchedScalingJSON,
-		"BENCH_jobs.json":  JobsBenchJSON,
-		"BENCH_serve.json": ServeBenchJSON,
 	}
 }
 

@@ -20,7 +20,6 @@ func TestRegistryComplete(t *testing.T) {
 		"Fig3.3", "Fig3.4", "Fig3.5", "Fig3.6", "Fig3.7", "Fig3.8",
 		"Fig3.9", "Fig3.10", "Fig3.11", "Fig3.12", "Fig3.13", "Fig3.14",
 		"Fig3.15", "Fig3.16", "Fig3.17", "Fig3.18", "Fig3.19", "Fig3.20",
-		"BenchSched", "BenchJobs", "BenchServe",
 	}
 	reg := Registry()
 	if len(reg) != len(want) {
@@ -331,110 +330,3 @@ func mustFunc(t *testing.T, name string) testfunc.Func {
 }
 
 func waterCostOf(x []float64) float64 { return water.NoiseFreeCost(x) }
-
-func TestSchedScalingDeterministicAndComplete(t *testing.T) {
-	res, err := SchedScaling(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Deterministic {
-		t.Fatal("estimates differ across worker counts")
-	}
-	if len(res.Runs) != 4 || res.Runs[0].Workers != 1 {
-		t.Fatalf("unexpected runs: %+v", res.Runs)
-	}
-	// The latency-bound model must show real concurrency even on one core:
-	// the 4-worker row overlaps four waits, so >= 2x is a conservative gate
-	// (measured ~4x; slack absorbs scheduler jitter on loaded CI hosts).
-	four := res.Runs[2]
-	if four.Workers != 4 || four.LatencySpeedup < 2 {
-		t.Fatalf("latency speedup at 4 workers = %.2fx, want >= 2x", four.LatencySpeedup)
-	}
-	if out, err := BenchSched(quick); err != nil || !strings.Contains(out, "bitwise-identical") {
-		t.Fatalf("BenchSched render: %v\n%s", err, out)
-	}
-	if payload, err := SchedScalingJSON(quick); err != nil || !strings.Contains(string(payload), "\"runs\"") {
-		t.Fatalf("SchedScalingJSON: %v", err)
-	}
-}
-
-func TestBenchJobs(t *testing.T) {
-	res, err := JobsBench(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != 5 || res.Runs[0].Concurrency != 1 || res.Runs[4].Concurrency != 16 {
-		t.Fatalf("unexpected run set: %+v", res.Runs)
-	}
-	if !res.Deterministic {
-		t.Fatal("job results changed with run-pool width")
-	}
-	// Jobs block on the simulated point latency, so widening the pool must
-	// raise throughput even on one core; >= 2x at width 8 is conservative
-	// (measured ~5-7x; slack absorbs CI scheduler jitter).
-	eight := res.Runs[3]
-	if eight.Concurrency != 8 || eight.Speedup < 2 {
-		t.Fatalf("throughput speedup at pool width 8 = %.2fx, want >= 2x", eight.Speedup)
-	}
-	for _, r := range res.Runs {
-		if r.P99Ms < r.P50Ms || r.P50Ms <= 0 {
-			t.Fatalf("bad latency percentiles: %+v", r)
-		}
-	}
-	// Render both artifact forms from the single already-computed result —
-	// re-running the wall-clock workload per render would triple this
-	// test's real-time cost.
-	if out := jobsBenchTable(res); !strings.Contains(out, "bitwise-identical") {
-		t.Fatalf("BenchJobs render:\n%s", out)
-	}
-	if payload, err := jobsBenchPayload(res); err != nil || !strings.Contains(string(payload), "\"runs\"") {
-		t.Fatalf("JobsBenchJSON payload: %v", err)
-	}
-	if BenchJSONWriters()["BENCH_jobs.json"] == nil || BenchJSONWriters()["BENCH_sched.json"] == nil {
-		t.Fatal("BenchJSONWriters is missing an artifact")
-	}
-}
-
-// TestBenchServe smoke-runs the sharded-serving chaos study at quick scale:
-// the kill must actually orphan jobs, failover must recover all of them,
-// and every recovered result must match its uninterrupted reference run.
-func TestBenchServe(t *testing.T) {
-	res, err := ServeBench(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Load.JobsPerSec <= 0 || res.Load.P99Ms < res.Load.P50Ms {
-		t.Fatalf("bad load phase: %+v", res.Load)
-	}
-	if res.Chaos.KilledShardJobs == 0 {
-		t.Fatal("chaos phase killed a shard with no jobs on it")
-	}
-	if !res.Chaos.Deterministic {
-		t.Fatal("recovered results diverged from uninterrupted reference runs")
-	}
-	// The dead-declaration window floors recovery (half of it in the worst
-	// probe alignment); an instant "recovery" means the kill never landed.
-	if res.Chaos.RecoverySeconds < res.Chaos.DeadAfterSeconds/2 {
-		t.Fatalf("recovery %.3fs implausibly beat the dead-declaration floor %.3fs",
-			res.Chaos.RecoverySeconds, res.Chaos.DeadAfterSeconds)
-	}
-	if res.Fairness.FIFO.P99Ms <= 0 || res.Fairness.Fair.P99Ms <= 0 {
-		t.Fatalf("fairness phase did not run: %+v", res.Fairness)
-	}
-	// The point of fair-share: with a heavy tenant saturating the fleet, the
-	// light tenant's worst-case latency must beat the FIFO baseline.
-	if res.Fairness.Fair.P99Ms >= res.Fairness.FIFO.P99Ms {
-		t.Fatalf("fair-share light-tenant p99 %.2fms did not beat FIFO %.2fms",
-			res.Fairness.Fair.P99Ms, res.Fairness.FIFO.P99Ms)
-	}
-	out := serveBenchTable(res)
-	if !strings.Contains(out, "byte-identical") {
-		t.Fatalf("BenchServe render:\n%s", out)
-	}
-	if !strings.Contains(out, "speedup over FIFO") {
-		t.Fatalf("BenchServe render is missing the fairness rows:\n%s", out)
-	}
-	if BenchJSONWriters()["BENCH_serve.json"] == nil {
-		t.Fatal("BenchJSONWriters is missing BENCH_serve.json")
-	}
-}

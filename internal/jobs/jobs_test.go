@@ -117,10 +117,25 @@ func TestConcurrentJobs(t *testing.T) {
 	// slots genuinely overlap even on a 2-core CI box.
 	const n = 12
 	slow := slowObjectives(time.Millisecond)
+	// The batch mixes every dispatch shape a job can take: sequential and
+	// speculative simplex steps, swarm batches, and the swarm-then-simplex
+	// hybrid.
 	concSpec := func(i int) Spec {
 		spec := smallSpec(int64(100 + i))
 		spec.Objective = "slowrosen"
 		spec.MaxIterations = 30
+		switch i % 4 {
+		case 1:
+			spec.Speculative = true
+		case 2:
+			spec.Algorithm = "pso"
+		case 3:
+			spec.Algorithm = "hybrid"
+		}
+		if i%4 >= 2 {
+			spec.Particles = 6
+			spec.SwarmIterations = 6
+		}
 		return spec
 	}
 	m := newManager(t, Config{MaxConcurrent: 8, Workers: 4, Objectives: slow})

@@ -30,17 +30,3 @@ func TestMetricOpsAllocFree(t *testing.T) {
 		}
 	}
 }
-
-// TestMetricOpsAllocFreeDisabled pins the stripped path too: with
-// recording off, ops must still be alloc-free (they are the branch
-// alone).
-func TestMetricOpsAllocFreeDisabled(t *testing.T) {
-	defer SetEnabled(true)
-	SetEnabled(false)
-	r := NewRegistry()
-	c := r.Counter("alloc_off_total")
-	h := r.Histogram("alloc_off_seconds", nil)
-	if allocs := testing.AllocsPerRun(1000, func() { c.Inc(); h.Observe(1) }); allocs != 0 {
-		t.Errorf("disabled ops: %.1f allocs per op, want 0", allocs)
-	}
-}

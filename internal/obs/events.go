@@ -11,8 +11,7 @@ import (
 
 // Logger is the structured event log: one JSON object per line (NDJSON),
 // each with a "ts" timestamp and an "event" type followed by the caller's
-// key/value fields. It replaces the ad-hoc `Logf func(string, ...any)`
-// fields that used to be scattered across dist, jobs and the commands.
+// key/value fields.
 //
 // A nil *Logger is valid and discards everything, so instrumented code
 // never needs a nil check. Writes are serialized by a mutex; lines are
@@ -21,8 +20,7 @@ import (
 type Logger struct {
 	mu  sync.Mutex
 	w   io.Writer
-	fn  func(format string, args ...any) // legacy sink, used when w is nil
-	now func() time.Time                 // test hook; nil = time.Now
+	now func() time.Time // test hook; nil = time.Now
 	buf bytes.Buffer
 }
 
@@ -33,18 +31,6 @@ func NewLogger(w io.Writer) *Logger {
 		return nil
 	}
 	return &Logger{w: w}
-}
-
-// NewFuncLogger adapts a legacy printf-style sink into a Logger: each
-// event is rendered as one "event k=v ..." line through fn. It is the
-// compatibility shim that keeps `Logf func(string, ...any)` config fields
-// working while call sites move to typed events. A nil fn yields a
-// discard-everything logger.
-func NewFuncLogger(fn func(format string, args ...any)) *Logger {
-	if fn == nil {
-		return nil
-	}
-	return &Logger{fn: fn}
 }
 
 // Event emits one structured event. typ names the event ("worker_join",
@@ -61,21 +47,6 @@ func (l *Logger) Event(typ string, kv ...any) {
 	now := time.Now
 	if l.now != nil {
 		now = l.now
-	}
-	if l.w == nil {
-		// Legacy printf sink: render flat.
-		var b bytes.Buffer
-		b.WriteString(typ)
-		for i := 0; i < len(kv); i += 2 {
-			key := keyString(kv[i])
-			if i+1 < len(kv) {
-				fmt.Fprintf(&b, " %s=%v", key, eventValue(kv[i+1]))
-			} else {
-				fmt.Fprintf(&b, " %s=?", key)
-			}
-		}
-		l.fn("%s", b.String())
-		return
 	}
 	b := &l.buf
 	b.Reset()
@@ -95,16 +66,6 @@ func (l *Logger) Event(typ string, kv ...any) {
 	}
 	b.WriteString("}\n")
 	l.w.Write(b.Bytes())
-}
-
-// Logf is the printf-style shim: the formatted message becomes a "log"
-// event with a single "msg" field. Existing call sites that held a
-// `Logf func(string, ...any)` can hold logger.Logf instead.
-func (l *Logger) Logf(format string, args ...any) {
-	if l == nil {
-		return
-	}
-	l.Event("log", "msg", fmt.Sprintf(format, args...))
 }
 
 // keyString coerces an event key to a string.

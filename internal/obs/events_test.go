@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -67,37 +66,13 @@ func TestEventAwkwardValues(t *testing.T) {
 	}
 }
 
-// TestNilLoggerSafe: a nil *Logger (and nil sinks) discard silently so
+// TestNilLoggerSafe: a nil *Logger (and a nil sink) discard silently so
 // instrumented code needs no nil checks.
 func TestNilLoggerSafe(t *testing.T) {
 	var l *Logger
 	l.Event("anything", "k", "v")
-	l.Logf("still %s", "fine")
 	if NewLogger(nil) != nil {
 		t.Error("NewLogger(nil) should return nil")
-	}
-	if NewFuncLogger(nil) != nil {
-		t.Error("NewFuncLogger(nil) should return nil")
-	}
-}
-
-// TestFuncLoggerShim: the legacy printf adapter renders events as flat
-// "event k=v" lines through the wrapped function.
-func TestFuncLoggerShim(t *testing.T) {
-	var got []string
-	l := NewFuncLogger(func(format string, args ...any) {
-		got = append(got, fmt.Sprintf(format, args...))
-	})
-	l.Event("session_end", "err", errors.New("eof"), "reconnect_in", 500*time.Millisecond)
-	l.Logf("plain %d", 7)
-	if len(got) != 2 {
-		t.Fatalf("got %d lines: %v", len(got), got)
-	}
-	if got[0] != "session_end err=eof reconnect_in=500ms" {
-		t.Errorf("rendered event = %q", got[0])
-	}
-	if got[1] != "log msg=plain 7" {
-		t.Errorf("rendered Logf = %q", got[1])
 	}
 }
 

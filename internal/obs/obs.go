@@ -15,9 +15,8 @@
 //     instrumented package; the registry map is never touched on a hot
 //     path.
 //   - Instrumentation reads no randomness and influences no control flow,
-//     so results stay bitwise-identical with metrics on or off
-//     (SetEnabled toggles recording globally; the conformance goldens and
-//     all determinism flags are CI-asserted with instrumentation on).
+//     so it cannot move a result bit (the conformance goldens and all
+//     determinism tests run with it live; there is no stripped mode).
 //
 // Metric names follow Prometheus conventions. A name may carry a baked-in
 // label set, e.g. `dist_frames_total{codec="binary",dir="tx"}`: the
@@ -35,23 +34,6 @@ import (
 	"sync/atomic"
 )
 
-// enabled is the global recording switch. It defaults to on; benchmarks
-// flip it off to measure the instrumented-vs-stripped overhead
-// (BENCH_sched.json obs_overhead rows).
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns metric recording on or off process-wide. Handles stay
-// valid either way; while disabled, Inc/Add/Set/Observe are branch-only
-// no-ops. Events (Logger) are not affected.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether metric recording is on. Instrumented call sites
-// that pay measurable setup per record (e.g. a time.Now pair around a
-// batch) should gate on it so disabling obs strips that cost too.
-func Enabled() bool { return enabled.Load() }
-
 // Counter is a monotonically increasing metric. The zero value is ready
 // to use; concurrent use is safe.
 type Counter struct{ v atomic.Int64 }
@@ -59,18 +41,14 @@ type Counter struct{ v atomic.Int64 }
 // Inc adds one.
 //
 //optlint:noalloc
-func (c *Counter) Inc() {
-	if enabled.Load() {
-		c.v.Add(1)
-	}
-}
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n. Counters are monotonic: n must be >= 0 (negative deltas are
 // ignored rather than corrupting the series).
 //
 //optlint:noalloc
 func (c *Counter) Add(n int64) {
-	if n > 0 && enabled.Load() {
+	if n > 0 {
 		c.v.Add(n)
 	}
 }
@@ -87,19 +65,12 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set replaces the gauge value.
 //
 //optlint:noalloc
-func (g *Gauge) Set(v float64) {
-	if enabled.Load() {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adjusts the gauge by delta (negative to decrease).
 //
 //optlint:noalloc
 func (g *Gauge) Add(delta float64) {
-	if !enabled.Load() {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + delta)
@@ -159,9 +130,6 @@ func newHistogram(bounds []float64) *Histogram {
 //
 //optlint:noalloc
 func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
-		return
-	}
 	// First index whose bound is >= v; len(bounds) is the overflow bucket.
 	i, j := 0, len(h.bounds)
 	for i < j {

@@ -195,33 +195,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestSetEnabled: disabled metrics record nothing and re-enabling
-// resumes on the same handles.
-func TestSetEnabled(t *testing.T) {
-	defer SetEnabled(true)
-	r := NewRegistry()
-	c := r.Counter("toggle_total")
-	g := r.Gauge("toggle_gauge")
-	h := r.Histogram("toggle_seconds", nil)
-	SetEnabled(false)
-	if Enabled() {
-		t.Fatal("Enabled() = true after SetEnabled(false)")
-	}
-	c.Inc()
-	c.Add(5)
-	g.Set(3)
-	g.Add(2)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.View().Count != 0 {
-		t.Errorf("disabled metrics recorded: c=%d g=%v h=%d", c.Value(), g.Value(), h.View().Count)
-	}
-	SetEnabled(true)
-	c.Inc()
-	if c.Value() != 1 {
-		t.Errorf("re-enabled counter = %d, want 1", c.Value())
-	}
-}
-
 // TestRegistryKindConflict: one base name cannot be two metric kinds.
 func TestRegistryKindConflict(t *testing.T) {
 	r := NewRegistry()

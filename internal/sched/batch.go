@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Entry dispatch states.
@@ -80,10 +78,11 @@ func (b *Batch) Submit(priority int, fn func()) *Entry {
 
 // Wait dispatches every live entry in priority order and blocks until all
 // dispatched tasks have finished. Entries canceled before dispatch are
-// skipped. Cancellation semantics match Scheduler.Do: if ctx ends mid-batch,
-// the remaining pending entries are withdrawn (their Canceled() reports
-// true), already-running tasks finish, and ctx.Err() is returned. A panic in
-// any task is re-raised on the calling goroutine after the batch drains.
+// skipped. An already-canceled context dispatches nothing; if ctx ends
+// mid-batch, the remaining pending entries are withdrawn (their Canceled()
+// reports true), already-running tasks finish, and ctx.Err() is returned. A
+// panic in any task is re-raised on the calling goroutine after the batch
+// drains.
 func (b *Batch) Wait(ctx context.Context) error {
 	if b.waited {
 		panic("sched: Batch.Wait called twice")
@@ -91,9 +90,6 @@ func (b *Batch) Wait(ctx context.Context) error {
 	b.waited = true
 	if len(b.entries) == 0 {
 		return ctx.Err()
-	}
-	if !obs.Enabled() {
-		return b.wait(ctx)
 	}
 	mInflight.Inc()
 	start := time.Now() //optlint:nondeterministic-ok batch-latency metric, never reaches a sample
@@ -105,7 +101,7 @@ func (b *Batch) Wait(ctx context.Context) error {
 	return err
 }
 
-// wait is the uninstrumented dispatch-and-join body behind Wait.
+// wait is the dispatch-and-join body behind Wait.
 func (b *Batch) wait(ctx context.Context) error {
 	order := make([]*Entry, len(b.entries))
 	copy(order, b.entries)

@@ -109,7 +109,7 @@ func TestBatchContextCancel(t *testing.T) {
 }
 
 // TestBatchPanicPropagates verifies a task panic re-raises on the Wait
-// caller after the batch drains, matching Do.
+// caller after the batch drains, matching DoN.
 // TestBatchAbortEntryAccountedOnce is the waste-accounting regression test
 // at the sched level: when a batch aborts mid-flight, every entry must end
 // in exactly one of two states — executed once with Canceled() false (a

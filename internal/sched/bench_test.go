@@ -18,7 +18,7 @@ func spin(n int) float64 {
 	return x
 }
 
-// BenchmarkBatch measures one Do over a d+3-sized batch of expensive
+// BenchmarkBatch measures one DoN over a d+3-sized batch of expensive
 // evaluations (d=13 => 16 tasks) at increasing worker counts. The serial
 // (workers=1) row is the baseline the concurrent rows are compared against;
 // the acceptance target is >= 2x at 4 workers on a multi-core host.

@@ -21,8 +21,10 @@ const (
 
 	// FIFO collapses every submission into one global queue drained in
 	// arrival order, ignoring tenants and weights. It is the pre-fair-share
-	// behavior, kept as the benchmark baseline (BenchServe contrasts the
-	// two under a saturating tenant).
+	// behavior, kept as the baseline (bench/ prices both as
+	// sched.fair_ns_per_task and sched.fifo_ns_per_task; the jobs package's
+	// TestFairShareShieldsLightTenant contrasts the two under a saturating
+	// tenant).
 	FIFO
 )
 

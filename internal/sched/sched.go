@@ -30,7 +30,8 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrClosed is returned by Do when the scheduler has been closed.
+// ErrClosed is returned by DoN and Batch.Wait when the scheduler has been
+// closed.
 var ErrClosed = errors.New("sched: scheduler is closed")
 
 // Pool metrics (obs registry). Handles are resolved once here; the hot
@@ -39,7 +40,7 @@ var ErrClosed = errors.New("sched: scheduler is closed")
 // batch, never per task.
 var (
 	mBatches = obs.Default().Counter("sched_batches_total",
-		"evaluation batches dispatched through Do, DoN or Batch.Wait")
+		"evaluation batches dispatched through DoN or Batch.Wait")
 	mTasks = obs.Default().Counter("sched_tasks_total",
 		"individual evaluation tasks submitted across all batches")
 	mBatchSeconds = obs.Default().Histogram("sched_batch_seconds", nil,
@@ -69,7 +70,7 @@ type Config struct {
 // safe for concurrent use by multiple goroutines, though the sampling
 // backends serialize batches themselves (one batch per simplex decision).
 //
-// Concurrent submissions land in per-tenant run queues (see DoAs, DoNAs and
+// Concurrent submissions land in per-tenant run queues (see DoNAs and
 // NewBatchAs; the untenanted entry points use the "" tenant) and workers
 // drain them under the configured Policy. Within one tenant, tasks dispatch
 // in submission order; across tenants, FairShare interleaves queues by
@@ -162,7 +163,7 @@ func (s *Scheduler) worker() {
 }
 
 // Close stops the worker goroutines after draining already-queued tasks. It
-// must not be called while a Do is in flight; it is idempotent. Closing a
+// must not be called while a batch is in flight; it is idempotent. Closing a
 // scheduler whose workers never started is a no-op.
 func (s *Scheduler) Close() {
 	s.closeOnce.Do(func() {
@@ -175,7 +176,7 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// panicBox carries a task panic from a worker goroutine back to the Do
+// panicBox carries a task panic from a worker goroutine back to the batch's
 // caller, preserving the synchronous-panic semantics of the serial code path
 // (e.g. sampling a closed point must still crash the caller, not a worker).
 type panicBox struct {
@@ -192,105 +193,9 @@ func (p *panicBox) capture(v any) {
 	p.mu.Unlock()
 }
 
-// Do executes every task in the batch and returns when all dispatched tasks
-// have finished. With Workers == 1 (or a single task) the batch runs serially
-// on the calling goroutine. An already-canceled context dispatches nothing;
-// if ctx is canceled mid-batch, queued tasks are withdrawn as workers reach
-// them, already-running tasks finish, and ctx.Err() is returned. The caller
-// cannot assume which of the remaining tasks ran. A panic inside any task is
-// re-raised on the calling goroutine after the batch drains.
-func (s *Scheduler) Do(ctx context.Context, tasks []func()) error {
-	return s.DoAs(ctx, "", tasks)
-}
-
-// DoAs is Do with the batch charged to the named tenant's fair-share queue.
-// The empty tenant is a queue of its own, so untenanted work competes like
-// any weight-1 tenant.
-func (s *Scheduler) DoAs(ctx context.Context, tenant string, tasks []func()) error {
-	if len(tasks) == 0 {
-		return ctx.Err()
-	}
-	if !obs.Enabled() {
-		return s.do(ctx, tenant, tasks)
-	}
-	serial := s.workers == 1 || len(tasks) == 1
-	if serial {
-		mBusy.Inc()
-	}
-	mInflight.Inc()
-	start := time.Now() //optlint:nondeterministic-ok batch-latency metric, never reaches a sample
-	err := s.do(ctx, tenant, tasks)
-	mBatchSeconds.Observe(time.Since(start).Seconds()) //optlint:nondeterministic-ok batch-latency metric, never reaches a sample
-	mBatches.Inc()
-	mTasks.Add(int64(len(tasks)))
-	mInflight.Dec()
-	if serial {
-		mBusy.Dec()
-	}
-	return err
-}
-
-// do is the uninstrumented batch body behind Do/DoAs. Every task is enqueued
-// up front on the tenant's queue; the wrapper each worker runs withdraws
-// instead of executing once ctx has ended, so an aborted batch still drains
-// its WaitGroup exactly.
-func (s *Scheduler) do(ctx context.Context, tenant string, tasks []func()) error {
-	if s.workers == 1 || len(tasks) == 1 {
-		return s.doSerial(ctx, tasks)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	s.start()
-	var (
-		wg        sync.WaitGroup
-		box       panicBox
-		withdrawn atomic.Bool
-	)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	q := s.queueForLocked(tenant)
-	for _, fn := range tasks {
-		fn := fn
-		wg.Add(1)
-		s.enqueueLocked(q, func() {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				withdrawn.Store(true)
-				return
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					box.capture(r)
-				}
-			}()
-			fn()
-		})
-	}
-	q.mDepth.Set(float64(q.n))
-	s.mu.Unlock()
-	s.cond.Broadcast()
-	wg.Wait()
-	box.mu.Lock()
-	val, set := box.val, box.set
-	box.mu.Unlock()
-	if set {
-		panic(val)
-	}
-	if withdrawn.Load() {
-		return ctx.Err()
-	}
-	return nil
-}
-
 // nbatch is one DoN batch in flight: participants claim indices from a shared
-// atomic cursor, so the per-task dispatch cost is one atomic add instead of a
-// closure allocation and a channel handoff — the zero-allocation shape of the
-// per-draw hot path.
+// atomic cursor, so the per-task dispatch cost is one atomic add — the
+// zero-allocation shape of the per-draw hot path.
 type nbatch struct {
 	fn   func(int)
 	n    int64
@@ -328,29 +233,28 @@ func (b *nbatch) runOne(i int) {
 	b.fn(i)
 }
 
-// DoN fans fn out over indices 0..n-1 as one batch. It is the common shape of
-// a sampling batch: index i samples point i. Semantics match Do — serial
-// in-caller execution with Workers == 1 (or n == 1), cancellation checked
-// before every index, panics re-raised on the caller — but dispatch is
-// index-claiming rather than per-task closures: up to Workers pool
-// goroutines each pull indices off one shared cursor, so a batch costs a
-// handful of allocations regardless of n instead of O(n) closures. Unlike
-// Do, a mid-batch cancellation may skip any subset of the remaining indices
-// (participants stop claiming independently); as with Do, the caller cannot
-// assume which of the remaining tasks ran.
+// DoN fans fn out over indices 0..n-1 as one batch and returns when every
+// claimed index has finished. It is the common shape of a sampling batch:
+// index i samples point i. With Workers == 1 (or n == 1) the batch runs
+// serially on the calling goroutine; otherwise up to Workers pool goroutines
+// each pull indices off one shared cursor, so a batch costs a handful of
+// allocations regardless of n. An already-canceled context dispatches
+// nothing; if ctx is canceled mid-batch, participants stop claiming
+// independently, already-running indices finish, and ctx.Err() is returned —
+// the caller cannot assume which of the remaining indices ran. A panic inside
+// fn is re-raised on the calling goroutine after the batch drains.
 func (s *Scheduler) DoN(ctx context.Context, n int, fn func(i int)) error {
 	return s.DoNAs(ctx, "", n, fn)
 }
 
 // DoNAs is DoN with the batch charged to the named tenant's fair-share
-// queue. The sampling backends thread the job's tenant through here so fleet
-// capacity divides by Quota.Weight instead of submission order.
+// queue. The empty tenant is a queue of its own, so untenanted work competes
+// like any weight-1 tenant. The sampling backends thread the job's tenant
+// through here so fleet capacity divides by Quota.Weight instead of
+// submission order.
 func (s *Scheduler) DoNAs(ctx context.Context, tenant string, n int, fn func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()
-	}
-	if !obs.Enabled() {
-		return s.doN(ctx, tenant, n, fn)
 	}
 	serial := s.workers == 1 || n == 1
 	if serial {
@@ -369,30 +273,10 @@ func (s *Scheduler) DoNAs(ctx context.Context, tenant string, n int, fn func(i i
 	return err
 }
 
-// doSerial runs a batch in the caller's goroutine — the fast path taken when
-// the pool is serial or the batch has one task. It is on the per-draw
-// zero-allocation budget (see alloc_test.go), so it must stay free of
-// closures, appends and boxing.
-//
-//optlint:noalloc
-func (s *Scheduler) doSerial(ctx context.Context, tasks []func()) error {
-	for _, fn := range tasks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		select {
-		case <-s.quit:
-			return ErrClosed
-		default:
-		}
-		fn()
-	}
-	return nil
-}
-
 // doNSerial runs an indexed batch in the caller's goroutine — the fast path
-// taken when the pool is serial or the batch has one index. Like doSerial it
-// is on the per-draw zero-allocation budget.
+// taken when the pool is serial or the batch has one index. It is on the
+// per-draw zero-allocation budget (see alloc_test.go), so it must stay free
+// of closures, appends and boxing.
 //
 //optlint:noalloc
 func (s *Scheduler) doNSerial(ctx context.Context, n int, fn func(i int)) error {
@@ -410,7 +294,7 @@ func (s *Scheduler) doNSerial(ctx context.Context, n int, fn func(i int)) error 
 	return nil
 }
 
-// doN is the uninstrumented batch body behind DoN/DoNAs. Up to Workers
+// doN is the batch body behind DoN/DoNAs. Up to Workers
 // participant bodies are enqueued on the tenant's queue; each one claims
 // indices off the shared cursor, so the queue cost is O(workers) per batch
 // regardless of n.

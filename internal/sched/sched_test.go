@@ -12,11 +12,7 @@ func TestDoRunsEveryTask(t *testing.T) {
 	s := New(Config{Workers: 4})
 	defer s.Close()
 	var n atomic.Int64
-	tasks := make([]func(), 100)
-	for i := range tasks {
-		tasks[i] = func() { n.Add(1) }
-	}
-	if err := s.Do(context.Background(), tasks); err != nil {
+	if err := s.DoN(context.Background(), 100, func(int) { n.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 100 {
@@ -107,11 +103,12 @@ func TestCanceledBeforeDispatch(t *testing.T) {
 
 func TestDoAfterClose(t *testing.T) {
 	s := New(Config{Workers: 2})
-	s.Do(context.Background(), []func(){func() {}, func() {}}) // start workers
+	if err := s.DoN(context.Background(), 2, func(int) {}); err != nil { // start workers
+		t.Fatal(err)
+	}
 	s.Close()
-	err := s.Do(context.Background(), []func(){func() {}, func() {}})
-	if err != ErrClosed {
-		t.Fatalf("Do after Close: err = %v, want ErrClosed", err)
+	if err := s.DoN(context.Background(), 2, func(int) {}); err != ErrClosed {
+		t.Fatalf("DoN after Close: err = %v, want ErrClosed", err)
 	}
 }
 
@@ -134,7 +131,7 @@ func TestPanicPropagates(t *testing.T) {
 			panic("boom")
 		}
 	})
-	t.Fatal("Do returned instead of panicking")
+	t.Fatal("DoN returned instead of panicking")
 }
 
 func TestDefaultWorkersPositive(t *testing.T) {
@@ -165,8 +162,8 @@ func TestStreamSeedDeterministicAndDistinct(t *testing.T) {
 func TestSerialDoAfterClose(t *testing.T) {
 	s := New(Config{Workers: 1})
 	s.Close()
-	if err := s.Do(context.Background(), []func(){func() {}}); err != ErrClosed {
-		t.Fatalf("serial Do after Close: err = %v, want ErrClosed", err)
+	if err := s.DoN(context.Background(), 1, func(int) {}); err != ErrClosed {
+		t.Fatalf("serial DoN after Close: err = %v, want ErrClosed", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -291,5 +292,139 @@ func TestHealthzAndStrategies(t *testing.T) {
 	}
 	if _, ok := strategies["strategies"]; !ok {
 		t.Fatalf("strategies payload missing list: %v", strategies)
+	}
+}
+
+// streamRecorder is a ResponseRecorder that announces its WriteHeader call.
+type streamRecorder struct {
+	*httptest.ResponseRecorder
+	header chan struct{}
+}
+
+func (s *streamRecorder) WriteHeader(code int) {
+	s.ResponseRecorder.WriteHeader(code)
+	close(s.header)
+}
+
+// TestResultAndTrace is the read side of a job's life over HTTP: unknown
+// IDs are 404 on every job-scoped route, /result refuses (409) until the job
+// is terminal, /trace streams NDJSON events and ends by itself when the job
+// does, and /result then serves exactly the manager's result.
+func TestResultAndTrace(t *testing.T) {
+	gate := make(chan struct{})
+	ts, mgr := startServer(t, jobs.Config{
+		MaxConcurrent: 1,
+		Objectives: map[string]func([]float64) float64{
+			"gate": func(x []float64) float64 {
+				<-gate
+				return x[0]*x[0] + x[1]*x[1]
+			},
+		},
+	})
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(gate)
+		}
+	}
+	t.Cleanup(release) // LIFO: before the manager's Close waits on the job
+
+	var body map[string]any
+	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/result", "/v1/jobs/nope/trace"} {
+		if code := get(t, ts.URL+path, &body); code != http.StatusNotFound {
+			t.Errorf("GET %s: code %d, want 404", path, code)
+		}
+	}
+	if code, _ := post(t, ts.URL+"/v1/jobs/nope/cancel", ""); code != http.StatusNotFound {
+		t.Errorf("cancel of an unknown job: code %d, want 404", code)
+	}
+
+	gated := `{"objective":"gate","dim":2,"algorithm":"pc","sigma0":1,"seed":5,"tol":-1,"max_iterations":6}`
+	code, sub := post(t, ts.URL+"/v1/jobs", gated)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %v", code, sub)
+	}
+	id := sub["id"].(string)
+	// A second job queues behind it and is canceled before it ever starts:
+	// terminal, with no result to serve.
+	code, sub = post(t, ts.URL+"/v1/jobs", gated)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %v", code, sub)
+	}
+	queued := sub["id"].(string)
+	if code, _ := post(t, ts.URL+"/v1/jobs/"+queued+"/cancel", ""); code != http.StatusAccepted {
+		t.Fatalf("cancel: code %d", code)
+	}
+	waitDone(t, ts, queued)
+	if code := get(t, ts.URL+"/v1/jobs/"+queued+"/result", &body); code != http.StatusOK ||
+		body["state"] != "canceled" || body["error"] == nil || body["result"] != nil {
+		t.Fatalf("result of a never-started job: code %d body %v", code, body)
+	}
+
+	if code := get(t, ts.URL+"/v1/jobs/"+id+"/result", &body); code != http.StatusConflict {
+		t.Fatalf("result of a live job: code %d body %v, want 409", code, body)
+	}
+
+	// The handler writes its header right after subscribing and flushes
+	// only with the first event, so over a real connection a client cannot
+	// tell when it is safe to let the job go. Serve this one request
+	// in-process, where the header write is observable.
+	rec := &streamRecorder{ResponseRecorder: httptest.NewRecorder(), header: make(chan struct{})}
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/trace", nil))
+	}()
+	<-rec.header
+	if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || ct != "application/x-ndjson" {
+		t.Fatalf("trace: code %d content-type %q", rec.Code, ct)
+	}
+	release()
+	<-ended // the stream ends by itself once the job is terminal
+	var events []jobs.Event
+	dec := json.NewDecoder(rec.Body)
+	for {
+		var e jobs.Event
+		if err := dec.Decode(&e); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("trace line %d: %v", len(events), err)
+		}
+		if e.JobID != id {
+			t.Fatalf("trace line %d is for job %q", len(events), e.JobID)
+		}
+		events = append(events, e)
+	}
+	if !rec.Flushed {
+		t.Error("trace events were never flushed to the client")
+	}
+	traces := 0
+	for _, e := range events {
+		if e.Type == "trace" && e.Trace != nil {
+			traces++
+		}
+	}
+	if last := events[len(events)-1]; traces != 6 || last.Type != "state" || last.State != jobs.StateDone {
+		t.Fatalf("stream had %d trace events and ended on %+v, want 6 and a done state", traces, last)
+	}
+
+	var got struct {
+		State  jobs.State      `json:"state"`
+		Result json.RawMessage `json:"result"`
+	}
+	if code := get(t, ts.URL+"/v1/jobs/"+id+"/result", &got); code != http.StatusOK || got.State != jobs.StateDone {
+		t.Fatalf("result: code %d state %q", code, got.State)
+	}
+	res, err := mgr.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Result, want) {
+		t.Fatalf("served result differs from the manager's:\n got %s\nwant %s", got.Result, want)
 	}
 }

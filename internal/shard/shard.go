@@ -9,6 +9,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -186,9 +187,13 @@ func (r *Router) probeAll() {
 	r.mAlive.Set(float64(alive))
 }
 
-// probe is one GET /healthz against shard i.
+// probe is one GET /healthz against shard i, abandoned after DeadAfter: a
+// shard that accepts the connection and never answers is as dead as one that
+// refuses it, and must not stall the probing of the shards after it.
 func (r *Router) probe(i int) bool {
-	req, err := http.NewRequest(http.MethodGet, "http://"+r.cfg.Shards[i].Addr+"/healthz", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.DeadAfter)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+r.cfg.Shards[i].Addr+"/healthz", nil)
 	if err != nil {
 		return false
 	}

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -436,5 +437,100 @@ func TestRouterDegradedMerge(t *testing.T) {
 	}
 	if len(tl.Degraded) != 1 || tl.Degraded[0] != s0.addr() {
 		t.Fatalf("tenants degraded field = %v, want [%s]", tl.Degraded, s0.addr())
+	}
+}
+
+// TestRouterHungShard is the gray-failure twin of TestRouterFailover: shard
+// 0 accepts TCP connections and never answers (a SIGSTOPped or blackholed
+// replica). The prober must give up on it after DeadAfter, declare it dead
+// and hand its range to shard 1, instead of waiting on it forever with
+// shard 1's probes stuck behind it.
+func TestRouterHungShard(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn // guarded by mu: held open, never written to
+	)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	s1 := newTestShard(t, jobs.Config{MaxConcurrent: 2}, nil)
+
+	const deadAfter = 200 * time.Millisecond
+	// New runs the first probe sweep itself, so without a probe deadline it
+	// never returns.
+	type built struct {
+		r   *shard.Router
+		err error
+	}
+	builtc := make(chan built, 1)
+	go func() {
+		r, err := shard.New(shard.Config{
+			Shards:    []shard.Shard{{Addr: ln.Addr().String()}, {Addr: s1.addr()}},
+			Probe:     20 * time.Millisecond,
+			DeadAfter: deadAfter,
+		})
+		builtc <- built{r, err}
+	}()
+	var r *shard.Router
+	select {
+	case b := <-builtc:
+		if b.err != nil {
+			t.Fatal(b.err)
+		}
+		r = b.r
+	case <-time.After(25 * deadAfter):
+		t.Fatal("shard.New still waiting on the hung shard's first probe")
+	}
+	t.Cleanup(r.Close)
+	rt := httptest.NewServer(r.Handler())
+	t.Cleanup(rt.Close)
+
+	deadline := time.Now().Add(25 * deadAfter)
+	for {
+		var health struct {
+			Shards []shard.ShardStatus `json:"shards"`
+		}
+		getJSON(t, rt.URL+"/healthz", &health)
+		if len(health.Shards) == 2 && health.Shards[0].Dead {
+			if health.Shards[0].Adopter != 1 || !health.Shards[1].Alive {
+				t.Fatalf("after the hung shard's death: %+v, want adopter 1 alive", health.Shards)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("hung shard 0 never declared dead: %+v", health.Shards)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Its hash range is served by shard 1: every routed job completes.
+	for i := 0; i < 4; i++ {
+		code, body := postJSON(t, rt.URL+"/v1/jobs", specBody("acme", int64(200+i)))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: code %d body %v", i, code, body)
+		}
+		if st := waitTerminal(t, rt.URL, body["id"].(string)); st["state"] != "done" {
+			t.Fatalf("job %v: %v", body["id"], st)
+		}
 	}
 }

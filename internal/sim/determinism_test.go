@@ -22,6 +22,12 @@ func runBatches(t *testing.T, workers int) []Estimate {
 		Workers:  workers,
 	})
 	defer s.Close()
+	return sampleSequence(s)
+}
+
+// sampleSequence is the batch sequence itself, on any space built like
+// runBatches builds its own.
+func sampleSequence(s *LocalSpace) []Estimate {
 	pts := make([]Point, 12)
 	for i := range pts {
 		pts[i] = s.NewPoint([]float64{float64(i), float64(i % 3), 1})

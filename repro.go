@@ -32,9 +32,7 @@
 // validated option set for reuse. Optimizers are Strategy implementations
 // in a process-wide registry — select one with WithAlgorithm or, by name,
 // WithStrategy ("pc", "pc+mn", "pso", "hybrid", ...; Strategies lists
-// them), and plug in your own with RegisterStrategy. The pre-Run entry
-// points (Optimize, OptimizeContext, OptimizeWithRestarts, Resume, ...)
-// remain as deprecated shims over Run.
+// them), and plug in your own with RegisterStrategy.
 //
 // For the paper's parallel deployment (master, d+3 vertex workers, servers
 // and simulation clients over the MW framework), build a space with
@@ -134,53 +132,12 @@ func Conditions(nums ...int) ConditionMask { return core.Conditions(nums...) }
 // AllConditions enables error bars in every PC condition.
 const AllConditions = core.AllConditions
 
-// Optimize runs the configured stochastic simplex from the initial simplex
-// (d+1 vertices of dimension d).
-//
-// Deprecated: use Run with WithConfig and WithInitialSimplex.
-func Optimize(space Space, initial [][]float64, cfg Config) (*Result, error) {
-	return Run(context.Background(), space, WithConfig(cfg), WithInitialSimplex(initial))
-}
-
-// OptimizeContext is Optimize with cancellation: sampling batches dispatch
-// concurrently under ctx, and a canceled context terminates the run within
-// one sampling round with Result.Termination == "canceled".
-//
-// Deprecated: use Run with WithConfig and WithInitialSimplex.
-func OptimizeContext(ctx context.Context, space Space, initial [][]float64, cfg Config) (*Result, error) {
-	return Run(ctx, space, WithConfig(cfg), WithInitialSimplex(initial))
-}
-
 // SampleBatch samples the points concurrently through the space's
 // BatchSampler when it has one, else serially via SampleAll. Harnesses that
-// drive spaces directly (outside Optimize) use it to get the same concurrent
+// drive spaces directly (outside Run) use it to get the same concurrent
 // path the optimizer uses.
 func SampleBatch(ctx context.Context, space Space, points []Point, dt float64) error {
 	return sim.SampleBatch(ctx, space, points, dt)
-}
-
-// RestartConfig wraps a Config with the restart strategy of the paper's
-// section 1.3.5.1 (rebuild a fresh simplex around the incumbent after each
-// convergence), the antidote to premature simplex collapse in long noisy
-// valleys.
-type RestartConfig = core.RestartConfig
-
-// OptimizeWithRestarts runs Optimize and then the configured number of
-// restarts from fresh simplices around the best point, returning the best
-// result with accumulated effort counters.
-//
-// Deprecated: use Run with WithConfig, WithInitialSimplex and WithRestarts.
-func OptimizeWithRestarts(space Space, initial [][]float64, rcfg RestartConfig) (*Result, error) {
-	return OptimizeWithRestartsContext(context.Background(), space, initial, rcfg)
-}
-
-// OptimizeWithRestartsContext is OptimizeWithRestarts with cancellation: a
-// canceled context ends the current leg and skips the remaining restarts.
-//
-// Deprecated: use Run with WithConfig, WithInitialSimplex and WithRestarts.
-func OptimizeWithRestartsContext(ctx context.Context, space Space, initial [][]float64, rcfg RestartConfig) (*Result, error) {
-	return Run(ctx, space, WithConfig(rcfg.Config), WithInitialSimplex(initial),
-		WithRestarts(rcfg.Restarts, rcfg.Scale...), WithRestartDecay(rcfg.ScaleDecay))
 }
 
 // UniformSimplex draws the d+1 starting vertices with coordinates uniform
@@ -221,36 +178,12 @@ type (
 	Snapshotter = sim.Snapshotter
 )
 
-// Resume continues a snapshotted run on a freshly built space (same
-// construction parameters as the original) with the run's original Config.
-//
-// Deprecated: use Run with WithConfig and WithResume.
-func Resume(space Space, snap *Snapshot, cfg Config) (*Result, error) {
-	return ResumeContext(context.Background(), space, snap, cfg)
-}
-
-// ResumeContext is Resume with cancellation.
-//
-// Deprecated: use Run with WithConfig and WithResume.
-func ResumeContext(ctx context.Context, space Space, snap *Snapshot, cfg Config) (*Result, error) {
-	return Run(ctx, space, WithConfig(cfg), WithResume(snap))
-}
-
-// ResumeWithRestartsContext continues a snapshotted OptimizeWithRestarts
-// run: the in-flight leg resumes mid-run, then the remaining restart legs
-// execute.
-//
-// Deprecated: use Run with WithConfig, WithResume and WithRestarts.
-func ResumeWithRestartsContext(ctx context.Context, space Space, snap *Snapshot, rcfg RestartConfig) (*Result, error) {
-	return Run(ctx, space, WithConfig(rcfg.Config), WithResume(snap),
-		WithRestarts(rcfg.Restarts, rcfg.Scale...), WithRestartDecay(rcfg.ScaleDecay))
-}
-
 // Distributed sampling fleet: the network realization of the paper's
 // master/worker deployment. A FleetCoordinator accepts worker agents
-// (cmd/optworker, or in-process FleetWorkers) over TCP with a
-// length-prefixed JSON frame protocol, dispatches prioritized sampling tasks
-// over their registered capacity, and deterministically re-dispatches the
+// (cmd/optworker, or in-process FleetWorkers) over TCP with length-prefixed
+// frames (a JSON handshake negotiates the binary task codec, JSON being the
+// fallback), dispatches prioritized sampling tasks over their registered
+// capacity, and deterministically re-dispatches the
 // outstanding tasks of dead workers. It implements FleetSampler, so it plugs
 // underneath any run via WithFleet (or LocalConfig.Fleet), any job via
 // JobSpec.Fleet, and the optd server via -fleet-addr — with results bitwise

@@ -118,9 +118,8 @@ func WithStrategy(name string) RunOption {
 
 // WithConfig replaces the full optimizer configuration (decision-policy
 // parameters, sampling schedule, budgets, callbacks) and selects the
-// strategy matching cfg.Algorithm. Use it to port code from the deprecated
-// Optimize-family entry points verbatim, or when an option for a niche
-// Config field does not exist.
+// strategy matching cfg.Algorithm. Use it when an option for a niche Config
+// field does not exist.
 func WithConfig(cfg Config) RunOption {
 	return func(o *runOptions) {
 		o.spec.Config = cfg

@@ -26,9 +26,6 @@ func newRunSpace() *LocalSpace {
 // Space interface methods are promoted, so checkpoint/resume must refuse it.
 type plainSpace struct{ Space }
 
-// nmAlgs lists the five NM-family policies the shims must cover.
-var nmAlgs = []Algorithm{DET, MN, PC, PCMN, AndersonNM}
-
 // runCfg returns a small deterministic budget for alg.
 func runCfg(alg Algorithm) Config {
 	cfg := DefaultConfig(alg)
@@ -102,112 +99,6 @@ func TestRunOptionValidation(t *testing.T) {
 				t.Fatalf("error = %q, want it to contain %q", err, c.wantErr)
 			}
 		})
-	}
-}
-
-// TestDeprecatedShimsBitwiseIdentical verifies each of the seven legacy
-// entry points produces a bitwise-identical Result to its Run(...)
-// equivalent, for all five NM-family strategies.
-func TestDeprecatedShimsBitwiseIdentical(t *testing.T) {
-	ctx := context.Background()
-	for _, alg := range nmAlgs {
-		cfg := runCfg(alg)
-		rcfg := RestartConfig{Config: cfg, Restarts: 1, Scale: []float64{1, 1}}
-		rcfg.MaxWalltime = 200
-
-		// Snapshots for the resume shims: checkpoint a run and keep a middle
-		// snapshot, serialized so each resume decodes a fresh copy.
-		var snapBytes []byte
-		{
-			var snaps [][]byte
-			cp := cfg
-			cp.Checkpoint = func(s *Snapshot) {
-				b, err := s.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				snaps = append(snaps, b)
-			}
-			cp.CheckpointEvery = 5
-			if _, err := Run(ctx, newRunSpace(), WithConfig(cp), WithInitialSimplex(runInitial)); err != nil {
-				t.Fatalf("%v: checkpoint run: %v", alg, err)
-			}
-			if len(snaps) < 2 {
-				t.Fatalf("%v: only %d snapshots", alg, len(snaps))
-			}
-			snapBytes = snaps[len(snaps)/2]
-		}
-		decodeSnap := func() *Snapshot {
-			var s Snapshot
-			if err := s.UnmarshalBinary(snapBytes); err != nil {
-				t.Fatal(err)
-			}
-			return &s
-		}
-
-		type pair struct {
-			name string
-			old  func() (*Result, error)
-			new  func() (*Result, error)
-		}
-		pairs := []pair{
-			{"Optimize",
-				func() (*Result, error) { return Optimize(newRunSpace(), runInitial, cfg) },
-				func() (*Result, error) {
-					return Run(ctx, newRunSpace(), WithConfig(cfg), WithInitialSimplex(runInitial))
-				}},
-			{"OptimizeContext",
-				func() (*Result, error) { return OptimizeContext(ctx, newRunSpace(), runInitial, cfg) },
-				func() (*Result, error) {
-					return Run(ctx, newRunSpace(), WithConfig(cfg), WithInitialSimplex(runInitial))
-				}},
-			{"OptimizeWithRestarts",
-				func() (*Result, error) { return OptimizeWithRestarts(newRunSpace(), runInitial, rcfg) },
-				func() (*Result, error) {
-					return Run(ctx, newRunSpace(), WithConfig(rcfg.Config), WithInitialSimplex(runInitial),
-						WithRestarts(rcfg.Restarts, rcfg.Scale...))
-				}},
-			{"OptimizeWithRestartsContext",
-				func() (*Result, error) {
-					return OptimizeWithRestartsContext(ctx, newRunSpace(), runInitial, rcfg)
-				},
-				func() (*Result, error) {
-					return Run(ctx, newRunSpace(), WithConfig(rcfg.Config), WithInitialSimplex(runInitial),
-						WithRestarts(rcfg.Restarts, rcfg.Scale...))
-				}},
-			{"Resume",
-				func() (*Result, error) { return Resume(newRunSpace(), decodeSnap(), cfg) },
-				func() (*Result, error) {
-					return Run(ctx, newRunSpace(), WithConfig(cfg), WithResume(decodeSnap()))
-				}},
-			{"ResumeContext",
-				func() (*Result, error) { return ResumeContext(ctx, newRunSpace(), decodeSnap(), cfg) },
-				func() (*Result, error) {
-					return Run(ctx, newRunSpace(), WithConfig(cfg), WithResume(decodeSnap()))
-				}},
-			{"ResumeWithRestartsContext",
-				func() (*Result, error) {
-					return ResumeWithRestartsContext(ctx, newRunSpace(), decodeSnap(), rcfg)
-				},
-				func() (*Result, error) {
-					return Run(ctx, newRunSpace(), WithConfig(rcfg.Config), WithResume(decodeSnap()),
-						WithRestarts(rcfg.Restarts, rcfg.Scale...))
-				}},
-		}
-		for _, p := range pairs {
-			oldRes, err := p.old()
-			if err != nil {
-				t.Fatalf("%v/%s: legacy: %v", alg, p.name, err)
-			}
-			newRes, err := p.new()
-			if err != nil {
-				t.Fatalf("%v/%s: Run: %v", alg, p.name, err)
-			}
-			if !reflect.DeepEqual(oldRes, newRes) {
-				t.Errorf("%v/%s: shim not bitwise-identical to Run equivalent\n old: %+v\n new: %+v",
-					alg, p.name, oldRes, newRes)
-			}
-		}
 	}
 }
 

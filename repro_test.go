@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,7 +20,8 @@ func TestFacadeLocalOptimization(t *testing.T) {
 	})
 	cfg := DefaultConfig(DET)
 	cfg.Tol = 1e-10
-	res, err := Optimize(space, [][]float64{{3, 3}, {4, 3}, {3, 4}}, cfg)
+	res, err := Run(context.Background(), space,
+		WithConfig(cfg), WithInitialSimplex([][]float64{{3, 3}, {4, 3}, {3, 4}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,8 @@ func TestFacadeMWOptimization(t *testing.T) {
 	cfg := DefaultConfig(PC)
 	cfg.Tol = 1e-8
 	cfg.MaxIterations = 300
-	res, err := Optimize(space, [][]float64{{3, 3}, {4, 3}, {3, 4}}, cfg)
+	res, err := Run(context.Background(), space,
+		WithConfig(cfg), WithInitialSimplex([][]float64{{3, 3}, {4, 3}, {3, 4}}))
 	if err != nil {
 		t.Fatal(err)
 	}
