@@ -93,6 +93,7 @@ type optimizer struct {
 
 	verts    []sim.Point // d+1 simplex vertices
 	trials   []sim.Point // live trial points (reflection/expansion/contraction)
+	batch    []sim.Point // resample's scratch: the round's active points
 	level    int         // contraction level l (section 2.2)
 	lastMove Move        // transformation applied in the latest iteration
 

@@ -246,15 +246,14 @@ func (o *optimizer) resample(a, b sim.Point, dt *float64, dec *decisionClock) (b
 		}
 		return false, nil
 	}
-	var batch []sim.Point
+	// No backend retains the batch slice past the call, so every round
+	// refills the same scratch.
 	if o.cfg.Scope == ScopePair {
-		batch = []sim.Point{a, b}
+		o.batch = append(o.batch[:0], a, b)
 	} else {
-		batch = make([]sim.Point, 0, len(o.verts)+len(o.trials))
-		batch = append(batch, o.verts...)
-		batch = append(batch, o.trials...)
+		o.batch = append(append(o.batch[:0], o.verts...), o.trials...)
 	}
-	if err := o.sampleAll(batch, step); err != nil {
+	if err := o.sampleAll(o.batch, step); err != nil {
 		return false, err
 	}
 	*dt *= o.cfg.ResampleGrowth

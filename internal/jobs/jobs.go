@@ -144,8 +144,9 @@ type Config struct {
 	// MaxConcurrent bounds the number of jobs running simultaneously.
 	// Zero selects 4.
 	MaxConcurrent int
-	// Workers sizes the shared sched fleet all job spaces dispatch on.
-	// Zero selects GOMAXPROCS.
+	// Workers sizes the shared sched fleet job spaces dispatch costed
+	// increments on (see SampleCost; without one a job's noise draws run on
+	// its own goroutine). Zero selects GOMAXPROCS.
 	Workers int
 	// SchedPolicy selects how the shared fleet orders batch tasks across
 	// tenants: "fair" (default) is weighted fair-share by Quota.Weight,

@@ -216,8 +216,9 @@ func (m *Manager) space(spec Spec) (*sim.LocalSpace, error) {
 		cfg.Workers = spec.Workers
 	default:
 		cfg.Pool = m.pool
-		// Batches on the shared fleet are charged to the job's tenant, so
-		// the scheduler can divide fleet capacity by Quota.Weight.
+		// Costed batches go to the shared fleet charged to the job's
+		// tenant, so the scheduler can divide fleet capacity by
+		// Quota.Weight.
 		cfg.Tenant = tenantOf(spec.Tenant)
 	}
 	return sim.NewLocalSpace(cfg), nil

@@ -161,10 +161,12 @@ func TestTenantStorm(t *testing.T) {
 	)
 	m := newManager(t, Config{
 		MaxConcurrent: 4,
-		// A multi-worker fleet so batches go through the concurrent
-		// fair-share queues (Workers 1 would run serially in-caller), and
-		// tight quotas so the storm constantly trips them.
+		// A multi-worker fleet and a (no-op) increment cost so batches go
+		// through the concurrent fair-share queues (cost-free draws, or
+		// Workers 1, would run serially in-caller), and tight quotas so the
+		// storm constantly trips them.
 		Workers:      4,
+		SampleCost:   func([]float64, float64) {},
 		DefaultQuota: Quota{MaxQueued: 6, MaxRunning: 2},
 	})
 	var (

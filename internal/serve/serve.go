@@ -337,8 +337,9 @@ func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // trace streams the job's progress as NDJSON: one jobs.Event per line,
-// flushed per event, ending when the job reaches a terminal state or the
-// client disconnects.
+// flushed whenever the subscription has nothing more queued — a burst of
+// events shares one chunk, a lone event goes out at once — ending when the
+// job reaches a terminal state or the client disconnects.
 func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	ch, cancel, err := s.cfg.Mgr.Subscribe(r.PathValue("id"))
 	if err != nil {
@@ -361,7 +362,7 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 			if err := enc.Encode(e); err != nil {
 				return
 			}
-			if flusher != nil {
+			if flusher != nil && len(ch) == 0 {
 				flusher.Flush()
 			}
 		}

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -427,4 +429,142 @@ func TestResultAndTrace(t *testing.T) {
 	if !bytes.Equal(got.Result, want) {
 		t.Fatalf("served result differs from the manager's:\n got %s\nwant %s", got.Result, want)
 	}
+}
+
+// burstWriter is a client that is slow to take the first chunk: its first
+// Write blocks until open is closed, and Flush records what has reached the
+// client so far.
+type burstWriter struct {
+	header http.Header
+	ready  chan struct{} // closed by WriteHeader
+	open   chan struct{}
+
+	mu        sync.Mutex
+	buf       bytes.Buffer
+	delivered int // bytes of buf flushed to the client
+	flushes   int
+}
+
+func (w *burstWriter) Header() http.Header { return w.header }
+func (w *burstWriter) WriteHeader(int)     { close(w.ready) }
+
+func (w *burstWriter) Write(p []byte) (int, error) {
+	<-w.open
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.Write(p)
+}
+
+func (w *burstWriter) Flush() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.delivered = w.buf.Len()
+	w.flushes++
+}
+
+// deliveredLines reports the complete lines flushed so far and the number of
+// flushes that carried them.
+func (w *burstWriter) deliveredLines() (lines, flushes int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return bytes.Count(w.buf.Bytes()[:w.delivered], []byte("\n")), w.flushes
+}
+
+// TestTraceBurstSharesFlush pins both halves of the trace flushing rule. A
+// job emits N events while the client is slow to take the first one, then
+// blocks inside its objective: once the client catches up, all N lines must
+// reach it — the last event of a burst is not left in the buffer waiting for
+// a successor that a blocked job will not send — and they must arrive in one
+// flush, not N.
+func TestTraceBurstSharesFlush(t *testing.T) {
+	const parkAt = 30 // objective call the job blocks in; iterations < calls < the 64-event buffer
+	var (
+		calls  atomic.Int64
+		start  = make(chan struct{})
+		parked = make(chan struct{})
+		hold   = make(chan struct{})
+	)
+	ts, mgr := startServer(t, jobs.Config{
+		MaxConcurrent: 1,
+		Objectives: map[string]func([]float64) float64{
+			"bursty": func(x []float64) float64 {
+				switch calls.Add(1) {
+				case 1:
+					<-start
+				case parkAt:
+					close(parked)
+					<-hold
+				}
+				return x[0]*x[0] + x[1]*x[1]
+			},
+		},
+	})
+	w := &burstWriter{header: make(http.Header), ready: make(chan struct{}), open: make(chan struct{})}
+	// Every close happens on the test goroutine, cleanup included.
+	closed := make(map[chan struct{}]bool)
+	release := func(gates ...chan struct{}) {
+		for _, g := range gates {
+			if !closed[g] {
+				closed[g] = true
+				close(g)
+			}
+		}
+	}
+	// LIFO: before the manager's Close waits on the job.
+	t.Cleanup(func() { release(start, w.open, hold) })
+
+	code, sub := post(t, ts.URL+"/v1/jobs",
+		`{"objective":"bursty","dim":2,"algorithm":"pc","sigma0":1,"seed":5,"tol":-1,"max_iterations":1000}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %v", code, sub)
+	}
+	id := sub["id"].(string)
+
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		ts.Config.Handler.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/trace", nil))
+	}()
+	<-w.ready // the handler has subscribed
+	// A second subscription, made before the first event, counts what the
+	// handler's own was sent.
+	counter, cancel, err := mgr.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+
+	release(start)
+	<-parked
+	n := len(counter)
+	if n < 2 {
+		t.Fatalf("job emitted %d events before blocking, want a burst", n)
+	}
+	release(w.open)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		lines, flushes := w.deliveredLines()
+		if lines == n {
+			if flushes != 1 {
+				t.Errorf("%d queued events took %d flushes, want 1", n, flushes)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("client holds %d of %d events while the job is blocked (%d flushes)", lines, n, flushes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-ended:
+		t.Fatal("trace stream ended while the job was still running")
+	default:
+	}
+	if st, err := mgr.Get(id); err != nil || st.State != jobs.StateRunning {
+		t.Fatalf("job state %v (err %v), want running", st.State, err)
+	}
+
+	release(hold)
+	<-ended
 }

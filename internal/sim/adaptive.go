@@ -48,7 +48,8 @@ func SampleBatchRanked(ctx context.Context, space Space, points []Point, dt floa
 // SampleBatchRanked implements RankedSampler: the batch is submitted to the
 // sched pool as prioritized entries, so low-rank points dispatch first. On
 // cancellation the not-yet-started entries are withdrawn (sched.Entry.Cancel)
-// and the wall clock does not advance.
+// and the wall clock does not advance. A cost-free space queues nothing, so
+// its rank is dropped.
 func (s *LocalSpace) SampleBatchRanked(ctx context.Context, points []Point, dt float64, rank func(i int) int) error {
 	if len(points) == 0 {
 		return ctx.Err()
@@ -56,10 +57,13 @@ func (s *LocalSpace) SampleBatchRanked(ctx context.Context, points []Point, dt f
 	if rank == nil {
 		return s.SampleBatch(ctx, points, dt)
 	}
-	lps := s.checkBatch(points)
 	if s.cfg.Fleet != nil {
-		return s.sampleFleet(ctx, lps, dt, rank)
+		return s.sampleFleet(ctx, s.checkBatch(points), dt, rank)
 	}
+	if s.pool == nil {
+		return s.sampleInCaller(ctx, points, dt)
+	}
+	lps := s.checkBatch(points)
 	b := s.pool.NewBatchAs(s.cfg.Tenant)
 	for i, lp := range lps {
 		lp := lp

@@ -3,12 +3,15 @@ package sim
 import (
 	"context"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // TestSampleBatchAllocBudget is the allocation budget on the in-process
 // batch sampling path: one batch of any width must cost O(1) allocations —
 // the scheduler's batch header plus the dispatch closure — never O(points).
-// Serial spaces (Workers: 1) pay exactly the one closure.
+// Costed serial spaces (Workers: 1) pay exactly the one closure, cost-free
+// spaces nothing at all.
 func TestSampleBatchAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	points := func(s *LocalSpace, n int) []Point {
@@ -19,8 +22,27 @@ func TestSampleBatchAllocBudget(t *testing.T) {
 		return ps
 	}
 
+	t.Run("in-caller", func(t *testing.T) {
+		pool := sched.New(sched.Config{Workers: 4})
+		defer pool.Close()
+		s := NewLocalSpace(LocalConfig{Dim: 2, F: func(x []float64) float64 { return x[0] * x[0] }, Sigma0: ConstSigma(0.5), Seed: 3, Pool: pool})
+		ps := points(s, 16)
+		rank := func(i int) int { return -i }
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := s.SampleBatch(ctx, ps, 0.01); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SampleBatchRanked(ctx, ps, 0.01, rank); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("in-caller SampleBatch+SampleBatchRanked(16): %.1f allocs per call, want 0", allocs)
+		}
+	})
+
 	t.Run("serial", func(t *testing.T) {
-		s := NewLocalSpace(LocalConfig{Dim: 2, F: func(x []float64) float64 { return x[0] * x[0] }, Sigma0: ConstSigma(0.5), Seed: 3, Workers: 1})
+		s := NewLocalSpace(LocalConfig{Dim: 2, F: func(x []float64) float64 { return x[0] * x[0] }, Sigma0: ConstSigma(0.5), Seed: 3, Workers: 1, SampleCost: noCost})
 		defer s.Close()
 		ps := points(s, 16)
 		allocs := testing.AllocsPerRun(100, func() {

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/testfunc"
 )
 
@@ -112,6 +114,41 @@ func BenchmarkSampleAllCheap(b *testing.B) {
 				s.SampleAll(pts, 0.1)
 			}
 		})
+	}
+}
+
+// BenchmarkSampleBatchCheap is the dispatch-vs-draw ratio of a cost-free
+// batch at the widths a d = 3..20 simplex step produces. in-caller is what a
+// cost-free space does with an offered pool; shared-pool-before-shape is
+// what it did before the grain decided — the same draws pushed through the
+// pool, here by a SampleCost that costs nothing.
+func BenchmarkSampleBatchCheap(b *testing.B) {
+	ctx := context.Background()
+	pool := sched.New(sched.Config{})
+	defer pool.Close()
+	for _, shape := range []struct {
+		name string
+		cost func([]float64, float64)
+	}{{"shared-pool-before-shape", noCost}, {"in-caller", nil}} {
+		for _, n := range []int{4, 12, 22} {
+			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
+				s := NewLocalSpace(LocalConfig{
+					Dim: 3, F: testfunc.Rosenbrock, Sigma0: ConstSigma(10), Seed: 1, Parallel: true,
+					Pool: pool, SampleCost: shape.cost,
+				})
+				pts := make([]Point, n)
+				for i := range pts {
+					pts[i] = s.NewPoint([]float64{float64(i), 1, 2})
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := s.SampleBatch(ctx, pts, 0.1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -9,9 +9,10 @@
 // sampling is executed:
 //
 //   - LocalSpace runs sampling in-process, fanning each batch out over the
-//     sched worker pool; it is used by unit tests, the experiments, and as
-//     the leaf evaluator inside MW clients. Every point owns a private
-//     deterministic noise stream, so concurrency never changes results.
+//     sched worker pool when its increments carry a simulation cost; it is
+//     used by unit tests, the experiments, and as the leaf evaluator inside
+//     MW clients. Every point owns a private deterministic noise stream, so
+//     where an increment runs never changes results.
 //   - The mw package provides a Space that farms SampleAll batches out to
 //     worker processes over the master-worker framework, reproducing the
 //     paper's parallel deployment.
@@ -157,13 +158,14 @@ type LocalConfig struct {
 	// Workers (the real CPU concurrency).
 	Parallel bool
 	// Workers bounds the real goroutine concurrency of batch sampling:
-	// 0 picks automatically — serial in-caller execution when sampling is
-	// cheap (no SampleCost; a noise draw is nanoseconds, cheaper than a
-	// channel handoff), the process-wide shared scheduler (GOMAXPROCS
-	// workers) when SampleCost is set. 1 forces serial execution, >= 2
-	// gives the space its own worker pool of that size (release it with
-	// Close). Because every point draws noise from a private per-point
-	// stream, results are bitwise identical for every Workers setting.
+	// 0 picks automatically from the grain of an increment — serial
+	// in-caller execution when sampling is cost-free (no SampleCost; a noise
+	// draw is nanoseconds, cheaper than waking a worker), else Pool when one
+	// is offered, else the process-wide shared scheduler (GOMAXPROCS
+	// workers). 1 forces serial execution, >= 2 gives the space its own
+	// worker pool of that size (release it with Close). Because every point
+	// draws noise from a private per-point stream, results are bitwise
+	// identical for every Workers setting.
 	Workers int
 	// SampleCost, if non-nil, is invoked once per sampling increment with
 	// the point's coordinates and the increment dt, modelling the CPU cost
@@ -172,8 +174,10 @@ type LocalConfig struct {
 	// makes concurrent batch sampling pay off on real objectives, and what
 	// the sched benchmarks exercise. It must be safe for concurrent calls.
 	SampleCost func(x []float64, dt float64)
-	// Pool, if non-nil, is an externally owned scheduler the space dispatches
-	// its batches on, overriding Workers. Many spaces may share one Pool —
+	// Pool, if non-nil, is an externally owned scheduler offering capacity
+	// for costed increments: a space with a SampleCost (or Workers >= 2)
+	// dispatches its batches on it, overriding Workers; a cost-free space
+	// never calls into it (see Workers). Many spaces may share one Pool —
 	// the jobs manager multiplexes every concurrent optimization over a
 	// single worker fleet this way. The space never closes a shared Pool.
 	Pool *sched.Scheduler
@@ -200,15 +204,15 @@ func ConstSigma(s float64) func([]float64) float64 {
 	return func([]float64) float64 { return s }
 }
 
-// LocalSpace is the in-process sampling backend. Batch sampling fans out
-// over a sched worker pool; every point owns a deterministic noise stream
-// seeded from (space seed, creation index), so serial and concurrent
-// execution produce bitwise-identical results.
+// LocalSpace is the in-process sampling backend. Costed batches fan out over
+// a sched worker pool, cost-free ones run in the caller; every point owns a
+// deterministic noise stream seeded from (space seed, creation index), so
+// serial and concurrent execution produce bitwise-identical results.
 type LocalSpace struct {
 	cfg   LocalConfig
 	clock vtime.Clock
-	pool  *sched.Scheduler
-	owned bool // pool belongs to this space and is closed by Close
+	pool  *sched.Scheduler // nil: increments are cost-free and run in the caller
+	owned bool             // pool belongs to this space and is closed by Close
 
 	evals atomic.Int64
 
@@ -229,13 +233,12 @@ func NewLocalSpace(cfg LocalConfig) *LocalSpace {
 	}
 	s := &LocalSpace{cfg: cfg}
 	switch {
+	case cfg.SampleCost == nil && (cfg.Workers == 0 || cfg.Workers == 1):
+		// Cost-free: any dispatch, even onto an offered Pool, costs more than
+		// the draws it parallelizes, so batches run in the caller. A costed
+		// serial space still gets a pool, for its per-index cancellation.
 	case cfg.Pool != nil:
 		s.pool = cfg.Pool
-	case cfg.Workers == 0 && cfg.SampleCost == nil:
-		// Cheap sampling: pool dispatch would cost more than the noise
-		// draws it parallelizes. A Workers=1 scheduler runs in-caller and
-		// never starts goroutines, so no Close is needed.
-		s.pool = sched.New(sched.Config{Workers: 1})
 	case cfg.Workers == 0:
 		s.pool = sched.Shared()
 	default:
@@ -245,8 +248,8 @@ func NewLocalSpace(cfg LocalConfig) *LocalSpace {
 	return s
 }
 
-// Close releases the space's worker pool when it owns one (Workers >= 1 in
-// the config). Spaces on the shared scheduler need no Close.
+// Close releases the space's worker pool when it owns one (an explicit
+// Workers in the config). Other spaces need no Close.
 func (s *LocalSpace) Close() {
 	if s.owned {
 		s.pool.Close()
@@ -254,7 +257,12 @@ func (s *LocalSpace) Close() {
 }
 
 // Workers returns the real concurrency bound of batch sampling.
-func (s *LocalSpace) Workers() int { return s.pool.Workers() }
+func (s *LocalSpace) Workers() int {
+	if s.pool == nil {
+		return 1
+	}
+	return s.pool.Workers()
+}
 
 // Dim implements Space.
 func (s *LocalSpace) Dim() int { return s.cfg.Dim }
@@ -303,8 +311,8 @@ func (s *LocalSpace) SampleAll(points []Point, dt float64) {
 }
 
 // SampleBatch implements BatchSampler: the per-point sampling runs
-// concurrently on the space's worker pool. On cancellation the wall clock
-// does not advance and the batch is partial.
+// concurrently on the space's worker pool, or in the caller when cost-free.
+// On cancellation the wall clock does not advance and the batch is partial.
 func (s *LocalSpace) SampleBatch(ctx context.Context, points []Point, dt float64) error {
 	if len(points) == 0 {
 		return ctx.Err()
@@ -312,14 +320,34 @@ func (s *LocalSpace) SampleBatch(ctx context.Context, points []Point, dt float64
 	if s.cfg.Fleet != nil {
 		return s.sampleFleet(ctx, s.checkBatch(points), dt, nil)
 	}
-	// The in-process hot path validates in place and dispatches by index —
-	// no []*localPoint staging slice, so a batch costs one closure plus the
+	if s.pool == nil {
+		return s.sampleInCaller(ctx, points, dt)
+	}
+	// The pool path validates in place and dispatches by index — no
+	// []*localPoint staging slice, so a batch costs one closure plus the
 	// pool's fixed dispatch overhead regardless of size.
 	s.validateBatch(points)
 	if err := s.pool.DoNAs(ctx, s.cfg.Tenant, len(points), func(i int) {
 		points[i].(*localPoint).sample(dt)
 	}); err != nil {
 		return err
+	}
+	s.advanceBatch(len(points), dt)
+	return nil
+}
+
+// sampleInCaller is the whole batch path of a cost-free space. Nothing
+// queues, so there is no rank to honour, and a batch is a few dozen draws of
+// tens of nanoseconds, so the context is checked once, on entry.
+//
+//optlint:noalloc
+func (s *LocalSpace) sampleInCaller(ctx context.Context, points []Point, dt float64) error {
+	s.validateBatch(points)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, p := range points {
+		p.(*localPoint).sample(dt)
 	}
 	s.advanceBatch(len(points), dt)
 	return nil

@@ -149,8 +149,8 @@ func UniformSimplex(d int, lo, hi float64, rng *rand.Rand) [][]float64 {
 
 // NewLocalSpace builds the in-process sampling backend. The concrete type
 // exposes Close, which must be called for spaces configured with a private
-// worker pool (LocalConfig.Workers >= 1); spaces on the shared pool
-// (Workers == 0) need no Close.
+// worker pool (LocalConfig.Workers >= 1); spaces that sample in the caller
+// or on a shared pool (Workers == 0) need no Close.
 func NewLocalSpace(cfg LocalConfig) *LocalSpace { return sim.NewLocalSpace(cfg) }
 
 // ConstSigma adapts a constant eq-1.2 noise strength to LocalConfig.Sigma0.
