@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -18,24 +17,16 @@ import (
 // with a fleet listener and two worker agents, submit a fleet job, SIGKILL
 // one agent mid-run, and assert the job completes with a result
 // byte-identical to the in-process run of the same spec.
-//
-// The DIST_PROTO environment variable ("binary" by default, or "json")
-// selects the frame codec both sides run under; CI runs the test once per
-// codec, proving the determinism contract is codec-independent end to end.
 func TestOptdFleetProcessE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process e2e skipped in -short mode")
-	}
-	proto := os.Getenv("DIST_PROTO")
-	if proto == "" {
-		proto = "binary"
 	}
 	bin := buildFleetBinaries(t)
 
 	// Launch optd with both listeners on ephemeral ports and parse the
 	// actual addresses from its stdout.
 	optd := exec.Command(filepath.Join(bin, "optd"),
-		"-addr", "127.0.0.1:0", "-fleet-addr", "127.0.0.1:0", "-fleet-proto", proto, "-max-concurrent", "2")
+		"-addr", "127.0.0.1:0", "-fleet-addr", "127.0.0.1:0", "-max-concurrent", "2")
 	optdOut, err := optd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +72,7 @@ func TestOptdFleetProcessE2E(t *testing.T) {
 	// enough to kill one agent genuinely mid-run.
 	startAgent := func(name string) *exec.Cmd {
 		agent := exec.Command(filepath.Join(bin, "optworker"),
-			"-connect", fleetAddr, "-name", name, "-capacity", "2", "-latency", "2ms", "-proto", proto)
+			"-connect", fleetAddr, "-name", name, "-capacity", "2", "-latency", "2ms")
 		if err := agent.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +88,6 @@ func TestOptdFleetProcessE2E(t *testing.T) {
 	// Wait for both agents to register.
 	var health struct {
 		Fleet struct {
-			Protocol    string           `json:"protocol"`
 			Workers     []map[string]any `json:"workers"`
 			DeadWorkers uint64           `json:"dead_workers"`
 		} `json:"fleet"`
@@ -107,14 +97,6 @@ func TestOptdFleetProcessE2E(t *testing.T) {
 		mustGetJSON(t, base+"/healthz", &health)
 		return len(health.Fleet.Workers) == 2
 	}, "both agents registered")
-	if health.Fleet.Protocol != proto {
-		t.Errorf("healthz fleet protocol = %q, want %q", health.Fleet.Protocol, proto)
-	}
-	for _, w := range health.Fleet.Workers {
-		if w["protocol"] != proto {
-			t.Errorf("worker %v negotiated %v, want %q", w["name"], w["protocol"], proto)
-		}
-	}
 
 	spec := map[string]any{
 		"objective": "rosenbrock", "dim": 3, "algorithm": "pc",

@@ -53,7 +53,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", "localhost:8080", "listen address")
 		fleetAddr  = flag.String("fleet-addr", "", "remote-worker registration address (empty = no remote fleet)")
-		fleetProto = flag.String("fleet-proto", "binary", "frame codec ceiling for worker sessions: binary (negotiate the compact codec) or json (force the fallback)")
 		maxConc    = flag.Int("max-concurrent", 4, "jobs running simultaneously")
 		workers    = flag.Int("workers", 0, "shared sampling fleet size (0 = GOMAXPROCS)")
 		schedPol   = flag.String("sched-policy", "fair", "fleet scheduling across tenants: fair (weighted fair-share) or fifo (single global queue)")
@@ -104,16 +103,13 @@ func main() {
 	var fleet *dist.Coordinator
 	var fleetSampler sim.FleetSampler // typed nil must stay nil in the config
 	if *fleetAddr != "" {
-		if _, err := dist.ParseProto(*fleetProto); err != nil {
-			fatal(err)
-		}
-		fleet = dist.NewCoordinator(dist.Config{Protocol: *fleetProto, Events: events})
+		fleet = dist.NewCoordinator(dist.Config{Events: events})
 		if err := fleet.Listen(*fleetAddr); err != nil {
 			fatal(err)
 		}
 		defer fleet.Close()
 		fleetSampler = fleet
-		fmt.Printf("fleet listening on %s (optworker -connect, proto=%s)\n", fleet.Addr(), *fleetProto)
+		fmt.Printf("fleet listening on %s (optworker -connect, proto=binary)\n", fleet.Addr())
 	}
 
 	mgr, err := jobs.New(jobs.Config{

@@ -260,7 +260,6 @@ func TestOptworkerFatalExitCodes(t *testing.T) {
 		args []string
 		code int
 	}{
-		{"bad proto", []string{"-proto", "msgpack"}, 2},
 		{"bad connect", []string{"-connect", "no-such-host.invalid:bogus"}, 3},
 	}
 	for _, tc := range cases {

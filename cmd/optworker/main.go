@@ -19,8 +19,8 @@
 // With -debug-addr the agent opens a debug listener serving GET /metrics
 // (Prometheus text exposition of the agent's obs registry: frames and bytes
 // per codec, sessions, tasks executed) and the net/http/pprof profiles.
-// Structured NDJSON events (codec_negotiated, session_end, worker_fatal) go
-// to stderr.
+// Structured NDJSON events (session_start, session_end, worker_fatal) go to
+// stderr.
 package main
 
 import (
@@ -46,7 +46,6 @@ import (
 // from "the session died".
 const (
 	exitSession   = 1 // a session error with -once, or a debug-listener failure
-	exitBadProto  = 2 // invalid -proto value
 	exitBadTarget = 3 // -connect address does not resolve
 )
 
@@ -58,7 +57,6 @@ func main() {
 		latency   = flag.Duration("latency", 0, "simulated wait per task (models an external simulation)")
 		spin      = flag.Int("spin", 0, "simulated CPU burn per task (floating-point ops)")
 		once      = flag.Bool("once", false, "exit on disconnect instead of reconnecting")
-		proto     = flag.String("proto", "auto", "frame codec: auto (offer binary, accept fallback), binary (require binary), json (stay on the JSON fallback)")
 		debugAddr = flag.String("debug-addr", "", "debug listener address serving /metrics and /debug/pprof (empty = none)")
 	)
 	flag.Parse()
@@ -67,13 +65,6 @@ func main() {
 	// lines.
 	events := obs.NewLogger(os.Stderr)
 
-	if *proto != "auto" {
-		if _, err := dist.ParseProto(*proto); err != nil {
-			events.Event("worker_fatal", "err", err, "flag", "-proto")
-			fmt.Fprintf(os.Stderr, "optworker: invalid -proto %q (want auto, binary or json)\n", *proto)
-			os.Exit(exitBadProto)
-		}
-	}
 	// Resolve every coordinator address up front: a typo'd -connect must
 	// fail loudly at startup, not spin silently in the reconnect loop
 	// forever.
@@ -85,8 +76,8 @@ func main() {
 			os.Exit(exitBadTarget)
 		}
 	}
-	fmt.Printf("optworker starting: connect=%s name=%s capacity=%d latency=%s spin=%d proto=%s\n",
-		*connect, *name, *capacity, *latency, *spin, *proto)
+	fmt.Printf("optworker starting: connect=%s name=%s capacity=%d latency=%s spin=%d\n",
+		*connect, *name, *capacity, *latency, *spin)
 
 	if *debugAddr != "" {
 		ln, err := net.Listen("tcp", *debugAddr)
@@ -103,7 +94,6 @@ func main() {
 		Addrs:      addrs,
 		Name:       *name,
 		Capacity:   *capacity,
-		Protocol:   *proto,
 		SampleCost: cost(*latency, *spin),
 		Events:     events,
 	})

@@ -1,17 +1,16 @@
 package dist
 
-// The binary wire codec: the compact frame format negotiated in hello/welcome
-// (see proto.go). Both codecs share the outer framing — a 4-byte big-endian
-// length prefix bounded by MaxFrame, read incrementally (header first, then
-// exactly the announced body) — so a session can switch codec after the
-// handshake without resynchronizing.
+// The binary wire codec: every frame of a session after the JSON hello/welcome
+// handshake (see proto.go). Both codecs share the outer framing — a 4-byte
+// big-endian length prefix bounded by MaxFrame, read incrementally (header
+// first, then exactly the announced body) — so a session switches codec after
+// the welcome without resynchronizing.
 //
 // Binary body layout (all integers big-endian):
 //
 //	body     := type:u8 payload
-//	type     : 1 hello, 2 welcome, 3 heartbeat, 4 dispatch, 5 results
-//	hello    := name:str16 capacity:u32 nprotos:u8 protos:(nprotos × u8)
-//	welcome  := worker:str16 heartbeat_ms:u32 proto:u8
+//	type     : 3 heartbeat, 4 dispatch, 5 results (1 and 2 were the
+//	           retired binary hello/welcome and are rejected)
 //	heartbeat:= (empty)
 //	dispatch := count:u32 tasks:(count × task)
 //	task     := id:u64 objective:str16 nx:u16 x:(nx × f64) seed:u64 skip:u32 dt:f64
@@ -37,8 +36,6 @@ import (
 
 // Binary frame type bytes.
 const (
-	binHello     byte = 1
-	binWelcome   byte = 2
 	binHeartbeat byte = 3
 	binDispatch  byte = 4
 	binResults   byte = 5
@@ -62,48 +59,6 @@ func appendBinaryFrame(buf []byte, m *Message) ([]byte, error) {
 	buf = append(buf, 0, 0, 0, 0) // length prefix backfilled below
 	var err error
 	switch m.Type {
-	case TypeHello:
-		if m.Hello == nil {
-			return buf[:start], fmt.Errorf("dist: hello frame without body")
-		}
-		buf = append(buf, binHello)
-		if buf, err = appendStr16(buf, m.Hello.Name); err != nil {
-			return buf[:start], err
-		}
-		if m.Hello.Capacity < 0 {
-			return buf[:start], fmt.Errorf("dist: negative capacity %d", m.Hello.Capacity)
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(m.Hello.Capacity))
-		if len(m.Hello.Protos) > 255 {
-			return buf[:start], fmt.Errorf("dist: %d offered protocols", len(m.Hello.Protos))
-		}
-		buf = append(buf, byte(len(m.Hello.Protos)))
-		for _, name := range m.Hello.Protos {
-			p, perr := ParseProto(name)
-			if perr != nil {
-				return buf[:start], perr
-			}
-			buf = append(buf, byte(p))
-		}
-	case TypeWelcome:
-		if m.Welcome == nil {
-			return buf[:start], fmt.Errorf("dist: welcome frame without body")
-		}
-		buf = append(buf, binWelcome)
-		if buf, err = appendStr16(buf, m.Welcome.Worker); err != nil {
-			return buf[:start], err
-		}
-		if m.Welcome.HeartbeatMillis < 0 {
-			return buf[:start], fmt.Errorf("dist: negative heartbeat %d", m.Welcome.HeartbeatMillis)
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(m.Welcome.HeartbeatMillis))
-		p := ProtoJSON
-		if m.Welcome.Proto != "" {
-			if p, err = ParseProto(m.Welcome.Proto); err != nil {
-				return buf[:start], err
-			}
-		}
-		buf = append(buf, byte(p))
 	case TypeHeartbeat:
 		buf = append(buf, binHeartbeat)
 	case TypeDispatch:
@@ -297,64 +252,6 @@ func decodeBinaryFrame(body []byte, m *Message) error {
 		return fmt.Errorf("dist: empty binary frame")
 	}
 	switch typ {
-	case binHello:
-		h := &Hello{}
-		if h.Name, err = r.str16(); err != nil {
-			return decodeErr(err)
-		}
-		var capacity uint32
-		if capacity, err = r.u32(); err != nil {
-			return decodeErr(err)
-		}
-		if capacity > math.MaxInt32 {
-			return fmt.Errorf("dist: capacity %d overflows", capacity)
-		}
-		h.Capacity = int(capacity)
-		var nprotos uint8
-		if nprotos, err = r.u8(); err != nil {
-			return decodeErr(err)
-		}
-		if int(nprotos) > r.remaining() {
-			return fmt.Errorf("dist: %d offered protocols exceed the frame", nprotos)
-		}
-		if nprotos > 0 {
-			h.Protos = make([]string, 0, nprotos)
-			for i := 0; i < int(nprotos); i++ {
-				var id uint8
-				if id, err = r.u8(); err != nil {
-					return decodeErr(err)
-				}
-				p := Proto(id)
-				if !p.valid() {
-					return fmt.Errorf("dist: unknown protocol id %d", id)
-				}
-				h.Protos = append(h.Protos, p.String())
-			}
-		}
-		m.Type, m.Hello = TypeHello, h
-	case binWelcome:
-		w := &Welcome{}
-		if w.Worker, err = r.str16(); err != nil {
-			return decodeErr(err)
-		}
-		hb, err := r.u32()
-		if err != nil {
-			return decodeErr(err)
-		}
-		if hb > math.MaxInt32 {
-			return fmt.Errorf("dist: heartbeat %d overflows", hb)
-		}
-		w.HeartbeatMillis = int(hb)
-		id, err := r.u8()
-		if err != nil {
-			return decodeErr(err)
-		}
-		p := Proto(id)
-		if !p.valid() {
-			return fmt.Errorf("dist: unknown protocol id %d", id)
-		}
-		w.Proto = p.String()
-		m.Type, m.Welcome = TypeWelcome, w
 	case binHeartbeat:
 		m.Type = TypeHeartbeat
 	case binDispatch:
@@ -463,7 +360,7 @@ func decodeErr(err error) error {
 	return err
 }
 
-// FrameWriter writes frames in one negotiated codec, reusing a single encode
+// FrameWriter writes frames in one codec, reusing a single encode
 // buffer across frames — the per-result send path of a binary session
 // allocates nothing in steady state. Callers serialize writes (the
 // coordinator's per-worker sender goroutine, the worker's send mutex).
@@ -496,7 +393,7 @@ func (fw *FrameWriter) Write(m *Message) error {
 	return nil
 }
 
-// FrameReader reads frames in one negotiated codec, reusing a single body
+// FrameReader reads frames in one codec, reusing a single body
 // buffer across frames (decoded messages copy what they keep).
 type FrameReader struct {
 	r     io.Reader

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"io"
 	"math"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // encodeBinary is the test-side shorthand for one binary frame.
@@ -30,17 +28,9 @@ func decodeBinary(frame []byte, m *Message) error {
 }
 
 // canonical normalizes the encoding-invisible distinctions of a message so
-// round-trip comparisons are exact: an empty Welcome.Proto means JSON and is
-// decoded as such; empty slices decode as nil.
+// round-trip comparisons are exact: empty slices decode as nil.
 func canonical(m *Message) *Message {
 	out := *m
-	if m.Welcome != nil {
-		w := *m.Welcome
-		if w.Proto == "" {
-			w.Proto = ProtoJSON.String()
-		}
-		out.Welcome = &w
-	}
 	if m.Hello != nil && len(m.Hello.Protos) == 0 {
 		h := *m.Hello
 		h.Protos = nil
@@ -64,22 +54,15 @@ func canonical(m *Message) *Message {
 	return &out
 }
 
-// randomCodecMessage builds one random frame with the negotiation fields
-// populated, restricted to field values both codecs can carry.
-func randomCodecMessage(rng *rand.Rand) *Message {
+// randomSessionMessage builds one random frame of a type a binary session
+// carries (heartbeat, dispatch, results), with negative seeds and error
+// results mixed in.
+func randomSessionMessage(rng *rand.Rand) *Message {
 	m := randomMessage(rng)
+	for m.Type == TypeHello || m.Type == TypeWelcome {
+		m = randomMessage(rng)
+	}
 	switch m.Type {
-	case TypeHello:
-		switch rng.Intn(3) {
-		case 0:
-			m.Hello.Protos = []string{ProtoBinary.String()}
-		case 1:
-			m.Hello.Protos = []string{ProtoJSON.String(), ProtoBinary.String()}
-		}
-	case TypeWelcome:
-		if rng.Intn(2) == 0 {
-			m.Welcome.Proto = Proto(rng.Intn(2)).String()
-		}
 	case TypeDispatch:
 		for i := range m.Dispatch.Tasks {
 			if rng.Intn(4) == 0 {
@@ -97,12 +80,13 @@ func randomCodecMessage(rng *rand.Rand) *Message {
 }
 
 // TestBinaryFrameRoundTripProperty drives randomly generated messages of
-// every type through the binary encoder and the incremental reader, demanding
-// exact reconstruction — the binary face of TestFrameRoundTripProperty.
+// every session type through the binary encoder and the incremental reader,
+// demanding exact reconstruction — the binary face of
+// TestFrameRoundTripProperty.
 func TestBinaryFrameRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := func() bool {
-		m := randomCodecMessage(rng)
+		m := randomSessionMessage(rng)
 		frame := encodeBinary(t, m)
 		var got Message
 		if err := decodeBinary(frame, &got); err != nil {
@@ -115,42 +99,14 @@ func TestBinaryFrameRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestCrossCodecFrameEquivalence encodes the same random messages through
-// both codecs and demands both decode to the same message — the two wire
-// formats carry identical semantics, which is what lets a session negotiate
-// either without affecting results.
-func TestCrossCodecFrameEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 300; i++ {
-		m := randomCodecMessage(rng)
-		var jbuf bytes.Buffer
-		if err := WriteFrame(&jbuf, m); err != nil {
-			t.Fatalf("json encode: %v", err)
-		}
-		var viaJSON, viaBinary Message
-		if err := ReadFrame(&jbuf, &viaJSON); err != nil {
-			t.Fatalf("json decode: %v", err)
-		}
-		if err := decodeBinary(encodeBinary(t, m), &viaBinary); err != nil {
-			t.Fatalf("binary decode: %v", err)
-		}
-		if !reflect.DeepEqual(canonical(&viaJSON), &viaBinary) {
-			t.Fatalf("codec disagreement on %+v:\n json:   %+v\n binary: %+v", m, viaJSON, viaBinary)
-		}
-	}
-}
-
 // TestBinaryFrameBoundaryValues pins the encoder's edges: empty batches,
-// zero-coordinate tasks, maximum-capacity hellos, u16-limit strings, and the
-// adversarial floats (negative zero, denormals, extremes) the determinism
-// contract needs bit-exact.
+// zero-coordinate tasks, u16-limit strings, and the adversarial floats
+// (negative zero, denormals, extremes) the determinism contract needs
+// bit-exact.
 func TestBinaryFrameBoundaryValues(t *testing.T) {
 	long := strings.Repeat("x", maxStr16)
 	cases := []*Message{
 		{Type: TypeHeartbeat},
-		{Type: TypeHello, Hello: &Hello{Name: "", Capacity: 0}},
-		{Type: TypeHello, Hello: &Hello{Name: long, Capacity: math.MaxInt32, Protos: []string{"json", "binary"}}},
-		{Type: TypeWelcome, Welcome: &Welcome{Worker: "w#1", HeartbeatMillis: math.MaxInt32, Proto: "binary"}},
 		{Type: TypeDispatch, Dispatch: &Dispatch{}},
 		{Type: TypeDispatch, Dispatch: &Dispatch{Tasks: []Task{{ID: math.MaxUint64, Objective: long, X: nil, Seed: math.MinInt64, Skip: math.MaxInt32, Dt: 5e-324}}}},
 		{Type: TypeDispatch, Dispatch: &Dispatch{Tasks: []Task{{ID: 0, Objective: "f", X: []float64{math.Copysign(0, -1), 1.797e308, -5e-324}, Seed: 0, Skip: 0, Dt: 1}}}},
@@ -168,10 +124,10 @@ func TestBinaryFrameBoundaryValues(t *testing.T) {
 		}
 	}
 
-	// Past the u16 string limit the encoder must refuse (objectives, names)…
+	// Past the u16 string limit the encoder must refuse objectives…
 	tooLong := long + "x"
-	if _, err := appendBinaryFrame(nil, &Message{Type: TypeHello, Hello: &Hello{Name: tooLong}}); err == nil {
-		t.Error("oversize hello name encoded")
+	if _, err := appendBinaryFrame(nil, &Message{Type: TypeDispatch, Dispatch: &Dispatch{Tasks: []Task{{ID: 1, Objective: tooLong, Dt: 1}}}}); err == nil {
+		t.Error("oversize objective encoded")
 	}
 	// …except error text, which is truncated rather than stranding the result.
 	frame := encodeBinary(t, &Message{Type: TypeResults, Results: &Results{Results: []TaskResult{{ID: 3, Err: tooLong}}}})
@@ -220,7 +176,7 @@ func TestBinaryFrameRejectsNonFinite(t *testing.T) {
 func TestBinaryFrameTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 50; i++ {
-		frame := encodeBinary(t, randomCodecMessage(rng))
+		frame := encodeBinary(t, randomSessionMessage(rng))
 		for cut := 0; cut < len(frame); cut++ {
 			var m Message
 			err := decodeBinary(frame[:cut], &m)
@@ -277,84 +233,22 @@ func TestBinaryFrameRejectsHostileCounts(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameSmallerThanJSON pins the point of the codec: a
-// representative dispatch/results exchange must be substantially smaller on
-// the wire than its JSON encoding.
-func TestBinaryFrameSmallerThanJSON(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	tasks := make([]Task, 16)
-	for i := range tasks {
-		tasks[i] = Task{ID: uint64(i + 1), Objective: "rosenbrock", X: []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}, Seed: rng.Int63(), Skip: i, Dt: 0.1}
-	}
-	m := &Message{Type: TypeDispatch, Dispatch: &Dispatch{Tasks: tasks}}
-	var jbuf bytes.Buffer
-	if err := WriteFrame(&jbuf, m); err != nil {
-		t.Fatal(err)
-	}
-	bin := encodeBinary(t, m)
-	if len(bin) >= jbuf.Len() {
-		t.Errorf("binary dispatch frame is %d bytes, JSON %d — binary should be smaller", len(bin), jbuf.Len())
-	}
-	t.Logf("dispatch(16 tasks, dim 3): binary %d bytes, JSON %d bytes", len(bin), jbuf.Len())
-}
-
-// TestNegotiateProto pins the negotiation rule matrix.
-func TestNegotiateProto(t *testing.T) {
-	cases := []struct {
-		offered []string
-		ceiling Proto
-		want    Proto
-	}{
-		{nil, ProtoBinary, ProtoJSON},                            // pre-negotiation worker
-		{[]string{"binary"}, ProtoBinary, ProtoBinary},           // both sides current
-		{[]string{"binary"}, ProtoJSON, ProtoJSON},               // coordinator capped to JSON
-		{[]string{"json"}, ProtoBinary, ProtoJSON},               // worker capped to JSON
-		{[]string{"exotic", "binary"}, ProtoBinary, ProtoBinary}, // unknown offers skipped
-		{[]string{"exotic"}, ProtoBinary, ProtoJSON},
-	}
-	for _, c := range cases {
-		if got := negotiateProto(c.offered, c.ceiling); got != c.want {
-			t.Errorf("negotiateProto(%v, %v) = %v, want %v", c.offered, c.ceiling, got, c.want)
+// TestBinaryFrameRejectsHandshakeTypes pins that hello and welcome exist only
+// as JSON: the binary encoder refuses them, and the type bytes the retired
+// binary hello (1) and welcome (2) used decode as unknown frames.
+func TestBinaryFrameRejectsHandshakeTypes(t *testing.T) {
+	for _, m := range []*Message{
+		{Type: TypeHello, Hello: &Hello{Name: "w", Capacity: 1, Protos: []string{"binary"}}},
+		{Type: TypeWelcome, Welcome: &Welcome{Worker: "w#1", HeartbeatMillis: 1000, Proto: "binary"}},
+	} {
+		if _, err := appendBinaryFrame(nil, m); err == nil {
+			t.Errorf("%s frame encoded in the binary codec", m.Type)
 		}
 	}
-}
-
-// TestWorkerProtocolNegotiationE2E runs real sessions through each protocol
-// configuration pair and checks what the coordinator reports — including the
-// failure mode of -proto binary against a JSON-only coordinator.
-func TestWorkerProtocolNegotiationE2E(t *testing.T) {
-	cases := []struct {
-		coordinator string
-		worker      string
-		want        string
-	}{
-		{"binary", "auto", "binary"},
-		{"binary", "json", "json"},
-		{"json", "auto", "json"},
-		{"binary", "binary", "binary"},
-	}
-	for _, tc := range cases {
-		c := newTestCoordinator(t, Config{Protocol: tc.coordinator})
-		stop := startWorker(t, c, WorkerConfig{Name: "n", Capacity: 1, Protocol: tc.worker})
-		st := c.Status()
-		if len(st.Workers) != 1 || st.Workers[0].Protocol != tc.want {
-			t.Errorf("coordinator=%s worker=%s: negotiated %+v, want %s", tc.coordinator, tc.worker, st.Workers, tc.want)
+	for _, typ := range []byte{1, 2} {
+		var m Message
+		if err := decodeBinary([]byte{0, 0, 0, 1, typ}, &m); err == nil {
+			t.Errorf("binary frame type %d decoded as %+v", typ, m)
 		}
-		if st.Protocol != tc.coordinator {
-			t.Errorf("status protocol = %q, want %q", st.Protocol, tc.coordinator)
-		}
-		stop()
-		c.Close()
-	}
-
-	// A worker that requires binary must fail its session against a
-	// JSON-capped coordinator instead of silently running degraded.
-	c := newTestCoordinator(t, Config{Protocol: "json"})
-	w := NewWorker(WorkerConfig{Addr: c.Addr().String(), Name: "strict", Capacity: 1, Protocol: "binary"})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	err := w.Run(ctx)
-	if err == nil || !strings.Contains(err.Error(), "binary") {
-		t.Errorf("strict binary worker against JSON coordinator: err = %v, want protocol failure", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -46,14 +47,9 @@ type Config struct {
 	// before it is declared dead and its outstanding tasks are re-dispatched.
 	// Zero selects 3 * Heartbeat.
 	Timeout time.Duration
-	// Protocol caps the frame codec the coordinator negotiates per session:
-	// "binary" (or empty) grants binary-capable workers the compact codec,
-	// "json" forces every session onto the JSON fallback. Codecs never affect
-	// results, only bytes and cycles.
-	Protocol string
-	// Events, when non-nil, receives structured fleet events: worker_join
-	// (with the negotiated codec), worker_death and redispatch. A nil
-	// logger discards them.
+	// Events, when non-nil, receives structured fleet events: worker_join,
+	// worker_rejected (a hello without the binary session codec),
+	// worker_death and redispatch. A nil logger discards them.
 	Events *obs.Logger
 }
 
@@ -64,9 +60,6 @@ func (c *Config) normalize() {
 	if c.Timeout <= 0 {
 		c.Timeout = 3 * c.Heartbeat
 	}
-	if c.Protocol == "" {
-		c.Protocol = ProtoBinary.String()
-	}
 }
 
 // Coordinator owns the fleet: it accepts worker registrations, dispatches
@@ -76,8 +69,7 @@ func (c *Config) normalize() {
 // sim.LocalSpace (LocalConfig.Fleet / UseFleet) underneath every optimizer.
 // Create with NewCoordinator, start with Listen, release with Close.
 type Coordinator struct {
-	cfg     Config
-	ceiling Proto // parsed cfg.Protocol
+	cfg Config
 
 	mu       sync.Mutex
 	ln       net.Listener             // guarded by mu
@@ -102,7 +94,6 @@ type remoteWorker struct {
 	id       string
 	name     string
 	capacity int
-	proto    Proto
 	conn     net.Conn
 	fw       *FrameWriter // owned by the sender goroutine after handshake
 
@@ -140,13 +131,8 @@ type batch struct {
 // listener.
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg.normalize()
-	ceiling, err := ParseProto(cfg.Protocol)
-	if err != nil {
-		panic(err)
-	}
 	c := &Coordinator{
 		cfg:     cfg,
-		ceiling: ceiling,
 		workers: make(map[string]*remoteWorker),
 		tasks:   make(map[uint64]*task),
 		quit:    make(chan struct{}),
@@ -246,11 +232,19 @@ func (c *Coordinator) accept(ln net.Listener) {
 	}
 }
 
-// handshake performs the hello/welcome exchange and registers the worker.
+// handshake performs the hello/welcome exchange and registers the worker. A
+// hello that does not offer the binary session codec is refused before
+// registration, so no task is ever dispatched to it.
 func (c *Coordinator) handshake(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(c.cfg.Timeout)) //optlint:nondeterministic-ok I/O deadline, never reaches a sample
 	var m Message
 	if err := ReadFrame(conn, &m); err != nil || m.Type != TypeHello || m.Hello == nil {
+		conn.Close()
+		return
+	}
+	if !slices.Contains(m.Hello.Protos, ProtoBinary.String()) {
+		c.cfg.Events.Event("worker_rejected",
+			"name", m.Hello.Name, "protos", m.Hello.Protos, "remote", conn.RemoteAddr())
 		conn.Close()
 		return
 	}
@@ -266,7 +260,6 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	if name == "" {
 		name = "worker"
 	}
-	proto := negotiateProto(m.Hello.Protos, c.ceiling)
 
 	c.mu.Lock()
 	if c.closed {
@@ -279,7 +272,6 @@ func (c *Coordinator) handshake(conn net.Conn) {
 		id:          fmt.Sprintf("%s#%d", name, c.nextID),
 		name:        name,
 		capacity:    capacity,
-		proto:       proto,
 		conn:        conn,
 		outstanding: make(map[uint64]*task),
 		lastSeen:    time.Now(), //optlint:nondeterministic-ok liveness bookkeeping, never reaches a sample
@@ -293,19 +285,19 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	mWorkersGauge.Inc()
 	c.cfg.Events.Event("worker_join",
 		"worker", w.id, "name", name, "capacity", capacity,
-		"proto", proto, "remote", conn.RemoteAddr())
+		"remote", conn.RemoteAddr())
 
-	// The welcome is the last JSON frame of a binary session: it announces the
-	// codec every later frame uses.
+	// The welcome is the last JSON frame of the session: every later frame is
+	// binary.
 	if err := WriteFrame(conn, &Message{Type: TypeWelcome, Welcome: &Welcome{
 		Worker:          w.id,
 		HeartbeatMillis: int(c.cfg.Heartbeat / time.Millisecond),
-		Proto:           proto.String(),
+		Proto:           ProtoBinary.String(),
 	}}); err != nil {
 		c.killWorker(w, "welcome failed")
 		return
 	}
-	w.fw = NewFrameWriter(conn, proto)
+	w.fw = NewFrameWriter(conn, ProtoBinary)
 
 	c.wg.Add(1)
 	go func() {
@@ -351,7 +343,7 @@ func (c *Coordinator) sender(w *remoteWorker) {
 // reader consumes the worker's frames until the connection ends, then
 // declares it dead (re-dispatching whatever it still owed).
 func (c *Coordinator) reader(w *remoteWorker) {
-	fr := NewFrameReader(w.conn, w.proto)
+	fr := NewFrameReader(w.conn, ProtoBinary)
 	for {
 		var m Message
 		if err := fr.Read(&m); err != nil {
@@ -572,7 +564,7 @@ func (c *Coordinator) SampleFleet(ctx context.Context, reqs []sim.FleetRequest) 
 	if len(reqs) == 0 {
 		return nil, ctx.Err()
 	}
-	// Non-finite coordinates or increments cannot cross either frame codec;
+	// Non-finite coordinates or increments cannot cross the wire;
 	// reject them here instead of letting an unencodable dispatch frame
 	// kill every worker it is offered to.
 	for i, r := range reqs {
@@ -650,15 +642,10 @@ type WorkerStatus struct {
 	Capacity    int     `json:"capacity"`
 	Outstanding int     `json:"outstanding"`
 	IdleSeconds float64 `json:"idle_seconds"`
-	// Protocol is the frame codec this session negotiated.
-	Protocol string `json:"protocol"`
 }
 
 // Status is a point-in-time view of the fleet, served by optd's /healthz.
 type Status struct {
-	// Protocol is the codec ceiling the coordinator negotiates under
-	// (Config.Protocol after defaulting).
-	Protocol string `json:"protocol"`
 	// Workers lists the registered agents, sorted by id.
 	Workers []WorkerStatus `json:"workers"`
 	// Capacity is the fleet's total concurrent-task capacity.
@@ -678,7 +665,6 @@ func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := Status{
-		Protocol:       c.ceiling.String(),
 		CompletedTasks: c.completed,
 		RequeuedTasks:  c.requeued,
 		DeadWorkers:    c.deadWorkers,
@@ -691,7 +677,6 @@ func (c *Coordinator) Status() Status {
 			Capacity:    w.capacity,
 			Outstanding: len(w.outstanding),
 			IdleSeconds: now.Sub(w.lastSeen).Seconds(),
-			Protocol:    w.proto.String(),
 		})
 		st.Capacity += w.capacity
 		st.OutstandingTasks += len(w.outstanding)

@@ -236,7 +236,7 @@ func TestFleetHeartbeatTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, &Message{Type: TypeHello, Hello: &Hello{Name: "mute", Capacity: 64}}); err != nil {
+	if err := WriteFrame(conn, &Message{Type: TypeHello, Hello: &Hello{Name: "mute", Capacity: 64, Protos: []string{"binary"}}}); err != nil {
 		t.Fatal(err)
 	}
 	var welcome Message

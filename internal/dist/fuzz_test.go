@@ -11,14 +11,11 @@ import (
 	"testing"
 )
 
-// fuzzSeedMessages is the set of valid messages seeding both frame fuzzers
-// (and, via gencorpus, the committed corpus files): one of each type plus the
-// boundary shapes that exercise every branch of the codecs.
-func fuzzSeedMessages() []*Message {
+// sessionSeedMessages seeds FuzzBinaryFrame (and, via TestWriteFuzzCorpus,
+// its committed corpus): one of each frame type a binary session carries,
+// plus the boundary shapes that exercise every branch of the codec.
+func sessionSeedMessages() []*Message {
 	return []*Message{
-		{Type: TypeHello, Hello: &Hello{Name: "w", Capacity: 4, Protos: []string{"binary"}}},
-		{Type: TypeHello, Hello: &Hello{Name: "", Capacity: 0}},
-		{Type: TypeWelcome, Welcome: &Welcome{Worker: "w#1", HeartbeatMillis: 1000, Proto: "binary"}},
 		{Type: TypeHeartbeat},
 		{Type: TypeDispatch, Dispatch: &Dispatch{}},
 		{Type: TypeDispatch, Dispatch: &Dispatch{Tasks: []Task{
@@ -29,6 +26,16 @@ func fuzzSeedMessages() []*Message {
 			{ID: 1, Z: 0.5, F: 0.25},
 			{ID: 2, Err: `unknown objective "x"`},
 		}}},
+	}
+}
+
+// handshakeSeedMessages seeds FuzzJSONFrame: the hello/welcome shapes an
+// untrusted peer sends before the session turns binary.
+func handshakeSeedMessages() []*Message {
+	return []*Message{
+		{Type: TypeHello, Hello: &Hello{Name: "w", Capacity: 4, Protos: []string{"binary"}}},
+		{Type: TypeHello, Hello: &Hello{Name: "", Capacity: 0}},
+		{Type: TypeWelcome, Welcome: &Welcome{Worker: "w#1", HeartbeatMillis: 1000, Proto: "binary"}},
 	}
 }
 
@@ -84,7 +91,7 @@ func checkFiniteMessage(t *testing.T, m *Message) {
 // garbage and bit-flipped inputs must error cleanly — never panic, never
 // over-allocate, never yield a message that fails to round-trip.
 func FuzzBinaryFrame(f *testing.F) {
-	for _, m := range fuzzSeedMessages() {
+	for _, m := range sessionSeedMessages() {
 		frame, err := appendBinaryFrame(nil, m)
 		if err != nil {
 			f.Fatal(err)
@@ -105,8 +112,9 @@ func FuzzBinaryFrame(f *testing.F) {
 }
 
 // TestWriteFuzzCorpus regenerates the committed seed corpus under
-// testdata/fuzz/ from fuzzSeedMessages. It is a no-op unless
-// DIST_WRITE_FUZZ_CORPUS=1, so the corpus only changes deliberately:
+// testdata/fuzz/ from sessionSeedMessages and handshakeSeedMessages. It is a
+// no-op unless DIST_WRITE_FUZZ_CORPUS=1, so the corpus only changes
+// deliberately:
 //
 //	DIST_WRITE_FUZZ_CORPUS=1 go test ./internal/dist -run TestWriteFuzzCorpus
 func TestWriteFuzzCorpus(t *testing.T) {
@@ -115,6 +123,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 	write := func(target string, frames [][]byte) {
 		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -127,12 +138,14 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		}
 	}
 	var bin, jsn [][]byte
-	for _, m := range fuzzSeedMessages() {
+	for _, m := range sessionSeedMessages() {
 		frame, err := appendBinaryFrame(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bin = append(bin, frame, frame[:len(frame)-1])
+	}
+	for _, m := range handshakeSeedMessages() {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, m); err != nil {
 			t.Fatal(err)
@@ -148,9 +161,10 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	write("FuzzJSONFrame", jsn)
 }
 
-// FuzzJSONFrame is the same contract over the JSON fallback codec.
+// FuzzJSONFrame is the same contract over the JSON handshake codec, which
+// parses hello and welcome frames from untrusted peers.
 func FuzzJSONFrame(f *testing.F) {
-	for _, m := range fuzzSeedMessages() {
+	for _, m := range handshakeSeedMessages() {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, m); err != nil {
 			f.Fatal(err)

@@ -15,17 +15,16 @@
 // remain bitwise identical to a single-process run.
 //
 // Frame protocol: every message is a 4-byte big-endian length prefix followed
-// by a message body in one of two codecs. The handshake is always JSON — the
-// worker opens the connection and sends hello (offering the codecs it speaks),
-// the coordinator answers welcome (assigning the worker id, the heartbeat
-// interval, and the codec the session will use) — and every frame after the
-// welcome uses the negotiated codec: the compact binary format of binproto.go
-// when both sides speak it, the JSON envelope otherwise. A pre-negotiation
-// worker offers nothing and a pre-negotiation coordinator grants nothing, so
-// old and new binaries interoperate over JSON automatically. After the
-// handshake the coordinator pushes dispatch frames; the worker answers with
-// result frames and periodic heartbeats. Either side closing the connection
-// ends the session; the coordinator requeues whatever the worker still owed.
+// by a message body. The handshake is two JSON frames — the worker opens the
+// connection and sends hello (its name, capacity, and the session codec it
+// speaks), the coordinator answers welcome (the worker id, the heartbeat
+// interval, and the session codec) — and every frame after the welcome is in
+// the binary format of binproto.go. The codec fields are a version check: the
+// coordinator refuses a hello that does not offer "binary", and the worker
+// refuses a welcome that does not announce it. After the handshake the
+// coordinator pushes dispatch frames; the worker answers with result frames
+// and periodic heartbeats. Either side closing the connection ends the
+// session; the coordinator requeues whatever the worker still owed.
 package dist
 
 import (
@@ -64,11 +63,11 @@ type Message struct {
 	Results  *Results  `json:"results,omitempty"`
 }
 
-// Proto identifies a frame codec. The zero value is the JSON envelope every
-// version speaks; ProtoBinary is the compact codec of binproto.go.
+// Proto identifies a frame codec. The zero value is the JSON envelope of the
+// handshake; ProtoBinary is the session codec of binproto.go.
 type Proto uint8
 
-// The frame codecs, in preference order.
+// The frame codecs.
 const (
 	ProtoJSON   Proto = 0
 	ProtoBinary Proto = 1
@@ -87,49 +86,24 @@ func (p Proto) String() string {
 
 func (p Proto) valid() bool { return p == ProtoJSON || p == ProtoBinary }
 
-// ParseProto parses a codec's wire name.
-func ParseProto(s string) (Proto, error) {
-	switch s {
-	case "json":
-		return ProtoJSON, nil
-	case "binary":
-		return ProtoBinary, nil
-	}
-	return ProtoJSON, fmt.Errorf("dist: unknown protocol %q (want \"binary\" or \"json\")", s)
-}
-
-// negotiateProto picks the session codec: the best codec the worker offered
-// that the coordinator's ceiling allows. An empty offer — every
-// pre-negotiation worker — selects JSON.
-func negotiateProto(offered []string, ceiling Proto) Proto {
-	if ceiling >= ProtoBinary {
-		for _, name := range offered {
-			if name == ProtoBinary.String() {
-				return ProtoBinary
-			}
-		}
-	}
-	return ProtoJSON
-}
-
 // Hello announces a worker: its human label, how many tasks it executes
-// concurrently, and which frame codecs it speaks beyond JSON.
+// concurrently, and the session codec it speaks.
 type Hello struct {
 	Name     string `json:"name"`
 	Capacity int    `json:"capacity"`
-	// Protos lists the codecs the worker offers, by wire name. JSON is always
-	// implied; pre-negotiation workers omit the field entirely.
+	// Protos lists the session codecs the worker speaks, by wire name. The
+	// coordinator refuses a hello without "binary".
 	Protos []string `json:"protos,omitempty"`
 }
 
 // Welcome acknowledges registration: the coordinator-assigned unique worker
-// id, the heartbeat interval the worker must keep, and the frame codec the
-// session uses from the next frame on.
+// id, the heartbeat interval the worker must keep, and the session codec
+// every later frame uses.
 type Welcome struct {
 	Worker          string `json:"worker"`
 	HeartbeatMillis int    `json:"heartbeat_ms"`
-	// Proto is the negotiated codec's wire name. Empty — every
-	// pre-negotiation coordinator — means JSON.
+	// Proto is the session codec's wire name; the worker refuses anything
+	// but "binary".
 	Proto string `json:"proto,omitempty"`
 }
 

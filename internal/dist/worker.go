@@ -42,19 +42,20 @@ type WorkerConfig struct {
 	// the work the fleet exists to farm out. It must be safe for concurrent
 	// calls.
 	SampleCost func(x []float64, dt float64)
-	// Protocol selects the frame codec: "auto" (or empty) offers the binary
-	// codec and accepts whatever the coordinator grants, "binary" requires
-	// the binary codec (the session fails if the coordinator only speaks
-	// JSON), "json" offers nothing and stays on the JSON fallback.
-	Protocol string
 	// Dial overrides the connection to the coordinator (tests); nil dials
 	// Addr over TCP.
 	Dial func(ctx context.Context) (net.Conn, error)
 	// Events, when non-nil, receives structured agent events
-	// (codec_negotiated after each handshake, session_end with the error
-	// and reconnect delay). nil is silent.
+	// (session_start after each handshake, session_end with the error and
+	// reconnect delay). nil is silent.
 	Events *obs.Logger
 }
+
+// handshakeTimeout bounds the hello/welcome exchange. A coordinator that
+// accepts the connection and never answers (a stopped process still completes
+// the kernel's TCP handshake) costs the agent this long, then the next
+// address in rotation. A variable only so tests can shorten it.
+var handshakeTimeout = 5 * time.Second
 
 // Worker is one remote sampling agent: it dials the coordinator, registers
 // its capacity, heartbeats, and executes dispatched tasks. A task's result is
@@ -90,23 +91,13 @@ type streamPos struct {
 // purely performance-affecting event).
 const maxCachedStreams = 4096
 
-// NewWorker builds a worker agent. It panics on an unknown Protocol — a
-// misconfigured agent must fail at startup, not negotiate something
-// surprising.
+// NewWorker builds a worker agent.
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Capacity < 1 {
 		cfg.Capacity = 1
 	}
 	if cfg.Name == "" {
 		cfg.Name = "worker"
-	}
-	if cfg.Protocol == "" {
-		cfg.Protocol = "auto"
-	}
-	if cfg.Protocol != "auto" {
-		if _, err := ParseProto(cfg.Protocol); err != nil {
-			panic(err)
-		}
 	}
 	w := &Worker{cfg: cfg, streams: make(map[int64]*streamPos)}
 	if cfg.Addr != "" {
@@ -138,49 +129,19 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	defer conn.Close()
 
-	// The handshake is always JSON: hello offers the codecs this agent
-	// speaks, welcome announces the one the session will use.
-	var protos []string
-	if w.cfg.Protocol != "json" {
-		protos = []string{ProtoBinary.String()}
+	welcome, err := w.handshake(conn)
+	if err != nil {
+		w.dialIdx++ // move on from a coordinator that cannot finish a handshake, as from one that refuses the dial
+		return err
 	}
-	if err = WriteFrame(conn, &Message{Type: TypeHello, Hello: &Hello{
-		Name:     w.cfg.Name,
-		Capacity: w.cfg.Capacity,
-		Protos:   protos,
-	}}); err != nil {
-		return fmt.Errorf("dist: hello: %w", err)
-	}
-	var m Message
-	if err = ReadFrame(conn, &m); err != nil {
-		return fmt.Errorf("dist: welcome: %w", err)
-	}
-	if m.Type != TypeWelcome || m.Welcome == nil {
-		return fmt.Errorf("dist: expected welcome, got %q", m.Type)
-	}
-	proto := ProtoJSON
-	if m.Welcome.Proto != "" {
-		if proto, err = ParseProto(m.Welcome.Proto); err != nil {
-			return fmt.Errorf("dist: welcome: %w", err)
-		}
-	}
-	if proto != ProtoJSON && w.cfg.Protocol == "json" {
-		return fmt.Errorf("dist: coordinator granted %q, which this agent never offered", proto)
-	}
-	if proto != ProtoBinary && w.cfg.Protocol == "binary" {
-		// -proto binary is a deployment assertion: fail the session loudly
-		// instead of silently paying the JSON fallback forever.
-		return fmt.Errorf("dist: coordinator fell back to %q but this agent requires the binary protocol", proto)
-	}
-	heartbeat := time.Duration(m.Welcome.HeartbeatMillis) * time.Millisecond
+	heartbeat := time.Duration(welcome.HeartbeatMillis) * time.Millisecond
 	if heartbeat <= 0 {
 		heartbeat = time.Second
 	}
 	mWorkerSessions.Inc()
-	w.events.Event("codec_negotiated",
-		"worker", m.Welcome.Worker, "proto", proto, "heartbeat", heartbeat)
+	w.events.Event("session_start", "worker", welcome.Worker, "heartbeat", heartbeat)
 
-	fw := NewFrameWriter(conn, proto)
+	fw := NewFrameWriter(conn, ProtoBinary)
 	var sendMu sync.Mutex
 	send := func(m *Message) error {
 		sendMu.Lock()
@@ -256,7 +217,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			tasks.Wait()
 		}
 	}()
-	fr := NewFrameReader(conn, proto)
+	fr := NewFrameReader(conn, ProtoBinary)
 	for {
 		var m Message
 		if err := fr.Read(&m); err != nil {
@@ -273,6 +234,32 @@ func (w *Worker) Run(ctx context.Context) error {
 			taskq <- t
 		}
 	}
+}
+
+// handshake sends hello and reads welcome, both JSON, within
+// handshakeTimeout. Every later frame is binary, so a welcome that announces
+// any other session codec ends the session here.
+func (w *Worker) handshake(conn net.Conn) (*Welcome, error) {
+	conn.SetDeadline(time.Now().Add(handshakeTimeout)) //optlint:nondeterministic-ok I/O deadline, never reaches a sample
+	if err := WriteFrame(conn, &Message{Type: TypeHello, Hello: &Hello{
+		Name:     w.cfg.Name,
+		Capacity: w.cfg.Capacity,
+		Protos:   []string{ProtoBinary.String()},
+	}}); err != nil {
+		return nil, fmt.Errorf("dist: hello: %w", err)
+	}
+	var m Message
+	if err := ReadFrame(conn, &m); err != nil {
+		return nil, fmt.Errorf("dist: welcome: %w", err)
+	}
+	if m.Type != TypeWelcome || m.Welcome == nil {
+		return nil, fmt.Errorf("dist: expected welcome, got %q", m.Type)
+	}
+	if m.Welcome.Proto != ProtoBinary.String() {
+		return nil, fmt.Errorf("dist: coordinator announced session codec %q, this agent speaks %q",
+			m.Welcome.Proto, ProtoBinary)
+	}
+	return m.Welcome, conn.SetDeadline(time.Time{})
 }
 
 // RunLoop runs the agent with automatic reconnection until ctx ends: a lost
@@ -314,10 +301,10 @@ func (w *Worker) RunLoop(ctx context.Context) error {
 }
 
 // dial connects to the coordinator. With multiple configured addresses it
-// rotates: each attempt (so each RunLoop reconnect) tries the next one, and
-// a successful session leaves the rotation parked on the address that
-// worked, so a healthy coordinator keeps its workers until it actually
-// fails.
+// rotates: a failed dial or handshake moves the next attempt (so the next
+// RunLoop reconnect) to the next address, and a successful session leaves
+// the rotation parked on the address that worked, so a healthy coordinator
+// keeps its workers until it actually fails.
 func (w *Worker) dial(ctx context.Context) (net.Conn, error) {
 	if w.cfg.Dial != nil {
 		return w.cfg.Dial(ctx)

@@ -6,11 +6,10 @@ import (
 )
 
 // Floatguard protects the dist wire boundary's cannot-carry-non-finite
-// guarantee. Both frame codecs reject NaN and ±Inf on encode AND decode
-// (the JSON codec through encoding/json's own refusal plus the coordinator's
-// up-front validation, the binary codec through its bit-level helpers); a
-// new code path that bit-casts a float64 straight onto the wire would
-// silently reopen the hole.
+// guarantee. The binary session codec, which carries every task and result,
+// rejects NaN and ±Inf on encode AND decode through its bit-level helpers,
+// and the coordinator validates requests up front; a new code path that
+// bit-casts a float64 straight onto the wire would silently reopen the hole.
 //
 // Two rules, scoped to package dist:
 //

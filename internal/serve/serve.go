@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -65,11 +67,25 @@ type server struct {
 	cfg Config
 	// started anchors the /healthz uptime report.
 	started time.Time
+
+	mu sync.Mutex
+	// adoptions holds every store directory this server has adopted or is
+	// adopting, keyed by its cleaned path. Guarded by mu.
+	adoptions map[string]*adoption
+}
+
+// adoption is one /v1/failover of a store directory. Its fields are set
+// before done closes.
+type adoption struct {
+	done   chan struct{}
+	opened bool     // the store opened and the manager took it over
+	ids    []string // the jobs recovered from it
+	err    error    // why opening or recovery failed
 }
 
 // New builds the HTTP handler.
 func New(cfg Config) http.Handler {
-	s := &server{cfg: cfg, started: time.Now()}
+	s := &server{cfg: cfg, started: time.Now(), adoptions: make(map[string]*adoption)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.health)
 	mux.HandleFunc("GET /strategies", s.strategies)
@@ -134,6 +150,32 @@ func WriteErr(w http.ResponseWriter, err error) {
 	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds a request body. A job spec or a failover request is a
+// few hundred bytes; a longer body is refused with 413 once this much of it
+// has been read.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields and
+// reading at most maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// writeBodyErr answers a body that did not decode (err may be nil for a body
+// that decoded but is invalid): 413 past maxBodyBytes, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, what string, err error) {
+	var tooLong *http.MaxBytesError
+	if errors.As(err, &tooLong) {
+		WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error": fmt.Sprintf("%s: body exceeds %d bytes", what, tooLong.Limit),
+		})
+		return
+	}
+	WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("%s: %v", what, err)})
+}
+
 // buildInfo extracts the Go toolchain version and VCS revision baked into
 // the binary (empty when built without VCS stamping, e.g. in tests).
 func buildInfo() (goVersion, revision string) {
@@ -195,10 +237,8 @@ func (s *server) strategies(w http.ResponseWriter, r *http.Request) {
 // router uses it so job placement is a pure function of the ID.
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec jobs.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad spec: %v", err)})
+	if err := decodeBody(w, r, &spec); err != nil {
+		writeBodyErr(w, "bad spec", err)
 		return
 	}
 	if tenant := r.PathValue("tenant"); tenant != "" {
@@ -264,31 +304,66 @@ type failoverRequest struct {
 // re-enqueued here (resuming from its last snapshot), exactly like the
 // fleet coordinator re-dispatches a dead worker's tasks. The router calls
 // this on the shard that inherits a dead shard's hash range.
+//
+// A store is opened at most once per server. The router gives up on an
+// adoption after DeadAfter and asks again, while this handler finishes the
+// first one regardless; a repeated request for the same dir waits for that
+// adoption and answers with its outcome instead of opening the store a
+// second time (a second handle could truncate or compact the WAL under the
+// first). Only a store that failed to open may be asked for again.
 func (s *server) failover(w http.ResponseWriter, r *http.Request) {
 	var req failoverRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || req.Dir == "" {
-		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad failover request: %v", err)})
+	if err := decodeBody(w, r, &req); err != nil || req.Dir == "" {
+		writeBodyErr(w, "bad failover request", err)
 		return
 	}
-	st, err := jobstore.Open(req.Store, req.Dir)
-	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
+	dir := filepath.Clean(req.Dir)
+	s.mu.Lock()
+	a, repeat := s.adoptions[dir]
+	if !repeat {
+		a = &adoption{done: make(chan struct{})}
+		s.adoptions[dir] = a
 	}
-	ids, err := s.cfg.Mgr.RecoverFrom(st)
-	if err != nil && len(ids) == 0 {
-		WriteErr(w, err)
-		return
+	s.mu.Unlock()
+	if !repeat {
+		s.adopt(a, dir, req.Store)
 	}
-	s.cfg.Events.Event("failover_adopt", "dir", req.Dir, "kind", st.Kind(), "jobs", len(ids))
-	body := map[string]any{"adopted": ids}
-	if err != nil {
+	select {
+	case <-a.done:
+	case <-r.Context().Done():
+		return // the caller gave up; the adoption it waited on goes on
+	}
+	switch {
+	case !a.opened:
+		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": a.err.Error()})
+	case a.err != nil && len(a.ids) == 0:
+		WriteErr(w, a.err)
+	case a.err != nil:
 		// Partial adoption: report what was recovered and what was not.
-		body["error"] = err.Error()
+		WriteJSON(w, http.StatusOK, map[string]any{"adopted": a.ids, "error": a.err.Error()})
+	default:
+		WriteJSON(w, http.StatusOK, map[string]any{"adopted": a.ids})
 	}
-	WriteJSON(w, http.StatusOK, body)
+}
+
+// adopt opens the store in dir and hands it to the manager, recording the
+// outcome in a. A store that fails to open is forgotten, so a later request
+// may try again.
+func (s *server) adopt(a *adoption, dir, kind string) {
+	defer close(a.done)
+	st, err := jobstore.Open(kind, dir)
+	if err != nil {
+		a.err = err
+		s.mu.Lock()
+		delete(s.adoptions, dir)
+		s.mu.Unlock()
+		return
+	}
+	a.opened = true
+	a.ids, a.err = s.cfg.Mgr.RecoverFrom(st)
+	if a.err == nil || len(a.ids) > 0 {
+		s.cfg.Events.Event("failover_adopt", "dir", dir, "kind", st.Kind(), "jobs", len(a.ids))
+	}
 }
 
 func (s *server) status(w http.ResponseWriter, r *http.Request) {

@@ -113,6 +113,12 @@ func TestTenantRoutes(t *testing.T) {
 		t.Fatalf("tenant conflict: code %d body %v", code, body)
 	}
 
+	// A spec padded past the 1 MiB body limit is a 413, whatever it says.
+	code, body = post(t, ts.URL+"/v1/tenants/acme/jobs", padBody(specJSON("", 10)))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("padded spec: code %d body %v", code, body)
+	}
+
 	// The tenant-scoped list shows only acme's job.
 	var scoped []map[string]any
 	if code := get(t, ts.URL+"/v1/tenants/acme/jobs", &scoped); code != http.StatusOK {
@@ -226,13 +232,41 @@ func TestFailoverEndpoint(t *testing.T) {
 		t.Fatalf("adopted job status: %v", st)
 	}
 
-	// Bad requests: unknown store kind and missing dir are 400s.
-	if code, _ := post(t, ts.URL+"/v1/failover", `{"dir":"x","store":"bolt"}`); code != http.StatusBadRequest {
-		t.Fatalf("bad store kind: code %d", code)
+	// Asking again, however the dir is spelled, answers with the same
+	// adoption instead of opening the store a second time.
+	code, body = post(t, ts.URL+"/v1/failover", fmt.Sprintf(`{"dir":%q,"store":"wal"}`, deadDir+string(filepath.Separator)))
+	if again, _ := body["adopted"].([]any); code != http.StatusOK || len(again) != 1 || again[0] != blocker {
+		t.Fatalf("repeated failover: code %d body %v, want the first adoption [%s]", code, body, blocker)
 	}
-	if code, _ := post(t, ts.URL+"/v1/failover", `{}`); code != http.StatusBadRequest {
-		t.Fatalf("missing dir: code %d", code)
+
+	// Every other request shape: an empty store adopts nothing, a body padded
+	// past the 1 MiB limit is a 413, and an unknown store kind or a missing
+	// dir is a 400.
+	emptyDir := fmt.Sprintf(`{"dir":%q,"store":"wal"}`, filepath.Join(dir, "empty"))
+	tests := []struct {
+		name string
+		body string
+		code int
+	}{
+		{"empty store", emptyDir, http.StatusOK},
+		{"padded past the limit", padBody(emptyDir), http.StatusRequestEntityTooLarge},
+		{"bad store kind", `{"dir":"x","store":"bolt"}`, http.StatusBadRequest},
+		{"missing dir", `{}`, http.StatusBadRequest},
 	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if code, body := post(t, ts.URL+"/v1/failover", tt.body); code != tt.code {
+				t.Fatalf("code %d body %v, want %d", code, body, tt.code)
+			}
+		})
+	}
+}
+
+// padBody pads a JSON object's body past the 1 MiB request limit with
+// whitespace after its opening brace, so it stays a valid document the
+// decoder must read through.
+func padBody(obj string) string {
+	return "{" + strings.Repeat(" ", 1<<20) + obj[1:]
 }
 
 // TestMethodNotAllowed: the new paths answer wrong methods with 405 + Allow.

@@ -9,13 +9,13 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -255,13 +255,26 @@ func (r *Router) nextAliveLocked(i int) int {
 	return -1
 }
 
-// adopt asks shard `to` to recover shard `from`'s durable store.
+// adopt asks shard `to` to recover shard `from`'s durable store, abandoned
+// after DeadAfter like a probe: it runs on the probe path, so an adopter that
+// accepts the request and never answers must not stall the probing of every
+// shard. A failed attempt is retried on the next probe tick. Retrying is safe
+// because the adopter opens a store at most once: a retry that reaches it
+// while the first adoption is still running waits for that adoption.
 func (r *Router) adopt(from, to int) {
 	body, _ := json.Marshal(map[string]string{
 		"dir":   r.cfg.Shards[from].Dir,
 		"store": r.cfg.Shards[from].Store,
 	})
-	resp, err := r.client.Post("http://"+r.cfg.Shards[to].Addr+"/v1/failover", "application/json", strings.NewReader(string(body)))
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.DeadAfter)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+r.cfg.Shards[to].Addr+"/v1/failover", bytes.NewReader(body))
+	if err != nil {
+		r.cfg.Events.Event("shard_adopt_error", "from", from, "to", to, "err", err)
+		return
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := r.client.Do(req)
 	if err != nil {
 		r.cfg.Events.Event("shard_adopt_error", "from", from, "to", to, "err", err)
 		return

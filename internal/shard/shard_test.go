@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/testfunc"
@@ -557,6 +558,190 @@ func TestRouterHungShard(t *testing.T) {
 		if st := waitTerminal(t, rt.URL, body["id"].(string)); st["state"] != "done" {
 			t.Fatalf("job %v: %v", body["id"], st)
 		}
+	}
+}
+
+// eventSink receives a Logger's NDJSON lines, one per event; a full sink
+// drops lines rather than stall the emitter.
+type eventSink chan string
+
+func (s eventSink) Write(p []byte) (int, error) {
+	select {
+	case s <- string(p):
+	default:
+	}
+	return len(p), nil
+}
+
+// TestRouterHungAdopter: the shard that inherits a dead shard's range accepts
+// the /v1/failover request and never answers. The adoption attempt must give
+// up after DeadAfter with shard_adopt_error, and the prober must go on
+// probing the other shards instead of waiting on the adopter.
+func TestRouterHungAdopter(t *testing.T) {
+	const deadAfter = 200 * time.Millisecond
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goneAddr := gone.Addr().String()
+	gone.Close() // shard 0 refuses every connection from the start
+
+	release := make(chan struct{})
+	adopter := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/failover" {
+			select { // hold the adoption until the router gives up on it
+			case <-release:
+			case <-r.Context().Done():
+			}
+			return
+		}
+		w.Write([]byte("{}"))
+	}))
+	t.Cleanup(adopter.Close)
+	var probes atomic.Int64
+	watched := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			probes.Add(1)
+		}
+		w.Write([]byte("{}"))
+	}))
+	t.Cleanup(watched.Close)
+
+	events := make(eventSink, 1024) // the router emits a few events per DeadAfter; none may be dropped before the test reads it
+	r, err := shard.New(shard.Config{
+		Shards: []shard.Shard{
+			{Addr: goneAddr, Dir: t.TempDir(), Store: "wal"},
+			{Addr: strings.TrimPrefix(adopter.URL, "http://")},
+			{Addr: strings.TrimPrefix(watched.URL, "http://")},
+		},
+		Probe:     20 * time.Millisecond,
+		DeadAfter: deadAfter,
+		Events:    obs.NewLogger(events),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	t.Cleanup(func() { close(release) }) // runs first: a router that never gave up can still close
+
+	waitEvent := func(name string) time.Time {
+		t.Helper()
+		timeout := time.After(25 * deadAfter)
+		for {
+			select {
+			case line := <-events:
+				if strings.Contains(line, `"event":"`+name+`"`) {
+					return time.Now()
+				}
+			case <-timeout:
+				t.Fatalf("no %s event after %v", name, 25*deadAfter)
+			}
+		}
+	}
+	dead := waitEvent("shard_dead")
+	if waited := waitEvent("shard_adopt_error").Sub(dead); waited > 5*deadAfter {
+		t.Errorf("adoption gave up %v after the death, want about DeadAfter (%v)", waited, deadAfter)
+	}
+	before := probes.Load()
+	deadline := time.Now().Add(25 * deadAfter)
+	for probes.Load() < before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard 2 probed %d times since the failed adoption, want probing to go on", probes.Load()-before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// adoptGate is the adopting manager's event sink. It counts store_adopt
+// events, one per store the manager takes over, and holds the first one until
+// release closes, so that adoption outlasts DeadAfter.
+type adoptGate struct {
+	opened  atomic.Int64
+	release chan struct{}
+}
+
+func (g *adoptGate) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), `"event":"store_adopt"`) && g.opened.Add(1) == 1 {
+		<-g.release
+	}
+	return len(p), nil
+}
+
+// TestRouterSlowAdoption: the adopter's recovery of a dead shard's store
+// outlasts DeadAfter, so the router gives up on the POST and retries it on
+// later ticks while the first adoption is still running. The adopter must
+// open the store exactly once, answer a retry with that adoption, and run the
+// dead shard's job to completion.
+func TestRouterSlowAdoption(t *testing.T) {
+	const deadAfter = 200 * time.Millisecond
+	gone, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goneAddr := gone.Addr().String()
+	gone.Close() // shard 0 refuses every connection from the start
+
+	// Shard 0's store: one durable job, recorded and never run.
+	deadDir := t.TempDir()
+	m0, err := jobs.New(jobs.Config{MaxConcurrent: 1, CheckpointDir: deadDir, StoreKind: "wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := m0.Submit(jobs.Spec{
+		Objective: "rosenbrock", Dim: 3, Algorithm: "pc", Sigma0: 50,
+		Seed: 43, Tol: -1, MaxIterations: 20, Tenant: "acme",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0.Close()
+
+	gate := &adoptGate{release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate.release) }) }
+	adopter := newTestShard(t, jobs.Config{MaxConcurrent: 1, Events: obs.NewLogger(gate)}, nil)
+	t.Cleanup(release) // LIFO: release the gate before the adopter closes
+
+	events := make(eventSink, 1024)
+	r, err := shard.New(shard.Config{
+		Shards: []shard.Shard{
+			{Addr: goneAddr, Dir: deadDir, Store: "wal"},
+			{Addr: adopter.addr()},
+		},
+		Probe:     20 * time.Millisecond,
+		DeadAfter: deadAfter,
+		Events:    obs.NewLogger(events),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+
+	waitEvent := func(name string) {
+		t.Helper()
+		timeout := time.After(25 * deadAfter)
+		for {
+			select {
+			case line := <-events:
+				if strings.Contains(line, `"event":"`+name+`"`) {
+					return
+				}
+			case <-timeout:
+				t.Fatalf("no %s event after %v", name, 25*deadAfter)
+			}
+		}
+	}
+	waitEvent("shard_dead")
+	waitEvent("shard_adopt_error") // the first POST, held by the gate
+	waitEvent("shard_adopt_error") // a retry, while the first adoption still runs
+	release()
+	waitEvent("shard_adopt")
+
+	if st := waitTerminal(t, adopter.ts.URL, id); st["state"] != "done" || st["resumed"] != true {
+		t.Fatalf("adopted job %s: %v", id, st)
+	}
+	if n := gate.opened.Load(); n != 1 {
+		t.Fatalf("adopter took over the dead shard's store %d times, want once", n)
 	}
 }
 

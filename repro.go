@@ -181,10 +181,9 @@ type (
 // Distributed sampling fleet: the network realization of the paper's
 // master/worker deployment. A FleetCoordinator accepts worker agents
 // (cmd/optworker, or in-process FleetWorkers) over TCP with length-prefixed
-// frames (a JSON handshake negotiates the binary task codec, JSON being the
-// fallback), dispatches prioritized sampling tasks over their registered
-// capacity, and deterministically re-dispatches the
-// outstanding tasks of dead workers. It implements FleetSampler, so it plugs
+// frames (a JSON hello/welcome handshake, then the binary task codec),
+// dispatches prioritized sampling tasks over their registered capacity, and
+// deterministically re-dispatches the outstanding tasks of dead workers. It implements FleetSampler, so it plugs
 // underneath any run via WithFleet (or LocalConfig.Fleet), any job via
 // JobSpec.Fleet, and the optd server via -fleet-addr — with results bitwise
 // identical to in-process runs at any fleet size and under worker death.
@@ -196,7 +195,7 @@ type (
 	// deterministic re-dispatch. Create with NewFleetCoordinator.
 	FleetCoordinator = dist.Coordinator
 	// FleetCoordinatorConfig configures the coordinator (heartbeat interval,
-	// death timeout, frame-codec ceiling).
+	// death timeout, event log).
 	FleetCoordinatorConfig = dist.Config
 	// FleetStatus is the coordinator's aggregate state (the "fleet" section
 	// of optd's /healthz).
