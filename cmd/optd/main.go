@@ -49,6 +49,13 @@ import (
 // headers, so connections that never finish a request cannot pile up.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout closes a kept-alive connection left idle this long. It outlasts
+// the 90 s net/http clients keep an idle connection (http.DefaultTransport's
+// IdleConnTimeout, which optrouter's shard client inherits), so the client
+// side closes first and never reuses a connection the server is closing
+// under it.
+const idleTimeout = 2 * time.Minute
+
 func main() {
 	var (
 		addr       = flag.String("addr", "localhost:8080", "listen address")
@@ -172,6 +179,7 @@ func main() {
 	srv := &http.Server{
 		Handler:           serve.New(serve.Config{Mgr: mgr, Fleet: fleet, DefaultSeed: *seed, Events: events}),
 		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

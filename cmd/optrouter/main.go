@@ -42,6 +42,13 @@ import (
 // headers, so connections that never finish a request cannot pile up.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout closes a kept-alive connection left idle this long. It outlasts
+// the 90 s net/http clients keep an idle connection (http.DefaultTransport's
+// IdleConnTimeout, which the router's own shard client inherits), so the
+// client side closes first and never reuses a connection the server is
+// closing under it.
+const idleTimeout = 2 * time.Minute
+
 func main() {
 	var shards []shard.Shard
 	flag.Func("shard", "optd replica as addr[,store-dir[,store-kind]] (repeatable)", func(v string) error {
@@ -91,7 +98,7 @@ func main() {
 	}
 	// Scripts and the e2e harness parse this line, like optd's.
 	fmt.Printf("optrouter listening on %s\n", ln.Addr())
-	srv := &http.Server{Handler: r.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Handler: r.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

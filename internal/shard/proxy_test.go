@@ -1,0 +1,353 @@
+package shard_test
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/jobs"
+	"repro/internal/obs"
+	"repro/internal/serve"
+	"repro/internal/shard"
+	"repro/internal/testfunc"
+)
+
+// newRouter starts a router over the given shard addresses with the default
+// (tuned) client and serves its handler.
+func newRouter(t testing.TB, deadAfter time.Duration, addrs ...string) *httptest.Server {
+	t.Helper()
+	var shards []shard.Shard
+	for _, a := range addrs {
+		shards = append(shards, shard.Shard{Addr: a})
+	}
+	r, err := shard.New(shard.Config{Shards: shards, Probe: time.Hour, DeadAfter: deadAfter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	rt := httptest.NewServer(r.Handler())
+	t.Cleanup(rt.Close)
+	return rt
+}
+
+// TestRouterReusesShardConnections: concurrent clients polling through the
+// router ride a handful of kept-alive shard connections instead of dialing
+// one every few requests, and every non-stream answer keeps the shard's
+// Content-Length instead of going out chunked.
+func TestRouterReusesShardConnections(t *testing.T) {
+	mgr, err := jobs.New(jobs.Config{MaxConcurrent: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(serve.New(serve.Config{Mgr: mgr, DefaultSeed: 1}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		mgr.Close()
+	})
+	rt := newRouter(t, 10*time.Second, strings.TrimPrefix(ts.URL, "http://"))
+
+	code, body := postJSON(t, rt.URL+"/v1/jobs", specBody("acme", 1))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
+	id := body["id"].(string)
+	waitTerminal(t, rt.URL, id)
+	dials.Store(0) // count only the polling below
+
+	const clients, polls = 4, 100
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	t.Cleanup(client.CloseIdleConnections)
+	var chunked atomic.Int64
+	errc := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := 0; p < polls; p++ {
+				resp, err := client.Get(rt.URL + "/v1/jobs/" + id)
+				if err != nil {
+					errc <- err
+					return
+				}
+				_, err = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					errc <- fmt.Errorf("status poll: code %d, %v", resp.StatusCode, err)
+					return
+				}
+				if resp.ContentLength < 0 {
+					chunked.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n > clients {
+		t.Errorf("router dialed the shard %d times for %d polls from %d clients, want at most %d", n, clients*polls, clients, clients)
+	}
+	if n := chunked.Load(); n != 0 {
+		t.Errorf("%d of %d status answers went out chunked, want every one with its Content-Length", n, clients*polls)
+	}
+}
+
+// TestRouterProxyHungShard: a shard that passed its last probe and then hung
+// must not hold a proxied call. Status and submit give up after DeadAfter with
+// a 504, and the timed-out submit names the ID it minted so the client can
+// poll for that job instead of resubmitting it.
+func TestRouterProxyHungShard(t *testing.T) {
+	ln := newHangListener(t)
+	ln.healthy.Store(true)
+	hung := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte("{}"))
+	})}
+	// Every connection closes after one answer, so the calls below dial
+	// afresh into the hung listener instead of riding the probe's.
+	hung.SetKeepAlivesEnabled(false)
+	go hung.Serve(ln)
+	t.Cleanup(func() { hung.Close() })
+
+	const deadAfter = 300 * time.Millisecond
+	rt := newRouter(t, deadAfter, ln.Addr().String()) // New's sweep is the last probe
+	t.Cleanup(ln.release)                             // before rt.Close, which waits for a call stuck on the shard
+	ln.healthy.Store(false)
+
+	errs := obs.Default().Counter("shard_proxy_error_total")
+	client := &http.Client{Timeout: 20 * deadAfter}
+	for _, call := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/jobs/r000001", ""},
+		{http.MethodPost, "/v1/jobs", specBody("acme", 1)},
+	} {
+		before := errs.Value()
+		req, err := http.NewRequest(call.method, rt.URL+call.path, strings.NewReader(call.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s with the shard hung: %v", call.method, call.path, err)
+		}
+		var body map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if took := time.Since(start); err != nil || resp.StatusCode != http.StatusGatewayTimeout || took > 5*deadAfter {
+			t.Fatalf("%s %s: code %d after %v (%v), want 504 within about DeadAfter (%v)", call.method, call.path, resp.StatusCode, took, err, deadAfter)
+		}
+		if errs.Value() == before {
+			t.Errorf("%s %s: shard_proxy_error_total did not move", call.method, call.path)
+		}
+		if call.method == http.MethodPost && !strings.HasPrefix(body["id"], "r") {
+			t.Errorf("timed-out submit body %v, want the minted id", body)
+		}
+	}
+}
+
+// subscribedWriter reports the trace handler's header write, which follows
+// its subscription to the job's events.
+type subscribedWriter struct {
+	http.ResponseWriter
+	once *sync.Once
+	done chan struct{}
+}
+
+func (w subscribedWriter) WriteHeader(code int) {
+	w.once.Do(func() { close(w.done) })
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w subscribedWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestRouterTraceStreamsLive: an NDJSON trace passes through the router as
+// the shard writes it, not when the job ends. The traced job queues behind a
+// held one, so its subscription is in place before it starts; its first line
+// (the running state) must reach the client while its objective is still
+// blocked, and the stream must end after the terminal state line.
+func TestRouterTraceStreamsLive(t *testing.T) {
+	hold, gate := make(chan struct{}), make(chan struct{})
+	var holdOnce, gateOnce sync.Once
+	mgr, err := jobs.New(jobs.Config{MaxConcurrent: 1, Objectives: map[string]func([]float64) float64{
+		"hold": func(x []float64) float64 { <-hold; return testfunc.Rosenbrock(x) },
+		"gate": func(x []float64) float64 { <-gate; return testfunc.Rosenbrock(x) },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subscribed := make(chan struct{})
+	var once sync.Once
+	h := serve.New(serve.Config{Mgr: mgr, DefaultSeed: 1})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/trace") {
+			w = subscribedWriter{w, &once, subscribed}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		mgr.Close()
+	})
+	rt := newRouter(t, 10*time.Second, strings.TrimPrefix(ts.URL, "http://"))
+	t.Cleanup(func() { // LIFO: the jobs, and with them the stream, end before the servers close
+		holdOnce.Do(func() { close(hold) })
+		gateOnce.Do(func() { close(gate) })
+	})
+
+	spec := `{"objective":%q,"dim":2,"algorithm":"pc","sigma0":1,"seed":5,"tol":-1,"max_iterations":3}`
+	if code, body := postJSON(t, rt.URL+"/v1/jobs", fmt.Sprintf(spec, "hold")); code != http.StatusAccepted {
+		t.Fatalf("submit held job: code %d body %v", code, body)
+	}
+	code, body := postJSON(t, rt.URL+"/v1/jobs", fmt.Sprintf(spec, "gate"))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit traced job: code %d body %v", code, body)
+	}
+	id := body["id"].(string)
+
+	type opened struct {
+		resp *http.Response
+		err  error
+	}
+	openc := make(chan opened, 1)
+	go func() {
+		resp, err := http.Get(rt.URL + "/v1/jobs/" + id + "/trace")
+		openc <- opened{resp, err}
+	}()
+	select {
+	case <-subscribed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the trace request never reached the shard")
+	}
+	holdOnce.Do(func() { close(hold) }) // the traced job starts and blocks in its objective
+
+	// Roomier than the whole stream (a running state, a few iterations, the
+	// done state), so the reader exits at EOF even after a failed test.
+	lines := make(chan string, 64)
+	go func() {
+		defer close(lines)
+		o := <-openc
+		if o.err != nil {
+			return
+		}
+		defer o.resp.Body.Close()
+		sc := bufio.NewScanner(o.resp.Body)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+	}()
+	decode := func(line string) jobs.Event {
+		t.Helper()
+		var e jobs.Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		return e
+	}
+	select {
+	case line, ok := <-lines:
+		if !ok {
+			t.Fatal("trace stream ended before its first line")
+		}
+		if e := decode(line); e.Type != "state" || e.State != jobs.StateRunning {
+			t.Fatalf("first trace line %+v, want the running state", e)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no trace line reached the client while the job ran: the router held the stream")
+	}
+	var st map[string]any
+	getJSON(t, rt.URL+"/v1/jobs/"+id, &st)
+	if st["state"] != "running" {
+		t.Fatalf("job %s state %v after its first trace line, want still running", id, st["state"])
+	}
+
+	gateOnce.Do(func() { close(gate) })
+	var last jobs.Event
+	timeout := time.After(15 * time.Second)
+	for {
+		select {
+		case line, ok := <-lines:
+			if !ok {
+				if last.Type != "state" || last.State != jobs.StateDone {
+					t.Fatalf("trace stream ended on %+v, want the done state", last)
+				}
+				return
+			}
+			last = decode(line)
+		case <-timeout:
+			t.Fatal("trace stream never reached EOF after the job finished")
+		}
+	}
+}
+
+// BenchmarkRouterProxy prices one hop through the router: a client request
+// proxied over loopback to one serve shard and relayed back.
+func BenchmarkRouterProxy(b *testing.B) {
+	mgr, err := jobs.New(jobs.Config{MaxConcurrent: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(serve.New(serve.Config{Mgr: mgr, DefaultSeed: 1}))
+	b.Cleanup(func() {
+		ts.Close()
+		mgr.Close()
+	})
+	rt := newRouter(b, 10*time.Second, strings.TrimPrefix(ts.URL, "http://"))
+	spec := `{"objective":"rosenbrock","dim":2,"algorithm":"pc","sigma0":1,"seed":5,"tol":-1,"max_iterations":1}`
+	client := &http.Client{Transport: &http.Transport{}}
+	b.Cleanup(client.CloseIdleConnections)
+	do := func(b *testing.B, method, path, body string, want int) {
+		req, err := http.NewRequest(method, rt.URL+path, strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			b.Fatalf("%s %s: code %d, want %d", method, path, resp.StatusCode, want)
+		}
+	}
+	resp, err := client.Post(rt.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sub struct {
+		ID string `json:"id"`
+	}
+	json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+
+	b.Run("status", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			do(b, http.MethodGet, "/v1/jobs/"+sub.ID, "", http.StatusOK)
+		}
+	})
+	b.Run("submit", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			do(b, http.MethodPost, "/v1/jobs", spec, http.StatusAccepted)
+		}
+	})
+}

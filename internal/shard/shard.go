@@ -46,6 +46,17 @@ func Pick(id string, n int) int {
 	return int(Hash(id) % uint64(n))
 }
 
+// idleConnsPerShard is how many idle connections the default client keeps to
+// each shard: well above any client concurrency, so proxied requests ride
+// kept-alive connections instead of dialing one every few requests.
+const idleConnsPerShard = 64
+
+// traceRoute is the one proxied route whose answer is a stream.
+const traceRoute = "GET /v1/jobs/{id}/trace"
+
+// copyBufs holds proxy's copy buffers, so a proxied request allocates none.
+var copyBufs = sync.Pool{New: func() any { return new([32 * 1024]byte) }}
+
 // Shard describes one optd replica in the table.
 type Shard struct {
 	// Addr is the replica's HTTP address ("host:port").
@@ -71,8 +82,9 @@ type Config struct {
 	// IDPrefix namespaces router-assigned job IDs (default "r"). Routers
 	// sharing shards must use distinct prefixes.
 	IDPrefix string
-	// Client issues proxy and probe requests; nil uses a default with a
-	// per-request timeout left to the caller's context.
+	// Client issues proxy and probe requests; the router sets their
+	// deadlines. nil uses http.DefaultTransport keeping 64 idle connections
+	// per shard (net/http keeps 2), with compression off.
 	Client *http.Client
 	// Events, when non-nil, receives shard lifecycle events.
 	Events *obs.Logger
@@ -135,7 +147,11 @@ func New(cfg Config) (*Router, error) {
 		mProxyErr: obs.Default().Counter("shard_proxy_error_total"),
 	}
 	if r.client == nil {
-		r.client = &http.Client{}
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConns = 0 // no overall cap: the per-shard cap bounds it over a fixed table
+		t.MaxIdleConnsPerHost = idleConnsPerShard
+		t.DisableCompression = true
+		r.client = &http.Client{Transport: t}
 	}
 	r.probeAll() // synchronous first sweep so Handler starts with real state
 	r.wg.Add(1)
@@ -353,7 +369,7 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", r.list)
 	mux.HandleFunc("GET /v1/jobs/{id}", r.byID)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", r.byID)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", r.byID)
+	mux.HandleFunc(traceRoute, r.byID)
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", r.byID)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", r.byID)
 	mux.HandleFunc("GET /v1/tenants", r.tenants)
@@ -397,7 +413,7 @@ func (r *Router) anyAlive(w http.ResponseWriter, req *http.Request) {
 		up := r.state[i].alive && !r.state[i].dead
 		r.mu.Unlock()
 		if up {
-			r.proxy(w, req, i, req.URL.RequestURI())
+			r.proxy(w, req, i, req.URL.RequestURI(), "")
 			return
 		}
 	}
@@ -418,7 +434,7 @@ func (r *Router) submit(w http.ResponseWriter, req *http.Request) {
 	if tenant := req.PathValue("tenant"); tenant != "" {
 		path = "/v1/tenants/" + tenant + "/jobs"
 	}
-	r.proxy(w, req, target, path+"?id="+id)
+	r.proxy(w, req, target, path+"?id="+id, id)
 }
 
 // byID routes a job-scoped request to the shard serving the ID's range.
@@ -430,7 +446,7 @@ func (r *Router) byID(w http.ResponseWriter, req *http.Request) {
 		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no alive shards"})
 		return
 	}
-	r.proxy(w, req, target, req.URL.RequestURI())
+	r.proxy(w, req, target, req.URL.RequestURI(), "")
 }
 
 // fetchShard fetches path from shard i into out for a cross-shard merge,
@@ -568,32 +584,57 @@ func (r *Router) getJSON(ctx context.Context, i int, path string, out any) error
 }
 
 // proxy re-issues the request against shard i at path (which carries the
-// query) and streams the response back, flushing per chunk so NDJSON
-// traces pass through live.
-func (r *Router) proxy(w http.ResponseWriter, req *http.Request, i int, path string) {
-	out, err := http.NewRequestWithContext(req.Context(), req.Method, "http://"+r.cfg.Shards[i].Addr+path, req.Body)
+// query) and relays the response. Every call but a trace is abandoned after
+// DeadAfter, like getJSON: a shard that never answers gets a 504, whose body
+// names id (a submit's minted ID) so the client can poll for that job rather
+// than resubmit it. A trace lives as long as its job and is bounded only by
+// its client. An NDJSON answer is flushed per chunk so traces pass through
+// live; any other keeps the shard's Content-Length and leaves in one write.
+func (r *Router) proxy(w http.ResponseWriter, req *http.Request, i int, path, id string) {
+	ctx := req.Context()
+	if req.Pattern != traceRoute {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.cfg.DeadAfter)
+		defer cancel()
+	}
+	out, err := http.NewRequestWithContext(ctx, req.Method, "http://"+r.cfg.Shards[i].Addr+path, req.Body)
 	if err != nil {
 		serve.WriteJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
 	}
+	out.ContentLength = req.ContentLength
 	if ct := req.Header.Get("Content-Type"); ct != "" {
 		out.Header.Set("Content-Type", ct)
 	}
 	resp, err := r.client.Do(out)
 	if err != nil {
 		r.mProxyErr.Inc()
-		serve.WriteJSON(w, http.StatusBadGateway, map[string]string{"error": fmt.Sprintf("shard %d (%s): %v", i, r.cfg.Shards[i].Addr, err)})
+		code, body := http.StatusBadGateway, map[string]string{"error": fmt.Sprintf("shard %d (%s): %v", i, r.cfg.Shards[i].Addr, err)}
+		if ctx.Err() == context.DeadlineExceeded {
+			code = http.StatusGatewayTimeout
+			if id != "" {
+				body["id"] = id
+			}
+		}
+		serve.WriteJSON(w, code, body)
 		return
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
+	ct := resp.Header.Get("Content-Type")
+	if ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
+	var flusher http.Flusher
+	if ct == "application/x-ndjson" {
+		flusher, _ = w.(http.Flusher)
+	} else if resp.ContentLength >= 0 {
+		w.Header()["Content-Length"] = resp.Header["Content-Length"]
+	}
 	w.WriteHeader(resp.StatusCode)
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
+	buf := copyBufs.Get().(*[32 * 1024]byte)
+	defer copyBufs.Put(buf)
 	for {
-		n, rerr := resp.Body.Read(buf)
+		n, rerr := resp.Body.Read(buf[:])
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return
