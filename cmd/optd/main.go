@@ -62,7 +62,7 @@ func main() {
 		fleetAddr  = flag.String("fleet-addr", "", "remote-worker registration address (empty = no remote fleet)")
 		maxConc    = flag.Int("max-concurrent", 4, "jobs running simultaneously")
 		workers    = flag.Int("workers", 0, "shared sampling fleet size (0 = GOMAXPROCS)")
-		schedPol   = flag.String("sched-policy", "fair", "fleet scheduling across tenants: fair (weighted fair-share) or fifo (single global queue)")
+		schedPol   = flag.String("sched-policy", "fair", "tenant order of costed in-process sampling on the shared pool: fair (weighted fair-share) or fifo (single global queue); optd sets no sampling cost, so no optd job reaches that pool")
 		ckptDir    = flag.String("checkpoint-dir", "", "durable checkpoint directory (empty = no durability)")
 		storeKind  = flag.String("store", "file", "durable job store kind: file (one file per job) or wal (append-only log)")
 		ckptEvery  = flag.Int("checkpoint-every", 20, "iterations between checkpoints")
@@ -77,8 +77,8 @@ func main() {
 	)
 	// -tenant-weight is repeatable: a bare integer sets the default
 	// fair-share weight every tenant inherits; NAME=W pins one tenant's
-	// weight. Weight w buys w fleet dispatch slots per weight-1 slot while
-	// both tenants are backlogged.
+	// weight. Weight w buys w shared-pool dispatch slots per weight-1 slot
+	// while both tenants are backlogged there (see jobs.Quota.Weight).
 	defaultWeight := 0
 	tenantWeights := map[string]int{}
 	flag.Func("tenant-weight", "fair-share weight, either W (default for all tenants) or NAME=W (repeatable)", func(v string) error {

@@ -130,24 +130,23 @@ func TestAdaptiveRestartLegResume(t *testing.T) {
 	}
 }
 
-// boundedSpace narrows a LocalSpace to the bare sim.Space interface, hiding
-// its RankedSampler face — modelling a backend (mw.Space) that pins every
-// live point to a bounded worker rank and cannot host the speculative
-// candidate prefetch.
+// boundedSpace wraps a LocalSpace in the bare sim.Space interface —
+// modelling a backend (mw.Space) that pins every live point to a bounded
+// worker rank and cannot host the speculative candidate prefetch.
 type boundedSpace struct{ sim.Space }
 
-// TestSpeculativeRequiresRankedSampler verifies the capability gate: on a
-// backend without RankedSampler (bounded live points), Speculative must fail
-// fast with a descriptive error instead of deadlocking in NewPoint.
-func TestSpeculativeRequiresRankedSampler(t *testing.T) {
+// TestSpeculativeRequiresLocalSpace verifies the capability gate: on a
+// backend other than *sim.LocalSpace (bounded live points), Speculative must
+// fail fast with a descriptive error instead of deadlocking in NewPoint.
+func TestSpeculativeRequiresLocalSpace(t *testing.T) {
 	inner := adaptiveSpace(1)
 	defer inner.Close()
 	cfg := DefaultConfig(DET)
 	cfg.Speculative = true
 	cfg.MaxIterations = 3
 	_, err := Optimize(boundedSpace{inner}, [][]float64{{1, 1}, {2, 1}, {1, 2}}, cfg)
-	if err == nil || !strings.Contains(err.Error(), "RankedSampler") {
-		t.Fatalf("speculative run on a non-ranked space: err = %v, want a RankedSampler capability error", err)
+	if err == nil || !strings.Contains(err.Error(), "requires a *sim.LocalSpace") {
+		t.Fatalf("speculative run on a bounded space: err = %v, want a *sim.LocalSpace capability error", err)
 	}
 	// The same gate must hold on the resume path (on a space that can
 	// snapshot but cannot host the prefetch).
@@ -156,8 +155,8 @@ func TestSpeculativeRequiresRankedSampler(t *testing.T) {
 		sim.Snapshotter
 	}
 	snap := &Snapshot{Version: SnapshotVersion, Dim: 2, Verts: make([]sim.PointState, 3)}
-	if _, err := Resume(boundedCkptSpace{inner, inner}, snap, cfg); err == nil || !strings.Contains(err.Error(), "RankedSampler") {
-		t.Fatalf("speculative resume on a non-ranked space: err = %v, want a RankedSampler capability error", err)
+	if _, err := Resume(boundedCkptSpace{inner, inner}, snap, cfg); err == nil || !strings.Contains(err.Error(), "requires a *sim.LocalSpace") {
+		t.Fatalf("speculative resume on a bounded space: err = %v, want a *sim.LocalSpace capability error", err)
 	}
 }
 

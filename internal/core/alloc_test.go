@@ -33,7 +33,7 @@ func TestResampleAllocBudget(t *testing.T) {
 		}
 		o.trials = append(o.trials, sp.NewPoint([]float64{1, 1, 1}))
 		for _, fresh := range [][]sim.Point{o.verts, o.trials} {
-			if err := o.sampleFresh(fresh, nil); err != nil {
+			if err := o.sampleFresh(fresh); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -61,52 +61,79 @@ func TestResampleAllocBudget(t *testing.T) {
 // sequential or speculative, trace included — allocates one object per
 // point it creates (counted from sim_points_total) plus the trace event's
 // copy of the best vertex, and nothing else: the candidate set, the batches
-// and the geometry are optimizer scratch.
+// and the geometry are optimizer scratch. A costed space adds the fixed
+// per-batch cost of a pool dispatch (counted from sim_batches_total), the
+// same for a speculative candidate batch as for any other: never a cost per
+// candidate.
 func TestStepAllocBudget(t *testing.T) {
 	points := obs.Default().Counter("sim_points_total")
+	batches := obs.Default().Counter("sim_batches_total")
+	pool := sched.New(sched.Config{Workers: 4})
+	defer pool.Close()
+	// A pool batch allocates the index closure SampleBatch hands to DoN,
+	// DoN's batch header and the participant method value it enqueues.
+	const perBatch = 3
 	const d = 8
-	for _, speculative := range []bool{false, true} {
-		sp := sim.NewLocalSpace(sim.LocalConfig{Dim: d, F: testfunc.Rosenbrock, Sigma0: sim.ConstSigma(10), Seed: 4, Parallel: true})
-		cfg := DefaultConfig(PC)
-		cfg.MaxWalltime = 0
-		cfg.Tol = 0
-		cfg.Speculative = speculative
-		cfg.Trace = func(TraceEvent) {}
-		o := newOptimizer(context.Background(), sp, cfg, d)
-		rng := rand.New(noise.NewSource(9))
-		for _, x := range initSimplex(d, -2, 2, rng) {
-			o.verts = append(o.verts, sp.NewPoint(x))
-		}
-		if err := o.sampleFresh(o.verts, nil); err != nil {
-			t.Fatal(err)
-		}
-		iteration := func() {
-			if err := o.stepPC(false); err != nil {
+	for _, row := range []struct {
+		name                string
+		costed, speculative bool
+	}{
+		{"in-caller sequential", false, false},
+		{"in-caller speculative", false, true},
+		{"pool sequential", true, false},
+		{"pool speculative", true, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			lc := sim.LocalConfig{Dim: d, F: testfunc.Rosenbrock, Sigma0: sim.ConstSigma(10), Seed: 4, Parallel: true}
+			if row.costed {
+				lc.Pool, lc.SampleCost = pool, func([]float64, float64) {}
+			}
+			sp := sim.NewLocalSpace(lc)
+			cfg := DefaultConfig(PC)
+			cfg.MaxWalltime = 0
+			cfg.Tol = 0
+			cfg.Speculative = row.speculative
+			cfg.Trace = func(TraceEvent) {}
+			o := newOptimizer(context.Background(), sp, cfg, d)
+			rng := rand.New(noise.NewSource(9))
+			for _, x := range initSimplex(d, -2, 2, rng) {
+				o.verts = append(o.verts, sp.NewPoint(x))
+			}
+			if err := o.sampleFresh(o.verts); err != nil {
 				t.Fatal(err)
 			}
-			o.emitTrace()
-		}
-		for i := 0; i < 50; i++ { // warm the scratch
-			iteration()
-		}
-		// Counted like testing.AllocsPerRun, without its rounding down.
-		const runs = 200
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		mallocs, created := ms.Mallocs, points.Value()
-		for i := 0; i < runs; i++ {
-			iteration()
-		}
-		runtime.ReadMemStats(&ms)
-		mallocs, created = ms.Mallocs-mallocs, points.Value()-created
-		// Points also take their share of the space's coordinate slabs, which
-		// hold 64 points once grown: 1/32 of a slab per point is ample, and
-		// still far below one stray allocation per iteration.
-		if budget := uint64(created+created/32) + runs; mallocs > budget {
-			t.Errorf("speculative=%v: %d allocations in %d iterations, budget %d (%d points created + slab share + 1 trace copy each)",
-				speculative, mallocs, runs, budget, created)
-		}
-		t.Logf("speculative=%v: %d allocations in %d iterations creating %d points", speculative, mallocs, runs, created)
+			iteration := func() {
+				if err := o.stepPC(false); err != nil {
+					t.Fatal(err)
+				}
+				o.emitTrace()
+			}
+			for i := 0; i < 50; i++ { // warm the scratch
+				iteration()
+			}
+			// Counted like testing.AllocsPerRun, without its rounding down.
+			const runs = 200
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs, created, sampled := ms.Mallocs, points.Value(), batches.Value()
+			for i := 0; i < runs; i++ {
+				iteration()
+			}
+			runtime.ReadMemStats(&ms)
+			mallocs, created, sampled = ms.Mallocs-mallocs, points.Value()-created, batches.Value()-sampled
+			// Points also take their share of the space's coordinate slabs,
+			// which hold 64 points once grown: 1/32 of a slab per point is
+			// ample, and still far below one stray allocation per iteration.
+			budget := uint64(created+created/32) + runs
+			if row.costed {
+				budget += perBatch * uint64(sampled)
+			}
+			if mallocs > budget {
+				t.Errorf("%d allocations in %d iterations, budget %d (%d points created + slab share + 1 trace copy each, %d batches)",
+					mallocs, runs, budget, created, sampled)
+			}
+			t.Logf("%d allocations in %d iterations creating %d points in %d batches", mallocs, runs, created, sampled)
+		})
 	}
 }

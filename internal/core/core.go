@@ -217,19 +217,19 @@ type Config struct {
 	// Speculative enables batch-speculative candidate evaluation: each
 	// simplex step submits the reflection, expansion and contraction
 	// candidates (plus the shrink vertices when a collapse is plausible) as
-	// ONE prioritized sampling batch before the decision, then selects the
-	// accepted move from the landed results and discards the rest. A step
-	// costs one batch round-trip instead of up to four sequential ones, so
-	// on a worker pool of >= 3 the per-step latency drops by the depth of
-	// the skipped round-trips (BENCHMARK.json's jobs.run_ms on
-	// local_compute, half of whose jobs are speculative). Speculative runs are
-	// bitwise-deterministic at any worker count (per-candidate noise
-	// streams are pre-assigned in a fixed order) but follow a different —
-	// equally valid — trajectory than sequential runs, because candidates
-	// draw different stream indices and the virtual clock advances once per
-	// batch. Requires a space implementing sim.RankedSampler (LocalSpace):
-	// backends that pin live points to a bounded worker pool (mw.Space)
-	// cannot host the prefetch and are rejected before any sampling.
+	// ONE sampling batch before the decision, listed (and so dispatched) in
+	// that order, then selects the accepted move from the landed results
+	// and discards the rest. A step costs one batch round-trip instead of up
+	// to four sequential ones, so on a worker pool of >= 3 the per-step
+	// latency drops by the depth of the skipped round-trips (BENCHMARK.json's
+	// jobs.run_ms on local_compute, half of whose jobs are speculative).
+	// Speculative runs are bitwise-deterministic at any worker count
+	// (per-candidate noise streams are pre-assigned in a fixed order) but
+	// follow a different — equally valid — trajectory than sequential runs,
+	// because candidates draw different stream indices and the virtual clock
+	// advances once per batch. Requires a *sim.LocalSpace: backends that pin
+	// live points to a bounded worker pool (mw.Space) cannot host the
+	// prefetch and are rejected before any sampling.
 	Speculative bool
 
 	// AdaptiveSamples enables variance-adaptive resampling of fresh points:

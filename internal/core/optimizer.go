@@ -76,7 +76,7 @@ func OptimizeContext(ctx context.Context, space sim.Space, initial [][]float64, 
 	}
 	// All initial vertices sample concurrently: the MW deployment keeps one
 	// worker per vertex busy from the start (section 3.1).
-	if err := o.sampleFresh(o.verts, nil); err != nil && o.term == "" {
+	if err := o.sampleFresh(o.verts); err != nil && o.term == "" {
 		o.finish()
 		return nil, err
 	}
@@ -195,16 +195,10 @@ func (o *optimizer) sampleAll(points []sim.Point, dt float64) error {
 // sampleFresh gives a batch of freshly created points their initial
 // allotment: the fixed InitialSample, or — under Config.AdaptiveSamples —
 // variance-adaptive growth from the current adaptive floor until every point
-// meets the confidence half-width. rank, when non-nil, orders the dispatch of
-// the first batch (the speculative step ranks candidates by how likely they
-// are to be consumed).
-func (o *optimizer) sampleFresh(points []sim.Point, rank func(i int) int) error {
+// meets the confidence half-width.
+func (o *optimizer) sampleFresh(points []sim.Point) error {
 	if !o.cfg.AdaptiveSamples {
-		err := sim.SampleBatchRanked(o.ctx, o.space, points, o.cfg.InitialSample, rank)
-		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			o.term = "canceled"
-		}
-		return err
+		return o.sampleAll(points, o.cfg.InitialSample)
 	}
 	maxRounds := o.cfg.AdaptiveMaxRounds
 	if maxRounds <= 0 {
@@ -221,7 +215,7 @@ func (o *optimizer) sampleFresh(points []sim.Point, rank func(i int) int) error 
 	if dt0 <= 0 {
 		dt0 = o.cfg.InitialSample // budget exhausted: minimal allotment, termination will fire
 	}
-	rounds, err := sim.SampleAdaptive(o.ctx, o.space, points, dt0, plan, rank)
+	rounds, err := sim.SampleAdaptive(o.ctx, o.space, points, dt0, plan)
 	o.res.AdaptiveRounds += rounds
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -402,7 +396,7 @@ func contractPoint(out, xmax, cent []float64) []float64 {
 func (o *optimizer) newSampled(x []float64) (sim.Point, error) {
 	p := o.space.NewPoint(x)
 	o.batch = append(o.batch[:0], p)
-	if err := o.sampleFresh(o.batch, nil); err != nil {
+	if err := o.sampleFresh(o.batch); err != nil {
 		p.Close()
 		return nil, err
 	}
@@ -431,7 +425,7 @@ func (o *optimizer) collapse(imin int) error {
 		o.verts[i] = p
 		o.batch = append(o.batch, p)
 	}
-	err := o.sampleFresh(o.batch, nil)
+	err := o.sampleFresh(o.batch)
 	o.level += o.d
 	o.res.Moves.Collapses++
 	return err

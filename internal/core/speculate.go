@@ -11,8 +11,8 @@ import (
 // instead of evaluating the simplex's candidate moves one round-trip at a
 // time (reflection, then maybe expansion, then maybe contraction, then maybe
 // the shrink vertices), a speculative step submits every candidate as ONE
-// prioritized sampling batch before the decision, selects the accepted move
-// from the landed results, and discards the rest. The candidateSet below is
+// sampling batch before the decision, selects the accepted move from the
+// landed results, and discards the rest. The candidateSet below is
 // the shared bookkeeping: the sequential path uses it in lazy mode (points
 // created on demand, bitwise identical to the pre-speculation driver), the
 // speculative path prefetches.
@@ -28,32 +28,17 @@ import (
 // the candidate prefetch keeps up to d+4 (with shrink, 2d+4) points live at
 // once, which deadlocks backends that pin every live point to a bounded
 // worker rank (mw.Space blocks in NewPoint once its d+3 ranks are taken).
-// sim.RankedSampler is the marker of a backend built for prioritized
-// wide batches (LocalSpace); anything else gets a descriptive error instead
-// of a hang.
+// *sim.LocalSpace, whose points are unbounded, is the backend built for such
+// wide batches; anything else gets a descriptive error instead of a hang.
 func checkSpeculative(space sim.Space, cfg Config) error {
 	if !cfg.Speculative {
 		return nil
 	}
-	if _, ok := space.(sim.RankedSampler); !ok {
-		return fmt.Errorf("core: Config.Speculative requires a space implementing sim.RankedSampler (unbounded live points); %T pins points to a bounded worker pool and would deadlock", space)
+	if _, ok := space.(*sim.LocalSpace); !ok {
+		return fmt.Errorf("core: Config.Speculative requires a *sim.LocalSpace (unbounded live points); %T pins points to a bounded worker pool and would deadlock", space)
 	}
 	return nil
 }
-
-// Dispatch ranks of the speculative batch: when the worker pool is narrower
-// than the batch, the candidates most likely to be consumed start first.
-const (
-	rankReflect = iota
-	rankExpand
-	rankContract
-	rankShrink
-)
-
-// speculativeRank ranks entry i of the speculative batch, which lists the
-// candidates in rank order: reflection, expansion, contraction, then every
-// shrink vertex.
-func speculativeRank(i int) int { return min(i, rankShrink) }
 
 // candidateSet owns the candidate moves of one simplex step: the reflection,
 // expansion and contraction trial points plus (speculatively) the shrink
@@ -72,9 +57,10 @@ type candidateSet struct {
 // newCandidates resets the optimizer's candidate set for a step whose
 // centroid is in o.cent. In speculative mode every candidate is created
 // (fixed order: reflection, expansion, contraction, then shrink vertices
-// when a collapse is plausible) and sampled as one ranked batch; otherwise
-// the set starts empty and candidates are created on demand, reproducing the
-// sequential driver exactly.
+// when a collapse is plausible) and sampled as one batch, which dispatches
+// in list order, so the candidates most likely to be consumed start first;
+// otherwise the set starts empty and candidates are created on demand,
+// reproducing the sequential driver exactly.
 func (o *optimizer) newCandidates(imax, imin int) (*candidateSet, error) {
 	cs := &o.cs
 	*cs = candidateSet{o: o, imax: imax, imin: imin, shrink: cs.shrink[:0]}
@@ -96,12 +82,12 @@ func (o *optimizer) newCandidates(imax, imin int) (*candidateSet, error) {
 	}
 	cs.speculated = true
 	cs.refresh()
-	if err := o.sampleFresh(o.trials, speculativeRank); err != nil {
-		// The aborted batch's candidates can never be consumed — the entries
-		// a worker had already picked up (and sampled) as much as the ones
-		// the abort withdrew before dispatch. Route them through the normal
-		// discard so each is counted in the waste accounting exactly once,
-		// instead of bypassing it with bare Closes.
+	if err := o.sampleFresh(o.trials); err != nil {
+		// The aborted batch's candidates can never be consumed — the ones a
+		// worker had already sampled as much as the ones the abort kept from
+		// dispatch. Route them through the normal discard so each is counted
+		// in the waste accounting exactly once, instead of bypassing it with
+		// bare Closes.
 		cs.discard()
 		return nil, err
 	}

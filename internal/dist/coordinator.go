@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -63,7 +63,7 @@ func (c *Config) normalize() {
 }
 
 // Coordinator owns the fleet: it accepts worker registrations, dispatches
-// prioritized sampling tasks over registered capacity, collects results,
+// sampling tasks over registered capacity in task-id order, collects results,
 // monitors heartbeats, and deterministically re-dispatches the outstanding
 // tasks of dead workers. It implements sim.FleetSampler, so it plugs into
 // sim.LocalSpace (LocalConfig.Fleet / UseFleet) underneath every optimizer.
@@ -75,7 +75,7 @@ type Coordinator struct {
 	ln       net.Listener             // guarded by mu
 	workers  map[string]*remoteWorker // guarded by mu
 	tasks    map[uint64]*task         // guarded by mu: live (queued or outstanding) tasks
-	queue    taskQueue                // guarded by mu
+	queue    []*task                  // guarded by mu: queued tasks, ascending id
 	nextTask uint64                   // guarded by mu
 	nextID   int                      // guarded by mu
 	closed   bool                     // guarded by mu
@@ -110,7 +110,6 @@ type remoteWorker struct {
 // task is one queued or outstanding sampling increment.
 type task struct {
 	id   uint64
-	prio int
 	wire Task
 	b    *batch
 	idx  int           // result slot in the owning batch
@@ -435,17 +434,16 @@ func (c *Coordinator) abandonBatchLocked(b *batch) {
 		c.queue[i] = nil
 	}
 	c.queue = c.queue[:n]
-	heap.Init(&c.queue)
 }
 
 // dispatchLocked assigns queued tasks to workers with free pipeline slots,
-// best task (lowest priority, then oldest) first, to the freest worker. A
-// worker's slot budget is pipelineDepth * capacity: capacity tasks executing
-// plus a queued reserve that hides the dispatch round-trip. Which worker
-// executes a task never affects its value — only when it lands.
+// lowest task id first, to the freest worker. A worker's slot budget is
+// pipelineDepth * capacity: capacity tasks executing plus a queued reserve
+// that hides the dispatch round-trip. Which worker executes a task never
+// affects its value — only when it lands.
 func (c *Coordinator) dispatchLocked() {
-	defer func() { mQueueDepth.Set(float64(c.queue.Len())) }()
-	for c.queue.Len() > 0 {
+	defer func() { mQueueDepth.Set(float64(len(c.queue))) }()
+	for len(c.queue) > 0 {
 		var best *remoteWorker
 		free := 0
 		//optlint:nondeterministic-ok max with a total-order tie-break on worker id, so map order cannot change the pick
@@ -461,7 +459,9 @@ func (c *Coordinator) dispatchLocked() {
 		if best == nil {
 			return
 		}
-		t := heap.Pop(&c.queue).(*task)
+		t := c.queue[0]
+		c.queue[0] = nil
+		c.queue = c.queue[1:]
 		if t.done {
 			continue
 		}
@@ -476,7 +476,7 @@ func (c *Coordinator) dispatchLocked() {
 			// cannot deadlock the coordinator under its own lock.
 			delete(best.outstanding, t.id)
 			t.w = nil
-			heap.Push(&c.queue, t)
+			c.requeueLocked(t)
 			go c.killWorker(best, "send queue overflow")
 			return
 		}
@@ -484,8 +484,9 @@ func (c *Coordinator) dispatchLocked() {
 }
 
 // killWorker declares a worker dead: its connection closes, its goroutines
-// stop, and its outstanding tasks are re-dispatched in ascending task order —
-// the deterministic re-dispatch rule. Idempotent.
+// stop, and its outstanding tasks merge back into the queue by id, so they
+// re-dispatch in ascending task order ahead of any task submitted after them
+// — the deterministic re-dispatch rule. Idempotent.
 func (c *Coordinator) killWorker(w *remoteWorker, reason string) {
 	c.mu.Lock()
 	if w.dead {
@@ -500,22 +501,17 @@ func (c *Coordinator) killWorker(w *remoteWorker, reason string) {
 	mWorkerDeaths.Inc()
 	mWorkersGauge.Dec()
 	orphans := make([]*task, 0, len(w.outstanding))
-	//optlint:nondeterministic-ok orphans are sorted by task id below before re-queueing
+	//optlint:nondeterministic-ok requeueLocked sorts the orphans into the queue by task id
 	for _, t := range w.outstanding {
-		orphans = append(orphans, t)
+		if !t.done {
+			t.w = nil
+			orphans = append(orphans, t)
+		}
 	}
 	w.outstanding = nil
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i].id < orphans[j].id })
-	requeued := 0
-	for _, t := range orphans {
-		if t.done {
-			continue
-		}
-		t.w = nil
-		heap.Push(&c.queue, t)
-		c.requeued++
-		requeued++
-	}
+	c.requeueLocked(orphans...)
+	requeued := len(orphans)
+	c.requeued += uint64(requeued)
 	mRedispatch.Add(int64(requeued))
 	c.dispatchLocked()
 	c.mu.Unlock()
@@ -523,6 +519,13 @@ func (c *Coordinator) killWorker(w *remoteWorker, reason string) {
 	if requeued > 0 {
 		c.cfg.Events.Event("redispatch", "worker", w.id, "tasks", requeued)
 	}
+}
+
+// requeueLocked merges previously dispatched tasks back into the queue in
+// task-id order.
+func (c *Coordinator) requeueLocked(ts ...*task) {
+	c.queue = append(c.queue, ts...)
+	slices.SortFunc(c.queue, func(x, y *task) int { return cmp.Compare(x.id, y.id) })
 }
 
 // janitor enforces the heartbeat timeout.
@@ -541,7 +544,7 @@ func (c *Coordinator) janitor() {
 		case now := <-ticker.C:
 			var stale []*remoteWorker
 			c.mu.Lock()
-			//optlint:nondeterministic-ok re-queued tasks land in the priority heap, whose total order absorbs collection order
+			//optlint:nondeterministic-ok re-queued tasks are sorted into the queue by task id, which absorbs collection order
 			for _, w := range c.workers {
 				if now.Sub(w.lastSeen) > c.cfg.Timeout {
 					stale = append(stale, w)
@@ -587,13 +590,13 @@ func (c *Coordinator) SampleFleet(ctx context.Context, reqs []sim.FleetRequest) 
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
+	// Task ids only grow, so appending keeps the queue sorted.
 	for i, r := range reqs {
 		c.nextTask++
 		t := &task{
-			id:   c.nextTask,
-			prio: r.Priority,
-			b:    b,
-			idx:  i,
+			id:  c.nextTask,
+			b:   b,
+			idx: i,
 			wire: Task{
 				ID:        c.nextTask,
 				Objective: r.Objective,
@@ -604,7 +607,7 @@ func (c *Coordinator) SampleFleet(ctx context.Context, reqs []sim.FleetRequest) 
 			},
 		}
 		c.tasks[t.id] = t
-		heap.Push(&c.queue, t)
+		c.queue = append(c.queue, t)
 	}
 	c.dispatchLocked()
 	c.mu.Unlock()
@@ -714,27 +717,4 @@ func (c *Coordinator) WaitWorkers(ctx context.Context, n int) error {
 		case <-ticker.C:
 		}
 	}
-}
-
-// taskQueue is a min-heap of queued tasks ordered by (priority, task id):
-// caller-ranked dispatch order, submission order within a rank — the same
-// rule as sched.Batch, carried over the network.
-type taskQueue []*task
-
-func (q taskQueue) Len() int { return len(q) }
-func (q taskQueue) Less(i, j int) bool {
-	if q[i].prio != q[j].prio {
-		return q[i].prio < q[j].prio
-	}
-	return q[i].id < q[j].id
-}
-func (q taskQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *taskQueue) Push(x any)   { *q = append(*q, x.(*task)) }
-func (q *taskQueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return t
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -85,7 +86,6 @@ func TestFleetSampleMatchesLocalDraws(t *testing.T) {
 			Seed:      rng.Int63(),
 			Skip:      rng.Intn(6),
 			Dt:        0.1,
-			Priority:  rng.Intn(3),
 		}
 	}
 	res, err := c.SampleFleet(context.Background(), reqs)
@@ -112,43 +112,117 @@ func TestFleetSampleMatchesLocalDraws(t *testing.T) {
 	}
 }
 
-// TestFleetPriorityOrder checks dispatch follows (priority, submission)
-// order on a capacity-1 fleet, the same rule sched.Batch applies in-process.
-func TestFleetPriorityOrder(t *testing.T) {
-	c := newTestCoordinator(t, Config{})
-	var mu sync.Mutex
-	var order []float64
-	objectives := map[string]func([]float64) float64{
-		"record": func(x []float64) float64 {
+// TestFleetDispatchOrder checks the coordinator's one ordering rule on
+// capacity-1 agents, where execution order is dispatch order: queued tasks
+// dispatch in ascending task id. Batches therefore run in submission order,
+// each in list order, and the orphans of a dead agent re-dispatch ahead of
+// every task queued after them.
+func TestFleetDispatchOrder(t *testing.T) {
+	// recorder returns a "record" objective that logs x[0] once gate opens.
+	recorder := func(gate <-chan struct{}) (map[string]func([]float64) float64, func() []float64) {
+		var mu sync.Mutex
+		var order []float64
+		objectives := map[string]func([]float64) float64{
+			"record": func(x []float64) float64 {
+				<-gate
+				mu.Lock()
+				order = append(order, x[0])
+				mu.Unlock()
+				return x[0]
+			},
+		}
+		return objectives, func() []float64 {
 			mu.Lock()
-			order = append(order, x[0])
-			mu.Unlock()
-			return x[0]
-		},
+			defer mu.Unlock()
+			return slices.Clone(order)
+		}
 	}
-	startWorker(t, c, WorkerConfig{Name: "solo", Capacity: 1, Objectives: objectives})
+	batch := func(xs ...float64) []sim.FleetRequest {
+		reqs := make([]sim.FleetRequest, len(xs))
+		for i, x := range xs {
+			reqs[i] = sim.FleetRequest{Objective: "record", X: []float64{x}, Seed: int64(x), Dt: 0.1}
+		}
+		return reqs
+	}
+	// submit runs SampleFleet in the background; wait joins it.
+	submit := func(t *testing.T, c *Coordinator, reqs []sim.FleetRequest) (wait func()) {
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.SampleFleet(context.Background(), reqs)
+			done <- err
+		}()
+		return func() {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("batch did not complete")
+			}
+		}
+	}
+	awaitQueue := func(t *testing.T, c *Coordinator, queued, outstanding int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			st := c.Status()
+			if st.QueuedTasks == queued && st.OutstandingTasks == outstanding {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("fleet never reached %d queued, %d outstanding: %+v", queued, outstanding, st)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	check := func(t *testing.T, got, want []float64) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("execution order %v, want %v", got, want)
+		}
+	}
 
-	reqs := make([]sim.FleetRequest, 6)
-	for i := range reqs {
-		reqs[i] = sim.FleetRequest{
-			Objective: "record",
-			X:         []float64{float64(i)},
-			Seed:      int64(i),
-			Dt:        0.1,
-			Priority:  5 - i, // reverse: the last submission must run first
-		}
-	}
-	if _, err := c.SampleFleet(context.Background(), reqs); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []float64{5, 4, 3, 2, 1, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("execution order %v, want %v", order, want)
-		}
-	}
+	t.Run("batches", func(t *testing.T) {
+		c := newTestCoordinator(t, Config{})
+		gate := make(chan struct{})
+		objectives, order := recorder(gate)
+		startWorker(t, c, WorkerConfig{Name: "solo", Capacity: 1, Objectives: objectives})
+		// The agent holds two of the first batch (one executing, one in its
+		// pipeline); everything else waits in the coordinator's queue.
+		waitFirst := submit(t, c, batch(0, 1, 2))
+		awaitQueue(t, c, 1, 2)
+		waitSecond := submit(t, c, batch(10, 11, 12))
+		awaitQueue(t, c, 4, 2)
+		close(gate)
+		waitFirst()
+		waitSecond()
+		check(t, order(), []float64{0, 1, 2, 10, 11, 12})
+	})
+
+	t.Run("orphans", func(t *testing.T) {
+		c := newTestCoordinator(t, Config{})
+		release := make(chan struct{})
+		defer close(release)
+		blocking, _ := recorder(release)
+		stopDoomed := startWorker(t, c, WorkerConfig{Name: "doomed", Capacity: 1, Objectives: blocking})
+		// Tasks 1 and 2 go to the doomed agent, 3 and 4 stay queued, then a
+		// later batch queues 5 and 6 behind them.
+		waitFirst := submit(t, c, batch(0, 1, 2, 3))
+		awaitQueue(t, c, 2, 2)
+		waitSecond := submit(t, c, batch(10, 11))
+		awaitQueue(t, c, 4, 2)
+		stopDoomed()
+		awaitQueue(t, c, 6, 0)
+
+		open := make(chan struct{})
+		close(open)
+		objectives, order := recorder(open)
+		startWorker(t, c, WorkerConfig{Name: "survivor", Capacity: 1, Objectives: objectives})
+		waitFirst()
+		waitSecond()
+		check(t, order(), []float64{0, 1, 2, 3, 10, 11})
+	})
 }
 
 // TestFleetRedispatchOnWorkerDeath kills an agent while it holds dispatched
@@ -507,7 +581,6 @@ func TestFleetConcurrentBatches(t *testing.T) {
 						Seed:      rng.Int63(),
 						Skip:      rng.Intn(4),
 						Dt:        0.1,
-						Priority:  rng.Intn(2),
 					}
 				}
 				res, err := c.SampleFleet(context.Background(), reqs)

@@ -83,7 +83,6 @@ func TestFleetStressChaos(t *testing.T) {
 						Seed:      rng.Int63(),
 						Skip:      rng.Intn(5),
 						Dt:        0.1,
-						Priority:  rng.Intn(3),
 					}
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

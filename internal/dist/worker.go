@@ -178,7 +178,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	// sent as soon as it lands, so a slow task never holds back its
 	// batch-mates, and the read loop never blocks on execution capacity.
 	// FIFO handoff keeps execution in dispatch order (a capacity-1 agent runs
-	// tasks exactly in the coordinator's priority order, pipeline or not).
+	// tasks exactly in the coordinator's task-id order, pipeline or not).
 	taskq := make(chan Task, pipelineDepth*w.cfg.Capacity)
 	var tasks sync.WaitGroup
 	for i := 0; i < w.cfg.Capacity; i++ {

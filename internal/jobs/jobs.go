@@ -148,10 +148,14 @@ type Config struct {
 	// increments on (see SampleCost; without one a job's noise draws run on
 	// its own goroutine). Zero selects GOMAXPROCS.
 	Workers int
-	// SchedPolicy selects how the shared fleet orders batch tasks across
-	// tenants: "fair" (default) is weighted fair-share by Quota.Weight,
-	// "fifo" is the single-global-queue baseline the serving benchmark
-	// contrasts it against.
+	// SchedPolicy selects how the shared sched pool orders batch tasks
+	// across tenants: "fair" (default) is weighted fair-share by
+	// Quota.Weight, "fifo" is the single-global-queue baseline. Only costed
+	// in-process sampling (SampleCost set) reaches that pool: a cost-free
+	// job samples in its caller, a Spec.Workers job gets a private pool with
+	// no tenant, and a Spec.Fleet job goes to the dist coordinator, which
+	// ignores tenants. Moving fair share to the fleet is the ROADMAP item
+	// "Put fair share where the compute runs".
 	SchedPolicy string
 	// Store, when non-nil, is the durable job store: every accepted job is
 	// recorded in it at submission (so a killed-while-queued job survives),

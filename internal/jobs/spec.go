@@ -77,7 +77,7 @@ type Spec struct {
 	Fleet bool `json:"fleet,omitempty"`
 	// Speculative enables batch-speculative candidate evaluation for
 	// NM-family strategies: every candidate move of a simplex step is
-	// submitted as one prioritized sampling batch before the decision. Runs
+	// submitted as one sampling batch before the decision. Runs
 	// stay bitwise-deterministic and checkpoint/resume-exact.
 	Speculative bool `json:"speculative,omitempty"`
 	// AdaptiveHalfWidth, when positive, enables variance-adaptive
@@ -216,8 +216,8 @@ func (m *Manager) space(spec Spec) (*sim.LocalSpace, error) {
 		cfg.Workers = spec.Workers
 	default:
 		cfg.Pool = m.pool
-		// Costed batches go to the shared fleet charged to the job's
-		// tenant, so the scheduler can divide fleet capacity by
+		// Costed batches go to the shared pool charged to the job's
+		// tenant, so the scheduler can divide pool capacity by
 		// Quota.Weight.
 		cfg.Tenant = tenantOf(spec.Tenant)
 	}

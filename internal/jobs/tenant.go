@@ -38,11 +38,12 @@ type Quota struct {
 	RatePerSec float64 `json:"rate_per_sec,omitempty"`
 	// Burst is the bucket depth; zero selects ceil(RatePerSec), min 1.
 	Burst int `json:"burst,omitempty"`
-	// Weight is the tenant's fair-share weight on the sampling fleet: while
-	// tenants are backlogged, a weight-w tenant's batches receive w fleet
-	// dispatch slots per weight-1 slot (see sched.FairShare). Zero selects
-	// 1. Unlike the other fields it shapes capacity rather than bounding
-	// it: an idle fleet still serves any tenant at full speed.
+	// Weight is the tenant's fair-share weight on the manager's shared sched
+	// pool: while tenants are backlogged there, a weight-w tenant's batches
+	// receive w dispatch slots per weight-1 slot (see sched.FairShare). Only
+	// costed in-process sampling reaches that pool (see Config.SchedPolicy).
+	// Zero selects 1. Unlike the other fields it shapes capacity rather than
+	// bounding it: an idle pool still serves any tenant at full speed.
 	Weight int `json:"weight,omitempty"`
 }
 

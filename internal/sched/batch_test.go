@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestBatchPriorityOrder verifies entries dispatch in ascending priority
+// TestBatchPriorityOrder verifies tasks dispatch in ascending priority
 // (stable within a priority) on a serial scheduler, where dispatch order is
 // exactly execution order.
 func TestBatchPriorityOrder(t *testing.T) {
@@ -22,7 +22,7 @@ func TestBatchPriorityOrder(t *testing.T) {
 	if err := b.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 3, 4, 2, 0} // prio 0 entries in submission order, then 1, 2, 3
+	want := []int{1, 3, 4, 2, 0} // prio 0 tasks in submission order, then 1, 2, 3
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("execution order %v, want %v", got, want)
@@ -30,38 +30,8 @@ func TestBatchPriorityOrder(t *testing.T) {
 	}
 }
 
-// TestBatchCancelEntry verifies a canceled entry never runs and the rest of
-// the batch completes, at both worker counts.
-func TestBatchCancelEntry(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s := New(Config{Workers: workers})
-		b := s.NewBatch()
-		var ran atomic.Int32
-		e := b.Submit(1, func() { t.Error("canceled entry ran") })
-		for i := 0; i < 5; i++ {
-			b.Submit(2, func() { ran.Add(1) })
-		}
-		if !e.Cancel() {
-			t.Fatal("Cancel before Wait returned false")
-		}
-		if !e.Canceled() {
-			t.Fatal("Canceled() false after Cancel")
-		}
-		if err := b.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if ran.Load() != 5 {
-			t.Fatalf("workers=%d: %d live entries ran, want 5", workers, ran.Load())
-		}
-		if e.Cancel() {
-			t.Error("second Cancel reported a fresh withdrawal")
-		}
-		s.Close()
-	}
-}
-
-// TestBatchContextCancel verifies a context cancellation mid-batch withdraws
-// the pending entries (reported via Canceled) and returns ctx.Err().
+// TestBatchContextCancel verifies a context cancellation mid-batch stops
+// dispatch and returns ctx.Err().
 func TestBatchContextCancel(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -70,16 +40,16 @@ func TestBatchContextCancel(t *testing.T) {
 
 	release := make(chan struct{})
 	started := make(chan struct{}, 2)
-	var entries []*Entry
-	// Two blockers occupy both workers, then many pending entries.
+	var ran atomic.Int32
+	// Two blockers occupy both workers, then many pending tasks.
 	for i := 0; i < 2; i++ {
-		entries = append(entries, b.Submit(0, func() {
+		b.Submit(0, func() {
 			started <- struct{}{}
 			<-release
-		}))
+		})
 	}
 	for i := 0; i < 8; i++ {
-		entries = append(entries, b.Submit(1, func() {}))
+		b.Submit(1, func() { ran.Add(1) })
 	}
 
 	var wg sync.WaitGroup
@@ -97,69 +67,13 @@ func TestBatchContextCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait returned %v, want context.Canceled", err)
 	}
-	canceled := 0
-	for _, e := range entries {
-		if e.Canceled() {
-			canceled++
-		}
-	}
-	if canceled == 0 {
-		t.Error("no pending entries were withdrawn on context cancellation")
+	if n := ran.Load(); n != 0 {
+		t.Errorf("%d pending tasks ran after the context was canceled", n)
 	}
 }
 
 // TestBatchPanicPropagates verifies a task panic re-raises on the Wait
 // caller after the batch drains, matching DoN.
-// TestBatchAbortEntryAccountedOnce is the waste-accounting regression test
-// at the sched level: when a batch aborts mid-flight, every entry must end
-// in exactly one of two states — executed once with Canceled() false (a
-// worker picked it up), or never executed with Canceled() true (withdrawn) —
-// and never both or neither. Callers that bill discarded work (the
-// speculative driver's Result.SpeculativeWaste) rely on this to count each
-// entry exactly once.
-func TestBatchAbortEntryAccountedOnce(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s := New(Config{Workers: workers})
-		defer s.Close()
-		for trial := 0; trial < 20; trial++ {
-			ctx, cancel := context.WithCancel(context.Background())
-			b := s.NewBatch()
-			const n = 12
-			runs := make([]atomic.Int32, n)
-			entries := make([]*Entry, n)
-			for i := 0; i < n; i++ {
-				i := i
-				entries[i] = b.Submit(i%3, func() {
-					runs[i].Add(1)
-					if runs[i].Load() == 1 && i == trial%n {
-						// Abort while this entry is executing: it was picked
-						// up by a worker, so it must count as run, not as
-						// canceled.
-						cancel()
-					}
-				})
-			}
-			err := b.Wait(ctx)
-			if err != nil && err != context.Canceled {
-				t.Fatal(err)
-			}
-			cancel()
-			for i, e := range entries {
-				ran := int(runs[i].Load())
-				if ran > 1 {
-					t.Fatalf("workers=%d trial=%d: entry %d executed %d times", workers, trial, i, ran)
-				}
-				if ran == 1 && e.Canceled() {
-					t.Fatalf("workers=%d trial=%d: entry %d both executed and Canceled — a waste accountant would bill it twice", workers, trial, i)
-				}
-				if ran == 0 && !e.Canceled() {
-					t.Fatalf("workers=%d trial=%d: entry %d neither executed nor Canceled — a waste accountant would miss it", workers, trial, i)
-				}
-			}
-		}
-	}
-}
-
 func TestBatchPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		s := New(Config{Workers: workers})

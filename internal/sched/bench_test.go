@@ -42,15 +42,33 @@ func BenchmarkBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatchOverhead measures the pure scheduling cost with empty
-// tasks: what a batch pays when the objective is too cheap to parallelize.
+// BenchmarkDispatchOverhead measures the pure scheduling cost of a batch of
+// 16 empty tasks: what a batch pays when the objective is too cheap to
+// parallelize. /Batch runs the same batch through Batch, whose stable sort
+// by priority sits in front of the same DoN.
 func BenchmarkDispatchOverhead(b *testing.B) {
+	const batch = 16
+	noop := func() {}
 	s := New(Config{Workers: 4})
 	defer s.Close()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := s.DoN(context.Background(), 16, func(int) {}); err != nil {
-			b.Fatal(err)
+	b.Run("DoN", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := s.DoN(context.Background(), batch, func(int) {}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("Batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bt := s.NewBatch()
+			for k := 0; k < batch; k++ {
+				bt.Submit(k, noop)
+			}
+			if err := bt.Wait(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

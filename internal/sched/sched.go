@@ -70,11 +70,11 @@ type Config struct {
 // safe for concurrent use by multiple goroutines, though the sampling
 // backends serialize batches themselves (one batch per simplex decision).
 //
-// Concurrent submissions land in per-tenant run queues (see DoNAs and
-// NewBatchAs; the untenanted entry points use the "" tenant) and workers
-// drain them under the configured Policy. Within one tenant, tasks dispatch
-// in submission order; across tenants, FairShare interleaves queues by
-// weighted stride round-robin. Fairness never changes results — draws are
+// Concurrent submissions land in per-tenant run queues (see DoNAs; the
+// untenanted entry points use the "" tenant) and workers drain them under
+// the configured Policy. Within one tenant, tasks dispatch in submission
+// order; across tenants, FairShare interleaves queues by weighted stride
+// round-robin. Fairness never changes results — draws are
 // pure functions of (stream seed, draw index) — only who waits.
 type Scheduler struct {
 	workers int

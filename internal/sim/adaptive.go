@@ -5,76 +5,12 @@ import (
 	"math"
 )
 
-// This file is the sampling layer's face of the two batch-shape upgrades the
-// speculative driver rides on:
-//
-//   - ranked batches: a speculative simplex step submits every candidate move
-//     as one batch, but when the worker pool is narrower than the batch the
-//     dispatch order matters — the reflection (always consumed) should run
-//     before the expansion (consumed only on a new best) and the shrink
-//     vertices (consumed only on a collapse). SampleBatchRanked carries that
-//     ordering down to the sched priority queue.
-//   - adaptive sampling: instead of a fixed initial allotment, a fresh point
-//     is sampled in geometrically growing rounds until the confidence
-//     half-width of its estimate (z * sigma, with sigma the backend's
-//     Welford-based estimate under SigmaEstimated) meets a target. The gate
-//     reads only completed-batch state, so which points continue is a pure
-//     function of the noise streams — deterministic at any worker count.
-
-// RankedSampler is the optional prioritized face of a Space: SampleBatch
-// whose dispatch order follows a caller-supplied rank (lower ranks start
-// first when workers are scarce). Ranks affect real scheduling only, never
-// results: per-point noise streams make the outcome independent of execution
-// order.
-type RankedSampler interface {
-	// SampleBatchRanked samples every point for dt virtual seconds,
-	// dispatching in ascending rank(i) order. Semantics otherwise match
-	// BatchSampler.SampleBatch.
-	SampleBatchRanked(ctx context.Context, points []Point, dt float64, rank func(i int) int) error
-}
-
-// SampleBatchRanked samples the batch through the space's ranked path when it
-// has one, else through the plain concurrent path (ranks dropped). A nil rank
-// degrades to SampleBatch.
-func SampleBatchRanked(ctx context.Context, space Space, points []Point, dt float64, rank func(i int) int) error {
-	if rank != nil {
-		if rs, ok := space.(RankedSampler); ok {
-			return rs.SampleBatchRanked(ctx, points, dt, rank)
-		}
-	}
-	return SampleBatch(ctx, space, points, dt)
-}
-
-// SampleBatchRanked implements RankedSampler: the batch is submitted to the
-// sched pool as prioritized entries, so low-rank points dispatch first. On
-// cancellation the not-yet-started entries are withdrawn (sched.Entry.Cancel)
-// and the wall clock does not advance. A cost-free space queues nothing, so
-// its rank is dropped.
-func (s *LocalSpace) SampleBatchRanked(ctx context.Context, points []Point, dt float64, rank func(i int) int) error {
-	if len(points) == 0 {
-		return ctx.Err()
-	}
-	if rank == nil {
-		return s.SampleBatch(ctx, points, dt)
-	}
-	if s.cfg.Fleet != nil {
-		return s.sampleFleet(ctx, s.checkBatch(points), dt, rank)
-	}
-	if s.pool == nil {
-		return s.sampleInCaller(ctx, points, dt)
-	}
-	lps := s.checkBatch(points)
-	b := s.pool.NewBatchAs(s.cfg.Tenant)
-	for i, lp := range lps {
-		lp := lp
-		b.Submit(rank(i), func() { lp.sample(dt) })
-	}
-	if err := b.Wait(ctx); err != nil {
-		return err
-	}
-	s.advanceBatch(len(points), dt)
-	return nil
-}
+// Adaptive sampling: instead of a fixed initial allotment, a fresh point is
+// sampled in geometrically growing rounds until the confidence half-width of
+// its estimate (z * sigma, with sigma the backend's Welford-based estimate
+// under SigmaEstimated) meets a target. The gate reads only completed-batch
+// state, so which points continue is a pure function of the noise streams —
+// deterministic at any worker count.
 
 // AdaptivePlan configures variance-adaptive sampling of a batch of fresh
 // points.
@@ -125,7 +61,7 @@ func (p *AdaptivePlan) resolved(pt Point) bool {
 }
 
 // SampleAdaptive gives a batch of fresh points a variance-adaptive sampling
-// allotment: every point first samples dt0 (one ranked batch), then the
+// allotment: every point first samples dt0 (one batch), then the
 // points whose confidence half-width is still above the plan's target sample
 // additional geometrically growing rounds until all resolve, the round cap is
 // reached, or the clamp exhausts the budget. It returns the number of growth
@@ -136,8 +72,8 @@ func (p *AdaptivePlan) resolved(pt Point) bool {
 // pure function of its private noise stream and its own sampling history, so
 // the rounds — and every sampled value — are bitwise identical at any worker
 // count.
-func SampleAdaptive(ctx context.Context, space Space, points []Point, dt0 float64, plan AdaptivePlan, rank func(i int) int) (rounds int, err error) {
-	if err := SampleBatchRanked(ctx, space, points, dt0, rank); err != nil {
+func SampleAdaptive(ctx context.Context, space Space, points []Point, dt0 float64, plan AdaptivePlan) (rounds int, err error) {
+	if err := SampleBatch(ctx, space, points, dt0); err != nil {
 		return 0, err
 	}
 	dt := dt0 * plan.grow()

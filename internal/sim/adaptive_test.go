@@ -27,7 +27,7 @@ func TestSampleAdaptiveReachesHalfWidth(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		s := adaptiveTestSpace(workers)
 		pts := []Point{s.NewPoint([]float64{1, 0}), s.NewPoint([]float64{0, 1}), s.NewPoint([]float64{1, 1})}
-		rounds, err := SampleAdaptive(context.Background(), s, pts, 1, plan, nil)
+		rounds, err := SampleAdaptive(context.Background(), s, pts, 1, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestSampleAdaptiveRoundCap(t *testing.T) {
 	s := adaptiveTestSpace(1)
 	pts := []Point{s.NewPoint([]float64{1, 1})}
 	rounds, err := SampleAdaptive(context.Background(), s, pts, 1,
-		AdaptivePlan{HalfWidth: 1e-12, Grow: 2, MaxRounds: 3}, nil)
+		AdaptivePlan{HalfWidth: 1e-12, Grow: 2, MaxRounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSampleAdaptiveClampStops(t *testing.T) {
 	budget := 5.0
 	clamp := func(dt float64) float64 { return math.Min(dt, budget-s.Clock().Now()) }
 	rounds, err := SampleAdaptive(context.Background(), s, pts, 1,
-		AdaptivePlan{HalfWidth: 1e-12, Grow: 2, MaxRounds: 50, Clamp: clamp}, nil)
+		AdaptivePlan{HalfWidth: 1e-12, Grow: 2, MaxRounds: 50, Clamp: clamp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,31 +89,5 @@ func TestSampleAdaptiveClampStops(t *testing.T) {
 	}
 	if now := s.Clock().Now(); now > budget {
 		t.Fatalf("clock %v overshot the clamp budget %v", now, budget)
-	}
-}
-
-// TestSampleBatchRankedMatchesPlain verifies ranks change scheduling only:
-// the sampled estimates are bitwise identical to the unranked path, and a
-// nil-rank call degrades to SampleBatch even through the helper.
-func TestSampleBatchRankedMatchesPlain(t *testing.T) {
-	run := func(rank func(int) int) []Estimate {
-		s := adaptiveTestSpace(4)
-		defer s.Close()
-		pts := []Point{s.NewPoint([]float64{1, 0}), s.NewPoint([]float64{0, 1}), s.NewPoint([]float64{2, 2})}
-		if err := SampleBatchRanked(context.Background(), s, pts, 1.5, rank); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]Estimate, len(pts))
-		for i, p := range pts {
-			out[i] = p.Estimate()
-		}
-		return out
-	}
-	plain := run(nil)
-	ranked := run(func(i int) int { return -i }) // reverse priority
-	for i := range plain {
-		if plain[i] != ranked[i] {
-			t.Errorf("point %d: ranked estimate %+v differs from plain %+v", i, ranked[i], plain[i])
-		}
 	}
 }

@@ -27,17 +27,13 @@ func TestSampleBatchAllocBudget(t *testing.T) {
 		defer pool.Close()
 		s := NewLocalSpace(LocalConfig{Dim: 2, F: func(x []float64) float64 { return x[0] * x[0] }, Sigma0: ConstSigma(0.5), Seed: 3, Pool: pool})
 		ps := points(s, 16)
-		rank := func(i int) int { return -i }
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := s.SampleBatch(ctx, ps, 0.01); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.SampleBatchRanked(ctx, ps, 0.01, rank); err != nil {
-				t.Fatal(err)
-			}
 		})
 		if allocs != 0 {
-			t.Errorf("in-caller SampleBatch+SampleBatchRanked(16): %.1f allocs per call, want 0", allocs)
+			t.Errorf("in-caller SampleBatch(16): %.1f allocs per call, want 0", allocs)
 		}
 	})
 

@@ -24,8 +24,8 @@ import (
 // value.
 
 // FleetRequest is one sampling increment to execute remotely: the identity of
-// the draw (Seed, Skip), the evaluation the worker performs (Objective at X,
-// the expensive simulation being farmed out), and the dispatch priority.
+// the draw (Seed, Skip) and the evaluation the worker performs (Objective at
+// X, the expensive simulation being farmed out).
 type FleetRequest struct {
 	// Objective names the objective function in the worker's catalog.
 	Objective string
@@ -38,9 +38,6 @@ type FleetRequest struct {
 	Skip int
 	// Dt is the sampling increment in virtual seconds.
 	Dt float64
-	// Priority orders dispatch when the fleet is narrower than the batch
-	// (lower dispatches earlier). It never affects values, only scheduling.
-	Priority int
 }
 
 // FleetResult is the worker's answer to one FleetRequest.
@@ -56,7 +53,7 @@ type FleetResult struct {
 // FleetSampler is a remote sampling backend: a batch of increments executed
 // by worker agents beyond this process. internal/dist's Coordinator
 // implements it; a LocalSpace configured with one (LocalConfig.Fleet or
-// UseFleet) routes SampleBatch / SampleBatchRanked through it.
+// UseFleet) routes SampleBatch through it.
 type FleetSampler interface {
 	// SampleFleet executes every request and returns the results in request
 	// order, blocking until all have landed or ctx ends. On a non-nil error
@@ -88,23 +85,19 @@ func (s *LocalSpace) UseFleet(fleet FleetSampler, objective string) error {
 	return nil
 }
 
-// sampleFleet executes one batch remotely: one request per point, priorities
-// from the caller's rank, results applied to the points' streams in point
-// order. The virtual-clock accounting is identical to the in-process path.
-func (s *LocalSpace) sampleFleet(ctx context.Context, lps []*localPoint, dt float64, rank func(i int) int) error {
+// sampleFleet executes one batch remotely: one request per point, listed
+// (and so dispatched) in point order, results applied to the points' streams
+// in the same order. The virtual-clock accounting is identical to the
+// in-process path.
+func (s *LocalSpace) sampleFleet(ctx context.Context, lps []*localPoint, dt float64) error {
 	reqs := make([]FleetRequest, len(lps))
 	for i, lp := range lps {
-		prio := 0
-		if rank != nil {
-			prio = rank(i)
-		}
 		reqs[i] = FleetRequest{
 			Objective: s.cfg.FleetObjective,
 			X:         lp.x,
 			Seed:      sched.StreamSeed(s.cfg.Seed, lp.streamIdx),
 			Skip:      lp.stream.Increments(),
 			Dt:        dt,
-			Priority:  prio,
 		}
 	}
 	res, err := s.cfg.Fleet.SampleFleet(ctx, reqs)

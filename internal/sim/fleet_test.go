@@ -77,19 +77,9 @@ func TestFleetMatchesInProcess(t *testing.T) {
 		t.Fatalf("fleet saw %d requests for %d evaluations", len(fleet.reqs), remote.Evaluations())
 	}
 	for _, r := range fleet.reqs {
-		if r.Objective != "rosenbrock" || r.Priority != 0 {
+		if r.Objective != "rosenbrock" {
 			t.Fatalf("unexpected request %+v", r)
 		}
-	}
-
-	// The ranked entry point carries the caller's rank as the priority.
-	fleet.reqs = nil
-	pts := []Point{remote.NewPoint([]float64{1, 2, 3}), remote.NewPoint([]float64{3, 2, 1})}
-	if err := remote.SampleBatchRanked(context.Background(), pts, 1, func(i int) int { return 10 - i }); err != nil {
-		t.Fatal(err)
-	}
-	if len(fleet.reqs) != 2 || fleet.reqs[0].Priority != 10 || fleet.reqs[1].Priority != 9 {
-		t.Fatalf("ranked requests = %+v", fleet.reqs)
 	}
 }
 

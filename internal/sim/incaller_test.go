@@ -13,7 +13,7 @@ import (
 // in-caller path onto the pool.
 func noCost([]float64, float64) {}
 
-// entryPoints drives one batch through each of the three sampling entry
+// entryPoints drives one batch through each of the two sampling entry
 // points and returns every point's final estimate.
 func entryPoints(s *LocalSpace) ([]Estimate, error) {
 	ctx := context.Background()
@@ -21,13 +21,9 @@ func entryPoints(s *LocalSpace) ([]Estimate, error) {
 	for i := range pts {
 		pts[i] = s.NewPoint([]float64{float64(i), 1 - float64(i)})
 	}
-	reverse := func(i int) int { return -i }
 	err := s.SampleBatch(ctx, pts, 0.5)
 	if err == nil {
-		err = s.SampleBatchRanked(ctx, pts, 0.25, reverse)
-	}
-	if err == nil {
-		_, err = SampleAdaptive(ctx, s, pts, 1, AdaptivePlan{HalfWidth: 0.5, Z: 2, Grow: 2, MaxRounds: 30}, reverse)
+		_, err = SampleAdaptive(ctx, s, pts, 1, AdaptivePlan{HalfWidth: 0.5, Z: 2, Grow: 2, MaxRounds: 30})
 	}
 	out := make([]Estimate, len(pts))
 	for i, p := range pts {
@@ -116,14 +112,11 @@ func TestCostFreeSpaceStaysOffThePool(t *testing.T) {
 	if err := remote.SampleBatch(ctx, pts, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := remote.SampleBatchRanked(ctx, pts, 1, func(i int) int { return i }); err != nil {
+	if _, err := SampleAdaptive(ctx, remote, pts, 1, AdaptivePlan{HalfWidth: 1e-9, Grow: 2, MaxRounds: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SampleAdaptive(ctx, remote, pts, 1, AdaptivePlan{HalfWidth: 1e-9, Grow: 2, MaxRounds: 2}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := int64(len(fleet.reqs)), remote.Evaluations(); got != want || want != 10 {
-		t.Errorf("fleet saw %d requests for %d evaluations, want 10 of each", got, want)
+	if got, want := int64(len(fleet.reqs)), remote.Evaluations(); got != want || want != 8 {
+		t.Errorf("fleet saw %d requests for %d evaluations, want 8 of each", got, want)
 	}
 	if n := pool.Dispatched(); n != 0 {
 		t.Errorf("fleet-backed space dispatched %d tasks on the offered pool", n)
@@ -140,14 +133,10 @@ func TestInCallerPreCanceled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rank := func(i int) int { return i }
 	if err := s.SampleBatch(ctx, pts, 1); err != context.Canceled {
 		t.Errorf("SampleBatch: err = %v, want context.Canceled", err)
 	}
-	if err := s.SampleBatchRanked(ctx, pts, 1, rank); err != context.Canceled {
-		t.Errorf("SampleBatchRanked: err = %v, want context.Canceled", err)
-	}
-	if _, err := SampleAdaptive(ctx, s, pts, 1, AdaptivePlan{HalfWidth: 1e-9, MaxRounds: 3}, rank); err != context.Canceled {
+	if _, err := SampleAdaptive(ctx, s, pts, 1, AdaptivePlan{HalfWidth: 1e-9, MaxRounds: 3}); err != context.Canceled {
 		t.Errorf("SampleAdaptive: err = %v, want context.Canceled", err)
 	}
 	if s.Evaluations() != evals || s.Clock().Now() != now {

@@ -11,14 +11,13 @@ import (
 )
 
 // TestDuplicatePointRefused: a batch that lists a point twice is refused on
-// every batch path — in-caller, pool, ranked pool and fleet — before anything
+// every batch path — in-caller, pool and fleet — before anything
 // is sampled, so the refusal leaves the estimates, Evaluations() and the
 // clock where they were. This is the rule that lets a stream go unlocked.
 func TestDuplicatePointRefused(t *testing.T) {
 	ctx := context.Background()
 	pool := sched.New(sched.Config{Workers: 4})
 	defer pool.Close()
-	rank := func(i int) int { return -i }
 
 	costFree := fleetTestConfig
 	costed := fleetTestConfig
@@ -32,16 +31,10 @@ func TestDuplicatePointRefused(t *testing.T) {
 	}{
 		{"in-caller", func(*testing.T) *LocalSpace { return NewLocalSpace(costFree) },
 			func(s *LocalSpace, pts []Point) error { return s.SampleBatch(ctx, pts, 1) }},
-		{"in-caller ranked", func(*testing.T) *LocalSpace { return NewLocalSpace(costFree) },
-			func(s *LocalSpace, pts []Point) error { return s.SampleBatchRanked(ctx, pts, 1, rank) }},
 		{"pool", func(*testing.T) *LocalSpace { return NewLocalSpace(costed) },
 			func(s *LocalSpace, pts []Point) error { return s.SampleBatch(ctx, pts, 1) }},
-		{"pool ranked", func(*testing.T) *LocalSpace { return NewLocalSpace(costed) },
-			func(s *LocalSpace, pts []Point) error { return s.SampleBatchRanked(ctx, pts, 1, rank) }},
 		{"fleet", func(t *testing.T) *LocalSpace { return newFleetSpace(t, fleet) },
 			func(s *LocalSpace, pts []Point) error { return s.SampleBatch(ctx, pts, 1) }},
-		{"fleet ranked", func(t *testing.T) *LocalSpace { return newFleetSpace(t, fleet) },
-			func(s *LocalSpace, pts []Point) error { return s.SampleBatchRanked(ctx, pts, 1, rank) }},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
@@ -86,7 +79,7 @@ func panicOf(f func()) (msg string) {
 
 // TestConcurrentBatchesOnSharedPool is the -race stress for unlocked
 // streams: several spaces drive batches of their own distinct points through
-// one shared pool at once, plain and ranked, while cost-free spaces sample
+// one shared pool at once, while cost-free spaces sample
 // in their callers beside them. Every point ends bit for bit where a serial
 // replay of its space puts it.
 func TestConcurrentBatchesOnSharedPool(t *testing.T) {
@@ -104,13 +97,7 @@ func TestConcurrentBatchesOnSharedPool(t *testing.T) {
 			// Overlapping windows of distinct points, so consecutive batches
 			// share points but no batch lists one twice.
 			batch := pts[r%4 : r%4+8]
-			var err error
-			if r%2 == 0 {
-				err = s.SampleBatch(ctx, batch, 0.1*float64(1+r%3))
-			} else {
-				err = s.SampleBatchRanked(ctx, batch, 0.2, func(i int) int { return (i * 7) % 5 })
-			}
-			if err != nil {
+			if err := s.SampleBatch(ctx, batch, 0.1*float64(1+r%3)); err != nil {
 				t.Error(err)
 				return nil
 			}

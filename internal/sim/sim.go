@@ -18,7 +18,10 @@
 //     paper's parallel deployment.
 //
 // Backends additionally implementing BatchSampler expose the concurrent,
-// context-aware sampling path (SampleBatch) the optimizer prefers.
+// context-aware sampling path (SampleBatch) the optimizer prefers. A batch
+// is one joined unit, as in the paper's concurrent vertex sampling: it
+// returns once every point has landed, and where there is any dispatch order
+// (the sched pool, the dist fleet) it is the batch's list order.
 package sim
 
 import (
@@ -351,7 +354,7 @@ func (s *LocalSpace) SampleBatch(ctx context.Context, points []Point, dt float64
 		return ctx.Err()
 	}
 	if s.cfg.Fleet != nil {
-		return s.sampleFleet(ctx, s.checkBatch(points), dt, nil)
+		return s.sampleFleet(ctx, s.checkBatch(points), dt)
 	}
 	if s.pool == nil {
 		return s.sampleInCaller(ctx, points, dt)
@@ -370,8 +373,8 @@ func (s *LocalSpace) SampleBatch(ctx context.Context, points []Point, dt float64
 }
 
 // sampleInCaller is the whole batch path of a cost-free space. Nothing
-// queues, so there is no rank to honour, and a batch is a few dozen draws of
-// tens of nanoseconds, so the context is checked once, on entry.
+// queues, and a batch is a few dozen draws of tens of nanoseconds, so the
+// context is checked once, on entry.
 //
 //optlint:noalloc
 func (s *LocalSpace) sampleInCaller(ctx context.Context, points []Point, dt float64) error {
@@ -469,7 +472,7 @@ func (p *localPoint) Sample(dt float64) {
 	if p.space.cfg.Fleet != nil {
 		// A lone Sample is a one-point fleet batch; like SampleAll, the only
 		// non-panic failure (a dead fleet) must not pass silently.
-		if err := p.space.sampleFleet(context.Background(), []*localPoint{p}, dt, nil); err != nil {
+		if err := p.space.sampleFleet(context.Background(), []*localPoint{p}, dt); err != nil {
 			panic(fmt.Sprintf("sim: Sample: %v", err))
 		}
 		return

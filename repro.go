@@ -182,8 +182,9 @@ type (
 // master/worker deployment. A FleetCoordinator accepts worker agents
 // (cmd/optworker, or in-process FleetWorkers) over TCP with length-prefixed
 // frames (a JSON hello/welcome handshake, then the binary task codec),
-// dispatches prioritized sampling tasks over their registered capacity, and
-// deterministically re-dispatches the outstanding tasks of dead workers. It implements FleetSampler, so it plugs
+// dispatches sampling tasks over their registered capacity in submission
+// order, and deterministically re-dispatches the outstanding tasks of dead
+// workers. It implements FleetSampler, so it plugs
 // underneath any run via WithFleet (or LocalConfig.Fleet), any job via
 // JobSpec.Fleet, and the optd server via -fleet-addr — with results bitwise
 // identical to in-process runs at any fleet size and under worker death.

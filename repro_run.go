@@ -207,14 +207,15 @@ func WithResume(snap *Snapshot) RunOption {
 // WithSpeculation enables batch-speculative candidate evaluation for the
 // NM-family strategies: each simplex step submits the reflection, expansion
 // and contraction candidates (plus the shrink vertices when a collapse is
-// plausible) as one prioritized sampling batch before the decision, then
-// keeps the accepted move and discards the rest. A step costs one batch
+// plausible) as one sampling batch before the decision, listed (and so
+// dispatched) in that order, then keeps the accepted move and discards the
+// rest. A step costs one batch
 // round-trip instead of up to four sequential ones, cutting per-step latency
 // on pools of >= 3 workers at the price of some discarded evaluations
 // (Result.SpeculativeWaste). Speculative runs are bitwise-deterministic at
 // any worker count and checkpoint/resume-exact, but follow a different —
-// equally valid — trajectory than sequential runs. The space must support
-// prioritized wide batches (LocalSpace does); backends that pin each live
+// equally valid — trajectory than sequential runs. The space must be a
+// LocalSpace, whose live points are unbounded; backends that pin each live
 // point to a bounded worker rank, like the MW deployment, are rejected with
 // a descriptive error before any sampling.
 func WithSpeculation() RunOption {
