@@ -45,11 +45,17 @@ func TestOptrouterProcessE2E(t *testing.T) {
 			cmd.Process.Kill()
 			cmd.Wait()
 		})
+		// Keep draining the child's output after startup: lines nobody
+		// waits for are dropped, so a chatty event log can never fill the
+		// pipe and wedge the process on a write.
 		lines := make(chan string, 256)
 		go func() {
 			sc := bufio.NewScanner(out)
 			for sc.Scan() {
-				lines <- sc.Text()
+				select {
+				case lines <- sc.Text():
+				default:
+				}
 			}
 			close(lines)
 		}()
@@ -91,11 +97,14 @@ func TestOptrouterProcessE2E(t *testing.T) {
 		"-shard", addr1+","+dir1+",wal")
 	base := "http://" + routerLine("optrouter listening on ")
 
-	// Load: enough medium-sized jobs that the victim's queue is non-empty
-	// for seconds. Seeds index the specs so reference runs can be replayed.
+	// Load: enough medium-sized jobs that the victim's queue is still
+	// non-empty when the submissions end. A job's length comes from its
+	// restart legs (one leg converges in ≈200 iterations), not from store
+	// I/O: only admission waits for an fsync. Seeds index the specs so
+	// reference runs can be replayed.
 	const n = 16
 	spec := func(seed int) string {
-		return fmt.Sprintf(`{"objective":"rosenbrock","dim":3,"algorithm":"pc","sigma0":50,"seed":%d,"tol":-1,"budget":1e12,"max_iterations":400,"tenant":"team%d"}`, seed, seed%2)
+		return fmt.Sprintf(`{"objective":"rosenbrock","dim":3,"algorithm":"pc","sigma0":50,"seed":%d,"tol":-1,"budget":1e12,"max_iterations":400,"restarts":20,"tenant":"team%d"}`, seed, seed%2)
 	}
 	submit := func(body string) string {
 		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))

@@ -17,6 +17,13 @@ import (
 // process with this binary can recover it: the record is written at
 // submission (spec only, so a job killed while still queued survives),
 // replaced with each snapshot, and deleted when the job completes.
+//
+// Only the submission write is durable before it returns (Store.Put).
+// Snapshots (PutLazy) and the completion delete ride on the store's next
+// fsync, because every result is a pure function of (spec, seed): losing
+// a snapshot resumes from an earlier one, or from the spec, to the same
+// bits, and losing a delete re-runs a finished job to the same result.
+// No store call is made with Manager.mu held.
 
 // ckptSuffix is re-exported for tests that inspect the file-store layout.
 const ckptSuffix = jobstore.FileSuffix
@@ -82,8 +89,9 @@ func marshalRecord(id string, spec Spec, snap *core.Snapshot) ([]byte, error) {
 	return payload, nil
 }
 
-// saveCheckpoint persists the latest snapshot of a running job to the
-// store its record lives in.
+// saveCheckpoint records the latest snapshot of a running job in the store
+// its record lives in. The write is lazy: losing it resumes from an
+// earlier snapshot, or from the spec, to the same bits.
 func (m *Manager) saveCheckpoint(j *job, snap *core.Snapshot) error {
 	if j.store == nil {
 		return nil
@@ -92,16 +100,13 @@ func (m *Manager) saveCheckpoint(j *job, snap *core.Snapshot) error {
 	if err != nil {
 		return err
 	}
-	return j.store.Put(j.id, payload)
+	return j.store.PutLazy(j.id, payload)
 }
 
-// removeRecord deletes a job's durable record, if any. Deletion failures
-// are reported to the event log but not propagated: the worst outcome is
-// a completed job re-running (to the same result) after a recovery.
+// removeRecord deletes a job's durable record. Deletion failures are
+// reported to the event log but not propagated: the worst outcome is a
+// completed job re-running (to the same result) after a recovery.
 func (m *Manager) removeRecord(j *job) {
-	if j.store == nil {
-		return
-	}
 	if err := j.store.Delete(j.id); err != nil {
 		m.cfg.Events.Event("checkpoint_delete_error", "job", j.id, "err", err)
 	}

@@ -158,8 +158,11 @@ type Config struct {
 	// "Put fair share where the compute runs".
 	SchedPolicy string
 	// Store, when non-nil, is the durable job store: every accepted job is
-	// recorded in it at submission (so a killed-while-queued job survives),
-	// updated with each optimizer snapshot, and removed on completion. The
+	// recorded in it at submission with a durable Put (so a
+	// killed-while-queued job survives), updated lazily with each optimizer
+	// snapshot, and lazily removed on completion. Only admission waits for
+	// an fsync: a lost snapshot resumes from an earlier one to the same
+	// bits, and a lost delete re-runs the job to the same result. The
 	// manager takes ownership and closes it on Close.
 	Store jobstore.Store
 	// CheckpointDir is shorthand for Store: when Store is nil and
@@ -167,8 +170,8 @@ type Config struct {
 	// rooted there. The directory is created if missing.
 	CheckpointDir string
 	// StoreKind selects the CheckpointDir store layout: "file" (default,
-	// one atomically-renamed JSON file per job) or "wal" (single fsynced
-	// append-only log).
+	// one atomically-renamed JSON file per job) or "wal" (single
+	// append-only log, fsynced at admission).
 	StoreKind string
 	// CheckpointEvery is the snapshot period in simplex iterations.
 	// Zero selects 20.
@@ -253,7 +256,10 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	resume *core.Snapshot // non-nil when recovered with a snapshot
-	done   chan struct{}
+	// done is closed by settle, after the record drop finishLocked
+	// decided on (dropRecord) has been issued.
+	done       chan struct{}
+	dropRecord bool
 
 	subs    map[int]chan Event
 	nextSub int
@@ -287,6 +293,8 @@ type Manager struct {
 	// it returns, so rate-limit boundaries are testable without sleeping.
 	now func() time.Time
 
+	// wg counts the runners and the record drops settle has yet to issue,
+	// so Close closes the stores only after both.
 	wg sync.WaitGroup
 }
 
@@ -432,9 +440,10 @@ func (m *Manager) submit(explicit string, spec Spec) (string, error) {
 	}
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	delete(m.reserved, id)
 	if m.closed {
+		m.unadmitLocked(ts)
+		m.mu.Unlock()
 		// Closed while persisting: the job was never enqueued, so drop the
 		// record — leaving it would resurrect a job the caller was told was
 		// rejected. A failed delete is harmless (re-running a spec is
@@ -442,9 +451,9 @@ func (m *Manager) submit(explicit string, spec Spec) (string, error) {
 		if store != nil {
 			store.Delete(id)
 		}
-		m.unadmitLocked(ts)
 		return "", ErrClosed
 	}
+	defer m.mu.Unlock()
 	ts.submitted++
 	ts.mSubmitted.Inc()
 	j := m.enqueueLocked(id, spec, nil, false)
@@ -496,15 +505,17 @@ func (m *Manager) enqueueLocked(id string, spec Spec, resume *core.Snapshot, rec
 // dequeueLocked pops the first runnable job in FIFO order, skipping jobs
 // whose tenant is at its running cap (they keep their queue position, but
 // other tenants' jobs pass them — one capped tenant must not block the
-// pool). Queued jobs already canceled are finalized in place. Returns nil
-// when nothing is runnable right now.
-func (m *Manager) dequeueLocked() *job {
+// pool). Queued jobs already canceled are finalized in place and appended
+// to finished, which the caller settles after unlocking. Returns nil when
+// nothing is runnable right now.
+func (m *Manager) dequeueLocked(finished []*job) (*job, []*job) {
 	for i := 0; i < len(m.queue); i++ {
 		j := m.queue[i]
 		if j.ctx.Err() != nil {
 			// Canceled (or manager-closed) while still queued.
 			m.queue = append(m.queue[:i], m.queue[i+1:]...)
 			m.finishLocked(j, nil, nil, StateCanceled)
+			finished = append(finished, j)
 			i--
 			continue
 		}
@@ -512,26 +523,32 @@ func (m *Manager) dequeueLocked() *job {
 			continue
 		}
 		m.queue = append(m.queue[:i], m.queue[i+1:]...)
-		return j
+		return j, finished
 	}
-	return nil
+	return nil, finished
 }
 
 // runner is one run-pool slot: it drains the FIFO queue until Close.
 func (m *Manager) runner() {
 	defer m.wg.Done()
+	var canceled []*job // queued jobs dequeueLocked finalized, to settle unlocked
 	for {
 		m.mu.Lock()
 		var j *job
 		for {
-			if j = m.dequeueLocked(); j != nil || m.closed {
+			j, canceled = m.dequeueLocked(canceled[:0])
+			if j != nil || len(canceled) > 0 || m.closed {
 				break
 			}
 			m.cond.Wait()
 		}
 		if j == nil {
 			m.mu.Unlock()
-			return
+			if len(canceled) == 0 {
+				return // closed and drained
+			}
+			m.settle(canceled...)
+			continue
 		}
 		j.state = StateRunning
 		j.started = time.Now()
@@ -542,6 +559,7 @@ func (m *Manager) runner() {
 		m.cfg.Events.Event("job_state", "job", j.id, "state", StateRunning)
 		m.publishLocked(j, Event{JobID: j.id, Type: "state", State: StateRunning})
 		m.mu.Unlock()
+		m.settle(canceled...)
 
 		res, err := m.execute(j)
 
@@ -555,6 +573,7 @@ func (m *Manager) runner() {
 			m.finishLocked(j, res, nil, StateDone)
 		}
 		m.mu.Unlock()
+		m.settle(j)
 	}
 }
 
@@ -635,7 +654,8 @@ func (m *Manager) execute(j *job) (res *core.Result, err error) {
 }
 
 // finishLocked moves a job to a terminal state, publishes the transition,
-// closes subscriber channels and cleans up the durable checkpoint.
+// closes subscriber channels and decides whether the durable record goes.
+// It does no store I/O: the caller must call settle after releasing mu.
 func (m *Manager) finishLocked(j *job, res *core.Result, err error, state State) {
 	prev := j.state
 	j.state = state
@@ -679,14 +699,15 @@ func (m *Manager) finishLocked(j *job, res *core.Result, err error, state State)
 		close(ch)
 		delete(j.subs, id)
 	}
-	close(j.done)
-	if state == StateDone || (state == StateCanceled && !m.closed) {
+	if j.store != nil && (state == StateDone || (state == StateCanceled && !m.closed)) {
 		// A completed or user-canceled job no longer needs its record.
 		// Failed jobs keep theirs (re-recoverable once the bug is fixed),
 		// and jobs canceled by Close keep theirs too — shutdown is the
 		// "kill" the durable-record design exists for, and a fresh manager
 		// (or an adopting replica) picks them up with Recover/RecoverFrom.
-		m.removeRecord(j)
+		// Close waits for the drop: the store must still be open for it.
+		j.dropRecord = true
+		m.wg.Add(1)
 	}
 	// Retention: evict the oldest terminal records beyond the bound so a
 	// long-lived server's job table stays finite.
@@ -696,6 +717,19 @@ func (m *Manager) finishLocked(j *job, res *core.Result, err error, state State)
 			delete(m.jobs, m.terminal[0])
 			m.terminal = m.terminal[1:]
 		}
+	}
+}
+
+// settle completes the terminal transition of jobs finishLocked finalized:
+// it drops each record finishLocked marked, then releases the job's
+// waiters. Call it without mu held, so the store never stalls the manager.
+func (m *Manager) settle(js ...*job) {
+	for _, j := range js {
+		if j.dropRecord {
+			m.removeRecord(j)
+			m.wg.Done()
+		}
+		close(j.done)
 	}
 }
 
@@ -718,21 +752,25 @@ func (m *Manager) publishLocked(j *job, e Event) {
 // no-op.
 func (m *Manager) Cancel(id string) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
+		m.mu.Unlock()
 		return ErrNotFound
 	}
 	j.cancel()
-	if j.state == StateQueued {
-		for i, q := range m.queue {
-			if q == j {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				break
-			}
-		}
-		m.finishLocked(j, nil, nil, StateCanceled)
+	if j.state != StateQueued {
+		m.mu.Unlock()
+		return nil
 	}
+	for i, q := range m.queue {
+		if q == j {
+			m.queue = append(m.queue[:i], m.queue[i+1:]...)
+			break
+		}
+	}
+	m.finishLocked(j, nil, nil, StateCanceled)
+	m.mu.Unlock()
+	m.settle(j)
 	return nil
 }
 

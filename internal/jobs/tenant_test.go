@@ -410,6 +410,7 @@ func TestRecoverFromAdoptsForeignStore(t *testing.T) {
 type brokenStore struct{}
 
 func (brokenStore) Put(string, []byte) error         { return errors.New("disk full") }
+func (brokenStore) PutLazy(string, []byte) error     { return errors.New("disk full") }
 func (brokenStore) Delete(string) error              { return nil }
 func (brokenStore) List() ([]jobstore.Record, error) { return nil, nil }
 func (brokenStore) Kind() string                     { return "broken" }

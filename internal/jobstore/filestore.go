@@ -68,7 +68,15 @@ func (s *FileStore) Put(id string, payload []byte) error {
 	return fileio.WriteAtomic(s.path(id), payload, 0o644)
 }
 
-// Delete implements Store.
+// PutLazy implements Store as a durable Put. A rename whose data was not
+// synced can leave an unreadable file after a crash, and recovery skips
+// unreadable records, so a lazy file write could lose an admitted job.
+func (s *FileStore) PutLazy(id string, payload []byte) error {
+	return s.Put(id, payload)
+}
+
+// Delete implements Store: it removes the file without syncing the
+// directory, so a crash may bring the record back — the lazy contract.
 func (s *FileStore) Delete(id string) error {
 	if err := CheckID(id); err != nil {
 		return err

@@ -5,20 +5,29 @@
 //
 // A record is an opaque payload keyed by job ID — the jobs package stores
 // its self-contained checkpoint document (spec + optimizer snapshot) there
-// and never tells the store what is inside. Two implementations ship:
+// and never tells the store what is inside. Writes come in two durability
+// classes. Put is on stable storage before it returns; the jobs layer uses
+// it only to admit a job, because the admitted spec is the one record
+// whose loss changes what a client gets. PutLazy (snapshots) and Delete
+// (completion) are durable at the store's next fsync: every result is a
+// pure function of (spec, seed), so losing a snapshot resumes from an
+// earlier one to the same bits and losing a delete costs one re-run. Two
+// implementations ship:
 //
 //   - FileStore: one file per job written with atomic write-then-rename
 //     (the layout the manager used before the interface existed, so a
-//     pre-existing checkpoint directory recovers unchanged);
-//   - WALStore: a single append-only write-ahead log with fsynced,
-//     CRC-guarded records and background-free compaction — one fsync per
-//     durable update instead of a file create+rename, and group commit
-//     under concurrent writers.
+//     pre-existing checkpoint directory recovers unchanged). Its PutLazy
+//     is its durable Put;
+//   - WALStore: a single append-only write-ahead log of CRC-guarded
+//     records and background-free compaction — one fsync per durable Put
+//     instead of a file create+rename, group commit under concurrent
+//     writers, and lazy records that ride on the next fsync.
 //
 // Both implementations satisfy the same conformance contract, enforced by
 // the shared storetest suite (storetest.Run) covering round-trips,
-// partial-write truncation, concurrent writers and crash-point enumeration
-// at every record boundary.
+// partial-write truncation, lazy records made durable by a later Put or
+// Close, concurrent writers and crash-point enumeration at every record
+// boundary.
 package jobstore
 
 import "fmt"
@@ -31,14 +40,18 @@ type Record struct {
 	Payload []byte
 }
 
-// Store persists job records durably. Implementations must be safe for
-// concurrent use and must make Put durable (on stable storage) before
-// returning.
+// Store persists job records. Implementations must be safe for concurrent
+// use.
 type Store interface {
-	// Put durably replaces the record for id.
+	// Put replaces the record for id and makes it durable (on stable
+	// storage) before returning.
 	Put(id string, payload []byte) error
-	// Delete durably removes the record for id. Deleting an absent id is
-	// not an error.
+	// PutLazy replaces the record for id without waiting for stable
+	// storage: a crash before the store's next fsync (a later Put, or
+	// Close) may lose it.
+	PutLazy(id string, payload []byte) error
+	// Delete removes the record for id, lazily like PutLazy. Deleting an
+	// absent id is not an error.
 	Delete(id string) error
 	// List returns every live record sorted by ID. Implementations may
 	// return the readable records alongside the first read error, so one

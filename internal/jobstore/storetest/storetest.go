@@ -1,9 +1,10 @@
 // Package storetest is the conformance suite every jobstore.Store
 // implementation must pass. It pins the contract the jobs manager relies
-// on — durable round-trips, sorted listing, survival of the crash
-// artifacts each store's write discipline permits, and safety under
-// concurrent writers — so a new store earns trust by passing one shared
-// suite instead of re-deriving the rules.
+// on — durable round-trips, lazy writes made durable by a later Put or by
+// Close, sorted listing, survival of the crash artifacts each store's
+// write discipline permits, and safety under concurrent writers — so a
+// new store earns trust by passing one shared suite instead of
+// re-deriving the rules.
 //
 // Store-specific damage models (byte-level crash-point enumeration for the
 // WAL, temp-file orphans for the file layout) stay in the store's own
@@ -40,6 +41,8 @@ func Run(t *testing.T, h Harness) {
 	t.Run("Payloads", func(sub *testing.T) { testPayloads(sub, h) })
 	t.Run("InvalidIDs", func(sub *testing.T) { testInvalidIDs(sub, h) })
 	t.Run("ReopenPersists", func(sub *testing.T) { testReopenPersists(sub, h) })
+	t.Run("LazyThenDurable", func(sub *testing.T) { testLazyThenDurable(sub, h) })
+	t.Run("LazyOnClose", func(sub *testing.T) { testLazyOnClose(sub, h) })
 	t.Run("TornWriteRecovers", func(sub *testing.T) { testTornWrite(sub, h) })
 	t.Run("ConcurrentWriters", func(sub *testing.T) { testConcurrentWriters(sub, h) })
 	t.Run("ConcurrentSameID", func(sub *testing.T) { testConcurrentSameID(sub, h) })
@@ -167,6 +170,9 @@ func testInvalidIDs(t *testing.T, h Harness) {
 		if err := st.Put(id, []byte("x")); err == nil {
 			t.Errorf("Put(%q) accepted an invalid id", id)
 		}
+		if err := st.PutLazy(id, []byte("x")); err == nil {
+			t.Errorf("PutLazy(%q) accepted an invalid id", id)
+		}
 		if err := st.Delete(id); err == nil {
 			t.Errorf("Delete(%q) accepted an invalid id", id)
 		}
@@ -207,6 +213,45 @@ func testReopenPersists(t *testing.T, h Harness) {
 	st2 := open(t, h, dir)
 	defer st2.Close()
 	expect(t, st2, want)
+}
+
+// testLazyThenDurable: a durable Put makes the lazy writes before it
+// durable too, so both survive a reopen.
+func testLazyThenDurable(t *testing.T, h Harness) {
+	dir := t.TempDir()
+	st := open(t, h, dir)
+	if err := st.Put("a", []byte("admitted")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if err := st.PutLazy("a", []byte("snapshot")); err != nil {
+		t.Fatalf("PutLazy: %v", err)
+	}
+	if err := st.Put("b", []byte("admitted-b")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	want := map[string][]byte{"a": []byte("snapshot"), "b": []byte("admitted-b")}
+	expect(t, st, want)
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	st2 := open(t, h, dir)
+	defer st2.Close()
+	expect(t, st2, want)
+}
+
+// testLazyOnClose: Close makes the pending lazy writes durable.
+func testLazyOnClose(t *testing.T, h Harness) {
+	dir := t.TempDir()
+	st := open(t, h, dir)
+	if err := st.PutLazy("a", []byte("lazy")); err != nil {
+		t.Fatalf("PutLazy: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	st2 := open(t, h, dir)
+	defer st2.Close()
+	expect(t, st2, map[string][]byte{"a": []byte("lazy")})
 }
 
 func testTornWrite(t *testing.T, h Harness) {
@@ -355,6 +400,9 @@ func testClosed(t *testing.T, h Harness) {
 	}
 	if err := st.Put("b", []byte("y")); err == nil {
 		t.Error("Put on a closed store must fail")
+	}
+	if err := st.PutLazy("b", []byte("y")); err == nil {
+		t.Error("PutLazy on a closed store must fail")
 	}
 	if err := st.Delete("a"); err == nil {
 		t.Error("Delete on a closed store must fail")

@@ -48,6 +48,9 @@ func (s *memStore) Put(id string, payload []byte) error {
 	return nil
 }
 
+// PutLazy is Put: the model makes every write durable at once.
+func (s *memStore) PutLazy(id string, payload []byte) error { return s.Put(id, payload) }
+
 func (s *memStore) Delete(id string) error {
 	if err := jobstore.CheckID(id); err != nil {
 		return err

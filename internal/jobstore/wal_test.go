@@ -2,6 +2,7 @@ package jobstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -312,5 +313,100 @@ func BenchmarkWALPut(b *testing.B) {
 		if err := st.Put(fmt.Sprintf("j%06d", i%1024), payload); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWALFault injects one fault per row through the file seam. Each row
+// starts from a durable "a", faults the write of "b", then writes "c" and
+// reopens. A failed write must be cut back to the last record boundary,
+// or "c" lands behind the torn bytes and replay drops it although its Put
+// returned nil. A failed fsync, or a failed cut, poisons the store: every
+// later write, compaction and Close returns the error, so nothing is
+// acknowledged behind a possible hole.
+func TestWALFault(t *testing.T) {
+	tests := []struct {
+		name     string
+		arm      func(f *faultFile)
+		lazy     bool            // fault a PutLazy instead of a Put
+		poisoned bool            // later writes must fail
+		want     map[string]bool // records after a reopen
+	}{
+		{"short write on Put", func(f *faultFile) { f.shortWrite = true }, false, false,
+			map[string]bool{"a": true, "c": true}},
+		{"failed write on PutLazy", func(f *faultFile) { f.failWrite = true }, true, false,
+			map[string]bool{"a": true, "c": true}},
+		// b's record reached the file before its fsync failed, so it replays.
+		{"failed fsync on Put", func(f *faultFile) { f.failSync = true }, false, true,
+			map[string]bool{"a": true, "b": true}},
+		{"failed truncate after a failed write", func(f *faultFile) { f.failWrite, f.failTruncate = true, true }, false, true,
+			map[string]bool{"a": true}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			latest := withFaultFiles(t)
+			dir := t.TempDir()
+			st, err := OpenWAL(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put("a", []byte("payload-a")); err != nil {
+				t.Fatalf("Put a: %v", err)
+			}
+			tt.arm(*latest)
+			write := st.Put
+			if tt.lazy {
+				write = st.PutLazy
+			}
+			if err := write("b", []byte("payload-b")); err == nil {
+				t.Fatal("the faulted write of b returned nil")
+			}
+			errC := st.Put("c", []byte("payload-c"))
+			if tt.poisoned {
+				if !errors.Is(errC, errInjected) {
+					t.Fatalf("Put c on a poisoned store = %v, want the sticky error", errC)
+				}
+				for name, err := range map[string]error{
+					"PutLazy": st.PutLazy("d", []byte("payload-d")),
+					"Delete":  st.Delete("a"),
+					"compact": st.compact(),
+				} {
+					if !errors.Is(err, errInjected) {
+						t.Errorf("%s on a poisoned store = %v, want the sticky error", name, err)
+					}
+				}
+				if err := st.Close(); !errors.Is(err, errInjected) {
+					t.Errorf("Close of a poisoned store = %v, want the sticky error", err)
+				}
+			} else {
+				if errC != nil {
+					t.Fatalf("Put c after a cut-back write: %v", errC)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+			}
+
+			st2, err := OpenWAL(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			recs, err := st2.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]bool{}
+			for _, r := range recs {
+				got[r.ID] = true
+			}
+			if len(got) != len(tt.want) {
+				t.Fatalf("after reopen: records %v, want %v", got, tt.want)
+			}
+			for id := range tt.want {
+				if !got[id] {
+					t.Fatalf("after reopen: records %v, want %v", got, tt.want)
+				}
+			}
+		})
 	}
 }

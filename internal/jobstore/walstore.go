@@ -18,27 +18,50 @@ const walFileName = "jobs.wal"
 // before a compaction is worth an extra full-file write.
 const compactFloor = 1 << 20 // 1 MiB
 
-// WALStore is the append-only durable store: every Put/Delete appends one
-// CRC-guarded record to a single write-ahead log and fsyncs before
-// returning. Concurrent writers group-commit — any fsync that covers a
-// writer's append satisfies it, so N concurrent Puts pay far fewer than N
-// fsyncs. The log self-compacts when superseded bytes outgrow live ones.
+// walFile is the part of *os.File the log appends through. It is a seam
+// so tests can inject failed writes, fsyncs and truncates.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// openWALFile opens the log for appending.
+var openWALFile = func(path string) (walFile, error) {
+	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+}
+
+// WALStore is the append-only durable store: every Put/PutLazy/Delete
+// appends one CRC-guarded record to a single write-ahead log. Put fsyncs
+// before returning; PutLazy and Delete do not, and become durable at the
+// next fsync of the file, whoever issues it. Concurrent writers
+// group-commit — any fsync that covers a writer's append satisfies it, so
+// N concurrent Puts pay far fewer than N fsyncs. The log self-compacts
+// when superseded bytes outgrow live ones.
 //
-// Crash safety: appends are fsynced, so the only legal damage is a torn
-// or truncated final record; OpenWAL replays up to it, truncates the tail,
-// and the store continues from the last durable state — enumerated
-// record-boundary crash points are part of the storetest contract.
+// Crash safety: records reach the file in log order, so the only legal
+// damage is a lost suffix — the lazy records since the last fsync and a
+// torn final record; OpenWAL replays up to the tear, truncates the tail,
+// and the store continues from that prefix — enumerated crash points are
+// part of the storetest contract. A failed write is cut back to the last
+// record boundary; a failed fsync (or a failed cut) poisons the store, so
+// no later write can be acknowledged behind a hole.
 type WALStore struct {
 	dir  string
 	path string
 
 	mu         sync.Mutex
-	f          *os.File          // guarded by mu
+	f          walFile           // guarded by mu
 	live       map[string][]byte // guarded by mu
 	liveBytes  int               // guarded by mu: encoded size of the live records
 	totalBytes int               // guarded by mu: bytes appended since the magic
 	buf        []byte            // guarded by mu: reusable encode buffer
 	closed     bool              // guarded by mu
+	// poison is the sticky error of a failed fsync or of a failed write
+	// that could not be cut back: the file may hold a hole, so every later
+	// write, compaction and Close returns it. Guarded by mu.
+	poison error
 
 	// appendGen counts appends; syncedGen is the latest generation known
 	// durable. A writer whose generation is already synced skips its fsync
@@ -47,7 +70,8 @@ type WALStore struct {
 	syncedGen atomic.Uint64
 
 	// syncMu serializes fsyncs (and compaction, which replaces f). Never
-	// held together with mu except by compact, which takes syncMu first.
+	// held together with mu except by compact and Close, which take
+	// syncMu first.
 	syncMu sync.Mutex
 }
 
@@ -101,10 +125,11 @@ func OpenWAL(dir string) (*WALStore, error) {
 	for id, payload := range live {
 		liveBytes += encodedWALSize(id, payload)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openWALFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
+	mFsyncs.Inc()
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("jobstore: %w", err)
@@ -144,30 +169,43 @@ func (s *WALStore) Kind() string { return "wal" }
 // Put implements Store: append one put record, fsync (group-committed),
 // and compact if the log has outgrown its live content.
 func (s *WALStore) Put(id string, payload []byte) error {
-	if len(payload) > maxWALPayload {
-		return fmt.Errorf("jobstore: payload of %d bytes exceeds the WAL record cap %d", len(payload), maxWALPayload)
-	}
-	return s.append(opPut, id, payload)
+	return s.append(opPut, id, payload, true)
 }
 
-// Delete implements Store: append one delete record and fsync.
+// PutLazy implements Store: append one put record without an fsync. It
+// becomes durable with the next Put's group commit, compaction or Close.
+func (s *WALStore) PutLazy(id string, payload []byte) error {
+	return s.append(opPut, id, payload, false)
+}
+
+// Delete implements Store: append one delete record without an fsync,
+// like PutLazy.
 func (s *WALStore) Delete(id string) error {
-	return s.append(opDelete, id, nil)
+	return s.append(opDelete, id, nil, false)
 }
 
-func (s *WALStore) append(op byte, id string, payload []byte) error {
+func (s *WALStore) append(op byte, id string, payload []byte, durable bool) error {
 	if err := CheckID(id); err != nil {
 		return err
 	}
+	if len(payload) > maxWALPayload {
+		return fmt.Errorf("jobstore: payload of %d bytes exceeds the WAL record cap %d", len(payload), maxWALPayload)
+	}
 	s.mu.Lock()
-	if s.closed {
+	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("jobstore: store is closed")
+		return err
 	}
 	s.buf = appendWALRecord(s.buf[:0], op, id, payload)
 	if _, err := s.f.Write(s.buf); err != nil {
+		err = fmt.Errorf("jobstore: %w", err)
+		// Cut the partial record off, or a later append would land behind
+		// it and replay would stop at the tear, losing acknowledged records.
+		if terr := s.f.Truncate(int64(len(walMagic) + s.totalBytes)); terr != nil {
+			s.poison = fmt.Errorf("jobstore: cutting a failed append: %w (after %v)", terr, err)
+		}
 		s.mu.Unlock()
-		return fmt.Errorf("jobstore: %w", err)
+		return err
 	}
 	s.totalBytes += len(s.buf)
 	if prev, ok := s.live[id]; ok {
@@ -183,8 +221,12 @@ func (s *WALStore) append(op byte, id string, payload []byte) error {
 	needCompact := s.garbageLocked() > compactFloor && s.garbageLocked() > s.liveBytes
 	s.mu.Unlock()
 
-	if err := s.syncTo(gen); err != nil {
-		return err
+	if durable {
+		if err := s.syncTo(gen); err != nil {
+			return err
+		}
+	} else {
+		mLazyWrites.Inc()
 	}
 	if needCompact {
 		return s.compact()
@@ -192,9 +234,20 @@ func (s *WALStore) append(op byte, id string, payload []byte) error {
 	return nil
 }
 
+// usableLocked reports why the store cannot take a write, if it cannot.
+// Caller holds mu.
+func (s *WALStore) usableLocked() error {
+	if s.closed {
+		return fmt.Errorf("jobstore: store is closed")
+	}
+	return s.poison
+}
+
 // syncTo makes generation gen durable. Writers whose generation an earlier
 // fsync already covered return immediately; the one that does fsync covers
-// every append that completed before it — group commit.
+// every append that completed before it — group commit. A failed fsync
+// poisons the store: the kernel may have dropped the dirty pages, so a
+// retry that succeeded could still acknowledge a record behind a hole.
 func (s *WALStore) syncTo(gen uint64) error {
 	if s.syncedGen.Load() >= gen {
 		return nil
@@ -210,10 +263,18 @@ func (s *WALStore) syncTo(gen uint64) error {
 	// syncMu, so the snapshot cannot go stale inside this critical section.
 	cover := s.appendGen.Load()
 	s.mu.Lock()
-	f := s.f
+	f, poison := s.f, s.poison
 	s.mu.Unlock()
+	if poison != nil {
+		return poison
+	}
+	mFsyncs.Inc()
 	if err := f.Sync(); err != nil {
-		return fmt.Errorf("jobstore: %w", err)
+		err = fmt.Errorf("jobstore: %w", err)
+		s.mu.Lock()
+		s.poison = err
+		s.mu.Unlock()
+		return err
 	}
 	s.syncedGen.Store(cover)
 	return nil
@@ -227,8 +288,8 @@ func (s *WALStore) compact() error {
 	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("jobstore: store is closed")
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	if s.garbageLocked() <= compactFloor/4 {
 		return nil // a concurrent compaction already ran
@@ -237,10 +298,11 @@ func (s *WALStore) compact() error {
 	for _, id := range s.sortedIDsLocked() {
 		content = appendWALRecord(content, opPut, id, s.live[id])
 	}
+	mFsyncs.Inc()
 	if err := fileio.WriteAtomic(s.path, content, 0o644); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openWALFile(s.path)
 	if err != nil {
 		return fmt.Errorf("jobstore: reopening compacted WAL: %w", err)
 	}
@@ -249,7 +311,7 @@ func (s *WALStore) compact() error {
 	s.totalBytes = len(content) - len(walMagic)
 	s.liveBytes = s.totalBytes
 	// The compacted file is durable (WriteAtomic fsyncs before renaming),
-	// so everything appended so far is covered.
+	// so everything appended so far, lazy records included, is covered.
 	s.syncedGen.Store(s.appendGen.Load())
 	return nil
 }
@@ -279,7 +341,8 @@ func (s *WALStore) List() ([]Record, error) {
 	return recs, nil
 }
 
-// Close implements Store.
+// Close implements Store: it fsyncs the lazy records still pending. A
+// poisoned store closes its file and returns the poison.
 func (s *WALStore) Close() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
@@ -289,12 +352,15 @@ func (s *WALStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.f.Sync()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
+	err := s.poison
+	if err == nil {
+		mFsyncs.Inc()
+		if serr := s.f.Sync(); serr != nil {
+			err = fmt.Errorf("jobstore: %w", serr)
+		}
 	}
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
+	if cerr := s.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("jobstore: %w", cerr)
 	}
-	return nil
+	return err
 }
