@@ -12,13 +12,14 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/serve"
 )
 
 // serveManager wraps an existing manager (e.g. one that just recovered
 // checkpoints) in a test HTTP server.
 func serveManager(t *testing.T, mgr *jobs.Manager) string {
 	t.Helper()
-	ts := httptest.NewServer(newServer(mgr, nil, 1))
+	ts := httptest.NewServer(serve.New(serve.Config{Mgr: mgr, DefaultSeed: 1}))
 	t.Cleanup(func() {
 		ts.Close()
 		mgr.Close()

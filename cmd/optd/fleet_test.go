@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/jobs"
+	"repro/internal/serve"
 )
 
 // startFleetServer brings up a server with a live fleet of n in-process
@@ -49,7 +50,7 @@ func startFleetServer(t *testing.T, n int, cfg jobs.Config) (*httptest.Server, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(mgr, fleet, 1))
+	ts := httptest.NewServer(serve.New(serve.Config{Mgr: mgr, Fleet: fleet, DefaultSeed: 1}))
 	t.Cleanup(func() {
 		ts.Close()
 		mgr.Close()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/serve"
 	"repro/internal/testfunc"
 )
 
@@ -28,7 +29,7 @@ func startTestServer(t *testing.T, cfg jobs.Config) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(mgr, nil, 1))
+	ts := httptest.NewServer(serve.New(serve.Config{Mgr: mgr, DefaultSeed: 1}))
 	t.Cleanup(func() {
 		ts.Close()
 		mgr.Close()

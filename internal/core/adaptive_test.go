@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -42,7 +43,7 @@ func TestAdaptiveFloorGrows(t *testing.T) {
 	var floors []float64
 	cfg.Checkpoint = func(s *Snapshot) { floors = append(floors, s.AdaptiveFloor) }
 	cfg.CheckpointEvery = 1
-	res, err := Optimize(space, [][]float64{{1, 1}, {2, 1}, {1, 2}}, cfg)
+	res, err := Run(context.Background(), space, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{1, 1}, {2, 1}, {1, 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +68,18 @@ func TestAdaptiveFloorGrows(t *testing.T) {
 // diverge from the uninterrupted run.
 func TestAdaptiveRestartLegResume(t *testing.T) {
 	cfg := adaptiveConfig()
-	rcfg := RestartConfig{Config: cfg, Restarts: 2, Scale: []float64{1, 1}}
-	initial := [][]float64{{1, 1}, {2, 1}, {1, 2}}
+	spec := RunSpec{
+		Strategy: cfg.Algorithm.String(), Config: cfg,
+		Initial:  [][]float64{{1, 1}, {2, 1}, {1, 2}},
+		Restarts: 2, RestartScale: []float64{1},
+	}
 
 	type snap struct {
 		raw []byte
 		leg int
 	}
 	var snaps []snap
-	rcfg.Checkpoint = func(s *Snapshot) {
+	spec.Config.Checkpoint = func(s *Snapshot) {
 		leg := 0
 		if s.Restart != nil {
 			leg = s.Restart.Leg
@@ -89,16 +93,17 @@ func TestAdaptiveRestartLegResume(t *testing.T) {
 		}
 		snaps = append(snaps, snap{raw, leg})
 	}
-	rcfg.CheckpointEvery = 1
+	spec.Config.CheckpointEvery = 1
 
 	space := adaptiveSpace(1)
-	want, err := OptimizeWithRestarts(space, initial, rcfg)
+	want, err := Run(context.Background(), space, spec)
 	space.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rcfg.Checkpoint = nil
+	spec.Config.Checkpoint = nil
+	spec.Initial = nil
 	midLeg := -1
 	for i, s := range snaps {
 		if s.leg >= 1 {
@@ -118,7 +123,8 @@ func TestAdaptiveRestartLegResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		space := adaptiveSpace(4)
-		got, err := ResumeWithRestartsContext(t.Context(), space, restored, rcfg)
+		spec.Resume = restored
+		got, err := Run(t.Context(), space, spec)
 		space.Close()
 		if err != nil {
 			t.Fatalf("resume from snapshot %d (leg %d): %v", i, snaps[i].leg, err)
@@ -144,7 +150,7 @@ func TestSpeculativeRequiresLocalSpace(t *testing.T) {
 	cfg := DefaultConfig(DET)
 	cfg.Speculative = true
 	cfg.MaxIterations = 3
-	_, err := Optimize(boundedSpace{inner}, [][]float64{{1, 1}, {2, 1}, {1, 2}}, cfg)
+	_, err := Run(context.Background(), boundedSpace{inner}, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{1, 1}, {2, 1}, {1, 2}}})
 	if err == nil || !strings.Contains(err.Error(), "requires a *sim.LocalSpace") {
 		t.Fatalf("speculative run on a bounded space: err = %v, want a *sim.LocalSpace capability error", err)
 	}
@@ -155,7 +161,7 @@ func TestSpeculativeRequiresLocalSpace(t *testing.T) {
 		sim.Snapshotter
 	}
 	snap := &Snapshot{Version: SnapshotVersion, Dim: 2, Verts: make([]sim.PointState, 3)}
-	if _, err := Resume(boundedCkptSpace{inner, inner}, snap, cfg); err == nil || !strings.Contains(err.Error(), "requires a *sim.LocalSpace") {
+	if _, err := Run(context.Background(), boundedCkptSpace{inner, inner}, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Resume: snap}); err == nil || !strings.Contains(err.Error(), "requires a *sim.LocalSpace") {
 		t.Fatalf("speculative resume on a bounded space: err = %v, want a *sim.LocalSpace capability error", err)
 	}
 }
@@ -171,7 +177,7 @@ func TestSpeculativeWasteCounted(t *testing.T) {
 		cfg.MaxIterations = 20
 		cfg.Tol = 0
 		cfg.Speculative = speculative
-		res, err := Optimize(space, [][]float64{{1, 1}, {2, 1}, {1, 2}}, cfg)
+		res, err := Run(context.Background(), space, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{1, 1}, {2, 1}, {1, 2}}})
 		if err != nil {
 			t.Fatal(err)
 		}

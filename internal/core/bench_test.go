@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -44,7 +45,7 @@ func benchIterations(b *testing.B, alg Algorithm, sigma float64, start [][]float
 		cfg.MaxIterations = iterations
 		cfg.Tol = 0
 		cfg.MaxWalltime = 0
-		res, err := Optimize(sp, start, cfg)
+		res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func BenchmarkOptimizeExpensiveWorkers(b *testing.B) {
 				cfg.MaxIterations = 30
 				cfg.Tol = 0
 				cfg.MaxWalltime = 0
-				if _, err := Optimize(sp, start, cfg); err != nil {
+				if _, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start}); err != nil {
 					b.Fatal(err)
 				}
 				sp.Close()
@@ -85,7 +86,7 @@ func BenchmarkOptimizeExpensiveWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkRestarts measures the restart wrapper overhead.
+// BenchmarkRestarts measures a run with three restart legs.
 func BenchmarkRestarts(b *testing.B) {
 	start := [][]float64{{-1.5, 2}, {-1.4, 2.1}, {-1.6, 2.1}}
 	for i := 0; i < b.N; i++ {
@@ -94,8 +95,9 @@ func BenchmarkRestarts(b *testing.B) {
 		cfg.MaxIterations = 40
 		cfg.Tol = 1e-9
 		cfg.MaxWalltime = 0
-		if _, err := OptimizeWithRestarts(sp, start, RestartConfig{
-			Config: cfg, Restarts: 3, Scale: []float64{0.3, 0.3},
+		if _, err := Run(context.Background(), sp, RunSpec{
+			Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start,
+			Restarts: 3, RestartScale: []float64{0.3, 0.3},
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -15,7 +15,7 @@ func TestOptimizeContextCanceledBeforeStart(t *testing.T) {
 	cancel()
 	sp := space(testfunc.Rosenbrock, 3, 10, 1)
 	start := [][]float64{{-3, -3, -3}, {4, -2, 1}, {-1, 3, -2}, {2, 2, 4}}
-	res, err := OptimizeContext(ctx, sp, start, DefaultConfig(MN))
+	res, err := Run(ctx, sp, RunSpec{Strategy: "mn", Config: DefaultConfig(MN), Initial: start})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestOptimizeContextCancelMidRun(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := OptimizeContext(ctx, sp, start, cfg)
+	res, err := Run(ctx, sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestOptimizerBitwiseIdenticalAcrossWorkers(t *testing.T) {
 		cfg.MaxIterations = 60
 		cfg.Tol = 0
 		cfg.MaxWalltime = 0
-		res, err := Optimize(sp, [][]float64{{-3, -3, -3}, {4, -2, 1}, {-1, 3, -2}, {2, 2, 4}}, cfg)
+		res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{-3, -3, -3}, {4, -2, 1}, {-1, 3, -2}, {2, 2, 4}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func (s *failingSpace) SampleBatch(ctx context.Context, points []sim.Point, dt f
 var errSimulatedWorker = errors.New("core test: simulated dead worker")
 
 // TestBackendErrorClosesAllPoints pins the cleanup contract on mid-run
-// backend failures: Optimize must close every point it created (on an MW
+// backend failures: Run must close every point it created (on an MW
 // space each Close releases a vertex worker rank; leaking them deadlocks the
 // next run on the space).
 func TestBackendErrorClosesAllPoints(t *testing.T) {
@@ -141,9 +141,9 @@ func TestBackendErrorClosesAllPoints(t *testing.T) {
 	cfg := DefaultConfig(DET)
 	cfg.Tol = 0
 	cfg.MaxWalltime = 0
-	_, err := Optimize(fs, [][]float64{{-3, -3, -3}, {4, -2, 1}, {-1, 3, -2}, {2, 2, 4}}, cfg)
+	_, err := Run(context.Background(), fs, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{-3, -3, -3}, {4, -2, 1}, {-1, 3, -2}, {2, 2, 4}}})
 	if err == nil {
-		t.Fatal("Optimize succeeded despite failing backend")
+		t.Fatal("Run succeeded despite failing backend")
 	}
 	if fs.live != 0 {
 		t.Fatalf("%d points left unclosed after backend error", fs.live)

@@ -296,7 +296,7 @@ type Config struct {
 	// CheckpointEvery <= 0). The space must implement sim.Snapshotter
 	// (LocalSpace does). Taking a snapshot reads no randomness and mutates
 	// nothing, so a run with checkpointing enabled is bitwise identical to
-	// one without; a run resumed from any snapshot (ResumeContext) is
+	// one without; a run resumed from any snapshot (RunSpec.Resume) is
 	// bitwise identical to the uninterrupted run — the paper's §1.3.5.1
 	// restart-on-failure strategy made durable. The callback must finish
 	// with the snapshot (e.g. serialize it) before returning; the optimizer
@@ -415,8 +415,8 @@ type Result struct {
 	// Evaluations is the total number of sampling increments issued.
 	Evaluations int64
 	// Termination names the criterion that stopped the run: "tolerance",
-	// "walltime", "iterations", or "canceled" (the OptimizeContext context
-	// ended; the result holds the best vertex found up to that point).
+	// "walltime", "iterations", or "canceled" (the run's context ended;
+	// the result holds the best vertex found up to that point).
 	Termination string
 	// Moves counts the transformations applied.
 	Moves MoveStats

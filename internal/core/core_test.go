@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -37,7 +38,7 @@ func TestDETNoiselessSphere(t *testing.T) {
 	sp := space(testfunc.Sphere, 2, 0, 1)
 	cfg := DefaultConfig(DET)
 	cfg.Tol = 1e-10
-	res, err := Optimize(sp, [][]float64{{3, 3}, {4, 3}, {3, 4}}, cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{3, 3}, {4, 3}, {3, 4}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestDETNoiselessRosenbrock(t *testing.T) {
 	sp := space(testfunc.Rosenbrock, 2, 0, 1)
 	cfg := DefaultConfig(DET)
 	cfg.Tol = 1e-12
-	res, err := Optimize(sp, [][]float64{{-1.2, 1}, {-1, 1.2}, {-0.8, 0.8}}, cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{-1.2, 1}, {-1, 1.2}, {-0.8, 0.8}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestAllAlgorithmsRunOnNoisyRosenbrock(t *testing.T) {
 			cfg.MaxWalltime = 5e4
 			cfg.Tol = 1e-3
 			rng := rand.New(rand.NewSource(7))
-			res, err := Optimize(sp, initSimplex(3, -2, 2, rng), cfg)
+			res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: initSimplex(3, -2, 2, rng)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +108,7 @@ func TestMNBeatsDETUnderHeavyNoise(t *testing.T) {
 			cfg := DefaultConfig(alg)
 			cfg.MaxWalltime = 2e4
 			cfg.Tol = 0 // run to the time budget
-			res, err := Optimize(sp, start, cfg)
+			res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +128,7 @@ func TestTerminationWalltime(t *testing.T) {
 	cfg.MaxWalltime = 100
 	cfg.Tol = 0
 	rng := rand.New(rand.NewSource(1))
-	res, err := Optimize(sp, initSimplex(3, -2, 2, rng), cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: initSimplex(3, -2, 2, rng)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestTerminationIterations(t *testing.T) {
 	cfg.MaxIterations = 5
 	cfg.MaxWalltime = 0
 	rng := rand.New(rand.NewSource(2))
-	res, err := Optimize(sp, initSimplex(3, -2, 2, rng), cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: initSimplex(3, -2, 2, rng)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestTerminationToleranceImmediate(t *testing.T) {
 	// A simplex whose vertices all have the same value terminates at once.
 	sp := space(func(x []float64) float64 { return 7 }, 2, 0, 1)
 	cfg := DefaultConfig(DET)
-	res, err := Optimize(sp, [][]float64{{0, 0}, {1, 0}, {0, 1}}, cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{0, 0}, {1, 0}, {0, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +169,10 @@ func TestTerminationToleranceImmediate(t *testing.T) {
 func TestInitialSimplexValidation(t *testing.T) {
 	sp := space(testfunc.Sphere, 3, 0, 1)
 	cfg := DefaultConfig(DET)
-	if _, err := Optimize(sp, [][]float64{{0, 0, 0}}, cfg); err == nil {
+	if _, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{0, 0, 0}}}); err == nil {
 		t.Fatal("expected error for wrong vertex count")
 	}
-	if _, err := Optimize(sp, [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}, cfg); err == nil {
+	if _, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}}}); err == nil {
 		t.Fatal("expected error for wrong vertex dimension")
 	}
 }
@@ -189,23 +190,23 @@ func TestConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := DefaultConfig(DET)
 		mutate(&cfg)
-		if _, err := Optimize(sp, start, cfg); err == nil {
+		if _, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start}); err == nil {
 			t.Errorf("mutation %d: expected config validation error", i)
 		}
 	}
 	cfgPC := DefaultConfig(PC)
 	cfgPC.K = 0
-	if _, err := Optimize(sp, start, cfgPC); err == nil {
+	if _, err := Run(context.Background(), sp, RunSpec{Strategy: cfgPC.Algorithm.String(), Config: cfgPC, Initial: start}); err == nil {
 		t.Error("PC with K=0 accepted")
 	}
 	cfgMN := DefaultConfig(MN)
 	cfgMN.MNK = 0
-	if _, err := Optimize(sp, start, cfgMN); err == nil {
+	if _, err := Run(context.Background(), sp, RunSpec{Strategy: cfgMN.Algorithm.String(), Config: cfgMN, Initial: start}); err == nil {
 		t.Error("MN with MNK=0 accepted")
 	}
 	cfgA := DefaultConfig(AndersonNM)
 	cfgA.K1 = 0
-	if _, err := Optimize(sp, start, cfgA); err == nil {
+	if _, err := Run(context.Background(), sp, RunSpec{Strategy: cfgA.Algorithm.String(), Config: cfgA, Initial: start}); err == nil {
 		t.Error("AndersonNM with K1=0 accepted")
 	}
 }
@@ -218,7 +219,7 @@ func TestForcedDecisionsUnderTinyWaitCap(t *testing.T) {
 	cfg.Tol = 0
 	cfg.MaxWalltime = 0
 	rng := rand.New(rand.NewSource(4))
-	res, err := Optimize(sp, initSimplex(3, -2, 2, rng), cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: initSimplex(3, -2, 2, rng)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestMoveStatsAccounting(t *testing.T) {
 	sp := space(testfunc.Rosenbrock, 2, 0, 1)
 	cfg := DefaultConfig(DET)
 	cfg.Tol = 1e-10
-	res, err := Optimize(sp, [][]float64{{-1.2, 1}, {-1, 1.2}, {-0.8, 0.8}}, cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{-1.2, 1}, {-1, 1.2}, {-0.8, 0.8}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestContractionLevelTracking(t *testing.T) {
 	sp := space(testfunc.Sphere, 2, 0, 1)
 	cfg := DefaultConfig(DET)
 	cfg.Tol = 1e-10
-	res, err := Optimize(sp, [][]float64{{10, 10}, {11, 10}, {10, 11}}, cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{10, 10}, {11, 10}, {10, 11}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestTraceEmission(t *testing.T) {
 	cfg.MaxWalltime = 0
 	var events []TraceEvent
 	cfg.Trace = func(e TraceEvent) { events = append(events, e) }
-	if _, err := Optimize(sp, [][]float64{{3, 3}, {4, 3}, {3, 4}}, cfg); err != nil {
+	if _, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{3, 3}, {4, 3}, {3, 4}}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 10 {
@@ -291,7 +292,7 @@ func TestStepOverheadAdvancesClock(t *testing.T) {
 		cfg.Tol = 0
 		cfg.MaxWalltime = 0
 		cfg.OverheadBase = overhead
-		res, err := Optimize(sp, [][]float64{{3, 3}, {4, 3}, {3, 4}}, cfg)
+		res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{3, 3}, {4, 3}, {3, 4}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +385,7 @@ func TestResultInvariantsProperty(t *testing.T) {
 		cfg.MaxIterations = 60
 		cfg.MaxWalltime = 1e4
 		cfg.Tol = 1e-3
-		res, err := Optimize(sp, initSimplex(3, -3, 3, rng), cfg)
+		res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: initSimplex(3, -3, 3, rng)})
 		if err != nil {
 			return false
 		}
@@ -460,7 +461,7 @@ func TestPCNoErrorBarsNeverResamples(t *testing.T) {
 	cfg.Tol = 0
 	cfg.MaxWalltime = 0
 	rng := rand.New(rand.NewSource(6))
-	res, err := Optimize(sp, initSimplex(3, -2, 2, rng), cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: initSimplex(3, -2, 2, rng)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +479,7 @@ func TestPCAllErrorBarsResamples(t *testing.T) {
 	cfg.Tol = 0
 	cfg.MaxWalltime = 0
 	rng := rand.New(rand.NewSource(6))
-	res, err := Optimize(sp, initSimplex(3, -2, 2, rng), cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: initSimplex(3, -2, 2, rng)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +502,7 @@ func TestPCMNStricterThanPC(t *testing.T) {
 			cfg := DefaultConfig(alg)
 			cfg.MaxWalltime = 3e4
 			cfg.Tol = 0
-			res, err := Optimize(sp, start, cfg)
+			res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 			if err != nil {
 				t.Fatal(err)
 			}

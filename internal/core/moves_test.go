@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/sim"
@@ -16,7 +17,7 @@ func oneStep(t *testing.T, f func([]float64) float64, start [][]float64) *Result
 	cfg.MaxIterations = 1
 	cfg.Tol = 0
 	cfg.MaxWalltime = 0
-	res, err := Optimize(sp, start, cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestPlaneDescendsWithoutContraction(t *testing.T) {
 		}
 		prevBest = e.Best
 	}
-	res, err := Optimize(sp, [][]float64{{0, 0}, {1, 0}, {0, 1}}, cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{0, 0}, {1, 0}, {0, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestPCNoiselessMatchesDET(t *testing.T) {
 		cfg.MaxIterations = 100
 		cfg.Tol = 1e-12
 		cfg.MaxWalltime = 0
-		res, err := Optimize(sp, start, cfg)
+		res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,9 +164,9 @@ func TestScopePairSamplesFewerPoints(t *testing.T) {
 		cfg.MaxIterations = 25
 		cfg.Tol = 0
 		cfg.MaxWalltime = 0
-		res, err := Optimize(sp, [][]float64{
+		res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{
 			{-2, 1, 0}, {1, 2, -1}, {0, -2, 2}, {2, 0, 1},
-		}, cfg)
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/obs"
@@ -28,49 +27,18 @@ var (
 		"prefetched speculative candidate evaluations discarded unused")
 )
 
-// Optimize runs the configured stochastic simplex on the given space starting
-// from the provided initial simplex (d+1 vertices of dimension d). The
-// initial simplex is the one piece of human input the paper deliberately does
-// not automate ("the total cost of the optimization can depend dramatically
-// on the initial state of the simplex").
-func Optimize(space sim.Space, initial [][]float64, cfg Config) (*Result, error) {
-	return OptimizeContext(context.Background(), space, initial, cfg)
-}
-
-// OptimizeContext is Optimize with cancellation: every sampling batch is
-// dispatched through the space's concurrent path (sim.BatchSampler) under
-// ctx. Cancellation is a termination criterion, not an error — the run stops
-// within one sampling round, the in-progress iteration is abandoned, and the
-// returned Result reports Termination "canceled" with the best vertex found
-// so far.
-func OptimizeContext(ctx context.Context, space sim.Space, initial [][]float64, cfg Config) (*Result, error) {
-	d := space.Dim()
-	if err := cfg.validate(d); err != nil {
-		return nil, err
-	}
-	if len(initial) != d+1 {
-		return nil, fmt.Errorf("core: initial simplex has %d vertices, want d+1 = %d", len(initial), d+1)
-	}
-	for i, v := range initial {
-		if len(v) != d {
-			return nil, fmt.Errorf("core: initial vertex %d has dimension %d, want %d", i, len(v), d)
-		}
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cfg.Checkpoint != nil {
-		if _, ok := space.(sim.Snapshotter); !ok {
-			return nil, fmt.Errorf("core: Config.Checkpoint set but space %T does not implement sim.Snapshotter", space)
-		}
-	}
-	if err := checkSpeculative(space, cfg); err != nil {
-		return nil, err
-	}
-	o := newOptimizer(ctx, space, cfg, d)
+// freshOptimizer builds a leg's optimizer on an initial simplex (d+1
+// vertices of dimension d, checked by nmStrategy.Validate) and samples every
+// vertex. The initial simplex is the one piece of human input the paper
+// deliberately does not automate ("the total cost of the optimization can
+// depend dramatically on the initial state of the simplex"). A canceled first
+// batch is not an error: the optimizer's run then reports Termination
+// "canceled" at once.
+func freshOptimizer(ctx context.Context, space sim.Space, initial [][]float64, cfg Config) (*optimizer, error) {
+	o := newOptimizer(ctx, space, cfg, space.Dim())
 	o.start = o.clock.Now()
 	o.adaptiveFloor = cfg.InitialSample
-	o.verts = make([]sim.Point, d+1)
+	o.verts = make([]sim.Point, len(initial))
 	for i, v := range initial {
 		o.verts[i] = space.NewPoint(v)
 	}
@@ -80,7 +48,7 @@ func OptimizeContext(ctx context.Context, space sim.Space, initial [][]float64, 
 		o.finish()
 		return nil, err
 	}
-	return o.run()
+	return o, nil
 }
 
 type optimizer struct {
@@ -115,7 +83,7 @@ type optimizer struct {
 	term string
 }
 
-// newOptimizer builds the run state OptimizeContext and ResumeContext start
+// newOptimizer builds the run state freshOptimizer and restoreOptimizer start
 // from, with the scratch of a d-dimensional step at full size: at most 3+d
 // trial points (three moves and the shrink vertices), and a resample round
 // over them and the d+1 vertices.

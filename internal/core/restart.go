@@ -1,168 +1,31 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-
-	"repro/internal/sim"
 )
 
-// RestartConfig wraps a Config with the restart strategy of section 1.3.5.1:
-// the downhill simplex is prone to premature termination in curved, gently
-// sloped valleys (the simplex collapses geometrically before reaching the
-// basin floor), "done either by restarting the simplex or by using it as a
-// local search subroutine". After each convergence a fresh simplex is
-// rebuilt around the best point found so far and the optimization resumes.
-type RestartConfig struct {
-	Config
-	// Restarts is the number of restarts after the first convergence.
-	Restarts int
-	// Scale gives the edge lengths of each rebuilt simplex, one entry per
-	// dimension (the natural parameter scales of the problem).
-	Scale []float64
-	// ScaleDecay multiplies Scale at each restart (default 0.5), so later
-	// restarts probe progressively finer neighbourhoods.
-	ScaleDecay float64
-}
+// The restart strategy of section 1.3.5.1: the downhill simplex is prone to
+// premature termination in curved, gently sloped valleys (the simplex
+// collapses geometrically before reaching the basin floor), "done either by
+// restarting the simplex or by using it as a local search subroutine". After
+// each convergence nmStrategy.Run rebuilds a fresh simplex around the best
+// point found so far and runs one more leg; the helpers below carry the
+// state between legs.
 
-// validate checks the restart-level parameters (the embedded Config is
-// validated per leg by OptimizeContext).
-func (rcfg *RestartConfig) validate(d int) error {
-	if rcfg.Restarts < 0 {
-		return errors.New("core: RestartConfig.Restarts must be >= 0")
+// checkRestartState validates a snapshot's restart-leg state against a run of
+// restarts legs after the first in d dimensions.
+func checkRestartState(rs *RestartState, restarts, d int) error {
+	if rs.Leg < 0 || rs.Leg > restarts {
+		return fmt.Errorf("core: snapshot restart leg %d out of range 0..%d", rs.Leg, restarts)
 	}
-	if len(rcfg.Scale) != d {
-		return fmt.Errorf("core: RestartConfig.Scale has %d entries, want %d", len(rcfg.Scale), d)
+	if len(rs.Scale) != d {
+		return fmt.Errorf("core: snapshot restart scale has %d entries, want %d", len(rs.Scale), d)
 	}
-	for i, s := range rcfg.Scale {
-		if s <= 0 {
-			return fmt.Errorf("core: RestartConfig.Scale[%d] = %v must be positive", i, s)
-		}
-	}
-	if d := rcfg.ScaleDecay; d != 0 && (d < 0 || d > 1) {
-		return errors.New("core: RestartConfig.ScaleDecay must be in (0, 1]")
+	if rs.Leg > 0 && (rs.Best == nil || rs.Total == nil) {
+		return fmt.Errorf("core: snapshot of restart leg %d is missing the accumulated results", rs.Leg)
 	}
 	return nil
-}
-
-// decay returns the effective scale decay factor.
-func (rcfg *RestartConfig) decay() float64 {
-	if rcfg.ScaleDecay == 0 {
-		return 0.5
-	}
-	return rcfg.ScaleDecay
-}
-
-// OptimizeWithRestarts runs Optimize, then restarts it from a fresh simplex
-// around the best vertex the configured number of times, returning the best
-// result overall. The walltime budget of the inner Config applies per leg;
-// iteration counts and sampling statistics are accumulated into the returned
-// Result.
-func OptimizeWithRestarts(space sim.Space, initial [][]float64, rcfg RestartConfig) (*Result, error) {
-	return OptimizeWithRestartsContext(context.Background(), space, initial, rcfg)
-}
-
-// OptimizeWithRestartsContext is OptimizeWithRestarts with cancellation: a
-// canceled context ends the current leg (Termination "canceled") and skips
-// the remaining restarts. When Config.Checkpoint is set, every snapshot
-// additionally carries the restart-leg state (Snapshot.Restart), so a killed
-// multi-leg run resumes mid-leg with ResumeWithRestartsContext.
-func OptimizeWithRestartsContext(ctx context.Context, space sim.Space, initial [][]float64, rcfg RestartConfig) (*Result, error) {
-	if err := rcfg.validate(space.Dim()); err != nil {
-		return nil, err
-	}
-	scale := append([]float64(nil), rcfg.Scale...)
-	legCfg := rcfg.Config
-	if legCfg.Checkpoint != nil {
-		legCfg.Checkpoint = restartCheckpoint(rcfg.Config.Checkpoint, 0, scale, nil, nil)
-	}
-	best, err := OptimizeContext(ctx, space, initial, legCfg)
-	if err != nil {
-		return nil, err
-	}
-	total := *best
-	return runRestartLegs(ctx, space, rcfg, best, &total, 1, scale)
-}
-
-// ResumeWithRestartsContext continues an OptimizeWithRestarts run from a
-// snapshot: the in-flight leg resumes via ResumeContext, then the remaining
-// restart legs run as usual. Snapshots without restart state (snap.Restart
-// == nil) are treated as leg 0. The resumed run is bitwise identical to the
-// uninterrupted one under the same determinism contract as ResumeContext.
-func ResumeWithRestartsContext(ctx context.Context, space sim.Space, snap *Snapshot, rcfg RestartConfig) (*Result, error) {
-	if err := rcfg.validate(space.Dim()); err != nil {
-		return nil, err
-	}
-	leg, scale := 0, append([]float64(nil), rcfg.Scale...)
-	var prevBest, prevTotal *Result
-	if snap != nil && snap.Restart != nil {
-		leg = snap.Restart.Leg
-		if leg < 0 || leg > rcfg.Restarts {
-			return nil, fmt.Errorf("core: snapshot restart leg %d out of range 0..%d", leg, rcfg.Restarts)
-		}
-		if len(snap.Restart.Scale) != len(scale) {
-			return nil, fmt.Errorf("core: snapshot restart scale has %d entries, want %d",
-				len(snap.Restart.Scale), len(scale))
-		}
-		scale = append([]float64(nil), snap.Restart.Scale...)
-		prevBest, prevTotal = snap.Restart.Best, snap.Restart.Total
-	}
-	if leg > 0 && (prevBest == nil || prevTotal == nil) {
-		return nil, fmt.Errorf("core: snapshot of restart leg %d is missing the accumulated results", leg)
-	}
-
-	legCfg := rcfg.Config
-	if legCfg.Checkpoint != nil {
-		legCfg.Checkpoint = restartCheckpoint(rcfg.Config.Checkpoint, leg, scale, prevBest, prevTotal)
-	}
-	legRes, err := ResumeContext(ctx, space, snap, legCfg)
-	if err != nil {
-		return nil, err
-	}
-
-	if leg == 0 {
-		total := *legRes
-		return runRestartLegs(ctx, space, rcfg, legRes, &total, 1, scale)
-	}
-	best := prevBest
-	total := *prevTotal
-	best = mergeLeg(&total, best, legRes)
-	if legRes.Termination == "canceled" {
-		total.Termination = "canceled"
-		return &total, nil
-	}
-	for i := range scale {
-		scale[i] *= rcfg.decay()
-	}
-	return runRestartLegs(ctx, space, rcfg, best, &total, leg+1, scale)
-}
-
-// runRestartLegs drives restart legs nextLeg..Restarts, accumulating effort
-// into total and tracking the best leg. scale is mutated in place (decayed
-// after each completed leg).
-func runRestartLegs(ctx context.Context, space sim.Space, rcfg RestartConfig, best *Result, total *Result, nextLeg int, scale []float64) (*Result, error) {
-	for r := nextLeg; r <= rcfg.Restarts && best.Termination != "canceled"; r++ {
-		fresh := simplexAround(best.BestX, scale)
-		legCfg := rcfg.Config
-		if legCfg.Checkpoint != nil {
-			legCfg.Checkpoint = restartCheckpoint(rcfg.Config.Checkpoint, r, scale, best, total)
-		}
-		leg, err := OptimizeContext(ctx, space, fresh, legCfg)
-		if err != nil {
-			return nil, err
-		}
-		best = mergeLeg(total, best, leg)
-		if leg.Termination == "canceled" {
-			total.Termination = "canceled"
-			break
-		}
-		for i := range scale {
-			scale[i] *= rcfg.decay()
-		}
-	}
-	return total, nil
 }
 
 // mergeLeg folds a completed leg into the running totals and returns the new

@@ -1,59 +1,39 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/testfunc"
 )
 
+// TestRestartValidation: restart parameters the leg driver cannot honour
+// are rejected before any sampling.
 func TestRestartValidation(t *testing.T) {
-	sp := space(testfunc.Sphere, 2, 0, 1)
-	start := [][]float64{{1, 1}, {2, 1}, {1, 2}}
-	base := RestartConfig{Config: DefaultConfig(DET), Scale: []float64{0.1, 0.1}}
-
-	bad := base
-	bad.Restarts = -1
-	if _, err := OptimizeWithRestarts(sp, start, bad); err == nil {
-		t.Error("negative restarts accepted")
+	cases := []struct {
+		name   string
+		mutate func(*RunSpec)
+	}{
+		{"negative restarts", func(s *RunSpec) { s.Restarts = -1 }},
+		{"wrong scale length", func(s *RunSpec) { s.RestartScale = []float64{0.1, 0.1, 0.1} }},
+		{"negative scale", func(s *RunSpec) { s.RestartScale = []float64{0.1, -1} }},
+		{"decay > 1", func(s *RunSpec) { s.ScaleDecay = 2 }},
 	}
-	bad = base
-	bad.Scale = []float64{0.1}
-	if _, err := OptimizeWithRestarts(sp, start, bad); err == nil {
-		t.Error("wrong scale length accepted")
-	}
-	bad = base
-	bad.Scale = []float64{0.1, -1}
-	if _, err := OptimizeWithRestarts(sp, start, bad); err == nil {
-		t.Error("negative scale accepted")
-	}
-	bad = base
-	bad.ScaleDecay = 2
-	if _, err := OptimizeWithRestarts(sp, start, bad); err == nil {
-		t.Error("decay > 1 accepted")
-	}
-}
-
-func TestZeroRestartsEqualsOptimize(t *testing.T) {
-	start := [][]float64{{3, 3}, {4, 3}, {3, 4}}
-	cfg := DefaultConfig(DET)
-	cfg.Tol = 1e-10
-
-	sp1 := space(testfunc.Sphere, 2, 0, 1)
-	plain, err := Optimize(sp1, start, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp2 := space(testfunc.Sphere, 2, 0, 1)
-	restarted, err := OptimizeWithRestarts(sp2, start, RestartConfig{
-		Config: cfg, Restarts: 0, Scale: []float64{0.1, 0.1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restarted.BestG != plain.BestG || restarted.Iterations != plain.Iterations {
-		t.Fatalf("zero-restart run differs: %v/%d vs %v/%d",
-			restarted.BestG, restarted.Iterations, plain.BestG, plain.Iterations)
+	for _, c := range cases {
+		sp := space(testfunc.Sphere, 2, 0, 1)
+		spec := RunSpec{
+			Strategy: "det", Config: DefaultConfig(DET),
+			Initial:  [][]float64{{1, 1}, {2, 1}, {1, 2}},
+			Restarts: 1, RestartScale: []float64{0.1, 0.1},
+		}
+		c.mutate(&spec)
+		if _, err := Run(context.Background(), sp, spec); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+		if n := sp.Evaluations(); n != 0 {
+			t.Errorf("%s: rejected spec sampled %d times first", c.name, n)
+		}
 	}
 }
 
@@ -67,14 +47,15 @@ func TestRestartsImproveStalledRosenbrock(t *testing.T) {
 	cfg.MaxWalltime = 0
 
 	spPlain := space(testfunc.Rosenbrock, 2, 0, 1)
-	plain, err := Optimize(spPlain, start, cfg)
+	plain, err := Run(context.Background(), spPlain, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	spRe := space(testfunc.Rosenbrock, 2, 0, 1)
-	restarted, err := OptimizeWithRestarts(spRe, start, RestartConfig{
-		Config: cfg, Restarts: 4, Scale: []float64{0.3, 0.3},
+	restarted, err := Run(context.Background(), spRe, RunSpec{
+		Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start,
+		Restarts: 4, RestartScale: []float64{0.3, 0.3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +75,11 @@ func TestRestartsWorkUnderNoise(t *testing.T) {
 	cfg := DefaultConfig(PC)
 	cfg.MaxWalltime = 1e4
 	cfg.Tol = 0.01
-	res, err := OptimizeWithRestarts(sp, [][]float64{
-		{-2, 1, 0}, {-1, 2, 1}, {0, 0, -1}, {1, -1, 2},
-	}, RestartConfig{Config: cfg, Restarts: 2, Scale: []float64{0.5, 0.5, 0.5}})
+	res, err := Run(context.Background(), sp, RunSpec{
+		Strategy: cfg.Algorithm.String(), Config: cfg,
+		Initial:  [][]float64{{-2, 1, 0}, {-1, 2, 1}, {0, 0, -1}, {1, -1, 2}},
+		Restarts: 2, RestartScale: []float64{0.5, 0.5, 0.5},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +114,9 @@ func TestRestartStaysAtOptimum(t *testing.T) {
 	sp := space(testfunc.Sphere, 2, 0, 3)
 	cfg := DefaultConfig(DET)
 	cfg.Tol = 1e-12
-	res, err := OptimizeWithRestarts(sp, [][]float64{{2, 2}, {3, 2}, {2, 3}}, RestartConfig{
-		Config: cfg, Restarts: 3, Scale: []float64{0.5, 0.5},
+	res, err := Run(context.Background(), sp, RunSpec{
+		Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{2, 2}, {3, 2}, {2, 3}},
+		Restarts: 3, RestartScale: []float64{0.5, 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 )
 
 // SnapshotVersion identifies the serialized snapshot layout. Bump it when a
-// field changes incompatibly; Resume refuses snapshots from other versions.
+// field changes incompatibly; a resume refuses snapshots from other versions.
 const SnapshotVersion = 1
 
 // Snapshot is the complete serializable state of an optimization run at a
@@ -59,13 +59,14 @@ type Snapshot struct {
 	Space sim.SpaceState `json:"space"`
 	// Verts holds the d+1 vertex states in simplex order.
 	Verts []sim.PointState `json:"verts"`
-	// Restart, when the run is a leg of OptimizeWithRestarts, records which
-	// leg and the accumulated cross-leg state. Nil for plain runs.
+	// Restart, when the run has restart legs (RunSpec.Restarts > 0), records
+	// which leg and the accumulated cross-leg state. Nil for plain runs, so a
+	// plain run's snapshots serialize without it.
 	Restart *RestartState `json:"restart,omitempty"`
 }
 
-// RestartState is the cross-leg state of an OptimizeWithRestarts run: which
-// leg the snapshot belongs to and the totals accumulated from completed legs.
+// RestartState is the cross-leg state of a run with restart legs: which leg
+// the snapshot belongs to and the totals accumulated from completed legs.
 type RestartState struct {
 	// Leg is 0 for the initial run, 1..Restarts for the restart legs.
 	Leg int `json:"leg"`
@@ -139,42 +140,24 @@ func (o *optimizer) emitCheckpoint() error {
 	return nil
 }
 
-// Resume continues an optimization from a snapshot. See ResumeContext.
-func Resume(space sim.Space, snap *Snapshot, cfg Config) (*Result, error) {
-	return ResumeContext(context.Background(), space, snap, cfg)
-}
-
-// ResumeContext rebuilds the optimizer from a snapshot on a freshly
-// constructed space and continues the run. The space must be built from the
-// same construction parameters (objective, noise law, seed) the snapshotted
-// run used and must implement sim.Snapshotter; cfg must be the run's
-// original Config (callbacks may differ — they are not part of the state).
-// The resumed run is bitwise identical to the uninterrupted one: every
-// vertex's noise stream is fast-forwarded to its recorded position, the
-// virtual clock and effort counters continue where they stopped, and future
-// point creations draw the same stream seeds they would have drawn.
-func ResumeContext(ctx context.Context, space sim.Space, snap *Snapshot, cfg Config) (*Result, error) {
-	d := space.Dim()
-	if err := cfg.validate(d); err != nil {
-		return nil, err
-	}
-	if err := checkSnapshot(snap, d); err != nil {
-		return nil, err
-	}
+// restoreOptimizer rebuilds a leg's optimizer from a snapshot (checked by
+// nmStrategy.Validate) on a freshly constructed space. The space must be
+// built from the same construction parameters (objective, noise law, seed)
+// the snapshotted run used; cfg must be the run's original Config (callbacks
+// may differ — they are not part of the state). The resumed run is bitwise
+// identical to the uninterrupted one: every vertex's noise stream is
+// fast-forwarded to its recorded position, the virtual clock and effort
+// counters continue where they stopped, and future point creations draw the
+// same stream seeds they would have drawn.
+func restoreOptimizer(ctx context.Context, space sim.Space, snap *Snapshot, cfg Config) (*optimizer, error) {
 	snapper, ok := space.(sim.Snapshotter)
 	if !ok {
 		return nil, fmt.Errorf("core: space %T does not support snapshots", space)
 	}
-	if err := checkSpeculative(space, cfg); err != nil {
-		return nil, err
-	}
 	if err := snapper.RestoreState(snap.Space); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	o := newOptimizer(ctx, space, cfg, d)
+	o := newOptimizer(ctx, space, cfg, space.Dim())
 	o.start = snap.Start
 	o.level = snap.Level
 	o.lastMove = snap.LastMove
@@ -202,14 +185,11 @@ func ResumeContext(ctx context.Context, space sim.Space, snap *Snapshot, cfg Con
 		}
 		o.verts[i] = p
 	}
-	return o.run()
+	return o, nil
 }
 
-// checkSnapshot validates the invariants Resume relies on.
+// checkSnapshot validates the invariants restoreOptimizer relies on.
 func checkSnapshot(snap *Snapshot, d int) error {
-	if snap == nil {
-		return fmt.Errorf("core: nil snapshot")
-	}
 	if snap.Version != SnapshotVersion {
 		return fmt.Errorf("core: snapshot version %d, want %d", snap.Version, SnapshotVersion)
 	}

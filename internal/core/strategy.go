@@ -47,6 +47,7 @@ type RunSpec struct {
 	// refinement scale of the hybrid.
 	RestartScale []float64
 	// ScaleDecay multiplies the restart scale after each leg; 0 selects 0.5.
+	// With Restarts > 0 it must lie in (0, 1].
 	ScaleDecay float64
 	// Resume continues a checkpointed run from its snapshot instead of
 	// starting fresh. Requires a Resumable strategy and a sim.Snapshotter
@@ -246,8 +247,9 @@ func LookupStrategy(name string) (Strategy, error) {
 	return nil, fmt.Errorf("core: unknown strategy %q (registered: %s)", name, strings.Join(names, ", "))
 }
 
-// Run is the single driver behind repro.Run and the jobs manager: it
-// resolves spec.Strategy from the registry, applies the driver-level
+// Run is the one way to run an optimizer: repro.Run, the jobs manager, the
+// experiment drivers and the hybrid's local leg all call it. It resolves
+// spec.Strategy from the registry, applies the driver-level
 // validation shared by every strategy (resume/checkpoint capability, option
 // conflicts), and hands the run to the strategy.
 func Run(ctx context.Context, space sim.Space, spec RunSpec) (*Result, error) {
@@ -312,6 +314,7 @@ func (s nmStrategy) Resumable() bool      { return true }
 func (s nmStrategy) Algorithm() Algorithm { return s.alg }
 
 func (s nmStrategy) Validate(space sim.Space, spec *RunSpec) error {
+	d := space.Dim()
 	if spec.Restarts < 0 {
 		return errors.New("core: restarts must be >= 0")
 	}
@@ -321,38 +324,115 @@ func (s nmStrategy) Validate(space sim.Space, spec *RunSpec) error {
 	if spec.HasBox && !(spec.Lo < spec.Hi) {
 		return fmt.Errorf("core: simplex draw box [%v, %v) is empty", spec.Lo, spec.Hi)
 	}
-	if spec.Restarts > 0 {
-		if _, err := spec.ScaleVector(space.Dim()); err != nil {
+	if spec.Initial != nil && len(spec.Initial) != d+1 {
+		return fmt.Errorf("core: initial simplex has %d vertices, want d+1 = %d", len(spec.Initial), d+1)
+	}
+	for i, v := range spec.Initial {
+		if len(v) != d {
+			return fmt.Errorf("core: initial vertex %d has dimension %d, want %d", i, len(v), d)
+		}
+	}
+	if spec.Resume != nil {
+		if err := checkSnapshot(spec.Resume, d); err != nil {
 			return err
 		}
 	}
+	if spec.Restarts > 0 {
+		if _, err := spec.ScaleVector(d); err != nil {
+			return err
+		}
+		if !(spec.ScaleDecay >= 0 && spec.ScaleDecay <= 1) {
+			return fmt.Errorf("core: scale decay %v must be in (0, 1] (0 selects 0.5)", spec.ScaleDecay)
+		}
+		if spec.Resume != nil && spec.Resume.Restart != nil {
+			if err := checkRestartState(spec.Resume.Restart, spec.Restarts, d); err != nil {
+				return err
+			}
+		}
+	}
 	cfg := spec.Config
 	cfg.Algorithm = s.alg
-	return cfg.validate(space.Dim())
+	if err := cfg.validate(d); err != nil {
+		return err
+	}
+	return checkSpeculative(space, cfg)
 }
 
+// Run is the NM family's one leg driver. A run is 1+Restarts legs of the
+// same simplex loop (the §1.3.5.1 restart strategy): the first leg starts
+// from spec.Resume's snapshot or from the initial simplex (explicit, or drawn
+// uniformly from the box by spec.Seed), and every restart leg from a fresh
+// simplex around the best vertex so far: the first with the RestartScale edge
+// lengths, each later one with the previous leg's times ScaleDecay. A plain
+// run is the first leg alone. Effort counters accumulate over legs, the
+// walltime budget applies per leg, and a canceled leg ends the run. With
+// restarts, every Config.Checkpoint snapshot carries the leg state
+// (Snapshot.Restart) a resume continues from; a plain run's snapshots carry
+// none.
 func (s nmStrategy) Run(ctx context.Context, space sim.Space, spec *RunSpec) (*Result, error) {
 	cfg := spec.Config
 	cfg.Algorithm = s.alg
-	initial := spec.Initial
-	if initial == nil && spec.Resume == nil {
+	resume, initial := spec.Resume, spec.Initial
+	if resume == nil && initial == nil {
 		initial = UniformSimplex(space.Dim(), spec.Lo, spec.Hi, rand.New(noise.NewSource(spec.Seed)))
 	}
+	leg := 0
+	var scale []float64
+	var best, total *Result // the best leg and the running totals; nil until a leg ends
 	if spec.Restarts > 0 {
-		scale, err := spec.ScaleVector(space.Dim())
+		scale, _ = spec.ScaleVector(space.Dim()) // checked by Validate
+		if resume != nil && resume.Restart != nil {
+			rs := resume.Restart
+			leg, scale, best = rs.Leg, append([]float64(nil), rs.Scale...), rs.Best
+			if rs.Total != nil {
+				t := *rs.Total // mergeLeg folds into it; the snapshot stays intact
+				total = &t
+			}
+		}
+	}
+	decay := spec.ScaleDecay
+	if decay == 0 {
+		decay = 0.5
+	}
+	for ; ; leg++ {
+		legCfg := cfg
+		if cfg.Checkpoint != nil && spec.Restarts > 0 {
+			legCfg.Checkpoint = restartCheckpoint(cfg.Checkpoint, leg, scale, best, total)
+		}
+		var o *optimizer
+		var err error
+		if resume != nil {
+			o, err = restoreOptimizer(ctx, space, resume, legCfg)
+		} else {
+			o, err = freshOptimizer(ctx, space, initial, legCfg)
+		}
 		if err != nil {
 			return nil, err
 		}
-		rcfg := RestartConfig{Config: cfg, Restarts: spec.Restarts, Scale: scale, ScaleDecay: spec.ScaleDecay}
-		if spec.Resume != nil {
-			return ResumeWithRestartsContext(ctx, space, spec.Resume, rcfg)
+		res, err := o.run()
+		if err != nil {
+			return nil, err
 		}
-		return OptimizeWithRestartsContext(ctx, space, initial, rcfg)
+		if total == nil {
+			t := *res
+			best, total = res, &t
+		} else {
+			best = mergeLeg(total, best, res)
+		}
+		if res.Termination == "canceled" {
+			total.Termination = "canceled"
+			return total, nil
+		}
+		if leg >= spec.Restarts {
+			return total, nil
+		}
+		if leg > 0 { // the first restart leg uses the undecayed scale
+			for i := range scale {
+				scale[i] *= decay
+			}
+		}
+		resume, initial = nil, simplexAround(best.BestX, scale)
 	}
-	if spec.Resume != nil {
-		return ResumeContext(ctx, space, spec.Resume, cfg)
-	}
-	return OptimizeContext(ctx, space, initial, cfg)
 }
 
 func init() {

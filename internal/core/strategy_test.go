@@ -1,14 +1,8 @@
 package core
 
 import (
-	"context"
-	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
-	"repro/internal/testfunc"
 )
 
 func TestRegistryHasNMFamily(t *testing.T) {
@@ -110,43 +104,5 @@ func TestStrategyInfosShape(t *testing.T) {
 	}
 	if len(wantAliases) > 0 {
 		t.Errorf("pc+mn aliases %v missing %v", pcmn.Aliases, wantAliases)
-	}
-}
-
-// TestRunMatchesOptimize verifies the driver path (strategy resolved by
-// name, simplex drawn from the box) reproduces a direct OptimizeContext call
-// bitwise for every NM policy.
-func TestRunMatchesOptimize(t *testing.T) {
-	for _, name := range []string{"det", "mn", "pc", "pc+mn", "anderson"} {
-		alg, err := ParseAlgorithm(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newSpace := func() *sim.LocalSpace {
-			return sim.NewLocalSpace(sim.LocalConfig{
-				Dim: 3, F: testfunc.Rosenbrock, Sigma0: sim.ConstSigma(20),
-				Seed: 5, Parallel: true,
-			})
-		}
-		cfg := DefaultConfig(alg)
-		cfg.MaxWalltime = 2e3
-		cfg.Tol = 0
-
-		direct, err := OptimizeContext(context.Background(), newSpace(),
-			UniformSimplex(3, -4, 4, rand.New(rand.NewSource(5))), cfg)
-		if err != nil {
-			t.Fatalf("%s: direct: %v", name, err)
-		}
-		viaRun, err := Run(context.Background(), newSpace(), RunSpec{
-			Strategy: name, Config: cfg,
-			Seed: 5, Lo: -4, Hi: 4, HasBox: true,
-		})
-		if err != nil {
-			t.Fatalf("%s: Run: %v", name, err)
-		}
-		if !reflect.DeepEqual(direct, viaRun) {
-			t.Errorf("%s: Run result differs from direct OptimizeContext\n direct: %+v\n    run: %+v",
-				name, direct, viaRun)
-		}
 	}
 }

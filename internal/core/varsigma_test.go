@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,8 +33,9 @@ func TestLocationDependentNoiseNeedsRestarts(t *testing.T) {
 		cfg := DefaultConfig(PC)
 		cfg.MaxWalltime = 2e5
 		cfg.Tol = 0.05
-		res, err := OptimizeWithRestarts(sp, [][]float64{{8, 8}, {9, 8}, {8, 9}}, RestartConfig{
-			Config: cfg, Restarts: restarts, Scale: []float64{2, 2}, ScaleDecay: 0.7,
+		res, err := Run(context.Background(), sp, RunSpec{
+			Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{8, 8}, {9, 8}, {8, 9}},
+			Restarts: restarts, RestartScale: []float64{2, 2}, ScaleDecay: 0.7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +74,7 @@ func TestEstimatedSigmaMode(t *testing.T) {
 	cfg := DefaultConfig(PC)
 	cfg.MaxWalltime = 5e4
 	cfg.Tol = 0
-	res, err := Optimize(sp, [][]float64{{8, 8}, {9, 8}, {8, 9}}, cfg)
+	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{8, 8}, {9, 8}, {8, 9}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestAbortedSpeculativeBatchWasteCountedOnce(t *testing.T) {
 	cfg.Speculative = true
 	initial := [][]float64{{-3, -3, -3}, {4, -2, 1}, {-1, 3, -2}, {2, 2, 4}}
 
-	res, err := OptimizeContext(ctx, sp, initial, cfg)
+	res, err := Run(ctx, sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: initial})
 	if err != nil {
 		t.Fatal(err)
 	}

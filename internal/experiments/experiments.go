@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -144,7 +145,7 @@ func run(spec runSpec) (*runMeasures, error) {
 	})
 	cfg := spec.cfg
 	cfg.Tol = spec.overTol
-	res, err := core.Optimize(space, spec.start, cfg)
+	res, err := core.Run(context.Background(), space, core.RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: spec.start})
 	if err != nil {
 		return nil, err
 	}

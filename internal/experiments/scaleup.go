@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -111,7 +112,7 @@ func ScaleUpRuns(opt Options) ([]*ScaleRun, error) {
 			sr.Values = append(sr.Values, math.Max(e.Best, 1e-4))
 			sr.Steps = append(sr.Steps, float64(e.Iter))
 		}
-		res, err := core.Optimize(space, start, cfg)
+		res, err := core.Run(context.Background(), space, core.RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 		space.Shutdown()
 		if err != nil {
 			return nil, err

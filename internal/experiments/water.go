@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -76,10 +77,12 @@ func WaterStudy(opt Options, alg core.Algorithm) (*WaterResult, error) {
 	// the physical parameter correlations of a water model); simplex
 	// restarts around the incumbent (section 1.3.5.1) prevent premature
 	// collapse far from the basin floor.
-	res, err := core.OptimizeWithRestarts(space, WaterInitialSimplex(), core.RestartConfig{
-		Config:   cfg,
-		Restarts: restarts,
-		Scale:    []float64{0.01, 0.02, 0.005}, // natural (eps, sigma, qH) scales
+	res, err := core.Run(context.Background(), space, core.RunSpec{
+		Strategy:     cfg.Algorithm.String(),
+		Config:       cfg,
+		Initial:      WaterInitialSimplex(),
+		Restarts:     restarts,
+		RestartScale: []float64{0.01, 0.02, 0.005}, // natural (eps, sigma, qH) scales
 	})
 	if err != nil {
 		return nil, err

@@ -154,8 +154,8 @@ type Config struct {
 	// in-process sampling (SampleCost set) reaches that pool: a cost-free
 	// job samples in its caller, a Spec.Workers job gets a private pool with
 	// no tenant, and a Spec.Fleet job goes to the dist coordinator, which
-	// ignores tenants. Moving fair share to the fleet is the ROADMAP item
-	// "Put fair share where the compute runs".
+	// ignores tenants. Moving fair share to the fleet is part of ROADMAP
+	// item 4, "One dispatch engine".
 	SchedPolicy string
 	// Store, when non-nil, is the durable job store: every accepted job is
 	// recorded in it at submission with a durable Put (so a

@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,7 +23,7 @@ func TestOptimizerOverMWMatchesLocalNoiseless(t *testing.T) {
 	local := sim.NewLocalSpace(sim.LocalConfig{
 		Dim: 2, F: testfunc.Rosenbrock, Parallel: true,
 	})
-	resLocal, err := core.Optimize(local, start, cfg)
+	resLocal, err := core.Run(context.Background(), local, core.RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestOptimizerOverMWMatchesLocalNoiseless(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mwSpace.Shutdown()
-	resMW, err := core.Optimize(mwSpace, start, cfg)
+	resMW, err := core.Run(context.Background(), mwSpace, core.RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestPCOverMWWithNoise(t *testing.T) {
 	cfg := core.DefaultConfig(core.PC)
 	cfg.MaxWalltime = 5e3
 	cfg.Tol = 1e-4
-	res, err := core.Optimize(mwSpace, start, cfg)
+	res, err := core.Run(context.Background(), mwSpace, core.RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestMWScaleUpD20(t *testing.T) {
 	cfg.MaxIterations = 30
 	cfg.Tol = 0
 	cfg.MaxWalltime = 0
-	res, err := core.Optimize(mwSpace, start, cfg)
+	res, err := core.Run(context.Background(), mwSpace, core.RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package optroot
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -103,7 +104,7 @@ func TestOptimizeOverScriptTree(t *testing.T) {
 	cfg.MaxIterations = 60
 	cfg.Tol = 1e-10
 	cfg.MaxWalltime = 0
-	res, err := core.Optimize(sp, root.InitialSimplex, cfg)
+	res, err := core.Run(context.Background(), sp, core.RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: root.InitialSimplex})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package pso implements the global-optimization extension the paper's
-// future-work section proposes (section 5.2): particle swarm optimization
-// with the max-noise / point-to-point comparison machinery, and a hybrid
-// that uses the stochastic simplex as the local refinement stage ("simplex
-// ... used as a local search subroutine within a metaheuristic method",
-// section 1.3.5.1).
+// future-work section proposes (section 5.2) as two strategies of the core
+// registry: "pso", particle swarm optimization with the max-noise /
+// point-to-point comparison machinery, and "hybrid", which uses the
+// stochastic simplex as the local refinement stage ("simplex ... used as a
+// local search subroutine within a metaheuristic method", section 1.3.5.1).
+// The package exports no run function: both run through core.Run.
 //
 // Every particle evaluation goes through the same sim.Space sampling
 // abstraction as the simplex algorithms, so the swarm sees noisy estimates
@@ -24,8 +25,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Config controls a swarm run.
-type Config struct {
+// config controls a swarm run.
+type config struct {
 	// Particles is the swarm size.
 	Particles int
 	// Iterations is the number of swarm updates.
@@ -58,10 +59,10 @@ type Config struct {
 	Trace func(core.TraceEvent)
 }
 
-// DefaultConfig returns standard constriction-coefficient PSO settings with
+// defaultConfig returns standard constriction-coefficient PSO settings with
 // noise-aware comparisons at one sigma.
-func DefaultConfig(lo, hi []float64) Config {
-	return Config{
+func defaultConfig(lo, hi []float64) config {
+	return config{
 		Particles:      20,
 		Iterations:     60,
 		Inertia:        0.72,
@@ -77,7 +78,7 @@ func DefaultConfig(lo, hi []float64) Config {
 	}
 }
 
-func (c *Config) validate(d int) error {
+func (c *config) validate(d int) error {
 	if c.Particles < 2 {
 		return errors.New("pso: need at least 2 particles")
 	}
@@ -98,58 +99,26 @@ func (c *Config) validate(d int) error {
 	return nil
 }
 
-// Result summarizes a swarm run.
-type Result struct {
-	// BestX is the global-best position.
-	BestX []float64
-	// BestG is its noisy estimate at termination.
-	BestG float64
-	// BestSigma is the standard deviation of BestG.
-	BestSigma float64
-	// Iterations is the number of completed swarm updates.
-	Iterations int
-	// Walltime is the elapsed virtual time.
-	Walltime float64
-	// Evaluations is the cumulative sampling count from the space.
-	Evaluations int64
-	// ResampleRounds counts indeterminate-comparison resampling rounds.
-	ResampleRounds int
-	// Termination names what stopped the swarm: "iterations", "walltime",
-	// or "canceled" (the context ended; the result holds the best found so
-	// far).
-	Termination string
-}
-
 type particle struct {
 	x, v  []float64
 	pbest sim.Point
 }
 
-// Optimize runs the swarm on the space. Particles are initialized uniformly
-// in the box with velocities up to half the box width.
-func Optimize(space sim.Space, cfg Config) (*Result, error) {
-	return OptimizeContext(context.Background(), space, cfg)
-}
-
-// OptimizeContext is Optimize with cancellation: every sampling batch is
-// dispatched through the space's concurrent path (sim.SampleBatch) under
-// ctx. As in the simplex optimizers, cancellation is a termination
-// criterion, not an error — the swarm stops within one sampling round and
-// the Result reports Termination "canceled" with the best position found so
-// far.
-func OptimizeContext(ctx context.Context, space sim.Space, cfg Config) (*Result, error) {
+// runSwarm runs the swarm on the space with a validated config. Particles are
+// initialized uniformly in the box with velocities up to half the box width.
+// Every sampling batch is dispatched through the space's concurrent path
+// (sim.SampleBatch) under ctx. As in the simplex optimizers, cancellation is
+// a termination criterion, not an error: the swarm stops within one sampling
+// round and the Result reports Termination "canceled" with the best position
+// found so far. The swarm makes no simplex moves, so the move counters stay
+// zero and there is no final simplex.
+func runSwarm(ctx context.Context, space sim.Space, cfg config) (*core.Result, error) {
 	d := space.Dim()
-	if err := cfg.validate(d); err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	rng := rand.New(noise.NewSource(cfg.Seed))
 	clock := space.Clock()
 	start := clock.Now()
 
-	res := &Result{}
+	res := &core.Result{}
 	canceled := false
 	var fatal error
 	// sample dispatches one concurrent batch under ctx. Cancellation flips
@@ -335,56 +304,4 @@ func OptimizeContext(ctx context.Context, space sim.Space, cfg Config) (*Result,
 	}
 	closeAll()
 	return res, nil
-}
-
-// HybridConfig couples a global swarm phase with a local stochastic-simplex
-// refinement around the swarm's best point.
-type HybridConfig struct {
-	// PSO is the global phase configuration.
-	PSO Config
-	// Local is the refinement configuration (typically MN or PC).
-	Local core.Config
-	// LocalScale gives the refinement simplex edge lengths per dimension.
-	LocalScale []float64
-}
-
-// OptimizeHybrid runs the PSO global phase, then refines its best point with
-// the stochastic simplex, returning the refinement result (whose BestX is at
-// least as good as the swarm's, at the local algorithm's confidence).
-func OptimizeHybrid(space sim.Space, cfg HybridConfig) (*core.Result, *Result, error) {
-	return OptimizeHybridContext(context.Background(), space, cfg)
-}
-
-// OptimizeHybridContext is OptimizeHybrid with cancellation. A context
-// canceled during the global phase skips the local refinement and returns a
-// nil local result with the partial swarm result; canceled during the local
-// phase, the local result reports Termination "canceled" as usual.
-func OptimizeHybridContext(ctx context.Context, space sim.Space, cfg HybridConfig) (*core.Result, *Result, error) {
-	d := space.Dim()
-	if len(cfg.LocalScale) != d {
-		return nil, nil, fmt.Errorf("pso: LocalScale has %d entries, want %d", len(cfg.LocalScale), d)
-	}
-	global, err := OptimizeContext(ctx, space, cfg.PSO)
-	if err != nil {
-		return nil, nil, err
-	}
-	if global.Termination == "canceled" || global.BestX == nil {
-		global.Termination = "canceled"
-		return nil, global, nil
-	}
-	initial := make([][]float64, d+1)
-	initial[0] = append([]float64(nil), global.BestX...)
-	for i := 0; i < d; i++ {
-		v := append([]float64(nil), global.BestX...)
-		v[i] += cfg.LocalScale[i]
-		initial[i+1] = v
-	}
-	local, err := core.OptimizeContext(ctx, space, initial, cfg.Local)
-	if err != nil {
-		return nil, nil, err
-	}
-	if math.IsNaN(local.BestG) {
-		return nil, nil, errors.New("pso: local refinement produced no estimate")
-	}
-	return local, global, nil
 }

@@ -1,6 +1,7 @@
 package pso
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,20 +26,19 @@ func bounds(d int, lo, hi float64) ([]float64, []float64) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	sp := space(testfunc.Sphere, 2, 0, 1)
-	lo, hi := bounds(2, -1, 1)
-	bad := []func(*Config){
-		func(c *Config) { c.Particles = 1 },
-		func(c *Config) { c.Iterations = 0 },
-		func(c *Config) { c.Lo = c.Lo[:1] },
-		func(c *Config) { c.Hi[0] = c.Lo[0] },
-		func(c *Config) { c.SampleDt = 0 },
-		func(c *Config) { c.ResampleGrowth = 0.5 },
+	bad := []func(*config){
+		func(c *config) { c.Particles = 1 },
+		func(c *config) { c.Iterations = 0 },
+		func(c *config) { c.Lo = c.Lo[:1] },
+		func(c *config) { c.Hi[0] = c.Lo[0] },
+		func(c *config) { c.SampleDt = 0 },
+		func(c *config) { c.ResampleGrowth = 0.5 },
 	}
 	for i, mutate := range bad {
-		cfg := DefaultConfig(lo, hi)
+		lo, hi := bounds(2, -1, 1)
+		cfg := defaultConfig(lo, hi)
 		mutate(&cfg)
-		if _, err := Optimize(sp, cfg); err == nil {
+		if err := cfg.validate(2); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
@@ -47,9 +47,9 @@ func TestConfigValidation(t *testing.T) {
 func TestNoiselessSphere(t *testing.T) {
 	sp := space(testfunc.Sphere, 3, 0, 1)
 	lo, hi := bounds(3, -5, 5)
-	cfg := DefaultConfig(lo, hi)
+	cfg := defaultConfig(lo, hi)
 	cfg.Seed = 2
-	res, err := Optimize(sp, cfg)
+	res, err := runSwarm(context.Background(), sp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPSOEscapesLocalMinimaWhereSimplexTraps(t *testing.T) {
 	spS := space(testfunc.Rastrigin, 2, 0, 3)
 	cfg := core.DefaultConfig(core.DET)
 	cfg.Tol = 1e-9
-	simplexRes, err := core.Optimize(spS, [][]float64{{4.2, 4.3}, {4.4, 4.2}, {4.3, 4.5}}, cfg)
+	simplexRes, err := core.Run(context.Background(), spS, core.RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{4.2, 4.3}, {4.4, 4.2}, {4.3, 4.5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestPSOEscapesLocalMinimaWhereSimplexTraps(t *testing.T) {
 
 	spP := space(testfunc.Rastrigin, 2, 0, 4)
 	lo, hi := bounds(2, -5.12, 5.12)
-	pcfg := DefaultConfig(lo, hi)
+	pcfg := defaultConfig(lo, hi)
 	pcfg.Particles = 30
 	pcfg.Iterations = 80
 	pcfg.Seed = 5
-	psoRes, err := Optimize(spP, pcfg)
+	psoRes, err := runSwarm(context.Background(), spP, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestNoiseAwareBeatsNoiseBlind(t *testing.T) {
 		run := func(k float64) float64 {
 			sp := space(testfunc.Sphere, 3, 50, 100+s)
 			lo, hi := bounds(3, -5, 5)
-			cfg := DefaultConfig(lo, hi)
+			cfg := defaultConfig(lo, hi)
 			cfg.K = k
 			cfg.Seed = 200 + s
 			cfg.Iterations = 40
-			res, err := Optimize(sp, cfg)
+			res, err := runSwarm(context.Background(), sp, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,10 +127,10 @@ func TestNoiseAwareBeatsNoiseBlind(t *testing.T) {
 func TestBoundsRespected(t *testing.T) {
 	sp := space(testfunc.Rastrigin, 2, 10, 6)
 	lo, hi := bounds(2, -2, 2)
-	cfg := DefaultConfig(lo, hi)
+	cfg := defaultConfig(lo, hi)
 	cfg.Seed = 7
 	cfg.Iterations = 30
-	res, err := Optimize(sp, cfg)
+	res, err := runSwarm(context.Background(), sp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,11 @@ func TestBoundsRespected(t *testing.T) {
 func TestWalltimeBudget(t *testing.T) {
 	sp := space(testfunc.Sphere, 2, 100, 8)
 	lo, hi := bounds(2, -5, 5)
-	cfg := DefaultConfig(lo, hi)
+	cfg := defaultConfig(lo, hi)
 	cfg.Seed = 9
 	cfg.Iterations = 100000
 	cfg.MaxWalltime = 500
-	res, err := Optimize(sp, cfg)
+	res, err := runSwarm(context.Background(), sp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,29 +160,29 @@ func TestWalltimeBudget(t *testing.T) {
 // Hybrid: a deliberately coarse swarm phase locates the global basin, then
 // the stochastic simplex supplies the precision PSO lacks "in refined search
 // stages" (section 5.2). The refinement must substantially improve the
-// swarm's imprecise best.
+// swarm's imprecise best. The plain "pso" run of the same spec on the same
+// seed is exactly the hybrid's global phase.
 func TestHybridRefinesCoarsePSO(t *testing.T) {
-	sp := space(testfunc.Rastrigin, 2, 1, 10)
-	lo, hi := bounds(2, -5.12, 5.12)
-	pcfg := DefaultConfig(lo, hi)
-	pcfg.Seed = 11
-	pcfg.Particles = 25
-	pcfg.Iterations = 8 // coarse: basin located, floor not reached
-
 	lcfg := core.DefaultConfig(core.PC)
 	lcfg.MaxWalltime = 3e4
 	lcfg.Tol = 1e-4
-
-	local, global, err := OptimizeHybrid(sp, HybridConfig{
-		PSO:        pcfg,
-		Local:      lcfg,
-		LocalScale: []float64{0.2, 0.2},
-	})
-	if err != nil {
-		t.Fatal(err)
+	spec := core.RunSpec{
+		Config: lcfg,
+		Seed:   11, Lo: -5.12, Hi: 5.12, HasBox: true,
+		Particles:    25,
+		SwarmIters:   8, // coarse: basin located, floor not reached
+		RestartScale: []float64{0.2},
 	}
-	fGlobal := testfunc.Rastrigin(global.BestX)
-	fLocal := testfunc.Rastrigin(local.BestX)
+	run := func(strategy string) *core.Result {
+		spec.Strategy = strategy
+		res, err := core.Run(context.Background(), space(testfunc.Rastrigin, 2, 1, 10), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fGlobal := testfunc.Rastrigin(run("pso").BestX)
+	fLocal := testfunc.Rastrigin(run("hybrid").BestX)
 	if fGlobal < 0.3 {
 		t.Skipf("swarm already converged (f=%v); nothing to assert", fGlobal)
 	}
@@ -196,14 +196,13 @@ func TestHybridRefinesCoarsePSO(t *testing.T) {
 
 func TestHybridValidation(t *testing.T) {
 	sp := space(testfunc.Sphere, 2, 0, 1)
-	lo, hi := bounds(2, -1, 1)
-	_, _, err := OptimizeHybrid(sp, HybridConfig{
-		PSO:        DefaultConfig(lo, hi),
-		Local:      core.DefaultConfig(core.DET),
-		LocalScale: []float64{0.1}, // wrong length
+	_, err := core.Run(context.Background(), sp, core.RunSpec{
+		Strategy: "hybrid", Config: core.DefaultConfig(core.DET),
+		Lo: -1, Hi: 1, HasBox: true,
+		RestartScale: []float64{0.1, 0.1, 0.1}, // wrong length
 	})
 	if err == nil {
-		t.Fatal("wrong LocalScale length accepted")
+		t.Fatal("wrong local scale length accepted")
 	}
 }
 
@@ -211,10 +210,10 @@ func TestDeterminism(t *testing.T) {
 	run := func() float64 {
 		sp := space(testfunc.Sphere, 2, 5, 33)
 		lo, hi := bounds(2, -3, 3)
-		cfg := DefaultConfig(lo, hi)
+		cfg := defaultConfig(lo, hi)
 		cfg.Seed = 44
 		cfg.Iterations = 15
-		res, err := Optimize(sp, cfg)
+		res, err := runSwarm(context.Background(), sp, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

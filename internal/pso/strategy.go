@@ -2,7 +2,9 @@ package pso
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -26,13 +28,13 @@ func init() {
 // becomes the best-update confidence, and the sampling schedule (initial
 // allotment, resample increment and growth, round cap, walltime budget)
 // carries over field for field.
-func swarmConfig(d int, spec *core.RunSpec) Config {
+func swarmConfig(d int, spec *core.RunSpec) config {
 	lo := make([]float64, d)
 	hi := make([]float64, d)
 	for i := range lo {
 		lo[i], hi[i] = spec.Lo, spec.Hi
 	}
-	cfg := DefaultConfig(lo, hi)
+	cfg := defaultConfig(lo, hi)
 	c := spec.Config
 	cfg.Seed = spec.Seed
 	cfg.K = c.K
@@ -66,22 +68,6 @@ func validateSwarmSpec(name string, space sim.Space, spec *core.RunSpec) error {
 	return cfg.validate(space.Dim())
 }
 
-// asCore maps a swarm result onto the shared Result shape. The swarm makes
-// no simplex moves, so the move counters stay zero and there is no final
-// simplex.
-func (r *Result) asCore() *core.Result {
-	return &core.Result{
-		BestX:          r.BestX,
-		BestG:          r.BestG,
-		BestSigma:      r.BestSigma,
-		Iterations:     r.Iterations,
-		Walltime:       r.Walltime,
-		Evaluations:    r.Evaluations,
-		Termination:    r.Termination,
-		ResampleRounds: r.ResampleRounds,
-	}
-}
-
 // psoStrategy runs the plain noise-aware particle swarm.
 type psoStrategy struct{}
 
@@ -93,11 +79,7 @@ func (psoStrategy) Validate(space sim.Space, spec *core.RunSpec) error {
 }
 
 func (psoStrategy) Run(ctx context.Context, space sim.Space, spec *core.RunSpec) (*core.Result, error) {
-	res, err := OptimizeContext(ctx, space, swarmConfig(space.Dim(), spec))
-	if err != nil {
-		return nil, err
-	}
-	return res.asCore(), nil
+	return runSwarm(ctx, space, swarmConfig(space.Dim(), spec))
 }
 
 // hybridStrategy runs the swarm global phase, then the stochastic simplex as
@@ -124,29 +106,47 @@ func (hybridStrategy) Validate(space sim.Space, spec *core.RunSpec) error {
 }
 
 func (hybridStrategy) Run(ctx context.Context, space sim.Space, spec *core.RunSpec) (*core.Result, error) {
-	scale, err := spec.ScaleVector(space.Dim())
+	d := space.Dim()
+	scale, err := spec.ScaleVector(d)
 	if err != nil {
 		return nil, err
 	}
-	hcfg := HybridConfig{
-		PSO:        swarmConfig(space.Dim(), spec),
-		Local:      spec.Config,
-		LocalScale: scale,
-	}
-	local, global, err := OptimizeHybridContext(ctx, space, hcfg)
+	global, err := runSwarm(ctx, space, swarmConfig(d, spec))
 	if err != nil {
 		return nil, err
 	}
-	if local == nil {
-		// Canceled during the global phase: report the partial swarm result.
-		return global.asCore(), nil
+	if global.Termination == "canceled" || global.BestX == nil {
+		// Canceled during the global phase: report the partial swarm result
+		// and skip the local refinement.
+		global.Termination = "canceled"
+		return global, nil
+	}
+	// The local leg is a plain simplex run (the space already samples
+	// through the fleet, if any) from a right-angle simplex around the
+	// swarm's best point.
+	initial := make([][]float64, d+1)
+	initial[0] = global.BestX
+	for i := range d {
+		v := append([]float64(nil), global.BestX...)
+		v[i] += scale[i]
+		initial[i+1] = v
+	}
+	local, err := core.Run(ctx, space, core.RunSpec{
+		Strategy: spec.Config.Algorithm.String(),
+		Config:   spec.Config,
+		Initial:  initial,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if math.IsNaN(local.BestG) {
+		return nil, errors.New("pso: local refinement produced no estimate")
 	}
 	// Fold the global phase's effort into the returned result so service
 	// accounting (job iteration counters, walltime) covers both phases.
 	// Evaluations is already cumulative on the space.
-	combined := *local
-	combined.Iterations += global.Iterations
-	combined.ResampleRounds += global.ResampleRounds
-	combined.Walltime += global.Walltime
-	return &combined, nil
+	local.Iterations += global.Iterations
+	local.ResampleRounds += global.ResampleRounds
+	local.Walltime += global.Walltime
+	return local, nil
 }

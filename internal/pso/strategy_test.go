@@ -33,20 +33,19 @@ func TestStrategiesRegistered(t *testing.T) {
 }
 
 func TestOptimizeContextCancellation(t *testing.T) {
-	space := newStratSpace()
-	cfg := DefaultConfig([]float64{-5, -5}, []float64{5, 5})
-	cfg.Seed = 7
-	cfg.Iterations = 1000
+	spec := swarmSpec("pso")
+	spec.Lo, spec.Hi = -5, 5
+	spec.Particles, spec.SwarmIters = 20, 1000
 	updates := 0
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg.Trace = func(core.TraceEvent) {
+	spec.Config.Trace = func(core.TraceEvent) {
 		updates++
 		if updates == 3 {
 			cancel() // stop the swarm after the third update
 		}
 	}
-	res, err := OptimizeContext(ctx, space, cfg)
+	res, err := core.Run(ctx, newStratSpace(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +58,12 @@ func TestOptimizeContextCancellation(t *testing.T) {
 }
 
 func TestTraceAndTermination(t *testing.T) {
-	space := newStratSpace()
-	cfg := DefaultConfig([]float64{-5, -5}, []float64{5, 5})
-	cfg.Seed = 7
-	cfg.Particles = 6
-	cfg.Iterations = 9
+	spec := swarmSpec("pso")
+	spec.Lo, spec.Hi = -5, 5
+	spec.Particles, spec.SwarmIters = 6, 9
 	var events []core.TraceEvent
-	cfg.Trace = func(e core.TraceEvent) { events = append(events, e) }
-	res, err := Optimize(space, cfg)
+	spec.Config.Trace = func(e core.TraceEvent) { events = append(events, e) }
+	res, err := core.Run(context.Background(), newStratSpace(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +77,70 @@ func TestTraceAndTermination(t *testing.T) {
 		if e.Iter != i+1 || len(e.BestX) != 2 {
 			t.Fatalf("event %d malformed: %+v", i, e)
 		}
+	}
+}
+
+// TestHybridCancelDuringSwarm: a context canceled in the global phase skips
+// the local leg; the result is the partial swarm's, with its best point and
+// no simplex iterations or moves.
+func TestHybridCancelDuringSwarm(t *testing.T) {
+	spec := swarmSpec("hybrid")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	updates := 0
+	spec.Config.Trace = func(core.TraceEvent) {
+		updates++
+		if updates == 3 {
+			cancel()
+		}
+	}
+	res, err := core.Run(ctx, newStratSpace(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Termination != "canceled" || len(res.BestX) != 2 {
+		t.Fatalf("Termination = %q, BestX = %v; want canceled with a best point", res.Termination, res.BestX)
+	}
+	if res.Iterations != 3 || res.Moves != (core.MoveStats{}) || res.FinalSimplex != nil {
+		t.Fatalf("iterations=%d moves=%+v simplex=%v: want the swarm's 3 updates and no simplex work",
+			res.Iterations, res.Moves, res.FinalSimplex)
+	}
+	if updates != 3 {
+		t.Fatalf("%d trace events after the cancel at the third; the local leg ran", updates)
+	}
+}
+
+// TestHybridCancelDuringLocalLeg: a context canceled in the local leg ends
+// the run as canceled, and the result still counts the swarm's iterations,
+// walltime and resample rounds on top of the leg's.
+func TestHybridCancelDuringLocalLeg(t *testing.T) {
+	swarm, err := core.Run(context.Background(), newStratSpace(), swarmSpec("pso"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := swarmSpec("hybrid")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events := 0
+	spec.Config.Trace = func(core.TraceEvent) {
+		events++
+		if events == spec.SwarmIters+2 {
+			cancel() // the second simplex iteration of the local leg
+		}
+	}
+	res, err := core.Run(ctx, newStratSpace(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Termination != "canceled" {
+		t.Fatalf("Termination = %q, want canceled", res.Termination)
+	}
+	if res.Iterations != swarm.Iterations+2 {
+		t.Fatalf("Iterations = %d, want the swarm's %d plus the leg's 2", res.Iterations, swarm.Iterations)
+	}
+	if res.Walltime <= swarm.Walltime || res.ResampleRounds < swarm.ResampleRounds {
+		t.Fatalf("walltime %v, resample rounds %d: want more than the swarm's %v and at least its %d",
+			res.Walltime, res.ResampleRounds, swarm.Walltime, swarm.ResampleRounds)
 	}
 }
 
@@ -181,7 +242,7 @@ func TestSwarmItersDefault(t *testing.T) {
 	spec := swarmSpec("pso")
 	spec.Particles, spec.SwarmIters = 0, 0
 	cfg := swarmConfig(2, &spec)
-	def := DefaultConfig(nil, nil)
+	def := defaultConfig(nil, nil)
 	if cfg.Particles != def.Particles || cfg.Iterations != def.Iterations {
 		t.Fatalf("swarm = %d particles x %d iterations, want the defaults %d x %d",
 			cfg.Particles, cfg.Iterations, def.Particles, def.Iterations)
