@@ -26,17 +26,28 @@ var ErrClosed = errors.New("dist: coordinator is closed")
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // maxWorkerCapacity clamps a worker's announced concurrency: capacity sizes
-// the per-worker send queue, and an absurd hello must not allocate one.
+// the worker's dispatch frames, and an absurd hello must not draw frames of
+// that size.
 const maxWorkerCapacity = 1024
 
-// pipelineDepth is how many capacities of work a worker may hold: one
-// executing, the rest queued on the worker's side of the wire. A worker that
-// finishes a task starts the next one it already holds instead of idling for
-// a result/dispatch round-trip, so the RTT is paid concurrently with
-// execution rather than between tasks. Depth 2 hides one RTT, which is all
-// there is to hide; deeper pipelines only inflate re-dispatch bills when a
-// worker dies.
+// pipelineDepth is how many dispatch frames an agent may hold unanswered: two
+// full frames are 4 x capacity tasks. The agent answers each frame with one
+// results frame when the frame's last task lands, so a frame costs one write,
+// one wake-up and one read on each side of the wire whatever it carries, and
+// larger frames mean fewer of them per task. The second frame is the reserve
+// an agent starts on while the first one's reply and the next dispatch cross
+// the wire. On a busy box that round trip is longer than one task: on
+// fleet_compute (2 vCPU, about 91 % busy, 321 us tasks on capacity-1 agents)
+// a dispatch came back after 928 us, so a one-task reserve left the agent
+// idle for part of every round trip. A frame of two tasks per executor covers
+// it; a deeper pipeline only inflates the re-dispatch bill when an agent
+// dies.
 const pipelineDepth = 2
+
+// frameTasks is the size of a full dispatch frame for an agent of the given
+// capacity. dispatchLocked cuts a shorter one when the queue holds less than
+// the agent's fair share of a full one.
+func frameTasks(capacity int) int { return 2 * capacity }
 
 // Config configures a Coordinator.
 type Config struct {
@@ -85,6 +96,10 @@ type Coordinator struct {
 	requeued    uint64 // guarded by mu
 	deadWorkers uint64 // guarded by mu
 
+	// Frame counters, read by the package's tests and benchmark.
+	dispatchFrames uint64 // guarded by mu: dispatch frames sent
+	resultFrames   uint64 // guarded by mu: results frames received
+
 	quit chan struct{}
 	wg   sync.WaitGroup
 }
@@ -100,10 +115,11 @@ type remoteWorker struct {
 	// The coordinator's mu guards the mutable fields below; the fields above
 	// are fixed at handshake.
 	outstanding map[uint64]*task // guarded by mu
+	open        []uint64         // guarded by mu: first task id of each unanswered dispatch frame
 	lastSeen    time.Time        // guarded by mu
 	dead        bool             // guarded by mu
 
-	sendq chan Task
+	sendq chan []Task // dispatch frames, cut by dispatchLocked
 	quit  chan struct{}
 }
 
@@ -118,8 +134,10 @@ type task struct {
 	sent time.Time     // latest dispatch time, for the RTT histogram; zero until dispatched
 }
 
-// batch is one SampleFleet call in flight.
+// batch is one SampleFleet call in flight. It owns its tasks, whose ids are
+// consecutive, so withdrawing it touches nothing else.
 type batch struct {
+	tasks   []task
 	pending int
 	res     []sim.FleetResult
 	err     error
@@ -273,10 +291,11 @@ func (c *Coordinator) handshake(conn net.Conn) {
 		capacity:    capacity,
 		conn:        conn,
 		outstanding: make(map[uint64]*task),
+		open:        make([]uint64, 0, pipelineDepth),
 		lastSeen:    time.Now(), //optlint:nondeterministic-ok liveness bookkeeping, never reaches a sample
-		// sendq never holds more than the worker's outstanding tasks, which
-		// dispatchLocked bounds by pipelineDepth * capacity.
-		sendq: make(chan Task, pipelineDepth*capacity),
+		// sendq never holds more than the worker's unanswered frames, which
+		// dispatchLocked bounds by pipelineDepth.
+		sendq: make(chan []Task, pipelineDepth),
 		quit:  make(chan struct{}),
 	}
 	c.workers[w.id] = w
@@ -312,27 +331,19 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	c.reader(w)
 }
 
-// sender drains the worker's send queue into dispatch frames, batching
-// whatever is immediately available into one frame.
+// sender writes the worker's dispatch frames as dispatchLocked cut them, one
+// frame per send: the agent answers each with one results frame, so two
+// frames must never merge into one.
 func (c *Coordinator) sender(w *remoteWorker) {
+	var d Dispatch
+	m := Message{Type: TypeDispatch, Dispatch: &d}
 	for {
-		var first Task
 		select {
-		case first = <-w.sendq:
+		case d.Tasks = <-w.sendq:
 		case <-w.quit:
 			return
 		}
-		tasks := []Task{first}
-	drain:
-		for {
-			select {
-			case t := <-w.sendq:
-				tasks = append(tasks, t)
-			default:
-				break drain
-			}
-		}
-		if err := w.fw.Write(&Message{Type: TypeDispatch, Dispatch: &Dispatch{Tasks: tasks}}); err != nil {
+		if err := w.fw.Write(&m); err != nil {
 			c.killWorker(w, "send failed")
 			return
 		}
@@ -354,9 +365,25 @@ func (c *Coordinator) reader(w *remoteWorker) {
 		mHeartbeatGap.Observe(now.Sub(w.lastSeen).Seconds())
 		w.lastSeen = now
 		if m.Type == TypeResults && m.Results != nil {
+			c.resultFrames++
+			w.answeredLocked(m.Results.Results)
 			c.applyResultsLocked(m.Results.Results)
 		}
 		c.mu.Unlock()
+	}
+}
+
+// answeredLocked frees the pipeline slot of the dispatch frame a results
+// frame answers: the agent lists a frame's results in the frame's task order,
+// so the first result names the frame. Any other results frame frees nothing,
+// which keeps an agent that answers more often than once per frame from
+// drawing more than pipelineDepth frames.
+func (w *remoteWorker) answeredLocked(results []TaskResult) {
+	if len(results) == 0 {
+		return
+	}
+	if i := slices.Index(w.open, results[0].ID); i >= 0 {
+		w.open = slices.Delete(w.open, i, i+1)
 	}
 }
 
@@ -407,80 +434,102 @@ func (c *Coordinator) failBatchLocked(b *batch, err error) {
 
 // abandonBatchLocked withdraws every live task of a batch: outstanding
 // entries are released from their workers (late results for them are
-// dropped by ID lookup) and queued entries are compacted out of the heap —
-// an agent-less coordinator must not accumulate the corpses of timed-out
-// batches until a worker happens to connect.
+// dropped by ID lookup) and queued entries are cut out of the id-sorted
+// queue, where the batch's consecutive ids make them one run — an agent-less
+// coordinator must not accumulate the corpses of timed-out batches until a
+// worker happens to connect. The cost is the batch's own size plus a binary
+// search, whatever else is live.
 func (c *Coordinator) abandonBatchLocked(b *batch) {
-	//optlint:nondeterministic-ok set removal: withdrawing tasks is order-independent
-	for id, t := range c.tasks {
-		if t.b != b {
+	for i := range b.tasks {
+		t := &b.tasks[i]
+		if t.done {
 			continue
 		}
 		t.done = true
-		delete(c.tasks, id)
+		delete(c.tasks, t.id)
 		if t.w != nil {
-			delete(t.w.outstanding, id)
+			delete(t.w.outstanding, t.id)
 			t.w = nil
 		}
 	}
-	n := 0
-	for _, t := range c.queue {
-		if !t.done {
-			c.queue[n] = t
-			n++
-		}
-	}
-	for i := n; i < len(c.queue); i++ {
-		c.queue[i] = nil
-	}
-	c.queue = c.queue[:n]
+	byID := func(t *task, id uint64) int { return cmp.Compare(t.id, id) }
+	lo, _ := slices.BinarySearchFunc(c.queue, b.tasks[0].id, byID)
+	hi, _ := slices.BinarySearchFunc(c.queue, b.tasks[len(b.tasks)-1].id+1, byID)
+	c.queue = slices.Delete(c.queue, lo, hi)
 }
 
-// dispatchLocked assigns queued tasks to workers with free pipeline slots,
-// lowest task id first, to the freest worker. A worker's slot budget is
-// pipelineDepth * capacity: capacity tasks executing plus a queued reserve
-// that hides the dispatch round-trip. Which worker executes a task never
-// affects its value — only when it lands.
+// dispatchLocked hands queued tasks to workers one dispatch frame at a time,
+// lowest task id first. A worker holds at most pipelineDepth unanswered
+// frames. Each frame goes to the least-loaded worker with a free pipeline slot
+// (fewest outstanding tasks per executor, tie on worker id) and carries its
+// fair share: the tasks that lift it to the level the queue and every such
+// worker's outstanding tasks would fill if spread over their executors,
+// capped at frameTasks(capacity). A busy fleet, where one worker at a time
+// frees a slot, therefore gets full frames, and an idle one gets a small
+// batch spread one task per executor instead of piled on one agent. Which
+// worker executes a task never affects its value — only when it lands.
 func (c *Coordinator) dispatchLocked() {
 	defer func() { mQueueDepth.Set(float64(len(c.queue))) }()
 	for len(c.queue) > 0 {
 		var best *remoteWorker
-		free := 0
-		//optlint:nondeterministic-ok max with a total-order tie-break on worker id, so map order cannot change the pick
+		work, executors := len(c.queue), 0
+		//optlint:nondeterministic-ok sums, and a min with a total-order tie-break on worker id, so map order cannot change the pick
 		for _, w := range c.workers {
-			if w.dead {
+			if w.dead || len(w.open) >= pipelineDepth {
 				continue
 			}
-			f := pipelineDepth*w.capacity - len(w.outstanding)
-			if f > free || (f == free && f > 0 && w.id < best.id) {
-				best, free = w, f
+			work += len(w.outstanding)
+			executors += w.capacity
+			if best == nil || lessLoadedLocked(w, best) {
+				best = w
 			}
 		}
 		if best == nil {
 			return
 		}
-		t := c.queue[0]
-		c.queue[0] = nil
-		c.queue = c.queue[1:]
-		if t.done {
-			continue
+		// ceil(level x capacity) - outstanding with level = work / executors.
+		// It is at least 1: the least-loaded worker sits below the level
+		// while the queue is non-empty.
+		share := (work*best.capacity+executors-1)/executors - len(best.outstanding)
+		size := min(frameTasks(best.capacity), share)
+		frame := make([]Task, 0, min(size, len(c.queue)))
+		now := time.Now() //optlint:nondeterministic-ok RTT metric timestamp, never reaches a sample
+		for len(frame) < size && len(c.queue) > 0 {
+			t := c.queue[0]
+			c.queue[0] = nil
+			c.queue = c.queue[1:]
+			if t.done {
+				continue
+			}
+			t.w = best
+			t.sent = now
+			best.outstanding[t.id] = t
+			frame = append(frame, t.wire)
 		}
-		t.w = best
-		t.sent = time.Now() //optlint:nondeterministic-ok RTT metric timestamp, never reaches a sample
-		best.outstanding[t.id] = t
+		if len(frame) == 0 {
+			continue // the head held only withdrawn tasks; cut again from what is left
+		}
+		best.open = append(best.open, frame[0].ID)
+		c.dispatchFrames++
 		select {
-		case best.sendq <- t.wire:
+		case best.sendq <- frame:
 		default:
-			// Cannot happen while outstanding <= pipelineDepth * capacity ==
-			// cap(sendq); kept as a non-blocking guard so a bookkeeping bug
-			// cannot deadlock the coordinator under its own lock.
-			delete(best.outstanding, t.id)
-			t.w = nil
-			c.requeueLocked(t)
+			// Cannot happen while len(open) <= pipelineDepth == cap(sendq);
+			// kept as a non-blocking guard so a bookkeeping bug cannot
+			// deadlock the coordinator under its own lock. The frame's tasks
+			// are already outstanding on the worker, so its death
+			// re-dispatches them.
 			go c.killWorker(best, "send queue overflow")
 			return
 		}
 	}
+}
+
+// lessLoadedLocked reports whether worker a has fewer outstanding tasks per
+// executor than b, ties broken by worker id.
+func lessLoadedLocked(a, b *remoteWorker) bool {
+	la, lb := len(a.outstanding)*b.capacity, len(b.outstanding)*a.capacity
+	return la < lb || (la == lb && a.id < b.id)
 }
 
 // killWorker declares a worker dead: its connection closes, its goroutines
@@ -581,6 +630,7 @@ func (c *Coordinator) SampleFleet(ctx context.Context, reqs []sim.FleetRequest) 
 		}
 	}
 	b := &batch{
+		tasks:   make([]task, len(reqs)),
 		pending: len(reqs),
 		res:     make([]sim.FleetResult, len(reqs)),
 		ready:   make(chan struct{}),
@@ -593,7 +643,8 @@ func (c *Coordinator) SampleFleet(ctx context.Context, reqs []sim.FleetRequest) 
 	// Task ids only grow, so appending keeps the queue sorted.
 	for i, r := range reqs {
 		c.nextTask++
-		t := &task{
+		t := &b.tasks[i]
+		*t = task{
 			id:  c.nextTask,
 			b:   b,
 			idx: i,

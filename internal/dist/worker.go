@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/noise"
@@ -171,36 +172,34 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 	}()
 
-	// Execution pool: Capacity executor goroutines drain a FIFO task queue
-	// sized for the coordinator's pipeline, so the agent always holds queued
-	// work while executing — finishing a task starts the next one
-	// immediately instead of idling for a dispatch round-trip. Each result is
-	// sent as soon as it lands, so a slow task never holds back its
-	// batch-mates, and the read loop never blocks on execution capacity.
-	// FIFO handoff keeps execution in dispatch order (a capacity-1 agent runs
-	// tasks exactly in the coordinator's task-id order, pipeline or not).
-	taskq := make(chan Task, pipelineDepth*w.cfg.Capacity)
+	// Execution pool: Capacity executor goroutines drain one FIFO queue of
+	// the tasks of every dispatch frame the agent holds, sized for the
+	// coordinator's pipeline, so the agent always holds queued work while
+	// executing — finishing a task starts the next one immediately instead
+	// of idling for a dispatch round-trip. The executors share each frame's
+	// tasks, and the one that lands a frame's last task sends the frame's
+	// results as one frame, in the frame's task order. FIFO handoff keeps
+	// execution in dispatch order (a capacity-1 agent runs tasks exactly in
+	// the coordinator's task-id order, pipeline or not), and the read loop
+	// never blocks on execution capacity.
+	taskq := make(chan frameTask, pipelineDepth*frameTasks(w.cfg.Capacity))
 	var tasks sync.WaitGroup
 	for i := 0; i < w.cfg.Capacity; i++ {
 		go func() {
-			var res Results
-			out := Message{Type: TypeResults, Results: &res}
-			for t := range taskq {
+			for ft := range taskq {
 				// During a ctx-initiated shutdown leftover tasks are skipped,
 				// not executed: the coordinator will obtain their results
 				// elsewhere.
 				if ctx.Err() == nil {
-					if cap(res.Results) == 0 {
-						res.Results = make([]TaskResult, 1)
-					}
-					res.Results = res.Results[:1]
-					res.Results[0] = w.execute(t)
-					if err := send(&out); err != nil {
-						// A result that cannot be delivered (encode or
-						// transport failure) must not strand the task: tear
-						// the session down so the coordinator re-dispatches
-						// it.
-						conn.Close()
+					ft.f.res.Results[ft.i] = w.execute(ft.t)
+					if ft.f.left.Add(-1) == 0 {
+						if err := send(&Message{Type: TypeResults, Results: &ft.f.res}); err != nil {
+							// Results that cannot be delivered (encode or
+							// transport failure) must not strand their
+							// tasks: tear the session down so the
+							// coordinator re-dispatches them.
+							conn.Close()
+						}
 					}
 				}
 				tasks.Done()
@@ -226,14 +225,29 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			return fmt.Errorf("dist: read: %w", err)
 		}
-		if m.Type != TypeDispatch || m.Dispatch == nil {
+		if m.Type != TypeDispatch || m.Dispatch == nil || len(m.Dispatch.Tasks) == 0 {
 			continue
 		}
-		for _, t := range m.Dispatch.Tasks {
-			tasks.Add(1)
-			taskq <- t
+		f := &frameResults{res: Results{Results: make([]TaskResult, len(m.Dispatch.Tasks))}}
+		f.left.Store(int32(len(m.Dispatch.Tasks)))
+		tasks.Add(len(m.Dispatch.Tasks))
+		for i, t := range m.Dispatch.Tasks {
+			taskq <- frameTask{f: f, i: i, t: t}
 		}
 	}
+}
+
+// frameResults collects the results of one dispatch frame as its tasks land.
+type frameResults struct {
+	res  Results
+	left atomic.Int32 // tasks not yet landed; the executor taking it to zero sends res
+}
+
+// frameTask is one task of a dispatch frame, with its result slot.
+type frameTask struct {
+	f *frameResults
+	i int
+	t Task
 }
 
 // handshake sends hello and reads welcome, both JSON, within
