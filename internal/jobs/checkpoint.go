@@ -18,12 +18,15 @@ import (
 // submission (spec only, so a job killed while still queued survives),
 // replaced with each snapshot, and deleted when the job completes.
 //
-// Only the submission write is durable before it returns (Store.Put).
-// Snapshots (PutLazy) and the completion delete ride on the store's next
-// fsync, because every result is a pure function of (spec, seed): losing
-// a snapshot resumes from an earlier one, or from the spec, to the same
-// bits, and losing a delete re-runs a finished job to the same result.
-// No store call is made with Manager.mu held.
+// Only the submission write is durable before it returns (Store.Put), and
+// only Submit's caller waits for it: the job is queued first and may run,
+// snapshot and even finish during the fsync (submit then issues its
+// delete, so it lands after the record). Snapshots (PutLazy) and the
+// completion delete ride on the store's next fsync, because every result
+// is a pure function of (spec, seed): losing a snapshot resumes from an
+// earlier one, or from the spec, to the same bits, and losing a delete
+// re-runs a finished job to the same result. No store call is made with
+// Manager.mu held.
 
 // ckptSuffix is re-exported for tests that inspect the file-store layout.
 const ckptSuffix = jobstore.FileSuffix

@@ -5,29 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/jobstore"
+	"repro/internal/jobstore/storetest"
 	"repro/internal/obs"
+	"repro/internal/testfunc"
 )
 
-// blockingDeleteStore stalls the Delete of one record until release is
-// closed, and reports on entered when the stall begins.
-type blockingDeleteStore struct {
-	jobstore.Store
-	id      string
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (s *blockingDeleteStore) Delete(id string) error {
-	if id == s.id {
-		close(s.entered)
-		<-s.release
+// faultyWAL opens a WAL store in a temp dir behind a fault wrapper. The
+// manager given the wrapper owns and closes both.
+func faultyWAL(t testing.TB) (*storetest.Faults, *jobstore.WALStore) {
+	t.Helper()
+	wal, err := jobstore.OpenWAL(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return s.Store.Delete(id)
+	return storetest.NewFaults(wal), wal
 }
 
 // within fails the test if f does not return within one second, or
@@ -51,18 +49,16 @@ func within(t *testing.T, what string, f func() error) {
 // rest of the shard goes on — a status read, a submit, and the next trace
 // event of a running job B. Wait(A) still returns only after the drop.
 func TestFinishDoesNotHoldManagerLock(t *testing.T) {
-	wal, err := jobstore.OpenWAL(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &blockingDeleteStore{Store: wal, id: "a", entered: make(chan struct{}), release: make(chan struct{})}
+	st, wal := faultyWAL(t)
+	hold := make(chan struct{})
+	entered := st.Hold(storetest.OpDelete, 1, hold) // job a's drop: nothing else finishes
 	m := newManager(t, Config{MaxConcurrent: 2, Store: st, TraceBuffer: 4096,
 		Objectives: slowObjectives(time.Millisecond)})
 	released := false
 	release := func() {
 		if !released {
 			released = true
-			close(st.release)
+			close(hold)
 		}
 	}
 	t.Cleanup(release) // runs before the manager's Close
@@ -79,17 +75,20 @@ func TestFinishDoesNotHoldManagerLock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	idA, err := m.SubmitWithID("a", smallSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Submit a on its own goroutine: a job that finishes before its
+	// admission record is durable has its drop issued by Submit itself.
+	const idA = "a"
 	waited := make(chan struct{})
 	go func() {
 		defer close(waited)
+		if _, err := m.SubmitWithID(idA, smallSpec(1)); err != nil {
+			t.Error(err)
+			return
+		}
 		m.Wait(idA)
 	}()
 	select {
-	case <-st.entered:
+	case <-entered:
 	case <-time.After(10 * time.Second):
 		t.Fatal("job a never reached its delete")
 	}
@@ -142,17 +141,62 @@ func TestFinishDoesNotHoldManagerLock(t *testing.T) {
 	}
 }
 
-// lossyStore models power loss right after the last fsync: every lazy
-// write (snapshots, completion deletes) is lost, only admissions persist.
-type lossyStore struct{ jobstore.Store }
+// lossyStore models power loss at Close: a lazy write reaches the wrapped
+// store only when a later Sync (a Put's included) flushes it, so everything
+// after the last Sync is lost.
+type lossyStore struct {
+	jobstore.Store
+	mu      sync.Mutex
+	pending []func() error // guarded by mu
+}
 
-func (lossyStore) PutLazy(string, []byte) error { return nil }
-func (lossyStore) Delete(string) error          { return nil }
+func (s *lossyStore) later(write func() error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pending = append(s.pending, write)
+	return nil
+}
 
-// TestLostLazyWritesRecoverIdentically: a store that loses every lazy
-// write still recovers every job to the bits of an uninterrupted run — the
-// one killed mid-run from its spec, and the one that had finished too,
-// because its lost delete re-runs it.
+func (s *lossyStore) PutLazy(id string, payload []byte) error {
+	payload = append([]byte(nil), payload...)
+	return s.later(func() error { return s.Store.PutLazy(id, payload) })
+}
+
+func (s *lossyStore) Delete(id string) error {
+	return s.later(func() error { return s.Store.Delete(id) })
+}
+
+func (s *lossyStore) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, write := range s.pending {
+		if err := write(); err != nil {
+			return err
+		}
+	}
+	s.pending = nil
+	return s.Store.Sync()
+}
+
+func (s *lossyStore) Put(id string, payload []byte) error {
+	if err := s.PutLazy(id, payload); err != nil {
+		return err
+	}
+	return s.Sync()
+}
+
+func (s *lossyStore) Close() error {
+	s.mu.Lock()
+	s.pending = nil
+	s.mu.Unlock()
+	return s.Store.Close()
+}
+
+// TestLostLazyWritesRecoverIdentically: a store that loses every write
+// after its last Sync still recovers every job to the bits of an
+// uninterrupted run — the one killed mid-run from an earlier snapshot than
+// its last, and the one that had finished too, because its lost delete
+// re-runs it.
 func TestLostLazyWritesRecoverIdentically(t *testing.T) {
 	slow := slowObjectives(time.Millisecond)
 	finished := smallSpec(11)
@@ -209,37 +253,50 @@ func TestLostLazyWritesRecoverIdentically(t *testing.T) {
 		}
 	}
 
-	// First life: one job finishes, the other is killed mid-run.
-	m1, err := New(Config{MaxConcurrent: 1, Store: lossyStore{openStore()}, CheckpointEvery: 1, Objectives: slow})
+	// progress reads the killed job's iterations over all legs; the job
+	// must still be running.
+	progress := func(m *Manager) int {
+		t.Helper()
+		s, err := m.Get("killed")
+		if err != nil || s.State.Terminal() {
+			t.Fatalf("job could not be caught mid-run: %+v, %v", s, err)
+		}
+		return s.Iterations
+	}
+	// runTo waits until the killed job has made at least n iterations.
+	runTo := func(m *Manager, n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); progress(m) < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the killed job never reached %d iterations", n)
+			}
+		}
+	}
+
+	// First life: the killed job starts, the other job's admission (the
+	// last Sync) makes the killed job's snapshots so far durable, the other
+	// job finishes, and the killed job runs on until Close. The finished
+	// job's delete and the killed job's later snapshots are lost.
+	m1, err := New(Config{MaxConcurrent: 2, Store: &lossyStore{Store: openStore()}, CheckpointEvery: 1, Objectives: slow})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := m1.SubmitWithID("killed", killed); err != nil {
+		t.Fatal(err)
+	}
+	runTo(m1, 5)
 	if _, err := m1.SubmitWithID("done", finished); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m1.Wait("done"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m1.SubmitWithID("killed", killed); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s, err := m1.Get("killed")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Iterations >= 5 {
-			break
-		}
-		if s.State.Terminal() || time.Now().After(deadline) {
-			t.Fatalf("job could not be caught mid-run: %+v", s)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	synced := progress(m1)
+	runTo(m1, synced+5)
 	m1.Close()
 
-	// Only the admissions survived: two spec-only records.
+	// Both records survived; the killed job's is older than its last
+	// snapshot.
 	st := openStore()
 	recs, err := st.List()
 	if err != nil || len(recs) != 2 {
@@ -250,14 +307,21 @@ func TestLostLazyWritesRecoverIdentically(t *testing.T) {
 		if err := json.Unmarshal(r.Payload, &ckpt); err != nil {
 			t.Fatal(err)
 		}
-		if ckpt.Snapshot != nil {
-			t.Fatalf("record %s holds a snapshot the lossy store should have lost", r.ID)
+		if r.ID != "killed" || ckpt.Snapshot == nil {
+			continue
+		}
+		it := ckpt.Snapshot.Iterations
+		if rs := ckpt.Snapshot.Restart; rs != nil && rs.Total != nil {
+			it += rs.Total.Iterations
+		}
+		if it > synced {
+			t.Fatalf("the killed job's record holds iteration %d, past the last Sync at %d", it, synced)
 		}
 	}
 
 	// Second life loses its lazy writes too; the third keeps them, and its
 	// deletes finally empty the store.
-	recoverAll(lossyStore{st})
+	recoverAll(&lossyStore{Store: st})
 	recoverAll(openStore())
 	st = openStore()
 	defer st.Close()
@@ -267,8 +331,9 @@ func TestLostLazyWritesRecoverIdentically(t *testing.T) {
 }
 
 // TestWALFsyncsPerJob: a WAL-backed job pays one fsync, for its admission.
-// Its snapshots and its completion delete ride on later fsyncs, so N
-// sequential jobs and the final Close cost at most N+1.
+// Its admission record, snapshots and completion delete are appended
+// lazily and ride on an fsync (the admission's own Sync, or a later one),
+// so N sequential jobs and the final Close cost at most N+1.
 func TestWALFsyncsPerJob(t *testing.T) {
 	const n = 5
 	fsyncs := obs.Default().Counter("jobstore_fsyncs_total")
@@ -292,8 +357,8 @@ func TestWALFsyncsPerJob(t *testing.T) {
 	if got := mCkptWrites.Value() - ckpt0; got < n {
 		t.Fatalf("%d snapshots over %d jobs; every job must write one", got, n)
 	}
-	if got := lazy.Value() - lazy0; got < 2*n {
-		t.Fatalf("%d lazy writes over %d jobs; want a snapshot and a delete each", got, n)
+	if got := lazy.Value() - lazy0; got < 3*n {
+		t.Fatalf("%d lazy writes over %d jobs; want an admission, a snapshot and a delete each", got, n)
 	}
 	if got := fsyncs.Value() - fsyncs0; got > n+1 {
 		t.Fatalf("%d fsyncs over %d jobs and a Close; want at most %d", got, n, n+1)
@@ -307,4 +372,41 @@ func TestWALFsyncsPerJob(t *testing.T) {
 	if recs, err := st.List(); err != nil || len(recs) != 0 {
 		t.Fatalf("records after every job finished = %d, %v; want none", len(recs), err)
 	}
+}
+
+// BenchmarkAdmission prices the admission path on a WAL store, one job at
+// a time: started_us is the mean time from the Submit call to the job's
+// first objective evaluation, ack_us the mean time to Submit's return. The
+// job runs while its admission fsync is in flight, so started_us reads
+// below ack_us.
+func BenchmarkAdmission(b *testing.B) {
+	var startedAt atomic.Int64
+	m, err := New(Config{MaxConcurrent: 1, CheckpointDir: b.TempDir(), StoreKind: "wal",
+		Objectives: map[string]func([]float64) float64{"stamped": func(x []float64) float64 {
+			startedAt.CompareAndSwap(0, time.Now().UnixNano())
+			return testfunc.Rosenbrock(x)
+		}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	spec := smallSpec(1)
+	spec.Objective = "stamped"
+	var started, acked time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		startedAt.Store(0)
+		t0 := time.Now()
+		id, err := m.Submit(spec)
+		acked += time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Wait(id); err != nil {
+			b.Fatal(err)
+		}
+		started += time.Duration(startedAt.Load() - t0.UnixNano())
+	}
+	b.ReportMetric(float64(started)/float64(b.N)/1e3, "started_us")
+	b.ReportMetric(float64(acked)/float64(b.N)/1e3, "ack_us")
 }

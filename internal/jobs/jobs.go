@@ -161,9 +161,11 @@ type Config struct {
 	// recorded in it at submission with a durable Put (so a
 	// killed-while-queued job survives), updated lazily with each optimizer
 	// snapshot, and lazily removed on completion. Only admission waits for
-	// an fsync: a lost snapshot resumes from an earlier one to the same
-	// bits, and a lost delete re-runs the job to the same result. The
-	// manager takes ownership and closes it on Close.
+	// an fsync, and only Submit's caller waits for it: the job is queued
+	// (invisible) before the Put and may run during it. A lost snapshot
+	// resumes from an earlier one to the same bits, and a lost delete
+	// re-runs the job to the same result. The manager takes ownership and
+	// closes it on Close.
 	Store jobstore.Store
 	// CheckpointDir is shorthand for Store: when Store is nil and
 	// CheckpointDir is non-empty, the manager opens a jobstore of StoreKind
@@ -242,6 +244,10 @@ type job struct {
 	// recovered marks jobs re-enqueued from a durable record (with or
 	// without a snapshot).
 	recovered bool
+	// admitting is set while Submit writes the job's admission record: the
+	// job may already run, but every lookup treats its ID as unknown until
+	// the record is durable. Guarded by mu.
+	admitting bool
 
 	state    State
 	created  time.Time
@@ -257,9 +263,12 @@ type job struct {
 	cancel context.CancelFunc
 	resume *core.Snapshot // non-nil when recovered with a snapshot
 	// done is closed by settle, after the record drop finishLocked
-	// decided on (dropRecord) has been issued.
-	done       chan struct{}
-	dropRecord bool
+	// decided on (dropRecord) has been issued. A job that finishes while
+	// admitting leaves its drop to Submit instead (dropOnAdmit, guarded by
+	// mu): the delete must land after the admission record.
+	done        chan struct{}
+	dropRecord  bool
+	dropOnAdmit bool
 
 	subs    map[int]chan Event
 	nextSub int
@@ -284,7 +293,7 @@ type Manager struct {
 	queue    []*job                  // guarded by mu
 	terminal []string                // guarded by mu: terminal job IDs, oldest first, for retention eviction
 	tenants  map[string]*tenantState // guarded by mu
-	reserved map[string]struct{}     // guarded by mu: IDs spoken for (durable records not yet recovered, submissions mid-persist)
+	reserved map[string]struct{}     // guarded by mu: IDs of durable records not yet recovered
 	nextID   int                     // guarded by mu
 	closed   bool                    // guarded by mu
 
@@ -293,8 +302,9 @@ type Manager struct {
 	// it returns, so rate-limit boundaries are testable without sleeping.
 	now func() time.Time
 
-	// wg counts the runners and the record drops settle has yet to issue,
-	// so Close closes the stores only after both.
+	// wg counts the runners, the admissions in flight and the record drops
+	// settle has yet to issue, so Close closes the stores only after all
+	// three.
 	wg sync.WaitGroup
 }
 
@@ -338,10 +348,12 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Close cancels every live job, waits for the run pool to drain, releases
-// the worker fleet and closes the durable store(s). Records of queued and
-// running jobs stay durable, so a new manager — on this machine or any
-// replica sharing the store — can Recover them.
+// Close cancels every live job, waits for the run pool to drain and for
+// the admissions in flight to settle, releases the worker fleet and closes
+// the durable store(s). Records of queued and running jobs stay durable,
+// so a new manager — on this machine or any replica sharing the store —
+// can Recover them; that includes a job whose admission completes during
+// Close, which Submit acknowledges.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -366,8 +378,13 @@ func (m *Manager) Close() {
 }
 
 // Submit validates the spec, charges the tenant's quota and rate limit,
-// assigns a job ID, durably records the job (when a store is configured)
-// and enqueues it. The job starts as soon as a run-pool slot frees up.
+// assigns a job ID, enqueues the job and, when a store is configured,
+// durably records it. The job starts as soon as a run-pool slot frees up —
+// possibly while its record is still being written — but Submit returns
+// the ID only once the record is durable, and until then every lookup
+// treats the ID as unknown. A failed write withdraws the job: it is
+// canceled and removed, its tenant slots are released, and Submit returns
+// the error (wrapping ErrStore).
 func (m *Manager) Submit(spec Spec) (string, error) {
 	return m.submit("", spec)
 }
@@ -385,10 +402,15 @@ func (m *Manager) SubmitWithID(id string, spec Spec) (string, error) {
 	return m.submit(id, spec)
 }
 
-// submit is the two-phase admission path shared by Submit and
-// SubmitWithID. Phase one (under mu): validate, charge the tenant, assign
-// and reserve the ID. Phase two (outside mu — an fsync must never
-// serialize the manager): persist the record, then re-lock and enqueue.
+// ErrStore is wrapped by the error of a submission whose admission record
+// could not be made durable (HTTP 500 at the optd layer).
+var ErrStore = errors.New("jobs: durable store failed")
+
+// submit is the admission path shared by Submit and SubmitWithID. Under mu
+// it validates, charges the tenant, assigns the ID and enqueues the job;
+// with a store it then writes the admission record outside mu (an fsync
+// must never serialize the manager, nor hold up the job) and acknowledges
+// or withdraws the job by the outcome.
 func (m *Manager) submit(explicit string, spec Spec) (string, error) {
 	spec.normalize()
 	if err := spec.validate(m); err != nil {
@@ -421,44 +443,68 @@ func (m *Manager) submit(explicit string, spec Spec) (string, error) {
 		m.mu.Unlock()
 		return "", err
 	}
-	m.reserved[id] = struct{}{}
-	store := m.store
-	m.mu.Unlock()
-
-	if store != nil {
-		payload, err := marshalRecord(id, spec, nil)
-		if err == nil {
-			err = store.Put(id, payload)
-		}
-		if err != nil {
-			m.mu.Lock()
-			delete(m.reserved, id)
-			m.unadmitLocked(ts)
-			m.mu.Unlock()
-			return "", fmt.Errorf("jobs: persisting job %s: %w", id, err)
-		}
-	}
-
-	m.mu.Lock()
-	delete(m.reserved, id)
-	if m.closed {
-		m.unadmitLocked(ts)
-		m.mu.Unlock()
-		// Closed while persisting: the job was never enqueued, so drop the
-		// record — leaving it would resurrect a job the caller was told was
-		// rejected. A failed delete is harmless (re-running a spec is
-		// deterministic), so the error is not propagated.
-		if store != nil {
-			store.Delete(id)
-		}
-		return "", ErrClosed
-	}
-	defer m.mu.Unlock()
-	ts.submitted++
-	ts.mSubmitted.Inc()
 	j := m.enqueueLocked(id, spec, nil, false)
-	j.store = store
+	j.store = m.store
+	if j.store == nil {
+		ts.acknowledgeLocked()
+		m.mu.Unlock()
+		return id, nil
+	}
+	j.admitting = true
+	m.wg.Add(1) // Close waits for the admission
+	m.mu.Unlock()
+	defer m.wg.Done()
+
+	payload, err := marshalRecord(id, spec, nil)
+	if err == nil {
+		err = j.store.Put(id, payload)
+	}
+	if err != nil {
+		err = fmt.Errorf("%w: persisting job %s: %w", ErrStore, id, err)
+	}
+	m.mu.Lock()
+	if err != nil {
+		m.withdrawLocked(j, err)
+		return "", err
+	}
+	if j.dropOnAdmit {
+		// The job finished while its record was being written; drop the
+		// record now that the admission is down.
+		m.mu.Unlock()
+		m.removeRecord(j)
+		m.mu.Lock()
+	}
+	j.admitting = false
+	ts.acknowledgeLocked()
+	m.mu.Unlock()
 	return id, nil
+}
+
+// withdrawLocked takes back a job whose admission record failed to write:
+// it cancels the job, waits for it to reach a terminal state — releasing
+// its tenant slots — and removes it and its record, so no trace of it
+// survives. The rate-limit token is not refunded: the attempt consumed
+// real work. Called with mu held; returns with mu released.
+func (m *Manager) withdrawLocked(j *job, err error) {
+	queued := m.cancelLocked(j)
+	m.mu.Unlock()
+	if queued {
+		m.settle(j)
+	}
+	<-j.done // a running job stops within one sampling round
+	m.mu.Lock()
+	if m.jobs[j.id] == j {
+		delete(m.jobs, j.id)
+	}
+	for i, id := range m.terminal {
+		if id == j.id {
+			m.terminal = append(m.terminal[:i], m.terminal[i+1:]...)
+			break
+		}
+	}
+	m.cfg.Events.Event("job_state", "job", j.id, "state", "withdrawn", "err", err)
+	m.mu.Unlock()
+	m.removeRecord(j)
 }
 
 // enqueueLocked registers a job (fresh or recovered) and wakes a runner.
@@ -493,8 +539,6 @@ func (m *Manager) enqueueLocked(id string, spec Spec, resume *core.Snapshot, rec
 	m.queue = append(m.queue, j)
 	if recovered {
 		mRecovered.Inc()
-	} else {
-		mSubmitted.Inc()
 	}
 	mQueuedGauge.Inc()
 	m.cfg.Events.Event("job_state", "job", id, "state", StateQueued, "tenant", j.tenant, "resumed", recovered)
@@ -706,8 +750,12 @@ func (m *Manager) finishLocked(j *job, res *core.Result, err error, state State)
 		// "kill" the durable-record design exists for, and a fresh manager
 		// (or an adopting replica) picks them up with Recover/RecoverFrom.
 		// Close waits for the drop: the store must still be open for it.
-		j.dropRecord = true
-		m.wg.Add(1)
+		if j.admitting {
+			j.dropOnAdmit = true // submit drops it after the admission record
+		} else {
+			j.dropRecord = true
+			m.wg.Add(1)
+		}
 	}
 	// Retention: evict the oldest terminal records beyond the bound so a
 	// long-lived server's job table stays finite.
@@ -752,15 +800,26 @@ func (m *Manager) publishLocked(j *job, e Event) {
 // no-op.
 func (m *Manager) Cancel(id string) error {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
+	j, ok := m.lookupLocked(id)
 	if !ok {
 		m.mu.Unlock()
 		return ErrNotFound
 	}
+	queued := m.cancelLocked(j)
+	m.mu.Unlock()
+	if queued {
+		m.settle(j)
+	}
+	return nil
+}
+
+// cancelLocked cancels j and finalizes it at once if it is still queued,
+// reporting whether it did; the caller must then settle j after releasing
+// mu.
+func (m *Manager) cancelLocked(j *job) bool {
 	j.cancel()
 	if j.state != StateQueued {
-		m.mu.Unlock()
-		return nil
+		return false
 	}
 	for i, q := range m.queue {
 		if q == j {
@@ -769,16 +828,24 @@ func (m *Manager) Cancel(id string) error {
 		}
 	}
 	m.finishLocked(j, nil, nil, StateCanceled)
-	m.mu.Unlock()
-	m.settle(j)
-	return nil
+	return true
+}
+
+// lookupLocked finds a job by ID. A job whose admission is still in flight
+// is not found: the caller has not been given its ID yet.
+func (m *Manager) lookupLocked(id string) (*job, bool) {
+	j, ok := m.jobs[id]
+	if !ok || j.admitting {
+		return nil, false
+	}
+	return j, true
 }
 
 // Get returns the job's current status.
 func (m *Manager) Get(id string) (Status, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
+	j, ok := m.lookupLocked(id)
 	if !ok {
 		return Status{}, ErrNotFound
 	}
@@ -815,6 +882,9 @@ func (m *Manager) Stats() Stats {
 		st.Store = m.store.Kind()
 	}
 	for _, j := range m.jobs {
+		if j.admitting {
+			continue
+		}
 		switch j.state {
 		case StateQueued:
 			st.Queued++
@@ -837,7 +907,9 @@ func (m *Manager) List() []Status {
 	defer m.mu.Unlock()
 	out := make([]Status, 0, len(m.jobs))
 	for _, j := range m.jobs {
-		out = append(out, m.statusLocked(j))
+		if !j.admitting {
+			out = append(out, m.statusLocked(j))
+		}
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
@@ -873,7 +945,7 @@ func (m *Manager) statusLocked(j *job) Status {
 func (m *Manager) Result(id string) (*core.Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
+	j, ok := m.lookupLocked(id)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -898,7 +970,7 @@ func (m *Manager) resultLocked(j *job) (*core.Result, error) {
 // canceled before they started).
 func (m *Manager) Wait(id string) (*core.Result, error) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
+	j, ok := m.lookupLocked(id)
 	m.mu.Unlock()
 	if !ok {
 		return nil, ErrNotFound
@@ -919,7 +991,7 @@ func (m *Manager) Wait(id string) (*core.Result, error) {
 func (m *Manager) Subscribe(id string) (<-chan Event, func(), error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
+	j, ok := m.lookupLocked(id)
 	if !ok {
 		return nil, nil, ErrNotFound
 	}

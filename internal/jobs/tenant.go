@@ -126,9 +126,8 @@ func (m *Manager) tenantLocked(name string) *tenantState {
 }
 
 // admitLocked charges one submission against the tenant's rate limit and
-// queued-job quota, reserving a queued slot on success. The reservation
-// holds while the caller persists the job outside the lock; roll it back
-// with unadmitLocked if persistence fails.
+// queued-job quota, reserving a queued slot on success: the job the
+// caller enqueues next takes the slot.
 func (m *Manager) admitLocked(ts *tenantState, now time.Time) error {
 	q := ts.quota
 	// The queued-job quota is checked before the rate limit: the quota
@@ -158,12 +157,11 @@ func (m *Manager) admitLocked(ts *tenantState, now time.Time) error {
 	return nil
 }
 
-// unadmitLocked releases an admitLocked reservation that never became a
-// job. The rate-limit token is deliberately not refunded: the submission
-// attempt consumed real work.
-func (m *Manager) unadmitLocked(ts *tenantState) {
-	ts.queued--
-	ts.mQueued.Set(float64(ts.queued))
+// acknowledgeLocked counts one admitted job as submitted.
+func (ts *tenantState) acknowledgeLocked() {
+	ts.submitted++
+	ts.mSubmitted.Inc()
+	mSubmitted.Inc()
 }
 
 // atRunCapLocked reports whether the tenant has no running capacity left.

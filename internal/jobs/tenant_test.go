@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/jobstore"
+	"repro/internal/jobstore/storetest"
 )
 
 // waitJobState polls until the job reaches the wanted state.
@@ -405,24 +406,17 @@ func TestRecoverFromAdoptsForeignStore(t *testing.T) {
 	}
 }
 
-// brokenStore fails every Put: the submit path must roll its tenant
-// admission back so the failed attempt leaves no phantom queued job.
-type brokenStore struct{}
-
-func (brokenStore) Put(string, []byte) error         { return errors.New("disk full") }
-func (brokenStore) PutLazy(string, []byte) error     { return errors.New("disk full") }
-func (brokenStore) Delete(string) error              { return nil }
-func (brokenStore) List() ([]jobstore.Record, error) { return nil, nil }
-func (brokenStore) Kind() string                     { return "broken" }
-func (brokenStore) Close() error                     { return nil }
-
 // TestTenantQuotaRollbackOnStoreFailure: a submission that passes admission
 // but fails persistence must release its queued-quota reservation —
 // otherwise a flaky disk permanently eats the tenant's quota.
 func TestTenantQuotaRollbackOnStoreFailure(t *testing.T) {
+	st, _ := faultyWAL(t)
+	for n := 1; n <= 3; n++ {
+		st.Fail(storetest.OpPut, n, errors.New("disk full"))
+	}
 	m := newManager(t, Config{
 		MaxConcurrent: 1,
-		Store:         brokenStore{},
+		Store:         st,
 		DefaultQuota:  Quota{MaxQueued: 1},
 	})
 	for i := 0; i < 3; i++ {
@@ -435,8 +429,8 @@ func TestTenantQuotaRollbackOnStoreFailure(t *testing.T) {
 		}
 	}
 	for _, ts := range m.Tenants() {
-		if ts.Tenant == "acme" && ts.Queued != 0 {
-			t.Fatalf("tenant accounting after rollbacks: queued = %d, want 0", ts.Queued)
+		if ts.Tenant == "acme" && (ts.Queued != 0 || ts.Running != 0 || ts.Submitted != 0) {
+			t.Fatalf("tenant accounting after rollbacks: %+v, want nothing queued, running or submitted", ts)
 		}
 	}
 }

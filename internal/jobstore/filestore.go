@@ -57,8 +57,20 @@ func (s *FileStore) path(id string) string {
 	return filepath.Join(s.dir, id+FileSuffix)
 }
 
-// Put implements Store: an atomic write-then-rename of <dir>/<id>.ckpt.json.
+// Put implements Store: PutLazy, then Sync.
 func (s *FileStore) Put(id string, payload []byte) error {
+	if err := s.PutLazy(id, payload); err != nil {
+		return err
+	}
+	return s.Sync()
+}
+
+// PutLazy implements Store: an atomic write-then-rename of
+// <dir>/<id>.ckpt.json. The file's data is fsynced before the rename, so
+// a crash never leaves an unreadable record (recovery would skip it); the
+// rename itself is durable at the next Sync, so a crash before it may
+// bring back the previous record — the lazy contract.
+func (s *FileStore) PutLazy(id string, payload []byte) error {
 	if err := CheckID(id); err != nil {
 		return err
 	}
@@ -68,15 +80,9 @@ func (s *FileStore) Put(id string, payload []byte) error {
 	return fileio.WriteAtomic(s.path(id), payload, 0o644)
 }
 
-// PutLazy implements Store as a durable Put. A rename whose data was not
-// synced can leave an unreadable file after a crash, and recovery skips
-// unreadable records, so a lazy file write could lose an admitted job.
-func (s *FileStore) PutLazy(id string, payload []byte) error {
-	return s.Put(id, payload)
-}
-
 // Delete implements Store: it removes the file without syncing the
-// directory, so a crash may bring the record back — the lazy contract.
+// directory, so a crash before the next Sync may bring the record back —
+// the lazy contract.
 func (s *FileStore) Delete(id string) error {
 	if err := CheckID(id); err != nil {
 		return err
@@ -120,12 +126,39 @@ func (s *FileStore) List() ([]Record, error) {
 	return recs, firstErr
 }
 
-// Close implements Store.
+// Sync implements Store: it fsyncs the directory, which makes every
+// rename and remove issued before it durable.
+func (s *FileStore) Sync() error {
+	if err := s.check(); err != nil {
+		return err
+	}
+	return s.syncDir()
+}
+
+func (s *FileStore) syncDir() error {
+	d, err := os.Open(s.dir)
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("jobstore: %w", err)
+	}
+	return nil
+}
+
+// Close implements Store: it syncs the directory, so the pending renames
+// and removes are durable.
 func (s *FileStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
 	s.closed = true
-	return nil
+	return s.syncDir()
 }
 
 func (s *FileStore) check() error {

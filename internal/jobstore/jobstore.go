@@ -5,29 +5,34 @@
 //
 // A record is an opaque payload keyed by job ID — the jobs package stores
 // its self-contained checkpoint document (spec + optimizer snapshot) there
-// and never tells the store what is inside. Writes come in two durability
-// classes. Put is on stable storage before it returns; the jobs layer uses
-// it only to admit a job, because the admitted spec is the one record
-// whose loss changes what a client gets. PutLazy (snapshots) and Delete
-// (completion) are durable at the store's next fsync: every result is a
-// pure function of (spec, seed), so losing a snapshot resumes from an
+// and never tells the store what is inside. Writes come in two kinds —
+// PutLazy (replace a record) and Delete — and a crash may lose either
+// until the next Sync, the group-committed barrier that makes every write
+// issued before it durable. Put is PutLazy followed by Sync. The jobs
+// layer uses Put only to admit a job, because the admitted spec is the one
+// record whose loss changes what a client gets, and it issues that Put
+// after the job is already queued, so the run overlaps the fsync (the
+// client is answered only once the Put returns). Snapshots (PutLazy) and
+// the completion Delete ride on whichever fsync comes next: every result
+// is a pure function of (spec, seed), so losing a snapshot resumes from an
 // earlier one to the same bits and losing a delete costs one re-run. Two
 // implementations ship:
 //
 //   - FileStore: one file per job written with atomic write-then-rename
 //     (the layout the manager used before the interface existed, so a
-//     pre-existing checkpoint directory recovers unchanged). Its PutLazy
-//     is its durable Put;
+//     pre-existing checkpoint directory recovers unchanged). Its Sync
+//     fsyncs the directory, which makes renames and removes durable;
 //   - WALStore: a single append-only write-ahead log of CRC-guarded
-//     records and background-free compaction — one fsync per durable Put
-//     instead of a file create+rename, group commit under concurrent
-//     writers, and lazy records that ride on the next fsync.
+//     records and background-free compaction — one fsync per Sync
+//     instead of a file create+rename per write, and group commit under
+//     concurrent writers.
 //
 // Both implementations satisfy the same conformance contract, enforced by
 // the shared storetest suite (storetest.Run) covering round-trips,
-// partial-write truncation, lazy records made durable by a later Put or
-// Close, concurrent writers and crash-point enumeration at every record
-// boundary.
+// partial-write truncation, lazy records made durable by a later Sync, Put
+// or Close, concurrent writers and crash-point enumeration at every record
+// boundary of a PutLazy/Delete/Sync script. storetest.Faults injects
+// failed and held calls into any store for the layers above.
 package jobstore
 
 import "fmt"
@@ -44,22 +49,28 @@ type Record struct {
 // use.
 type Store interface {
 	// Put replaces the record for id and makes it durable (on stable
-	// storage) before returning.
+	// storage) before returning: it is PutLazy followed by Sync, so it also
+	// makes every write issued before it durable.
 	Put(id string, payload []byte) error
 	// PutLazy replaces the record for id without waiting for stable
-	// storage: a crash before the store's next fsync (a later Put, or
+	// storage: a crash before the store's next Sync (a Sync, a Put, or
 	// Close) may lose it.
 	PutLazy(id string, payload []byte) error
 	// Delete removes the record for id, lazily like PutLazy. Deleting an
 	// absent id is not an error.
 	Delete(id string) error
+	// Sync makes every PutLazy and Delete that returned before it was
+	// called durable. Concurrent Syncs group-commit: one fsync may serve
+	// them all. A failed Sync leaves the fate of those writes unknown.
+	Sync() error
 	// List returns every live record sorted by ID. Implementations may
 	// return the readable records alongside the first read error, so one
 	// damaged record does not block recovery of the rest.
 	List() ([]Record, error)
 	// Kind names the implementation ("file", "wal") for status surfaces.
 	Kind() string
-	// Close releases resources. The store must not be used afterwards.
+	// Close makes the pending lazy writes durable and releases resources.
+	// The store must not be used afterwards.
 	Close() error
 }
 

@@ -1,20 +1,25 @@
 // Package storetest is the conformance suite every jobstore.Store
 // implementation must pass. It pins the contract the jobs manager relies
-// on — durable round-trips, lazy writes made durable by a later Put or by
-// Close, sorted listing, survival of the crash artifacts each store's
-// write discipline permits, and safety under concurrent writers — so a
-// new store earns trust by passing one shared suite instead of
-// re-deriving the rules.
+// on — durable round-trips, lazy writes made durable by a later Sync, Put
+// or Close, sorted listing, recovery of the on-disk image at every record
+// boundary of a PutLazy/Delete/Sync script, survival of the crash
+// artifacts each store's write discipline permits, and safety under
+// concurrent writers — so a new store earns trust by passing one shared
+// suite instead of re-deriving the rules.
 //
 // Store-specific damage models (byte-level crash-point enumeration for the
 // WAL, temp-file orphans for the file layout) stay in the store's own
 // tests; the Tear hook lets each store plug its "legal" torn-write
-// artifact into the shared recovery check.
+// artifact into the shared recovery checks. Faults (faults.go) is the
+// other half of the package: a wrapper that fails or holds chosen store
+// calls, for testing the layers above a store.
 package storetest
 
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -43,6 +48,8 @@ func Run(t *testing.T, h Harness) {
 	t.Run("ReopenPersists", func(sub *testing.T) { testReopenPersists(sub, h) })
 	t.Run("LazyThenDurable", func(sub *testing.T) { testLazyThenDurable(sub, h) })
 	t.Run("LazyOnClose", func(sub *testing.T) { testLazyOnClose(sub, h) })
+	t.Run("Sync", func(sub *testing.T) { testSync(sub, h) })
+	t.Run("CrashPoints", func(sub *testing.T) { testCrashPoints(sub, h) })
 	t.Run("TornWriteRecovers", func(sub *testing.T) { testTornWrite(sub, h) })
 	t.Run("ConcurrentWriters", func(sub *testing.T) { testConcurrentWriters(sub, h) })
 	t.Run("ConcurrentSameID", func(sub *testing.T) { testConcurrentSameID(sub, h) })
@@ -254,6 +261,152 @@ func testLazyOnClose(t *testing.T, h Harness) {
 	expect(t, st2, map[string][]byte{"a": []byte("lazy")})
 }
 
+// testSync: Sync makes the lazy writes before it durable and is a no-op
+// with nothing pending.
+func testSync(t *testing.T, h Harness) {
+	dir := t.TempDir()
+	st := open(t, h, dir)
+	for _, id := range []string{"a", "b"} {
+		if err := st.PutLazy(id, []byte("lazy-"+id)); err != nil {
+			t.Fatalf("PutLazy: %v", err)
+		}
+	}
+	if err := st.Delete("b"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := st.Sync(); err != nil {
+			t.Fatalf("Sync %d: %v", i, err)
+		}
+	}
+	want := map[string][]byte{"a": []byte("lazy-a")}
+	expect(t, st, want)
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	st2 := open(t, h, dir)
+	defer st2.Close()
+	expect(t, st2, want)
+}
+
+// crashStep is one step of the crash-point script: a lazy put, a delete,
+// a Sync, or a durable Put.
+type crashStep struct {
+	op      string // "lazy", "delete", "sync", "put"
+	id      string
+	payload string
+}
+
+// crashScript is the jobs layer's write pattern: admissions, snapshots
+// and completion deletes, with barriers between some of them.
+var crashScript = []crashStep{
+	{op: "put", id: "j000001", payload: "spec-1"},
+	{op: "lazy", id: "j000002", payload: "spec-2"},
+	{op: "lazy", id: "j000001", payload: "snapshot-1"},
+	{op: "sync"},
+	{op: "delete", id: "j000002"},
+	{op: "lazy", id: "j000003", payload: strings.Repeat("x", 300)},
+	{op: "put", id: "j000004", payload: "spec-4"},
+	{op: "delete", id: "j000001"},
+	{op: "lazy", id: "j000003", payload: "snapshot-3"},
+	{op: "sync"},
+	{op: "lazy", id: "j000002", payload: "resubmitted"},
+	{op: "delete", id: "never-existed"},
+}
+
+// testCrashPoints runs crashScript and copies the store's directory after
+// every step, with the store still open: the copy is what a crash at that
+// record boundary leaves on disk when nothing is lost. Each copy must
+// reopen to exactly the state after that step — and, when the store has a
+// Tear model, still after tearing it — and accept writes afterwards.
+// Losing the writes after the last Sync is each store's own damage model.
+func testCrashPoints(t *testing.T, h Harness) {
+	dir := t.TempDir()
+	st := open(t, h, dir)
+	state := map[string][]byte{}
+	images := []string{copyDir(t, dir)}
+	wants := []map[string][]byte{clone(state)}
+	for i, s := range crashScript {
+		var err error
+		switch s.op {
+		case "lazy":
+			err = st.PutLazy(s.id, []byte(s.payload))
+			state[s.id] = []byte(s.payload)
+		case "put":
+			err = st.Put(s.id, []byte(s.payload))
+			state[s.id] = []byte(s.payload)
+		case "delete":
+			err = st.Delete(s.id)
+			delete(state, s.id)
+		case "sync":
+			err = st.Sync()
+		}
+		if err != nil {
+			t.Fatalf("step %d (%s %s): %v", i, s.op, s.id, err)
+		}
+		images = append(images, copyDir(t, dir))
+		wants = append(wants, clone(state))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for k, image := range images {
+		for _, tear := range []bool{false, true} {
+			if tear {
+				if h.Tear == nil {
+					continue
+				}
+				h.Tear(t, image)
+			}
+			re, err := h.Open(image)
+			if err != nil {
+				t.Fatalf("crash after step %d (tear %v): open: %v", k, tear, err)
+			}
+			expect(t, re, wants[k])
+			if err := re.Put("post", []byte("post-crash")); err != nil {
+				t.Fatalf("crash after step %d (tear %v): Put after recovery: %v", k, tear, err)
+			}
+			if err := re.Delete("post"); err != nil {
+				t.Fatalf("crash after step %d (tear %v): Delete after recovery: %v", k, tear, err)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatalf("crash after step %d (tear %v): Close: %v", k, tear, err)
+			}
+		}
+	}
+}
+
+func clone(m map[string][]byte) map[string][]byte {
+	out := make(map[string][]byte, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
+
+// copyDir copies the regular files of dir into a fresh temp directory.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
 func testTornWrite(t *testing.T, h Harness) {
 	if h.Tear == nil {
 		t.Skip("store has no torn-write model")
@@ -406,5 +559,8 @@ func testClosed(t *testing.T, h Harness) {
 	}
 	if err := st.Delete("a"); err == nil {
 		t.Error("Delete on a closed store must fail")
+	}
+	if err := st.Sync(); err == nil {
+		t.Error("Sync on a closed store must fail")
 	}
 }

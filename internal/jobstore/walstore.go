@@ -33,12 +33,12 @@ var openWALFile = func(path string) (walFile, error) {
 }
 
 // WALStore is the append-only durable store: every Put/PutLazy/Delete
-// appends one CRC-guarded record to a single write-ahead log. Put fsyncs
-// before returning; PutLazy and Delete do not, and become durable at the
-// next fsync of the file, whoever issues it. Concurrent writers
-// group-commit — any fsync that covers a writer's append satisfies it, so
-// N concurrent Puts pay far fewer than N fsyncs. The log self-compacts
-// when superseded bytes outgrow live ones.
+// appends one CRC-guarded record to a single write-ahead log. PutLazy and
+// Delete return after the append; Sync fsyncs the file, and Put is PutLazy
+// then Sync. An append is durable at the next fsync of the file, whoever
+// issues it. Concurrent Syncs group-commit — any fsync that covers a
+// writer's append satisfies it, so N concurrent Puts pay far fewer than N
+// fsyncs. The log self-compacts when superseded bytes outgrow live ones.
 //
 // Crash safety: records reach the file in log order, so the only legal
 // damage is a lost suffix — the lazy records since the last fsync and a
@@ -166,25 +166,39 @@ func (s *WALStore) Dir() string { return s.dir }
 // Kind implements Store.
 func (s *WALStore) Kind() string { return "wal" }
 
-// Put implements Store: append one put record, fsync (group-committed),
-// and compact if the log has outgrown its live content.
+// Put implements Store: PutLazy, then Sync.
 func (s *WALStore) Put(id string, payload []byte) error {
-	return s.append(opPut, id, payload, true)
+	if err := s.PutLazy(id, payload); err != nil {
+		return err
+	}
+	return s.Sync()
 }
 
-// PutLazy implements Store: append one put record without an fsync. It
-// becomes durable with the next Put's group commit, compaction or Close.
+// PutLazy implements Store: append one put record without an fsync, and
+// compact if the log has outgrown its live content. It becomes durable
+// with the next Sync's group commit, a compaction or Close.
 func (s *WALStore) PutLazy(id string, payload []byte) error {
-	return s.append(opPut, id, payload, false)
+	return s.append(opPut, id, payload)
 }
 
 // Delete implements Store: append one delete record without an fsync,
 // like PutLazy.
 func (s *WALStore) Delete(id string) error {
-	return s.append(opDelete, id, nil, false)
+	return s.append(opDelete, id, nil)
 }
 
-func (s *WALStore) append(op byte, id string, payload []byte, durable bool) error {
+// Sync implements Store: fsync every append made so far (group-committed).
+func (s *WALStore) Sync() error {
+	s.mu.Lock()
+	err := s.usableLocked()
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.syncTo(s.appendGen.Load())
+}
+
+func (s *WALStore) append(op byte, id string, payload []byte) error {
 	if err := CheckID(id); err != nil {
 		return err
 	}
@@ -217,17 +231,11 @@ func (s *WALStore) append(op byte, id string, payload []byte, durable bool) erro
 	} else {
 		delete(s.live, id)
 	}
-	gen := s.appendGen.Add(1)
+	s.appendGen.Add(1)
 	needCompact := s.garbageLocked() > compactFloor && s.garbageLocked() > s.liveBytes
 	s.mu.Unlock()
 
-	if durable {
-		if err := s.syncTo(gen); err != nil {
-			return err
-		}
-	} else {
-		mLazyWrites.Inc()
-	}
+	mLazyWrites.Inc()
 	if needCompact {
 		return s.compact()
 	}
@@ -263,10 +271,10 @@ func (s *WALStore) syncTo(gen uint64) error {
 	// syncMu, so the snapshot cannot go stale inside this critical section.
 	cover := s.appendGen.Load()
 	s.mu.Lock()
-	f, poison := s.f, s.poison
+	f, unusable := s.f, s.usableLocked()
 	s.mu.Unlock()
-	if poison != nil {
-		return poison
+	if unusable != nil {
+		return unusable
 	}
 	mFsyncs.Inc()
 	if err := f.Sync(); err != nil {

@@ -261,7 +261,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		id, err = s.cfg.Mgr.Submit(spec)
 	}
 	if err != nil {
-		if errors.Is(err, jobs.ErrClosed) || errors.Is(err, jobs.ErrQuotaExceeded) || errors.Is(err, jobs.ErrRateLimited) {
+		if errors.Is(err, jobs.ErrClosed) || errors.Is(err, jobs.ErrQuotaExceeded) || errors.Is(err, jobs.ErrRateLimited) || errors.Is(err, jobs.ErrStore) {
 			WriteErr(w, err)
 			return
 		}

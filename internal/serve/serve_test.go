@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/serve"
+	"repro/internal/testfunc"
 )
 
 // specJSON is a fast deterministic job: rosenbrock/pc, done in a few ms.
@@ -204,22 +206,47 @@ func TestFailoverEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First life: submit one durable job and close before it can run.
-	m1, err := jobs.New(jobs.Config{MaxConcurrent: 1, CheckpointDir: deadDir, StoreKind: "wal"})
+	// First life: submit one durable job and close the manager while the
+	// job is held at its first objective call, so it cannot finish (and
+	// drop its record) first — a job may start before Submit returns. The
+	// gate opens once Close has canceled the job; the job then stops
+	// canceled, and shutdown keeps its record.
+	gate := make(chan struct{})
+	m1, err := jobs.New(jobs.Config{MaxConcurrent: 1, CheckpointDir: deadDir, StoreKind: "wal",
+		Objectives: map[string]func([]float64) float64{
+			"gated": func(x []float64) float64 { <-gate; return testfunc.Rosenbrock(x) },
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocker, err := m1.Submit(jobs.Spec{
-		Objective: "rosenbrock", Dim: 3, Algorithm: "pc", Sigma0: 50,
+	spec := jobs.Spec{
+		Objective: "gated", Dim: 3, Algorithm: "pc", Sigma0: 50,
 		Seed: 41, Tol: -1, MaxIterations: 20, Tenant: "acme",
-	})
+	}
+	blocker, err := m1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1.Close()
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		m1.Close()
+	}()
+	// A repeated ID is refused with ErrClosed once Close has begun (and
+	// canceled every job), and as already taken before.
+	for {
+		if _, err := m1.SubmitWithID(blocker, spec); errors.Is(err, jobs.ErrClosed) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	<-closed
 
-	// Survivor: a fresh server with its own (file) store adopts the WAL.
-	ts, _ := startServer(t, jobs.Config{MaxConcurrent: 2, CheckpointDir: filepath.Join(dir, "live")})
+	// Survivor: a fresh server with its own (file) store adopts the WAL; its
+	// "gated" objective is plain Rosenbrock.
+	ts, _ := startServer(t, jobs.Config{MaxConcurrent: 2, CheckpointDir: filepath.Join(dir, "live"),
+		Objectives: map[string]func([]float64) float64{"gated": testfunc.Rosenbrock}})
 	code, body := post(t, ts.URL+"/v1/failover", fmt.Sprintf(`{"dir":%q,"store":"wal"}`, deadDir))
 	if code != http.StatusOK {
 		t.Fatalf("failover: code %d body %v", code, body)

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -681,25 +682,46 @@ func TestRouterSlowAdoption(t *testing.T) {
 	goneAddr := gone.Addr().String()
 	gone.Close() // shard 0 refuses every connection from the start
 
-	// Shard 0's store: one durable job, recorded and never run.
+	// Shard 0's store: one durable job, recorded and never finished. A job
+	// may start before Submit returns, so it is held at its first objective
+	// call until Close has canceled it; shutdown keeps its record.
 	deadDir := t.TempDir()
-	m0, err := jobs.New(jobs.Config{MaxConcurrent: 1, CheckpointDir: deadDir, StoreKind: "wal"})
+	held := make(chan struct{})
+	m0, err := jobs.New(jobs.Config{MaxConcurrent: 1, CheckpointDir: deadDir, StoreKind: "wal",
+		Objectives: map[string]func([]float64) float64{
+			"gated": func(x []float64) float64 { <-held; return testfunc.Rosenbrock(x) },
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := m0.Submit(jobs.Spec{
-		Objective: "rosenbrock", Dim: 3, Algorithm: "pc", Sigma0: 50,
+	spec := jobs.Spec{
+		Objective: "gated", Dim: 3, Algorithm: "pc", Sigma0: 50,
 		Seed: 43, Tol: -1, MaxIterations: 20, Tenant: "acme",
-	})
+	}
+	id, err := m0.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m0.Close()
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		m0.Close()
+	}()
+	// A repeated ID is refused with ErrClosed once Close has begun.
+	for {
+		if _, err := m0.SubmitWithID(id, spec); errors.Is(err, jobs.ErrClosed) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(held)
+	<-closed
 
 	gate := &adoptGate{release: make(chan struct{})}
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate.release) }) }
-	adopter := newTestShard(t, jobs.Config{MaxConcurrent: 1, Events: obs.NewLogger(gate)}, nil)
+	adopter := newTestShard(t, jobs.Config{MaxConcurrent: 1, Events: obs.NewLogger(gate),
+		Objectives: map[string]func([]float64) float64{"gated": testfunc.Rosenbrock}}, nil)
 	t.Cleanup(release) // LIFO: release the gate before the adopter closes
 
 	events := make(eventSink, 1024)
