@@ -2,7 +2,10 @@
 // the internal/jobs manager. It multiplexes many concurrent optimization
 // runs over one shared sampling worker fleet, streams per-iteration progress,
 // and (with -checkpoint-dir) persists checkpoints so a killed server resumes
-// its jobs bitwise-deterministically on restart.
+// its jobs bitwise-deterministically on restart. -store picks the layout of
+// a new checkpoint directory only: a directory that already holds records
+// reopens in its own layout, so a restart under another -store still
+// recovers every job.
 //
 // With -fleet-addr the server also opens a worker-registration listener:
 // remote optworker agents dial it, and jobs submitted with "fleet": true run
@@ -40,6 +43,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/jobs"
+	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -64,7 +68,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "shared sampling fleet size (0 = GOMAXPROCS)")
 		schedPol   = flag.String("sched-policy", "fair", "tenant order of costed in-process sampling on the shared pool: fair (weighted fair-share) or fifo (single global queue); optd sets no sampling cost, so no optd job reaches that pool")
 		ckptDir    = flag.String("checkpoint-dir", "", "durable checkpoint directory (empty = no durability)")
-		storeKind  = flag.String("store", "file", "durable job store kind: file (one file per job) or wal (append-only log)")
+		storeKind  = flag.String("store", "file", "layout of a new checkpoint directory: file (one file per job) or wal (append-only log); a directory that holds records reopens in its own layout")
 		ckptEvery  = flag.Int("checkpoint-every", 20, "iterations between checkpoints")
 		seed       = flag.Int64("seed", 1, "default random seed for specs that omit one")
 		noRecover  = flag.Bool("no-recover", false, "skip resuming checkpointed jobs at startup")
@@ -119,12 +123,19 @@ func main() {
 		fmt.Printf("fleet listening on %s (optworker -connect, proto=binary)\n", fleet.Addr())
 	}
 
+	var store jobstore.Store
+	if *ckptDir != "" {
+		st, err := jobstore.Open(*storeKind, *ckptDir)
+		if err != nil {
+			fatal(err)
+		}
+		store = st
+	}
 	mgr, err := jobs.New(jobs.Config{
 		MaxConcurrent:   *maxConc,
 		Workers:         *workers,
 		SchedPolicy:     *schedPol,
-		CheckpointDir:   *ckptDir,
-		StoreKind:       *storeKind,
+		Store:           store,
 		CheckpointEvery: *ckptEvery,
 		TraceBuffer:     *traceBufSz,
 		Fleet:           fleetSampler,

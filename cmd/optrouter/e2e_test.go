@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -13,8 +14,8 @@ import (
 )
 
 // TestOptrouterProcessE2E is the shard-kill exercise CI runs with real
-// processes: build optd and optrouter, start two WAL-backed optd shards
-// behind the router, push a load of jobs through the router, SIGKILL one
+// processes: build optd and optrouter, start two optd shards of different
+// store layouts behind a router whose shard table names no layout, push a load of jobs through the router, SIGKILL one
 // shard mid-load, and assert the router declares it dead, fails its store
 // over to the survivor, and that every recovered job completes with a
 // result byte-identical to a fresh, uninterrupted run of the same spec.
@@ -78,13 +79,14 @@ func TestOptrouterProcessE2E(t *testing.T) {
 		return cmd, waitLine
 	}
 
-	// Two WAL-backed shards: the victim runs one job at a time so the load
-	// queues up on it (durably), the survivor has headroom to absorb the
-	// failover.
+	// Two shards: the victim runs one job at a time so the load queues up
+	// on it (durably, one file per job), the survivor (a WAL) has headroom
+	// to absorb the failover. The router's -shard values carry no layout:
+	// the survivor finds it in the victim's directory.
 	dir0, dir1 := t.TempDir(), t.TempDir()
 	victim, victimLine := start("optd",
 		"-addr", "127.0.0.1:0", "-max-concurrent", "1", "-workers", "1",
-		"-checkpoint-dir", dir0, "-store", "wal")
+		"-checkpoint-dir", dir0, "-store", "file")
 	addr0 := victimLine("optd listening on ")
 	_, survivorLine := start("optd",
 		"-addr", "127.0.0.1:0", "-max-concurrent", "2", "-workers", "1",
@@ -93,8 +95,8 @@ func TestOptrouterProcessE2E(t *testing.T) {
 
 	_, routerLine := start("optrouter",
 		"-addr", "127.0.0.1:0", "-probe", "50ms", "-dead-after", "500ms",
-		"-shard", addr0+","+dir0+",wal",
-		"-shard", addr1+","+dir1+",wal")
+		"-shard", addr0+","+dir0,
+		"-shard", addr1+","+dir1)
 	base := "http://" + routerLine("optrouter listening on ")
 
 	// Load: enough medium-sized jobs that the victim's queue is still
@@ -146,7 +148,7 @@ func TestOptrouterProcessE2E(t *testing.T) {
 	}
 
 	// The router must declare the victim dead and hand its range (and its
-	// WAL) to the survivor.
+	// store) to the survivor.
 	var health struct {
 		Shards []struct {
 			Dead    bool `json:"dead"`
@@ -178,6 +180,11 @@ func TestOptrouterProcessE2E(t *testing.T) {
 		}
 		return len(recovered) > 0
 	}, "survivor adopting the victim's jobs")
+	// The WAL survivor adopted the victim's directory as the file store it
+	// is, and wrote no log of its own layout beside those records.
+	if _, err := os.Stat(filepath.Join(dir0, "jobs.wal")); !os.IsNotExist(err) {
+		t.Errorf("adopting the victim's file store left a jobs.wal in it (stat: %v)", err)
+	}
 
 	// Every recovered job drains through the router...
 	for _, id := range recovered {

@@ -8,16 +8,16 @@
 // resume bitwise-deterministically, so a client polling through the router
 // cannot tell a failover happened except by latency.
 //
-// Each -shard flag names one replica as addr[,store-dir[,store-kind]]; the
-// store dir must be readable by the surviving replicas (shared or
-// replicated storage) for failover to work, and store-kind is "file"
-// (default) or "wal":
+// Each -shard flag names one replica as addr[,store-dir]; the store dir
+// must be readable by the surviving replicas (shared or replicated storage)
+// for failover to work. The router never names a layout: the adopter opens
+// the dir in the layout it holds, whatever -store its optd ran with:
 //
 //	optd -addr :8081 -checkpoint-dir /srv/optd/s0 -store wal &
 //	optd -addr :8082 -checkpoint-dir /srv/optd/s1 -store wal &
 //	optrouter -addr :8080 \
-//	    -shard localhost:8081,/srv/optd/s0,wal \
-//	    -shard localhost:8082,/srv/optd/s1,wal &
+//	    -shard localhost:8081,/srv/optd/s0 \
+//	    -shard localhost:8082,/srv/optd/s1 &
 //	curl -s localhost:8080/healthz   # router role + shard table
 //	curl -s localhost:8080/v1/jobs -d '{"objective":"rosenbrock","dim":3,"algorithm":"pc","sigma0":100,"seed":7,"max_iterations":200}'
 package main
@@ -51,20 +51,12 @@ const idleTimeout = 2 * time.Minute
 
 func main() {
 	var shards []shard.Shard
-	flag.Func("shard", "optd replica as addr[,store-dir[,store-kind]] (repeatable)", func(v string) error {
-		parts := strings.SplitN(v, ",", 3)
-		s := shard.Shard{Addr: parts[0]}
-		if len(parts) > 1 {
-			s.Dir = parts[1]
+	flag.Func("shard", "optd replica as addr[,store-dir] (repeatable)", func(v string) error {
+		s, err := parseShard(v)
+		if err == nil {
+			shards = append(shards, s)
 		}
-		if len(parts) > 2 {
-			s.Store = parts[2]
-		}
-		if s.Addr == "" {
-			return fmt.Errorf("empty shard address")
-		}
-		shards = append(shards, s)
-		return nil
+		return err
 	})
 	var (
 		addr      = flag.String("addr", "localhost:8080", "listen address")
@@ -113,6 +105,20 @@ func main() {
 		defer cancel()
 		srv.Shutdown(ctx)
 	}
+}
+
+// parseShard parses one -shard value, addr[,store-dir]. A third field is
+// refused, not folded into the dir: "addr,dir,wal" would otherwise name the
+// fresh, empty directory "dir,wal", and failover would adopt nothing.
+func parseShard(v string) (shard.Shard, error) {
+	addr, dir, _ := strings.Cut(v, ",")
+	if addr == "" {
+		return shard.Shard{}, fmt.Errorf("empty shard address in %q (want addr[,store-dir])", v)
+	}
+	if strings.Contains(dir, ",") {
+		return shard.Shard{}, fmt.Errorf("%q has a third field (want addr[,store-dir]; a store dir names its own layout)", v)
+	}
+	return shard.Shard{Addr: addr, Dir: dir}, nil
 }
 
 func fatal(err error) {

@@ -55,7 +55,7 @@ func (m *Manager) initStore() error {
 	if m.cfg.Store != nil {
 		m.store = m.cfg.Store
 	} else if m.cfg.CheckpointDir != "" {
-		st, err := jobstore.Open(m.cfg.StoreKind, m.cfg.CheckpointDir)
+		st, err := jobstore.Open("", m.cfg.CheckpointDir)
 		if err != nil {
 			return err
 		}

@@ -222,13 +222,7 @@ func TestLostLazyWritesRecoverIdentically(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	openStore := func() jobstore.Store {
-		st, err := jobstore.OpenWAL(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
+	openWAL := func() jobstore.Store { return openStore(t, "wal", dir) }
 	// recoverAll runs every stored job to completion in a fresh manager and
 	// checks each result against the uninterrupted run.
 	recoverAll := func(st jobstore.Store) {
@@ -277,7 +271,7 @@ func TestLostLazyWritesRecoverIdentically(t *testing.T) {
 	// last Sync) makes the killed job's snapshots so far durable, the other
 	// job finishes, and the killed job runs on until Close. The finished
 	// job's delete and the killed job's later snapshots are lost.
-	m1, err := New(Config{MaxConcurrent: 2, Store: &lossyStore{Store: openStore()}, CheckpointEvery: 1, Objectives: slow})
+	m1, err := New(Config{MaxConcurrent: 2, Store: &lossyStore{Store: openWAL()}, CheckpointEvery: 1, Objectives: slow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +291,7 @@ func TestLostLazyWritesRecoverIdentically(t *testing.T) {
 
 	// Both records survived; the killed job's is older than its last
 	// snapshot.
-	st := openStore()
+	st := openWAL()
 	recs, err := st.List()
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("stored records after the first life = %d, %v; want 2", len(recs), err)
@@ -322,8 +316,8 @@ func TestLostLazyWritesRecoverIdentically(t *testing.T) {
 	// Second life loses its lazy writes too; the third keeps them, and its
 	// deletes finally empty the store.
 	recoverAll(&lossyStore{Store: st})
-	recoverAll(openStore())
-	st = openStore()
+	recoverAll(openWAL())
+	st = openWAL()
 	defer st.Close()
 	if recs, err := st.List(); err != nil || len(recs) != 0 {
 		t.Fatalf("records after the last recovery = %v, %v; want none", recs, err)
@@ -339,7 +333,7 @@ func TestWALFsyncsPerJob(t *testing.T) {
 	fsyncs := obs.Default().Counter("jobstore_fsyncs_total")
 	lazy := obs.Default().Counter("jobstore_lazy_writes_total")
 	dir := t.TempDir()
-	m, err := New(Config{MaxConcurrent: 1, CheckpointDir: dir, StoreKind: "wal", CheckpointEvery: 20})
+	m, err := New(Config{MaxConcurrent: 1, Store: openStore(t, "wal", dir), CheckpointEvery: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +375,7 @@ func TestWALFsyncsPerJob(t *testing.T) {
 // below ack_us.
 func BenchmarkAdmission(b *testing.B) {
 	var startedAt atomic.Int64
-	m, err := New(Config{MaxConcurrent: 1, CheckpointDir: b.TempDir(), StoreKind: "wal",
+	m, err := New(Config{MaxConcurrent: 1, Store: openStore(b, "wal", b.TempDir()),
 		Objectives: map[string]func([]float64) float64{"stamped": func(x []float64) float64 {
 			startedAt.CompareAndSwap(0, time.Now().UnixNano())
 			return testfunc.Rosenbrock(x)

@@ -168,13 +168,10 @@ type Config struct {
 	// closes it on Close.
 	Store jobstore.Store
 	// CheckpointDir is shorthand for Store: when Store is nil and
-	// CheckpointDir is non-empty, the manager opens a jobstore of StoreKind
-	// rooted there. The directory is created if missing.
+	// CheckpointDir is non-empty, the manager opens the jobstore rooted
+	// there in the layout the directory holds (jobstore.Open), one file
+	// per job for a new directory. The directory is created if missing.
 	CheckpointDir string
-	// StoreKind selects the CheckpointDir store layout: "file" (default,
-	// one atomically-renamed JSON file per job) or "wal" (single
-	// append-only log, fsynced at admission).
-	StoreKind string
 	// CheckpointEvery is the snapshot period in simplex iterations.
 	// Zero selects 20.
 	CheckpointEvery int

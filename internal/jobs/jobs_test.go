@@ -39,6 +39,17 @@ func newManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
+// openStore opens the store in dir, kind picking the layout of a new dir;
+// the manager it is handed to closes it.
+func openStore(tb testing.TB, kind, dir string) jobstore.Store {
+	tb.Helper()
+	st, err := jobstore.Open(kind, dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
 // slowObjectives registers "slowrosen": Rosenbrock with a real-time delay
 // per point creation, so tests that must catch a job mid-run have a window
 // to do it in. The delay has no effect on the sampled values.

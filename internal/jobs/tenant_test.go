@@ -287,8 +287,7 @@ func TestSubmitTimeDurability(t *testing.T) {
 			dir := t.TempDir()
 			m1, err := New(Config{
 				MaxConcurrent: 1,
-				CheckpointDir: dir,
-				StoreKind:     kind,
+				Store:         openStore(t, kind, dir),
 				Objectives:    slowObjectives(time.Millisecond),
 			})
 			if err != nil {
@@ -307,8 +306,13 @@ func TestSubmitTimeDurability(t *testing.T) {
 			}
 			m1.Close() // the "kill": queued job never started
 
-			m2 := newManager(t, Config{MaxConcurrent: 2, CheckpointDir: dir, StoreKind: kind,
+			// The directory names its own layout: CheckpointDir reopens it
+			// as the kind m1 wrote.
+			m2 := newManager(t, Config{MaxConcurrent: 2, CheckpointDir: dir,
 				Objectives: slowObjectives(time.Millisecond)})
+			if got := m2.Stats().Store; got != kind {
+				t.Fatalf("reopened store kind = %q, want %q", got, kind)
+			}
 			ids, err := m2.Recover()
 			if err != nil {
 				t.Fatalf("Recover: %v", err)

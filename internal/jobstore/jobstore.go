@@ -27,6 +27,12 @@
 //     instead of a file create+rename per write, and group commit under
 //     concurrent writers.
 //
+// Open chooses between them by what the directory already holds: a
+// directory reopens in the layout it was written in, and the caller's kind
+// only picks the layout of a new one. A restarted server and a replica
+// adopting a dead one's directory therefore need no setting that could
+// disagree with the directory.
+//
 // Both implementations satisfy the same conformance contract, enforced by
 // the shared storetest suite (storetest.Run) covering round-trips,
 // partial-write truncation, lazy records made durable by a later Sync, Put
@@ -35,7 +41,12 @@
 // failed and held calls into any store for the layers above.
 package jobstore
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+)
 
 // Record is one durable job record: an opaque payload keyed by job ID.
 type Record struct {
@@ -105,16 +116,56 @@ func CheckID(id string) error {
 	return nil
 }
 
-// Open opens a store of the named kind rooted at dir: "file" (or empty)
-// selects the one-file-per-job FileStore, "wal" the append-only WALStore.
-// The directory is created if missing.
+// Open opens the store rooted at dir in the layout the directory holds:
+// *.ckpt.json records open a FileStore, a jobs.wal a WALStore. kind ("file"
+// or empty, or "wal") only picks the layout of a directory that holds
+// neither. A jobs.wal with no live record beside file records does not
+// count (opening a file directory as a WAL leaves one); file records beside
+// a WAL with records are an error naming both. The directory is created if
+// missing.
 func Open(kind, dir string) (Store, error) {
-	switch kind {
-	case "", "file":
-		return OpenFile(dir)
-	case "wal":
-		return OpenWAL(dir)
-	default:
+	if kind != "" && kind != "file" && kind != "wal" {
 		return nil, fmt.Errorf("jobstore: unknown store kind %q (want \"file\" or \"wal\")", kind)
 	}
+	held, err := layoutOf(dir)
+	if err != nil {
+		return nil, err
+	}
+	if held != "" {
+		kind = held
+	}
+	if kind == "wal" {
+		return OpenWAL(dir)
+	}
+	return OpenFile(dir)
+}
+
+// layoutOf names the layout dir holds records in: "file", "wal", or "" for
+// a directory that is missing or holds neither.
+func layoutOf(dir string) (string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return "", fmt.Errorf("jobstore: %w", err)
+	}
+	files, wal := false, false
+	for _, e := range entries {
+		wal = wal || e.Name() == walFileName
+		files = files || !e.IsDir() && strings.HasSuffix(e.Name(), FileSuffix)
+	}
+	if !files {
+		if wal {
+			return "wal", nil
+		}
+		return "", nil
+	}
+	if wal {
+		_, live, _, err := readWAL(filepath.Join(dir, walFileName))
+		if err != nil {
+			return "", err
+		}
+		if len(live) > 0 {
+			return "", fmt.Errorf("jobstore: %s holds both layouts: *%s records and a %s with records; move one aside", dir, FileSuffix, walFileName)
+		}
+	}
+	return "file", nil
 }

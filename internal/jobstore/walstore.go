@@ -85,40 +85,22 @@ func OpenWAL(dir string) (*WALStore, error) {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
 	path := filepath.Join(dir, walFileName)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		data = nil
-	} else if err != nil {
-		return nil, fmt.Errorf("jobstore: %w", err)
-	}
-	if len(data) < len(walMagic) && string(data) == walMagic[:len(data)] {
-		// Empty, or a crash tore the initial magic write: no record was
-		// ever acknowledged, so restart the log from scratch.
-		data = nil
-	}
 	// Replay into locals; the store is published via the composite literal
 	// below, before any other goroutine can see it.
-	var live map[string][]byte
-	totalBytes := 0
-	if len(data) == 0 {
+	data, live, totalBytes, err := readWAL(path)
+	if err != nil {
+		return nil, err
+	}
+	if data == nil {
 		// Fresh (or torn-at-birth) log: write the magic durably.
 		if werr := os.WriteFile(path, []byte(walMagic), 0o644); werr != nil {
 			return nil, fmt.Errorf("jobstore: %w", werr)
 		}
-		live = make(map[string][]byte)
-	} else {
-		if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-			return nil, fmt.Errorf("jobstore: %s is not a WAL (bad magic)", path)
-		}
-		var goodLen int
-		live, goodLen, _ = replayWAL(data[len(walMagic):])
-		totalBytes = goodLen
-		if tail := len(walMagic) + goodLen; tail < len(data) {
-			// A torn final append: everything before it is durable state,
-			// the tail is the crash artifact the fsync discipline allows.
-			if terr := os.Truncate(path, int64(tail)); terr != nil {
-				return nil, fmt.Errorf("jobstore: truncating torn WAL tail: %w", terr)
-			}
+	} else if tail := len(walMagic) + totalBytes; tail < len(data) {
+		// A torn final append: everything before it is durable state, the
+		// tail is the crash artifact the fsync discipline allows.
+		if terr := os.Truncate(path, int64(tail)); terr != nil {
+			return nil, fmt.Errorf("jobstore: truncating torn WAL tail: %w", terr)
 		}
 	}
 	liveBytes := 0
@@ -149,6 +131,25 @@ func OpenWAL(dir string) (*WALStore, error) {
 		}
 	}
 	return s, nil
+}
+
+// readWAL reads and replays the log at path without repairing it. A missing
+// log, or one torn before its magic was complete, reads as nil data and no
+// records: no record was ever acknowledged. goodLen is the length of the
+// intact records after the magic.
+func readWAL(path string) (data []byte, live map[string][]byte, goodLen int, err error) {
+	data, err = os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, 0, fmt.Errorf("jobstore: %w", err)
+	}
+	if len(data) < len(walMagic) && string(data) == walMagic[:len(data)] {
+		return nil, make(map[string][]byte), 0, nil
+	}
+	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
+		return nil, nil, 0, fmt.Errorf("jobstore: %s is not a WAL (bad magic)", path)
+	}
+	live, goodLen, _ = replayWAL(data[len(walMagic):])
+	return data, live, goodLen, nil
 }
 
 // encodedWALSize is the on-disk footprint of one put record.

@@ -55,7 +55,8 @@ type Config struct {
 //	POST   /v1/tenants/{tenant}/jobs   submit scoped to the tenant
 //	GET    /v1/tenants/{tenant}/jobs   list the tenant's jobs
 //	POST   /v1/failover                adopt a dead replica's job store
-//	                                   (body: {"dir": ..., "store": ...})
+//	                                   (body: {"dir": ...}; the directory
+//	                                   names its own layout)
 //	GET    /metrics                    Prometheus text exposition
 //	GET    /debug/pprof/...            net/http/pprof profiles
 //
@@ -294,10 +295,9 @@ func (s *server) tenants(w http.ResponseWriter, r *http.Request) {
 // failoverRequest is the POST /v1/failover body.
 type failoverRequest struct {
 	// Dir is the dead replica's store directory (shared or replicated
-	// storage both replicas can reach).
+	// storage both replicas can reach). The store opens in the layout the
+	// directory holds (jobstore.Open), so the request names no kind.
 	Dir string `json:"dir"`
-	// Store is the store kind: "file" (default) or "wal".
-	Store string `json:"store,omitempty"`
 }
 
 // failover adopts a dead replica's job store: every job recorded there is
@@ -326,7 +326,7 @@ func (s *server) failover(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !repeat {
-		s.adopt(a, dir, req.Store)
+		s.adopt(a, dir)
 	}
 	select {
 	case <-a.done:
@@ -349,9 +349,9 @@ func (s *server) failover(w http.ResponseWriter, r *http.Request) {
 // adopt opens the store in dir and hands it to the manager, recording the
 // outcome in a. A store that fails to open is forgotten, so a later request
 // may try again.
-func (s *server) adopt(a *adoption, dir, kind string) {
+func (s *server) adopt(a *adoption, dir string) {
 	defer close(a.done)
-	st, err := jobstore.Open(kind, dir)
+	st, err := jobstore.Open("", dir)
 	if err != nil {
 		a.err = err
 		s.mu.Lock()

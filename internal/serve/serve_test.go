@@ -8,8 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/jobstore"
 	"repro/internal/serve"
 	"repro/internal/testfunc"
 )
@@ -196,80 +197,120 @@ func TestSubmitWithIDAndQuota(t *testing.T) {
 	}
 }
 
+// openStore opens the store in dir, kind picking a new dir's layout; the
+// manager it is handed to closes it.
+func openStore(t *testing.T, kind, dir string) jobstore.Store {
+	t.Helper()
+	st, err := jobstore.Open(kind, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestFailoverEndpoint: kill a manager with durable queued work, then adopt
-// its store via POST /v1/failover on a second server and watch the job
-// finish there.
+// its store via POST /v1/failover on a second server, whose own store has
+// the other layout, and watch the job finish there. The body names only the
+// dir: each row's dead store has one layout, and the adopter finds it. A
+// dead dir holding both layouts is refused and left as it was.
 func TestFailoverEndpoint(t *testing.T) {
+	for _, tt := range []struct{ dead, live string }{{"file", "wal"}, {"wal", "file"}} {
+		t.Run(tt.dead, func(t *testing.T) {
+			dir := t.TempDir()
+			deadDir := filepath.Join(dir, "dead")
+
+			// First life: submit one durable job and close the manager
+			// while the job is held at its first objective call, so it
+			// cannot finish (and drop its record) first — a job may start
+			// before Submit returns. The gate opens once Close has canceled
+			// the job; the job then stops canceled, and shutdown keeps its
+			// record.
+			gate := make(chan struct{})
+			m1, err := jobs.New(jobs.Config{MaxConcurrent: 1, Store: openStore(t, tt.dead, deadDir),
+				Objectives: map[string]func([]float64) float64{
+					"gated": func(x []float64) float64 { <-gate; return testfunc.Rosenbrock(x) },
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := jobs.Spec{
+				Objective: "gated", Dim: 3, Algorithm: "pc", Sigma0: 50,
+				Seed: 41, Tol: -1, MaxIterations: 20, Tenant: "acme",
+			}
+			blocker, err := m1.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			closed := make(chan struct{})
+			go func() {
+				defer close(closed)
+				m1.Close()
+			}()
+			// A repeated ID is refused with ErrClosed once Close has begun
+			// (and canceled every job), and as already taken before.
+			for {
+				if _, err := m1.SubmitWithID(blocker, spec); errors.Is(err, jobs.ErrClosed) {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(gate)
+			<-closed
+
+			// Survivor: a fresh server with a store of the other layout; its
+			// "gated" objective is plain Rosenbrock.
+			ts, _ := startServer(t, jobs.Config{MaxConcurrent: 2, Store: openStore(t, tt.live, filepath.Join(dir, "live")),
+				Objectives: map[string]func([]float64) float64{"gated": testfunc.Rosenbrock}})
+			code, body := post(t, ts.URL+"/v1/failover", fmt.Sprintf(`{"dir":%q}`, deadDir))
+			if code != http.StatusOK {
+				t.Fatalf("failover: code %d body %v", code, body)
+			}
+			adopted, _ := body["adopted"].([]any)
+			if len(adopted) != 1 || adopted[0] != blocker {
+				t.Fatalf("adopted = %v, want [%s]", body["adopted"], blocker)
+			}
+			if st := waitDone(t, ts, blocker); st["state"] != "done" || st["tenant"] != "acme" || st["resumed"] != true {
+				t.Fatalf("adopted job status: %v", st)
+			}
+
+			// Asking again, however the dir is spelled, answers with the same
+			// adoption instead of opening the store a second time.
+			code, body = post(t, ts.URL+"/v1/failover", fmt.Sprintf(`{"dir":%q}`, deadDir+string(filepath.Separator)))
+			if again, _ := body["adopted"].([]any); code != http.StatusOK || len(again) != 1 || again[0] != blocker {
+				t.Fatalf("repeated failover: code %d body %v, want the first adoption [%s]", code, body, blocker)
+			}
+		})
+	}
+
 	dir := t.TempDir()
-	deadDir := filepath.Join(dir, "dead")
-	if err := os.MkdirAll(deadDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	// First life: submit one durable job and close the manager while the
-	// job is held at its first objective call, so it cannot finish (and
-	// drop its record) first — a job may start before Submit returns. The
-	// gate opens once Close has canceled the job; the job then stops
-	// canceled, and shutdown keeps its record.
-	gate := make(chan struct{})
-	m1, err := jobs.New(jobs.Config{MaxConcurrent: 1, CheckpointDir: deadDir, StoreKind: "wal",
-		Objectives: map[string]func([]float64) float64{
-			"gated": func(x []float64) float64 { <-gate; return testfunc.Rosenbrock(x) },
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := jobs.Spec{
-		Objective: "gated", Dim: 3, Algorithm: "pc", Sigma0: 50,
-		Seed: 41, Tol: -1, MaxIterations: 20, Tenant: "acme",
-	}
-	blocker, err := m1.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed := make(chan struct{})
-	go func() {
-		defer close(closed)
-		m1.Close()
-	}()
-	// A repeated ID is refused with ErrClosed once Close has begun (and
-	// canceled every job), and as already taken before.
-	for {
-		if _, err := m1.SubmitWithID(blocker, spec); errors.Is(err, jobs.ErrClosed) {
-			break
+	ts, _ := startServer(t, jobs.Config{MaxConcurrent: 1})
+	t.Run("both layouts", func(t *testing.T) {
+		both := filepath.Join(dir, "both")
+		files := openStore(t, "file", both)
+		wal, err := jobstore.OpenWAL(both)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	<-closed
-
-	// Survivor: a fresh server with its own (file) store adopts the WAL; its
-	// "gated" objective is plain Rosenbrock.
-	ts, _ := startServer(t, jobs.Config{MaxConcurrent: 2, CheckpointDir: filepath.Join(dir, "live"),
-		Objectives: map[string]func([]float64) float64{"gated": testfunc.Rosenbrock}})
-	code, body := post(t, ts.URL+"/v1/failover", fmt.Sprintf(`{"dir":%q,"store":"wal"}`, deadDir))
-	if code != http.StatusOK {
-		t.Fatalf("failover: code %d body %v", code, body)
-	}
-	adopted, _ := body["adopted"].([]any)
-	if len(adopted) != 1 || adopted[0] != blocker {
-		t.Fatalf("adopted = %v, want [%s]", body["adopted"], blocker)
-	}
-	if st := waitDone(t, ts, blocker); st["state"] != "done" || st["tenant"] != "acme" || st["resumed"] != true {
-		t.Fatalf("adopted job status: %v", st)
-	}
-
-	// Asking again, however the dir is spelled, answers with the same
-	// adoption instead of opening the store a second time.
-	code, body = post(t, ts.URL+"/v1/failover", fmt.Sprintf(`{"dir":%q,"store":"wal"}`, deadDir+string(filepath.Separator)))
-	if again, _ := body["adopted"].([]any); code != http.StatusOK || len(again) != 1 || again[0] != blocker {
-		t.Fatalf("repeated failover: code %d body %v, want the first adoption [%s]", code, body, blocker)
-	}
+		for i, st := range []jobstore.Store{files, wal} {
+			if err := st.Put(fmt.Sprintf("j%06d", i+1), []byte(`{}`)); err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+		}
+		before, _ := filepath.Glob(filepath.Join(both, "*"))
+		code, body := post(t, ts.URL+"/v1/failover", fmt.Sprintf(`{"dir":%q}`, both))
+		if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "both layouts") {
+			t.Fatalf("code %d body %v, want 400 naming both layouts", code, body)
+		}
+		if after, _ := filepath.Glob(filepath.Join(both, "*")); !slices.Equal(after, before) {
+			t.Fatalf("files after a refused adoption = %v, want %v", after, before)
+		}
+	})
 
 	// Every other request shape: an empty store adopts nothing, a body padded
-	// past the 1 MiB limit is a 413, and an unknown store kind or a missing
+	// past the 1 MiB limit is a 413, and the retired store field or a missing
 	// dir is a 400.
-	emptyDir := fmt.Sprintf(`{"dir":%q,"store":"wal"}`, filepath.Join(dir, "empty"))
+	emptyDir := fmt.Sprintf(`{"dir":%q}`, filepath.Join(dir, "empty"))
 	tests := []struct {
 		name string
 		body string
@@ -277,7 +318,7 @@ func TestFailoverEndpoint(t *testing.T) {
 	}{
 		{"empty store", emptyDir, http.StatusOK},
 		{"padded past the limit", padBody(emptyDir), http.StatusRequestEntityTooLarge},
-		{"bad store kind", `{"dir":"x","store":"bolt"}`, http.StatusBadRequest},
+		{"retired store field", fmt.Sprintf(`{"dir":%q,"store":"wal"}`, filepath.Join(dir, "empty")), http.StatusBadRequest},
 		{"missing dir", `{}`, http.StatusBadRequest},
 	}
 	for _, tt := range tests {
@@ -330,8 +371,7 @@ func TestMethodNotAllowed(t *testing.T) {
 func TestHealthzAndStrategies(t *testing.T) {
 	ts, _ := startServer(t, jobs.Config{
 		MaxConcurrent: 1,
-		CheckpointDir: t.TempDir(),
-		StoreKind:     "wal",
+		Store:         openStore(t, "wal", t.TempDir()),
 	})
 	if code, body := post(t, ts.URL+"/v1/tenants/acme/jobs", specJSON("", 7)); code != http.StatusAccepted {
 		t.Fatalf("submit: %d %v", code, body)

@@ -3,9 +3,10 @@
 // the optd REST surface, health-checks the shards, and drives coordinator
 // failover — when a shard dies, a surviving shard adopts its durable job
 // store via POST /v1/failover and the router re-targets that shard's hash
-// range at the adopter. Placement is a pure function of the job ID and the
-// (fixed) shard table, so any router replica computes the same placement
-// without shared state.
+// range at the adopter. The table names each shard's store directory, never
+// its layout: the adopter opens the directory in the layout it holds.
+// Placement is a pure function of the job ID and the (fixed) shard table,
+// so any router replica computes the same placement without shared state.
 package shard
 
 import (
@@ -62,11 +63,10 @@ type Shard struct {
 	// Addr is the replica's HTTP address ("host:port").
 	Addr string
 	// Dir is the replica's durable store directory, readable by the
-	// surviving replicas (shared or replicated storage). Empty disables
-	// failover for this shard: its jobs die with it.
+	// surviving replicas (shared or replicated storage). The adopter opens
+	// it in the layout it holds. Empty disables failover for this shard:
+	// its jobs die with it.
 	Dir string
-	// Store is the store kind in Dir: "file" (default) or "wal".
-	Store string
 }
 
 // Config configures a Router.
@@ -278,10 +278,7 @@ func (r *Router) nextAliveLocked(i int) int {
 // because the adopter opens a store at most once: a retry that reaches it
 // while the first adoption is still running waits for that adoption.
 func (r *Router) adopt(from, to int) {
-	body, _ := json.Marshal(map[string]string{
-		"dir":   r.cfg.Shards[from].Dir,
-		"store": r.cfg.Shards[from].Store,
-	})
+	body, _ := json.Marshal(map[string]string{"dir": r.cfg.Shards[from].Dir})
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.DeadAfter)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+r.cfg.Shards[to].Addr+"/v1/failover", bytes.NewReader(body))

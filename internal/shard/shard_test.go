@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/jobstore"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -75,6 +76,17 @@ func newTestShard(t *testing.T, cfg jobs.Config, gate <-chan struct{}) *testShar
 		mgr.Close()
 	})
 	return &testShard{mgr: mgr, ts: ts}
+}
+
+// openWAL opens a WAL store in dir. The router's table names only the dir:
+// the adopter finds the layout there.
+func openWAL(t *testing.T, dir string) jobstore.Store {
+	t.Helper()
+	st, err := jobstore.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func postJSON(t *testing.T, url, body string) (int, map[string]any) {
@@ -214,8 +226,8 @@ func TestRouterFailover(t *testing.T) {
 	dir0, dir1 := t.TempDir(), t.TempDir()
 	// Shard 0 has one runner, occupied by a gated blocker: every routed
 	// job that lands there stays queued with a durable spec-only record.
-	s0 := newTestShard(t, jobs.Config{MaxConcurrent: 1, CheckpointDir: dir0, StoreKind: "wal"}, gate)
-	s1 := newTestShard(t, jobs.Config{MaxConcurrent: 4, CheckpointDir: dir1, StoreKind: "wal"}, gate)
+	s0 := newTestShard(t, jobs.Config{MaxConcurrent: 1, Store: openWAL(t, dir0)}, gate)
+	s1 := newTestShard(t, jobs.Config{MaxConcurrent: 4, Store: openWAL(t, dir1)}, gate)
 	t.Cleanup(release) // LIFO: release the gate before the managers Close
 
 	blocker := `{"objective":"gate","dim":3,"algorithm":"pc","sigma0":50,"seed":99,"tol":-1,"max_iterations":5}`
@@ -225,8 +237,8 @@ func TestRouterFailover(t *testing.T) {
 
 	r, err := shard.New(shard.Config{
 		Shards: []shard.Shard{
-			{Addr: s0.addr(), Dir: dir0, Store: "wal"},
-			{Addr: s1.addr(), Dir: dir1, Store: "wal"},
+			{Addr: s0.addr(), Dir: dir0},
+			{Addr: s1.addr(), Dir: dir1},
 		},
 		Probe:     20 * time.Millisecond,
 		DeadAfter: 200 * time.Millisecond,
@@ -611,7 +623,7 @@ func TestRouterHungAdopter(t *testing.T) {
 	events := make(eventSink, 1024) // the router emits a few events per DeadAfter; none may be dropped before the test reads it
 	r, err := shard.New(shard.Config{
 		Shards: []shard.Shard{
-			{Addr: goneAddr, Dir: t.TempDir(), Store: "wal"},
+			{Addr: goneAddr, Dir: t.TempDir()},
 			{Addr: strings.TrimPrefix(adopter.URL, "http://")},
 			{Addr: strings.TrimPrefix(watched.URL, "http://")},
 		},
@@ -687,7 +699,7 @@ func TestRouterSlowAdoption(t *testing.T) {
 	// call until Close has canceled it; shutdown keeps its record.
 	deadDir := t.TempDir()
 	held := make(chan struct{})
-	m0, err := jobs.New(jobs.Config{MaxConcurrent: 1, CheckpointDir: deadDir, StoreKind: "wal",
+	m0, err := jobs.New(jobs.Config{MaxConcurrent: 1, Store: openWAL(t, deadDir),
 		Objectives: map[string]func([]float64) float64{
 			"gated": func(x []float64) float64 { <-held; return testfunc.Rosenbrock(x) },
 		}})
@@ -727,7 +739,7 @@ func TestRouterSlowAdoption(t *testing.T) {
 	events := make(eventSink, 1024)
 	r, err := shard.New(shard.Config{
 		Shards: []shard.Shard{
-			{Addr: goneAddr, Dir: deadDir, Store: "wal"},
+			{Addr: goneAddr, Dir: deadDir},
 			{Addr: adopter.addr()},
 		},
 		Probe:     20 * time.Millisecond,
