@@ -15,6 +15,9 @@
 //     assignment or the virtual-clock accounting shows up as a reviewable
 //     golden diff instead of a silent behavior change.
 //
+// Beside the goldens, space_test.go holds every sampling backend to the one
+// Space.SampleBatch contract (TestSpaceContract).
+//
 // Regenerate the goldens after an intentional trajectory change with:
 //
 //	go test ./internal/conformance -run TestGoldenTraces -update

@@ -112,12 +112,6 @@ func (p *trackedPoint) Close() {
 	p.Point.Close()
 }
 
-func (s *failingSpace) SampleAll(points []sim.Point, dt float64) {
-	if err := s.SampleBatch(context.Background(), points, dt); err != nil {
-		panic(err)
-	}
-}
-
 func (s *failingSpace) SampleBatch(ctx context.Context, points []sim.Point, dt float64) error {
 	s.batches++
 	if s.batches > 6 {

@@ -149,11 +149,11 @@ func (o *optimizer) run() (*Result, error) {
 	return &o.res, nil
 }
 
-// sampleAll dispatches one concurrent sampling batch under the run context.
+// sampleBatch dispatches one concurrent sampling batch under the run context.
 // On cancellation it records the "canceled" termination; any other error
 // (a failed backend worker) is passed through for the caller to propagate.
-func (o *optimizer) sampleAll(points []sim.Point, dt float64) error {
-	err := sim.SampleBatch(o.ctx, o.space, points, dt)
+func (o *optimizer) sampleBatch(points []sim.Point, dt float64) error {
+	err := o.space.SampleBatch(o.ctx, points, dt)
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 		o.term = "canceled"
 	}
@@ -166,7 +166,7 @@ func (o *optimizer) sampleAll(points []sim.Point, dt float64) error {
 // meets the confidence half-width.
 func (o *optimizer) sampleFresh(points []sim.Point) error {
 	if !o.cfg.AdaptiveSamples {
-		return o.sampleAll(points, o.cfg.InitialSample)
+		return o.sampleBatch(points, o.cfg.InitialSample)
 	}
 	maxRounds := o.cfg.AdaptiveMaxRounds
 	if maxRounds <= 0 {

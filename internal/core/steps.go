@@ -74,7 +74,7 @@ func (o *optimizer) waitLoop(policy waitPolicy) error {
 			}
 			return nil
 		}
-		if err := o.sampleAll(o.verts, step); err != nil {
+		if err := o.sampleBatch(o.verts, step); err != nil {
 			return err
 		}
 		dt *= o.cfg.ResampleGrowth
@@ -253,7 +253,7 @@ func (o *optimizer) resample(a, b sim.Point, dt *float64, dec *decisionClock) (b
 	} else {
 		o.batch = append(append(o.batch[:0], o.verts...), o.trials...)
 	}
-	if err := o.sampleAll(o.batch, step); err != nil {
+	if err := o.sampleBatch(o.batch, step); err != nil {
 		return false, err
 	}
 	*dt *= o.cfg.ResampleGrowth

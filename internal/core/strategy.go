@@ -58,15 +58,6 @@ type RunSpec struct {
 	// SwarmIters is the number of swarm updates for pso-family strategies
 	// (0 = default).
 	SwarmIters int
-	// Fleet, when non-nil, reroutes the space's batch sampling through a
-	// remote worker fleet before the run starts (repro.WithFleet). The space
-	// must be a fresh *sim.LocalSpace and FleetObjective must name, in the
-	// workers' catalogs, the function the space computes. Results are
-	// bitwise identical to in-process runs.
-	Fleet sim.FleetSampler
-	// FleetObjective names the objective remote workers evaluate; required
-	// with Fleet.
-	FleetObjective string
 }
 
 // ScaleVector resolves RestartScale against the space dimension: empty means
@@ -284,15 +275,6 @@ func Run(ctx context.Context, space sim.Space, spec RunSpec) (*Result, error) {
 	}
 	if err := strat.Validate(space, &spec); err != nil {
 		return nil, err
-	}
-	if spec.Fleet != nil {
-		ls, ok := space.(*sim.LocalSpace)
-		if !ok {
-			return nil, fmt.Errorf("core: a remote fleet requires a *sim.LocalSpace; %T cannot reroute its sampling", space)
-		}
-		if err := ls.UseFleet(spec.Fleet, spec.FleetObjective); err != nil {
-			return nil, err
-		}
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -77,7 +77,7 @@ func (c *Config) normalize() {
 // sampling tasks over registered capacity in task-id order, collects results,
 // monitors heartbeats, and deterministically re-dispatches the outstanding
 // tasks of dead workers. It implements sim.FleetSampler, so it plugs into
-// sim.LocalSpace (LocalConfig.Fleet / UseFleet) underneath every optimizer.
+// sim.LocalSpace (LocalConfig.Fleet) underneath every optimizer.
 // Create with NewCoordinator, start with Listen, release with Close.
 type Coordinator struct {
 	cfg Config

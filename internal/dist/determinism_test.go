@@ -24,35 +24,33 @@ func fingerprint(res *repro.Result) string {
 		res.Moves, res.SpeculativeWaste, res.AdaptiveRounds)
 }
 
+// localConfig is the space every run in this file samples; fleet is nil for
+// the in-process reference.
+func localConfig(fleet *dist.Coordinator) repro.LocalConfig {
+	cfg := repro.LocalConfig{
+		Dim:      3,
+		F:        testfunc.Rosenbrock,
+		Sigma0:   repro.ConstSigma(25),
+		Seed:     11,
+		Parallel: true,
+	}
+	if fleet != nil {
+		cfg.Fleet, cfg.FleetObjective = fleet, "rosenbrock"
+	}
+	return cfg
+}
+
 // runInProcess is the reference execution: plain LocalSpace, shared pool.
 func runInProcess(t *testing.T, opts ...repro.RunOption) *repro.Result {
 	t.Helper()
-	space := repro.NewLocalSpace(repro.LocalConfig{
-		Dim:      3,
-		F:        testfunc.Rosenbrock,
-		Sigma0:   repro.ConstSigma(25),
-		Seed:     11,
-		Parallel: true,
-	})
-	res, err := repro.Run(context.Background(), space, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runOverFleet(t, nil, opts...)
 }
 
-// runOverFleet executes the same run with sampling farmed to remote agents.
+// runOverFleet executes the same run with sampling farmed to remote agents
+// (in process when c is nil).
 func runOverFleet(t *testing.T, c *dist.Coordinator, opts ...repro.RunOption) *repro.Result {
 	t.Helper()
-	space := repro.NewLocalSpace(repro.LocalConfig{
-		Dim:      3,
-		F:        testfunc.Rosenbrock,
-		Sigma0:   repro.ConstSigma(25),
-		Seed:     11,
-		Parallel: true,
-	})
-	res, err := repro.Run(context.Background(), space,
-		append(opts, repro.WithFleet(c, "rosenbrock"))...)
+	res, err := repro.Run(context.Background(), repro.NewLocalSpace(localConfig(c)), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,35 +200,10 @@ func TestFleetObjectiveMismatchFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	space := repro.NewLocalSpace(repro.LocalConfig{
-		Dim: 3, F: testfunc.Rosenbrock, Sigma0: repro.ConstSigma(25), Seed: 11, Parallel: true,
-	})
-	_, err := repro.Run(context.Background(), space,
+	_, err := repro.Run(context.Background(), repro.NewLocalSpace(localConfig(c)),
 		repro.WithStrategy("pc"), repro.WithUniformSimplex(11, -4, 4),
-		repro.WithMaxIterations(10), repro.WithFleet(c, "rosenbrock"))
+		repro.WithMaxIterations(10))
 	if err == nil {
 		t.Fatal("divergent worker objective was not detected")
-	}
-}
-
-// TestWithFleetValidation checks the facade-level option errors.
-func TestWithFleetValidation(t *testing.T) {
-	if _, err := repro.NewRunner(repro.WithFleet(nil, "rosenbrock")); err == nil {
-		t.Error("nil fleet accepted")
-	}
-	c := newFleet(t)
-	if _, err := repro.NewRunner(repro.WithFleet(c, "")); err == nil {
-		t.Error("empty objective accepted")
-	}
-	// A non-LocalSpace cannot reroute its sampling.
-	space := repro.NewLocalSpace(repro.LocalConfig{
-		Dim: 3, F: testfunc.Rosenbrock, Seed: 1,
-	})
-	if err := space.UseFleet(nil, "x"); err == nil {
-		t.Error("LocalSpace.UseFleet accepted a nil fleet")
-	}
-	space.NewPoint([]float64{0, 0, 0})
-	if err := space.UseFleet(c, "rosenbrock"); err == nil {
-		t.Error("UseFleet accepted a space that already created points")
 	}
 }

@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -62,9 +63,9 @@ func BenchmarkVertexPipelineSample(b *testing.B) {
 	}
 }
 
-// BenchmarkSpaceSampleAll measures a full-deployment concurrent sampling
+// BenchmarkSpaceSampleBatch measures a full-deployment concurrent sampling
 // round across d+3 workers.
-func BenchmarkSpaceSampleAll(b *testing.B) {
+func BenchmarkSpaceSampleBatch(b *testing.B) {
 	const d = 8
 	sp, err := NewSpace(SpaceConfig{
 		Dim: d,
@@ -87,8 +88,11 @@ func BenchmarkSpaceSampleAll(b *testing.B) {
 		x[0] = float64(i)
 		pts[i] = sp.NewPoint(x)
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.SampleAll(pts, 0.1)
+		if err := sp.SampleBatch(ctx, pts, 0.1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

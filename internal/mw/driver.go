@@ -15,6 +15,11 @@
 //
 // Failed task executions are retried (at-least-once semantics), matching
 // MW's fault-tolerant design for opportunistic grid resources.
+//
+// Space adapts the deployment to sim.Space: NewPoint pins a point to a free
+// vertex worker, and SampleBatch submits one sample op per point to its
+// pinned worker and waits for all of them — the concurrent sampling round of
+// the d+3 active vertices, one virtual clock tick per round.
 package mw
 
 import (

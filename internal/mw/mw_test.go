@@ -1,6 +1,7 @@
 package mw
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -370,7 +371,9 @@ func TestSpaceSamplingMatchesLocalSemantics(t *testing.T) {
 
 	p1 := sp.NewPoint([]float64{1, 1})
 	p2 := sp.NewPoint([]float64{2, 2})
-	sp.SampleAll([]sim.Point{p1, p2}, 3)
+	if err := sp.SampleBatch(context.Background(), []sim.Point{p1, p2}, 3); err != nil {
+		t.Fatal(err)
+	}
 
 	if got := sp.Clock().Now(); got != 3 {
 		t.Fatalf("parallel clock = %v, want 3", got)
@@ -407,7 +410,9 @@ func TestSpaceSlotReuseAfterClose(t *testing.T) {
 	defer sp.Shutdown()
 	for i := 0; i < 10; i++ {
 		p := sp.NewPoint([]float64{float64(i)})
-		p.Sample(1)
+		if err := sp.SampleBatch(context.Background(), []sim.Point{p}, 1); err != nil {
+			t.Fatal(err)
+		}
 		if e := p.Estimate(); e.Mean != float64(i*i) {
 			t.Fatalf("point %d mean = %v", i, e.Mean)
 		}

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"sync"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/vtime"
 )
@@ -32,15 +32,14 @@ type SpaceConfig struct {
 
 // Space is the parallel sampling backend: a sim.Space whose points live on
 // MW vertex workers. Each point is pinned to one worker for its lifetime
-// ("each worker is logically associated with a vertex object"), and
-// SampleAll batches advance the virtual wall clock once, modelling the
+// ("each worker is logically associated with a vertex object"), and a
+// sampled batch advances the virtual wall clock once, modelling the
 // concurrent sampling of all active vertices.
 type Space struct {
 	cfg    SpaceConfig
 	driver *Driver
 	clock  vtime.Clock
 	free   chan int
-	pool   *sched.Scheduler
 
 	mu    sync.Mutex
 	evals int64
@@ -62,9 +61,6 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 	s := &Space{
 		cfg:  cfg,
 		free: make(chan int, workers),
-		// One scheduler slot per vertex worker: a batch's submit/collect
-		// round-trips overlap exactly as the deployment's workers do.
-		pool: sched.New(sched.Config{Workers: workers}),
 	}
 	driver, err := NewDriver(Config{
 		Workers: workers,
@@ -140,60 +136,54 @@ func (s *Space) NewPoint(x []float64) sim.Point {
 	}
 }
 
-// SampleAll implements sim.Space: every point samples for dt concurrently on
-// its own worker, and the wall clock advances dt once. A worker failure
-// panics, preserving the historical SampleAll contract; use SampleBatch for
-// error-returning semantics.
-func (s *Space) SampleAll(points []sim.Point, dt float64) {
-	if err := s.SampleBatch(context.Background(), points, dt); err != nil {
-		panic(fmt.Sprintf("mw: %v", err))
-	}
-}
-
-// SampleBatch implements sim.BatchSampler: each point's submit/collect
-// round-trip to its pinned vertex worker runs as one task on the space's
-// scheduler, replacing the bespoke issue-then-drain loops. On cancellation
-// or worker failure the batch is partial and the wall clock does not
+// SampleBatch implements sim.Space: every point samples for dt concurrently
+// on its own pinned vertex worker, and the wall clock advances dt once. The
+// context is checked once, before the first submit; every op is then
+// submitted and every submitted op waited on, so nothing lands after return.
+// On worker failure the batch is partial and the wall clock does not
 // advance.
 func (s *Space) SampleBatch(ctx context.Context, points []sim.Point, dt float64) error {
-	if len(points) == 0 {
-		return ctx.Err()
-	}
 	mps := make([]*mwPoint, len(points))
 	for i, p := range points {
 		mp, ok := p.(*mwPoint)
-		if !ok {
-			panic("mw: SampleAll received a foreign Point")
+		switch {
+		case !ok || mp.space != s:
+			panic("mw: SampleBatch received a foreign Point")
+		case mp.closed:
+			panic("mw: SampleBatch on closed point")
+		case slices.Contains(mps[:i], mp):
+			panic("mw: a point appears twice in one batch")
 		}
 		mps[i] = mp
 	}
-	errs := make([]error, len(mps))
-	if err := s.pool.DoN(ctx, len(mps), func(i int) {
-		mp := mps[i]
-		op := NewSampleOp(dt)
-		pd, err := s.driver.SubmitTo(mp.rank, op)
-		if err == nil {
-			err = pd.Wait()
-		}
-		if err != nil {
-			errs[i] = fmt.Errorf("sample on worker %d: %w", mp.rank, err)
-			return
-		}
-		mp.est = sim.Estimate{
-			Mean:  op.Mean,
-			Sigma: math.Sqrt(op.Variance),
-			Time:  op.Time,
-		}
-	}); err != nil {
+	if err := ctx.Err(); err != nil || len(mps) == 0 {
 		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	pds := make([]*Pending, 0, len(mps))
+	var err error
+	for _, mp := range mps {
+		pd, serr := s.driver.SubmitTo(mp.rank, NewSampleOp(dt))
+		if serr != nil {
+			err = fmt.Errorf("sample on worker %d: %w", mp.rank, serr)
+			break
 		}
+		pds = append(pds, pd)
+	}
+	for i, pd := range pds {
+		if werr := pd.Wait(); werr != nil {
+			if err == nil {
+				err = fmt.Errorf("sample on worker %d: %w", mps[i].rank, werr)
+			}
+			continue
+		}
+		op := pd.Task.(*VertexOp)
+		mps[i].est = sim.Estimate{Mean: op.Mean, Sigma: math.Sqrt(op.Variance), Time: op.Time}
+	}
+	if err != nil {
+		return err
 	}
 	s.mu.Lock()
-	s.evals += int64(len(points) * s.cfg.Ns)
+	s.evals += int64(len(mps) * s.cfg.Ns)
 	s.mu.Unlock()
 	s.clock.Advance(dt)
 	return nil
@@ -202,7 +192,6 @@ func (s *Space) SampleBatch(ctx context.Context, points []sim.Point, dt float64)
 // Shutdown tears down the whole deployment.
 func (s *Space) Shutdown() {
 	s.driver.Shutdown()
-	s.pool.Close()
 	if s.cfg.Counts != nil {
 		s.cfg.Counts.Masters.Add(-1)
 	}
@@ -219,13 +208,6 @@ type mwPoint struct {
 func (p *mwPoint) X() []float64 { return p.x }
 
 func (p *mwPoint) Estimate() sim.Estimate { return p.est }
-
-func (p *mwPoint) Sample(dt float64) {
-	if p.closed {
-		panic("mw: Sample on closed point")
-	}
-	p.space.SampleAll([]sim.Point{p}, dt)
-}
 
 func (p *mwPoint) Close() {
 	if p.closed {

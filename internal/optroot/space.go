@@ -1,8 +1,10 @@
 package optroot
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -10,11 +12,11 @@ import (
 )
 
 // Space adapts an $OPTROOT tree to the optimizer's sampling interface: each
-// Sample(dt) runs one complete batch of simulations and property
-// calculations for the point, and the point's estimate is the running mean
-// of the batch costs, with the standard error of the mean as sigma. This is
-// genuine repeated sampling — the noise decays as 1/sqrt(batches), matching
-// eq 1.2 with "time" counted in batches.
+// time a SampleBatch lists a point, the point runs one complete batch of
+// simulations and property calculations, and its estimate is the running
+// mean of the batch costs, with the standard error of the mean as sigma. This
+// is genuine repeated sampling — the noise decays as 1/sqrt(batches),
+// matching eq 1.2 with "time" counted in batches.
 type Space struct {
 	root  *Root
 	clock vtime.Clock
@@ -57,25 +59,37 @@ func (s *Space) NewPoint(x []float64) sim.Point {
 	return &rootPoint{space: s, x: append([]float64(nil), x...)}
 }
 
-// SampleAll implements sim.Space: one batch per point, wall clock advanced
-// once (the batches would run concurrently on a cluster).
-func (s *Space) SampleAll(points []sim.Point, dt float64) {
-	if len(points) == 0 {
-		return
-	}
-	for _, p := range points {
+// SampleBatch implements sim.Space: one script batch per point, wall clock
+// advanced once (the batches would run concurrently on a cluster). The
+// context is checked once, before the first script runs.
+func (s *Space) SampleBatch(ctx context.Context, points []sim.Point, dt float64) error {
+	rps := make([]*rootPoint, len(points))
+	for i, p := range points {
 		rp, ok := p.(*rootPoint)
-		if !ok {
-			panic("optroot: SampleAll received a foreign Point")
+		switch {
+		case !ok || rp.space != s:
+			panic("optroot: SampleBatch received a foreign Point")
+		case rp.closed:
+			panic("optroot: SampleBatch on closed point")
+		case slices.Contains(rps[:i], rp):
+			panic("optroot: a point appears twice in one batch")
 		}
+		rps[i] = rp
+	}
+	if err := ctx.Err(); err != nil || len(rps) == 0 {
+		return err
+	}
+	for _, rp := range rps {
 		rp.sampleOnce()
 	}
 	s.clock.Advance(dt)
+	return nil
 }
 
 type rootPoint struct {
-	space *Space
-	x     []float64
+	space  *Space
+	x      []float64
+	closed bool
 
 	n    int
 	mean float64
@@ -117,9 +131,4 @@ func (p *rootPoint) Estimate() sim.Estimate {
 	return sim.Estimate{Mean: p.mean, Sigma: sigma, Time: float64(p.n)}
 }
 
-func (p *rootPoint) Sample(dt float64) {
-	p.sampleOnce()
-	p.space.clock.Advance(dt)
-}
-
-func (p *rootPoint) Close() {}
+func (p *rootPoint) Close() { p.closed = true }

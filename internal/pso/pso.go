@@ -107,7 +107,7 @@ type particle struct {
 // runSwarm runs the swarm on the space with a validated config. Particles are
 // initialized uniformly in the box with velocities up to half the box width.
 // Every sampling batch is dispatched through the space's concurrent path
-// (sim.SampleBatch) under ctx. As in the simplex optimizers, cancellation is
+// (Space.SampleBatch) under ctx. As in the simplex optimizers, cancellation is
 // a termination criterion, not an error: the swarm stops within one sampling
 // round and the Result reports Termination "canceled" with the best position
 // found so far. The swarm makes no simplex moves, so the move counters stay
@@ -128,7 +128,7 @@ func runSwarm(ctx context.Context, space sim.Space, cfg config) (*core.Result, e
 		if canceled || fatal != nil {
 			return false
 		}
-		err := sim.SampleBatch(ctx, space, pts, dt)
+		err := space.SampleBatch(ctx, pts, dt)
 		switch {
 		case err == nil:
 			return true

@@ -7,9 +7,8 @@
 // evaluations hide the sampling cost of the stochastic objective (section
 // 3.1); parallel SPSA and parallel knowledge-gradient batch optimization make
 // the same argument for their batch sizes. sched is where that concurrency
-// actually happens in-process: sim.LocalSpace dispatches each SampleAll batch
-// whose increments carry a simulation cost through a Scheduler, and mw.Space
-// drives its per-worker submit/collect round-trips through one as well.
+// actually happens in-process: sim.LocalSpace dispatches each sampled batch
+// whose increments carry a simulation cost through a Scheduler.
 //
 // Determinism is delegated to the callers via StreamSeed: every sampled point
 // owns an independent RNG stream whose seed is derived from (space seed,

@@ -73,7 +73,7 @@ func (p *AdaptivePlan) resolved(pt Point) bool {
 // the rounds — and every sampled value — are bitwise identical at any worker
 // count.
 func SampleAdaptive(ctx context.Context, space Space, points []Point, dt0 float64, plan AdaptivePlan) (rounds int, err error) {
-	if err := SampleBatch(ctx, space, points, dt0); err != nil {
+	if err := space.SampleBatch(ctx, points, dt0); err != nil {
 		return 0, err
 	}
 	dt := dt0 * plan.grow()
@@ -95,7 +95,7 @@ func SampleAdaptive(ctx context.Context, space Space, points []Point, dt0 float6
 		if step <= 0 {
 			return rounds, nil
 		}
-		if err := SampleBatch(ctx, space, pending, step); err != nil {
+		if err := space.SampleBatch(ctx, pending, step); err != nil {
 			return rounds, err
 		}
 		rounds++

@@ -83,12 +83,16 @@ func TestNewPointAllocBudget(t *testing.T) {
 		t.Errorf("NewPoint: %.2f allocs per call, want <= 1", allocs)
 	}
 	// The trial-point shape: create, draw three times, discard.
+	ctx := context.Background()
+	batch := make([]Point, 1)
 	lifecycle := testing.AllocsPerRun(1000, func() {
-		p := s.NewPoint(x)
+		batch[0] = s.NewPoint(x)
 		for i := 0; i < 3; i++ {
-			p.Sample(0.01)
+			if err := s.SampleBatch(ctx, batch, 0.01); err != nil {
+				t.Fatal(err)
+			}
 		}
-		p.Close()
+		batch[0].Close()
 	})
 	if lifecycle > 1 {
 		t.Errorf("NewPoint + 3 draws: %.2f allocs, want <= 1", lifecycle)

@@ -25,12 +25,13 @@ func burn(n int) func([]float64, float64) {
 	}
 }
 
-// BenchmarkSampleAllExpensive measures one SampleAll over a d+3 = 16 point
+// BenchmarkSampleBatchExpensive measures one SampleBatch over a d+3 = 16 point
 // batch of an expensive objective at increasing worker counts; workers=1 is
 // the serial baseline of the pre-sched code path. The acceptance target is
 // >= 2x speedup at 4 workers on a multi-core host.
-func BenchmarkSampleAllExpensive(b *testing.B) {
+func BenchmarkSampleBatchExpensive(b *testing.B) {
 	const batch = 16
+	ctx := context.Background()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			s := NewLocalSpace(LocalConfig{
@@ -49,22 +50,25 @@ func BenchmarkSampleAllExpensive(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.SampleAll(pts, 0.1)
+				if err := s.SampleBatch(ctx, pts, 0.1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
-// BenchmarkSampleAllLatencyBound models the paper's deployment shape: each
+// BenchmarkSampleBatchLatencyBound models the paper's deployment shape: each
 // sampling increment waits on an external simulation (a remote MD worker, a
 // file-spool round-trip) rather than burning local CPU. Concurrent dispatch
 // overlaps those latencies, so the batch completes in ~batch/workers of the
 // serial time even on a single-core host — this is the benchmark that
 // demonstrates the scheduler's >= 2x win at 4+ workers regardless of core
-// count. (BenchmarkSampleAllExpensive is the CPU-bound variant; it scales
+// count. (BenchmarkSampleBatchExpensive is the CPU-bound variant; it scales
 // with physical cores only.)
-func BenchmarkSampleAllLatencyBound(b *testing.B) {
+func BenchmarkSampleBatchLatencyBound(b *testing.B) {
 	const batch = 16
+	ctx := context.Background()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			s := NewLocalSpace(LocalConfig{
@@ -83,16 +87,19 @@ func BenchmarkSampleAllLatencyBound(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.SampleAll(pts, 0.1)
+				if err := s.SampleBatch(ctx, pts, 0.1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
-// BenchmarkSampleAllCheap measures the scheduling overhead when the
+// BenchmarkSampleBatchCheapWorkers measures the scheduling overhead when the
 // objective is too cheap to parallelize (pure noise draws): the cost a
 // scheduler must not add to light workloads.
-func BenchmarkSampleAllCheap(b *testing.B) {
+func BenchmarkSampleBatchCheapWorkers(b *testing.B) {
+	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			s := NewLocalSpace(LocalConfig{
@@ -111,7 +118,9 @@ func BenchmarkSampleAllCheap(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.SampleAll(pts, 0.1)
+				if err := s.SampleBatch(ctx, pts, 0.1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -160,13 +169,17 @@ func BenchmarkPointLifecycle(b *testing.B) {
 	s := NewLocalSpace(LocalConfig{Dim: 3, F: testfunc.Rosenbrock, Sigma0: ConstSigma(10), Seed: 1, Parallel: true})
 	defer s.Close()
 	x := []float64{0.5, 1, 2}
+	ctx := context.Background()
+	batch := make([]Point, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := s.NewPoint(x)
+		batch[0] = s.NewPoint(x)
 		for k := 0; k < 3; k++ {
-			p.Sample(0.1)
+			if err := s.SampleBatch(ctx, batch, 0.1); err != nil {
+				b.Fatal(err)
+			}
 		}
-		p.Close()
+		batch[0].Close()
 	}
 }

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/testfunc"
 )
 
@@ -22,23 +24,23 @@ func runBatches(t *testing.T, workers int) []Estimate {
 		Workers:  workers,
 	})
 	defer s.Close()
-	return sampleSequence(s)
+	return sampleSequence(t, s)
 }
 
 // sampleSequence is the batch sequence itself, on any space built like
 // runBatches builds its own.
-func sampleSequence(s *LocalSpace) []Estimate {
+func sampleSequence(t *testing.T, s *LocalSpace) []Estimate {
 	pts := make([]Point, 12)
 	for i := range pts {
 		pts[i] = s.NewPoint([]float64{float64(i), float64(i % 3), 1})
 	}
 	dt := 0.5
 	for round := 0; round < 6; round++ {
-		s.SampleAll(pts, dt)
+		mustSample(t, s, pts, dt)
 		dt *= 2
 	}
 	// A sub-batch, as the optimizer issues for trial points.
-	s.SampleAll(pts[:4], 1.0)
+	mustSample(t, s, pts[:4], 1.0)
 	out := make([]Estimate, len(pts))
 	for i, p := range pts {
 		out[i] = p.Estimate()
@@ -78,7 +80,7 @@ func TestConcurrentSampleRace(t *testing.T) {
 		pts[i] = s.NewPoint([]float64{float64(i % 5), float64(i % 7)})
 	}
 	for round := 0; round < 20; round++ {
-		s.SampleAll(pts, 0.25)
+		mustSample(t, s, pts, 0.25)
 		for _, p := range pts {
 			if e := p.Estimate(); math.IsNaN(e.Mean) {
 				t.Fatal("NaN estimate")
@@ -134,16 +136,16 @@ func TestSampleCostRuns(t *testing.T) {
 	for i := range pts {
 		pts[i] = s.NewPoint([]float64{1, 2})
 	}
-	s.SampleAll(pts, 0.5)
+	mustSample(t, s, pts, 0.5)
 	if got := s.Evaluations(); got != 8 {
 		t.Fatalf("Evaluations = %d, want 8", got)
 	}
 }
 
-// TestSampleAllAfterClosePanics pins the use-after-Close contract: a space
+// TestSampleBatchAfterCloseFails pins the use-after-Close contract: a space
 // whose private pool was released must fail loudly, not silently skip the
 // batch (which would freeze the clock and stall wait loops).
-func TestSampleAllAfterClosePanics(t *testing.T) {
+func TestSampleBatchAfterCloseFails(t *testing.T) {
 	s := NewLocalSpace(LocalConfig{
 		Dim:      2,
 		F:        testfunc.Rosenbrock,
@@ -153,12 +155,12 @@ func TestSampleAllAfterClosePanics(t *testing.T) {
 		Workers:  2,
 	})
 	pts := []Point{s.NewPoint([]float64{0, 0}), s.NewPoint([]float64{1, 1})}
-	s.SampleAll(pts, 1) // start the pool
+	mustSample(t, s, pts, 1) // start the pool
 	s.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SampleAll on closed space did not panic")
-		}
-	}()
-	s.SampleAll(pts, 1)
+	if err := s.SampleBatch(context.Background(), pts, 1); !errors.Is(err, sched.ErrClosed) {
+		t.Fatalf("SampleBatch on a closed space: err = %v, want sched.ErrClosed", err)
+	}
+	if now := s.Clock().Now(); now != 1 {
+		t.Fatalf("clock = %v after the refused batch, want 1", now)
+	}
 }

@@ -52,8 +52,8 @@ type FleetResult struct {
 
 // FleetSampler is a remote sampling backend: a batch of increments executed
 // by worker agents beyond this process. internal/dist's Coordinator
-// implements it; a LocalSpace configured with one (LocalConfig.Fleet or
-// UseFleet) routes SampleBatch through it.
+// implements it; a LocalSpace built with one (LocalConfig.Fleet) routes every
+// SampleBatch through it.
 type FleetSampler interface {
 	// SampleFleet executes every request and returns the results in request
 	// order, blocking until all have landed or ctx ends. On a non-nil error
@@ -62,34 +62,14 @@ type FleetSampler interface {
 	SampleFleet(ctx context.Context, reqs []FleetRequest) ([]FleetResult, error)
 }
 
-// UseFleet reroutes the space's batch sampling through a remote fleet. The
-// objective name must resolve, on every worker, to the same function the
-// space was built with. It must be called before any point is created: a
-// space that has already sampled has stream state the fleet would not know
-// about.
-func (s *LocalSpace) UseFleet(fleet FleetSampler, objective string) error {
-	if fleet == nil {
-		return fmt.Errorf("sim: UseFleet: nil fleet")
-	}
-	if objective == "" {
-		return fmt.Errorf("sim: UseFleet: empty objective name")
-	}
-	s.mu.Lock()
-	started := s.nextStream != 0
-	s.mu.Unlock()
-	if started || s.evals.Load() != 0 {
-		return fmt.Errorf("sim: UseFleet on a space that has already created points")
-	}
-	s.cfg.Fleet = fleet
-	s.cfg.FleetObjective = objective
-	return nil
-}
-
 // sampleFleet executes one batch remotely: one request per point, listed
 // (and so dispatched) in point order, results applied to the points' streams
 // in the same order. The virtual-clock accounting is identical to the
-// in-process path.
+// in-process path. A context canceled on entry enqueues nothing.
 func (s *LocalSpace) sampleFleet(ctx context.Context, lps []*localPoint, dt float64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	reqs := make([]FleetRequest, len(lps))
 	for i, lp := range lps {
 		reqs[i] = FleetRequest{

@@ -47,13 +47,10 @@ var fleetTestConfig = LocalConfig{
 	Workers:  1,
 }
 
-func newFleetSpace(t *testing.T, fleet FleetSampler) *LocalSpace {
-	t.Helper()
-	s := NewLocalSpace(fleetTestConfig)
-	if err := s.UseFleet(fleet, "rosenbrock"); err != nil {
-		t.Fatal(err)
-	}
-	return s
+func newFleetSpace(fleet FleetSampler) *LocalSpace {
+	cfg := fleetTestConfig
+	cfg.Fleet, cfg.FleetObjective = fleet, "rosenbrock"
+	return NewLocalSpace(cfg)
 }
 
 // TestFleetMatchesInProcess: a space whose draws come back from a fleet
@@ -61,11 +58,11 @@ func newFleetSpace(t *testing.T, fleet FleetSampler) *LocalSpace {
 // virtual clock, bit for bit, as one that drew them itself.
 func TestFleetMatchesInProcess(t *testing.T) {
 	local := NewLocalSpace(fleetTestConfig)
-	want := sampleSequence(local)
+	want := sampleSequence(t, local)
 
 	fleet := &replayFleet{}
-	remote := newFleetSpace(t, fleet)
-	got := sampleSequence(remote)
+	remote := newFleetSpace(fleet)
+	got := sampleSequence(t, remote)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fleet estimates differ from in-process ones:\n%v\nvs\n%v", got, want)
 	}
@@ -98,7 +95,7 @@ func TestFleetFailuresLeaveNoTrace(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := newFleetSpace(t, &replayFleet{mutate: c.mutate})
+			s := newFleetSpace(&replayFleet{mutate: c.mutate})
 			pts := []Point{s.NewPoint([]float64{1, 2, 3}), s.NewPoint([]float64{3, 2, 1})}
 			before := []Estimate{pts[0].Estimate(), pts[1].Estimate()}
 			err := s.SampleBatch(context.Background(), pts, 1)
@@ -111,21 +108,5 @@ func TestFleetFailuresLeaveNoTrace(t *testing.T) {
 					before, after, s.Evaluations(), s.Clock().Now())
 			}
 		})
-	}
-}
-
-// TestUseFleetRejections: a fleet can only be attached to a space that has
-// not started.
-func TestUseFleetRejections(t *testing.T) {
-	s := newRosenSpace(true, 1)
-	if err := s.UseFleet(nil, "rosenbrock"); err == nil {
-		t.Error("nil fleet accepted")
-	}
-	if err := s.UseFleet(&replayFleet{}, ""); err == nil {
-		t.Error("empty objective name accepted")
-	}
-	s.NewPoint([]float64{1, 2, 3})
-	if err := s.UseFleet(&replayFleet{}, "rosenbrock"); err == nil {
-		t.Error("fleet attached to a space that already has points")
 	}
 }

@@ -104,10 +104,8 @@ func TestCostFreeSpaceStaysOffThePool(t *testing.T) {
 	fleet := &replayFleet{}
 	remoteCfg := fleetTestConfig
 	remoteCfg.Pool = pool
+	remoteCfg.Fleet, remoteCfg.FleetObjective = fleet, "rosenbrock"
 	remote := NewLocalSpace(remoteCfg)
-	if err := remote.UseFleet(fleet, "rosenbrock"); err != nil {
-		t.Fatal(err)
-	}
 	pts := []Point{remote.NewPoint([]float64{1, 2, 3}), remote.NewPoint([]float64{3, 2, 1})}
 	if err := remote.SampleBatch(ctx, pts, 1); err != nil {
 		t.Fatal(err)
@@ -128,7 +126,7 @@ func TestCostFreeSpaceStaysOffThePool(t *testing.T) {
 func TestInCallerPreCanceled(t *testing.T) {
 	s := adaptiveTestSpace(0)
 	pts := []Point{s.NewPoint([]float64{1, 0}), s.NewPoint([]float64{0, 1})}
-	s.SampleAll(pts, 1)
+	mustSample(t, s, pts, 1)
 	evals, now := s.Evaluations(), s.Clock().Now()
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -25,28 +25,24 @@ func TestDuplicatePointRefused(t *testing.T) {
 	costed.Pool = pool
 	fleet := &replayFleet{}
 	paths := []struct {
-		name   string
-		space  func(t *testing.T) *LocalSpace
-		sample func(s *LocalSpace, pts []Point) error
+		name  string
+		space func() *LocalSpace
 	}{
-		{"in-caller", func(*testing.T) *LocalSpace { return NewLocalSpace(costFree) },
-			func(s *LocalSpace, pts []Point) error { return s.SampleBatch(ctx, pts, 1) }},
-		{"pool", func(*testing.T) *LocalSpace { return NewLocalSpace(costed) },
-			func(s *LocalSpace, pts []Point) error { return s.SampleBatch(ctx, pts, 1) }},
-		{"fleet", func(t *testing.T) *LocalSpace { return newFleetSpace(t, fleet) },
-			func(s *LocalSpace, pts []Point) error { return s.SampleBatch(ctx, pts, 1) }},
+		{"in-caller", func() *LocalSpace { return NewLocalSpace(costFree) }},
+		{"pool", func() *LocalSpace { return NewLocalSpace(costed) }},
+		{"fleet", func() *LocalSpace { return newFleetSpace(fleet) }},
 	}
 	for _, path := range paths {
 		t.Run(path.name, func(t *testing.T) {
-			s := path.space(t)
+			s := path.space()
 			a, b := s.NewPoint([]float64{1, 2, 3}), s.NewPoint([]float64{3, 2, 1})
-			if err := path.sample(s, []Point{a, b}); err != nil {
+			if err := s.SampleBatch(ctx, []Point{a, b}, 1); err != nil {
 				t.Fatal(err)
 			}
 			evals, now, est := s.Evaluations(), s.Clock().Now(), a.Estimate()
 			reqs := len(fleet.reqs)
 			for _, batch := range [][]Point{{a, b, a}, {a, a}, {b, a, b}} {
-				msg := panicOf(func() { path.sample(s, batch) })
+				msg := panicOf(func() { s.SampleBatch(ctx, batch, 1) })
 				if !strings.Contains(msg, "twice") {
 					t.Fatalf("batch listing a point twice: panic %q", msg)
 				}
@@ -56,7 +52,7 @@ func TestDuplicatePointRefused(t *testing.T) {
 					s.Evaluations(), s.Clock().Now(), evals, now, len(fleet.reqs), reqs)
 			}
 			// The same points listed once each are still welcome.
-			if err := path.sample(s, []Point{b, a}); err != nil {
+			if err := s.SampleBatch(ctx, []Point{b, a}, 1); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -66,7 +62,7 @@ func TestDuplicatePointRefused(t *testing.T) {
 	// batch stamp means nothing here.
 	s1, s2 := NewLocalSpace(costFree), NewLocalSpace(costFree)
 	p := s2.NewPoint([]float64{1, 1, 1})
-	if msg := panicOf(func() { s1.SampleAll([]Point{p}, 1) }); !strings.Contains(msg, "foreign") {
+	if msg := panicOf(func() { s1.SampleBatch(ctx, []Point{p}, 1) }); !strings.Contains(msg, "foreign") {
 		t.Errorf("point of another space: panic %q", msg)
 	}
 }

@@ -3,30 +3,27 @@
 // paper between the simplex logic (master) and the sampling simulations
 // (workers/servers/clients).
 //
-// An optimizer never sees a function value directly; it sees a Point that can
-// be sampled for additional virtual time and queried for its current Estimate
-// (running mean plus the standard deviation of that mean). Backends decide how
-// sampling is executed:
+// An optimizer never sees a function value directly; it sees a Point whose
+// current Estimate (running mean plus the standard deviation of that mean)
+// grows sharper as the Space samples it. Sampling has one entry point,
+// Space.SampleBatch: a batch is one joined unit, as in the paper's concurrent
+// vertex sampling (section 3.1). It returns once every point has landed, and
+// where there is any dispatch order (the sched pool, the dist fleet) it is
+// the batch's list order. Backends decide how a batch executes:
 //
 //   - LocalSpace runs sampling in-process, fanning each batch out over the
-//     sched worker pool when its increments carry a simulation cost; it is
-//     used by unit tests, the experiments, and as the leaf evaluator inside
-//     MW clients. Every point owns a private deterministic noise stream, so
-//     where an increment runs never changes results.
-//   - The mw package provides a Space that farms SampleAll batches out to
-//     worker processes over the master-worker framework, reproducing the
-//     paper's parallel deployment.
-//
-// Backends additionally implementing BatchSampler expose the concurrent,
-// context-aware sampling path (SampleBatch) the optimizer prefers. A batch
-// is one joined unit, as in the paper's concurrent vertex sampling: it
-// returns once every point has landed, and where there is any dispatch order
-// (the sched pool, the dist fleet) it is the batch's list order.
+//     sched worker pool when its increments carry a simulation cost, or over
+//     a remote dist fleet when one is attached (LocalConfig.Fleet); it is
+//     used by unit tests, the experiments, the jobs service, and as the leaf
+//     evaluator inside MW clients. Every point owns a private deterministic
+//     noise stream, so where an increment runs never changes results.
+//   - The mw package provides a Space that farms batches out to worker
+//     processes over the master-worker framework, reproducing the paper's
+//     parallel deployment.
 package sim
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -72,10 +69,6 @@ type Point interface {
 	X() []float64
 	// Estimate returns the current estimate of the objective at the point.
 	Estimate() Estimate
-	// Sample accrues dt more virtual seconds of sampling at this point and
-	// advances the space's wall clock according to the backend's execution
-	// model (a lone Sample is serial; use Space.SampleAll for concurrency).
-	Sample(dt float64)
 	// Close releases the resources (worker assignment, file handles)
 	// associated with the point. The paper keeps objective evaluations
 	// "active on each of the d+1 vertices until it is certain that they are
@@ -83,7 +76,7 @@ type Point interface {
 	Close()
 }
 
-// Space creates points and coordinates batch sampling.
+// Space creates points and samples them in batches.
 type Space interface {
 	// Dim returns the dimension of the parameter space.
 	Dim() int
@@ -92,46 +85,24 @@ type Space interface {
 	// NewPoint copies x: the caller may reuse it as soon as NewPoint returns
 	// (the optimizer computes every trial point in one scratch buffer).
 	NewPoint(x []float64) Point
-	// SampleAll samples every point for dt virtual seconds. Backends that
+	// SampleBatch samples every point for dt virtual seconds. Backends that
 	// model parallel hardware advance the wall clock by dt once for the
 	// whole batch (all vertices sample concurrently, section 4.3); serial
-	// backends advance it len(points)*dt. A point may appear at most once
-	// in a batch.
-	SampleAll(points []Point, dt float64)
+	// backends advance it len(points)*dt. An empty batch leaves the clock
+	// where it was.
+	//
+	// A point of another space, a closed point, or a point listed twice
+	// panics before anything is sampled. A context canceled on entry
+	// returns ctx.Err() with nothing sampled. On any other non-nil error the
+	// batch is partial: some points may have accrued the increment, and the
+	// wall clock has not advanced.
+	SampleBatch(ctx context.Context, points []Point, dt float64) error
 	// Clock exposes the virtual wall clock for termination budgets and
 	// trace timestamps.
 	Clock() *vtime.Clock
 	// Evaluations returns the cumulative number of sampling increments
 	// performed, the cost unit used in the paper's N comparisons.
 	Evaluations() int64
-}
-
-// BatchSampler is the optional concurrent face of a Space: SampleAll with a
-// context. Backends that implement it execute the batch's per-point sampling
-// concurrently (LocalSpace through the sched worker pool, mw.Space across its
-// vertex workers) and honour cancellation between point dispatches. The
-// virtual-clock semantics are identical to SampleAll.
-type BatchSampler interface {
-	// SampleBatch samples every point for dt virtual seconds, returning
-	// ctx.Err() if the context is canceled before the batch completes. On a
-	// non-nil error the batch is partial: some points may have accrued the
-	// increment and the wall clock has not advanced.
-	SampleBatch(ctx context.Context, points []Point, dt float64) error
-}
-
-// SampleBatch samples the batch through the space's concurrent path when it
-// has one, else through plain SampleAll. It is the single entry point the
-// optimizer uses, so every backend gains cancellation support as soon as it
-// implements BatchSampler.
-func SampleBatch(ctx context.Context, space Space, points []Point, dt float64) error {
-	if bs, ok := space.(BatchSampler); ok {
-		return bs.SampleBatch(ctx, points, dt)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	space.SampleAll(points, dt)
-	return nil
 }
 
 // SigmaMode selects which noise estimate a backend reports to the optimizer.
@@ -162,7 +133,7 @@ type LocalConfig struct {
 	Seed int64
 	// Mode selects true or estimated sigma reporting.
 	Mode SigmaMode
-	// Parallel, if true, advances the wall clock once per SampleAll batch
+	// Parallel, if true, advances the wall clock once per sampled batch
 	// (concurrent vertices); if false each point's sampling is serialized
 	// on the clock. This is a virtual-time accounting choice, independent of
 	// Workers (the real CPU concurrency).
@@ -335,20 +306,8 @@ func (s *LocalSpace) newPoint(xc []float64, idx int64) *localPoint {
 	return p
 }
 
-// SampleAll implements Space. All points accrue dt of sampling; the wall
-// clock advances dt once in parallel mode, len(points)*dt in serial mode.
-// A failed batch (sampling on a closed space) panics, matching mw.Space.
-func (s *LocalSpace) SampleAll(points []Point, dt float64) {
-	// context.Background never cancels, so the only non-panic error left is
-	// sched.ErrClosed — a use-after-Close, which must not pass silently.
-	if err := s.SampleBatch(context.Background(), points, dt); err != nil {
-		panic(fmt.Sprintf("sim: SampleAll: %v", err))
-	}
-}
-
-// SampleBatch implements BatchSampler: the per-point sampling runs
-// concurrently on the space's worker pool, or in the caller when cost-free.
-// On cancellation the wall clock does not advance and the batch is partial.
+// SampleBatch implements Space: the per-point sampling runs concurrently on
+// the space's worker pool or fleet, or in the caller when cost-free.
 func (s *LocalSpace) SampleBatch(ctx context.Context, points []Point, dt float64) error {
 	if len(points) == 0 {
 		return ctx.Err()
@@ -416,10 +375,10 @@ func (s *LocalSpace) checkBatch(points []Point) []*localPoint {
 func (s *LocalSpace) check(p Point, stamp uint64) *localPoint {
 	lp, ok := p.(*localPoint)
 	if !ok || lp.space != s {
-		panic("sim: SampleAll received a foreign Point")
+		panic("sim: SampleBatch received a foreign Point")
 	}
 	if lp.closed() {
-		panic("sim: Sample on closed point")
+		panic("sim: SampleBatch on closed point")
 	}
 	if lp.stamp == stamp {
 		panic("sim: a point appears twice in one batch")
@@ -463,23 +422,6 @@ func (p *localPoint) Estimate() Estimate {
 		sigma = p.stream.SigmaEst()
 	}
 	return Estimate{Mean: p.stream.Mean(), Sigma: sigma, Time: p.stream.Time()}
-}
-
-func (p *localPoint) Sample(dt float64) {
-	if p.closed() {
-		panic("sim: Sample on closed point")
-	}
-	if p.space.cfg.Fleet != nil {
-		// A lone Sample is a one-point fleet batch; like SampleAll, the only
-		// non-panic failure (a dead fleet) must not pass silently.
-		if err := p.space.sampleFleet(context.Background(), []*localPoint{p}, dt); err != nil {
-			panic(fmt.Sprintf("sim: Sample: %v", err))
-		}
-		return
-	}
-	p.sample(dt)
-	mDraws.Inc()
-	p.space.clock.Advance(dt)
 }
 
 // sample performs one increment: the (optional) simulated CPU cost, the

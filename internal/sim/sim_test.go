@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,6 +18,14 @@ func newRosenSpace(parallel bool, sigma float64) *LocalSpace {
 	})
 }
 
+// mustSample samples pts on s for dt and fails the test on an error.
+func mustSample(tb testing.TB, s Space, pts []Point, dt float64) {
+	tb.Helper()
+	if err := s.SampleBatch(context.Background(), pts, dt); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestNewPointCopiesX(t *testing.T) {
 	s := newRosenSpace(false, 0)
 	x := []float64{1, 2, 3}
@@ -30,7 +39,7 @@ func TestNewPointCopiesX(t *testing.T) {
 func TestNoiselessEstimate(t *testing.T) {
 	s := newRosenSpace(false, 0)
 	p := s.NewPoint([]float64{0, 0, 0})
-	p.Sample(1)
+	mustSample(t, s, []Point{p}, 1)
 	est := p.Estimate()
 	want := testfunc.Rosenbrock([]float64{0, 0, 0})
 	if est.Mean != want {
@@ -45,7 +54,7 @@ func TestSerialClockAdvance(t *testing.T) {
 	s := newRosenSpace(false, 1)
 	p1 := s.NewPoint([]float64{0, 0, 0})
 	p2 := s.NewPoint([]float64{1, 1, 1})
-	s.SampleAll([]Point{p1, p2}, 2.0)
+	mustSample(t, s, []Point{p1, p2}, 2.0)
 	if got := s.Clock().Now(); got != 4.0 {
 		t.Fatalf("serial clock = %v, want 4.0", got)
 	}
@@ -56,7 +65,7 @@ func TestParallelClockAdvance(t *testing.T) {
 	p1 := s.NewPoint([]float64{0, 0, 0})
 	p2 := s.NewPoint([]float64{1, 1, 1})
 	p3 := s.NewPoint([]float64{2, 0, 1})
-	s.SampleAll([]Point{p1, p2, p3}, 2.0)
+	mustSample(t, s, []Point{p1, p2, p3}, 2.0)
 	if got := s.Clock().Now(); got != 2.0 {
 		t.Fatalf("parallel clock = %v, want 2.0", got)
 	}
@@ -67,9 +76,9 @@ func TestParallelClockAdvance(t *testing.T) {
 	}
 }
 
-func TestSampleAllEmptyNoAdvance(t *testing.T) {
+func TestSampleBatchEmptyNoAdvance(t *testing.T) {
 	s := newRosenSpace(true, 1)
-	s.SampleAll(nil, 5)
+	mustSample(t, s, nil, 5)
 	if got := s.Clock().Now(); got != 0 {
 		t.Fatalf("clock moved on empty batch: %v", got)
 	}
@@ -79,8 +88,8 @@ func TestEvaluationsCount(t *testing.T) {
 	s := newRosenSpace(true, 1)
 	p1 := s.NewPoint([]float64{0, 0, 0})
 	p2 := s.NewPoint([]float64{1, 1, 1})
-	s.SampleAll([]Point{p1, p2}, 1)
-	p1.Sample(1)
+	mustSample(t, s, []Point{p1, p2}, 1)
+	mustSample(t, s, []Point{p1}, 1)
 	if got := s.Evaluations(); got != 3 {
 		t.Fatalf("Evaluations = %v, want 3", got)
 	}
@@ -89,9 +98,9 @@ func TestEvaluationsCount(t *testing.T) {
 func TestSigmaShrinksWithSampling(t *testing.T) {
 	s := newRosenSpace(false, 100)
 	p := s.NewPoint([]float64{0, 0, 0})
-	p.Sample(1)
+	mustSample(t, s, []Point{p}, 1)
 	s1 := p.Estimate().Sigma
-	p.Sample(3) // t = 4
+	mustSample(t, s, []Point{p}, 3) // t = 4
 	s2 := p.Estimate().Sigma
 	if math.Abs(s1-100) > 1e-9 || math.Abs(s2-50) > 1e-9 {
 		t.Fatalf("sigma progression = %v, %v; want 100, 50", s1, s2)
@@ -108,7 +117,7 @@ func TestEstimatedSigmaMode(t *testing.T) {
 	})
 	p := s.NewPoint([]float64{0, 0, 0})
 	for i := 0; i < 500; i++ {
-		p.Sample(0.1)
+		mustSample(t, s, []Point{p}, 0.1)
 	}
 	est := p.Estimate()
 	trueSigma := 10.0 / math.Sqrt(est.Time)
@@ -123,10 +132,10 @@ func TestClosedPointPanics(t *testing.T) {
 	p.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Sample on closed point did not panic")
+			t.Fatal("sampling a closed point did not panic")
 		}
 	}()
-	p.Sample(1)
+	mustSample(t, s, []Point{p}, 1)
 }
 
 func TestDimMismatchPanics(t *testing.T) {
@@ -156,7 +165,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		s := newRosenSpace(true, 10)
 		p := s.NewPoint([]float64{0, 1, 2})
 		for i := 0; i < 20; i++ {
-			p.Sample(0.5)
+			mustSample(t, s, []Point{p}, 0.5)
 		}
 		return p.Estimate().Mean
 	}

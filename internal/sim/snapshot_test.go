@@ -23,7 +23,7 @@ func TestPointExportRestore(t *testing.T) {
 	orig := NewLocalSpace(snapCfg(7))
 	p := orig.NewPoint([]float64{0.5, -1, 2})
 	for i := 0; i < 5; i++ {
-		p.Sample(0.7)
+		mustSample(t, orig, []Point{p}, 0.7)
 	}
 
 	st, err := orig.ExportPoint(p)
@@ -48,8 +48,8 @@ func TestPointExportRestore(t *testing.T) {
 
 	// Future draws must match bitwise, increment by increment.
 	for i := 0; i < 8; i++ {
-		p.Sample(1.3)
-		q.Sample(1.3)
+		mustSample(t, orig, []Point{p}, 1.3)
+		mustSample(t, fresh, []Point{q}, 1.3)
 		if got, want := q.Estimate(), p.Estimate(); got != want {
 			t.Fatalf("post-restore increment %d: %+v != %+v", i, got, want)
 		}
@@ -67,14 +67,14 @@ func TestRestoreStateNextStream(t *testing.T) {
 	_ = a
 	st := orig.ExportState()
 	later := orig.NewPoint([]float64{0, 0, 0})
-	later.Sample(1)
+	mustSample(t, orig, []Point{later}, 1)
 
 	fresh := NewLocalSpace(snapCfg(3))
 	if err := fresh.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
 	resumedLater := fresh.NewPoint([]float64{0, 0, 0})
-	resumedLater.Sample(1)
+	mustSample(t, fresh, []Point{resumedLater}, 1)
 	if got, want := resumedLater.Estimate(), later.Estimate(); got != want {
 		t.Fatalf("next-stream point diverged: %+v != %+v", got, want)
 	}

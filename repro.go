@@ -39,11 +39,13 @@
 // NewMWSpace; both backends satisfy the same Space interface, so the
 // optimizer code is identical.
 //
-// Both backends sample batches concurrently through the internal/sched
-// worker pool (LocalConfig.Workers bounds the in-process concurrency), and
-// every point draws noise from a private deterministic stream, so results
-// are bitwise identical for any worker count. A canceled context stops any
-// run within one sampling round with Termination "canceled".
+// Both backends sample one batch of points concurrently per call to
+// Space.SampleBatch: the local one over the internal/sched worker pool
+// (LocalConfig.Workers bounds the in-process concurrency), the MW one across
+// its vertex workers. Every local point draws noise from a private
+// deterministic stream, so results are bitwise identical for any worker
+// count. A canceled context stops any run within one sampling round with
+// Termination "canceled".
 //
 // Above single runs sits the job service: NewJobManager multiplexes many
 // concurrent optimizations — first-class jobs with lifecycle states, live
@@ -55,7 +57,6 @@
 package repro
 
 import (
-	"context"
 	"math/rand"
 
 	"repro/internal/core"
@@ -101,9 +102,6 @@ type (
 	Point = sim.Point
 	// Estimate is a point's current running mean, sigma and sampling time.
 	Estimate = sim.Estimate
-	// BatchSampler is the concurrent, context-aware face of a Space; both
-	// built-in backends implement it.
-	BatchSampler = sim.BatchSampler
 	// LocalConfig configures the in-process backend (see Workers and
 	// SampleCost for the concurrent-sampling knobs).
 	LocalConfig = sim.LocalConfig
@@ -131,14 +129,6 @@ func Conditions(nums ...int) ConditionMask { return core.Conditions(nums...) }
 
 // AllConditions enables error bars in every PC condition.
 const AllConditions = core.AllConditions
-
-// SampleBatch samples the points concurrently through the space's
-// BatchSampler when it has one, else serially via SampleAll. Harnesses that
-// drive spaces directly (outside Run) use it to get the same concurrent
-// path the optimizer uses.
-func SampleBatch(ctx context.Context, space Space, points []Point, dt float64) error {
-	return sim.SampleBatch(ctx, space, points, dt)
-}
 
 // UniformSimplex draws the d+1 starting vertices with coordinates uniform
 // over [lo, hi) from rng — the shared initial-simplex draw, so one seed
@@ -185,12 +175,11 @@ type (
 // dispatches sampling tasks over their registered capacity in submission
 // order, and deterministically re-dispatches the outstanding tasks of dead
 // workers. It implements FleetSampler, so it plugs
-// underneath any run via WithFleet (or LocalConfig.Fleet), any job via
-// JobSpec.Fleet, and the optd server via -fleet-addr — with results bitwise
+// underneath any run via LocalConfig.Fleet, any job via JobSpec.Fleet, and the optd server via -fleet-addr — with results bitwise
 // identical to in-process runs at any fleet size and under worker death.
 type (
 	// FleetSampler is the remote sampling backend interface a LocalSpace
-	// dispatches batches through (see WithFleet).
+	// dispatches batches through (see LocalConfig.Fleet).
 	FleetSampler = sim.FleetSampler
 	// FleetCoordinator owns the fleet: registration, dispatch, heartbeats,
 	// deterministic re-dispatch. Create with NewFleetCoordinator.

@@ -242,31 +242,6 @@ func WithAdaptiveSamples(halfWidth float64) RunOption {
 	}
 }
 
-// WithFleet farms the run's sampling out to a remote worker fleet: every
-// batch's increments are dispatched to the agents registered with the
-// coordinator (see NewFleetCoordinator and cmd/optworker) instead of the
-// in-process pool. The space must be a fresh LocalSpace, and objective must
-// name — in the workers' catalogs — the same function the space computes
-// (workers cross-check every value, so a mismatch fails the run loudly).
-// Because every sampling increment is a pure function of the point's stream
-// seed and draw index, results are bitwise identical to in-process runs at
-// any fleet size and under worker death: the coordinator re-dispatches the
-// outstanding tasks of dead workers to the survivors.
-func WithFleet(fleet FleetSampler, objective string) RunOption {
-	return func(o *runOptions) {
-		if fleet == nil {
-			o.errs = append(o.errs, errors.New("repro: WithFleet: nil fleet"))
-			return
-		}
-		if objective == "" {
-			o.errs = append(o.errs, errors.New("repro: WithFleet: empty objective name"))
-			return
-		}
-		o.spec.Fleet = fleet
-		o.spec.FleetObjective = objective
-	}
-}
-
 // WithTrace registers a per-iteration progress callback (one TraceEvent per
 // simplex step, or per swarm update for pso-family strategies).
 func WithTrace(fn func(TraceEvent)) RunOption {
