@@ -19,7 +19,6 @@ import (
 func main() {
 	fmt.Println("d     workers  servers  clients  total  formula(dNs+3Ns+2d+7)  steps  time/step")
 	for _, d := range []int{10, 20, 50} {
-		var counts mw.ProcessCounts
 		space, err := repro.NewMWSpace(repro.MWSpaceConfig{
 			Dim: d,
 			Ns:  1,
@@ -30,7 +29,6 @@ func main() {
 					Rng:    rand.New(rand.NewSource(int64(rank))),
 				}
 			},
-			Counts: &counts,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -57,10 +55,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		procs := space.Processes()
 		fmt.Printf("%-5d %-8d %-8d %-8d %-6d %-21d %-6d %.2fs\n",
 			d,
-			counts.Workers.Load(), counts.Servers.Load(), counts.Clients.Load(),
-			counts.Total(), mw.ExpectedProcesses(d, 1),
+			procs.Workers, procs.Servers, procs.Clients,
+			procs.Total(), mw.ExpectedProcesses(d, 1),
 			res.Iterations, res.Walltime/float64(res.Iterations))
 		space.Shutdown()
 	}

@@ -127,9 +127,10 @@ func (o *optimizer) run() (*Result, error) {
 				// move; report what was found so far.
 				break
 			}
-			// A backend failure (e.g. a dead MW worker) aborts the run; the
-			// steps closed their trial points, finish closes the vertices so
-			// their worker ranks are released for the next run on the space.
+			// A backend failure (e.g. a closed worker pool or a failed fleet)
+			// aborts the run; the steps closed their trial points, finish
+			// closes the vertices so their MW slots are released for the next
+			// run on the space.
 			o.finish()
 			return nil, err
 		}

@@ -28,19 +28,17 @@ func Table33(opt Options) (string, error) {
 	header := []string{"d", "workers (d+3)", "servers (d+3)", "clients (d+3)Ns", "total (dNs+3Ns+2d+7)", "live"}
 	var rows [][]string
 	for _, d := range []int{20, 50, 100} {
-		var counts mw.ProcessCounts
 		space, err := mw.NewSpace(mw.SpaceConfig{
 			Dim: d,
 			Ns:  1,
 			NewSystem: func(rank, sys int) mw.SystemEvaluator {
 				return &mw.FuncSystem{F: testfunc.Rosenbrock, Rng: rand.New(rand.NewSource(int64(rank)))}
 			},
-			Counts: &counts,
 		})
 		if err != nil {
 			return "", err
 		}
-		live := counts.Total()
+		live := space.Processes().Total()
 		space.Shutdown()
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", d),
@@ -78,7 +76,6 @@ func ScaleUpRuns(opt Options) ([]*ScaleRun, error) {
 		iters = 25
 	}
 	for _, d := range scaleDims(opt) {
-		var counts mw.ProcessCounts
 		space, err := mw.NewSpace(mw.SpaceConfig{
 			Dim: d,
 			Ns:  1,
@@ -89,12 +86,11 @@ func ScaleUpRuns(opt Options) ([]*ScaleRun, error) {
 					Rng:    rand.New(rand.NewSource(opt.Seed + int64(rank*31))),
 				}
 			},
-			Counts: &counts,
 		})
 		if err != nil {
 			return nil, err
 		}
-		sr := &ScaleRun{D: d, Processes: counts.Total()}
+		sr := &ScaleRun{D: d, Processes: int64(space.Processes().Total())}
 
 		rng := rand.New(rand.NewSource(opt.Seed + int64(d)))
 		start := uniformSimplex(d, -3, 3, rng)

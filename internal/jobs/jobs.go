@@ -21,7 +21,7 @@
 //     subscribers (Manager.Subscribe);
 //   - checkpoints: the optimizer state is snapshotted every
 //     Config.CheckpointEvery iterations and persisted with atomic
-//     write-then-rename (internal/fileio). A killed process recovers its
+//     write-then-rename (internal/jobstore). A killed process recovers its
 //     jobs with Manager.Recover and resumes them bitwise-deterministically
 //     — the paper's restart strategy made durable.
 //

@@ -473,7 +473,7 @@ func TestCustomObjective(t *testing.T) {
 	}
 }
 
-// TestInitSweepsStaleTempFiles checks a crash's orphaned WriteAtomic temp
+// TestInitSweepsStaleTempFiles checks a crash's orphaned write-then-rename temp
 // file is removed at startup while real checkpoints are untouched.
 func TestInitSweepsStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()

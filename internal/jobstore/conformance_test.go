@@ -14,7 +14,7 @@ import (
 )
 
 // TestFileStoreConformance runs the shared store contract against the
-// one-file-per-job layout. Its torn-write model is WriteAtomic's: a crash
+// one-file-per-job layout. Its torn-write model is writeAtomic's: a crash
 // mid-Put leaves the previous record intact plus an orphaned temp file.
 func TestFileStoreConformance(t *testing.T) {
 	storetest.Run(t, storetest.Harness{

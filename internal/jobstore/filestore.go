@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"repro/internal/fileio"
 )
 
 // FileSuffix is the per-record file suffix of the FileStore layout —
@@ -17,7 +15,7 @@ import (
 const FileSuffix = ".ckpt.json"
 
 // FileStore stores one file per record under a directory, each written
-// with fileio.WriteAtomic so a crash mid-write leaves the previous record
+// with writeAtomic so a crash mid-write leaves the previous record
 // intact. The zero cost of its reads and the human-inspectable layout make
 // it the default store; the WALStore trades that for cheaper writes.
 type FileStore struct {
@@ -28,7 +26,7 @@ type FileStore struct {
 }
 
 // OpenFile opens (creating if missing) a FileStore rooted at dir and
-// sweeps the orphaned temp files a crash mid-WriteAtomic leaves behind.
+// sweeps the orphaned temp files a crash mid-writeAtomic leaves behind.
 func OpenFile(dir string) (*FileStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("jobstore: file store needs a directory")
@@ -36,7 +34,7 @@ func OpenFile(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	// A crash mid-WriteAtomic leaves an orphaned temp file (the previous
+	// A crash mid-writeAtomic leaves an orphaned temp file (the previous
 	// record is intact); sweep them so they do not accumulate.
 	stale, err := filepath.Glob(filepath.Join(dir, "*"+FileSuffix+".tmp-*"))
 	if err == nil {
@@ -77,7 +75,7 @@ func (s *FileStore) PutLazy(id string, payload []byte) error {
 	if err := s.check(); err != nil {
 		return err
 	}
-	return fileio.WriteAtomic(s.path(id), payload, 0o644)
+	return writeAtomic(s.path(id), payload, 0o644)
 }
 
 // Delete implements Store: it removes the file without syncing the
@@ -166,6 +164,42 @@ func (s *FileStore) check() error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("jobstore: store is closed")
+	}
+	return nil
+}
+
+// writeAtomic writes data to path so that a reader (or a recovering
+// process) never observes a partial file: the bytes land in a temporary
+// file in the same directory, are synced, and are renamed over path in one
+// atomic step. A crash mid-write leaves the previous file intact and an
+// orphaned <name>.tmp-* file, which OpenFile sweeps.
+func writeAtomic(path string, data []byte, perm os.FileMode) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("jobstore: %w", err)
+	}
+	tmpName := tmp.Name()
+	cleanup := func(err error) error {
+		tmp.Close()
+		os.Remove(tmpName)
+		return fmt.Errorf("jobstore: %w", err)
+	}
+	if _, err := tmp.Write(data); err != nil {
+		return cleanup(err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return cleanup(err)
+	}
+	if err := tmp.Chmod(perm); err != nil {
+		return cleanup(err)
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("jobstore: %w", err)
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("jobstore: %w", err)
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ func TestFileStoreLegacyLayout(t *testing.T) {
 }
 
 // TestFileStoreSweepsOrphans: OpenFile removes the temp files a crash
-// mid-WriteAtomic leaves behind, and only those.
+// mid-writeAtomic leaves behind, and only those.
 func TestFileStoreSweepsOrphans(t *testing.T) {
 	dir := t.TempDir()
 	orphan := filepath.Join(dir, "j000001"+FileSuffix+".tmp-777")
@@ -62,5 +62,33 @@ func TestFileStoreSweepsOrphans(t *testing.T) {
 	}
 	if _, err := os.Stat(keeper); err != nil {
 		t.Fatalf("real record swept along with the orphan: %v", err)
+	}
+}
+
+func TestWriteAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	if err := writeAtomic(path, []byte("v1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "v1" {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	// Overwrite must replace the content atomically and leave no temp files.
+	if err := writeAtomic(path, []byte("v2 longer"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "v2 longer" {
+		t.Fatalf("overwrite read back %q", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("temp files left behind: %v", entries)
+	}
+	if err := writeAtomic(filepath.Join(dir, "missing", "x"), []byte("x"), 0o644); err == nil {
+		t.Fatal("write into missing directory did not error")
 	}
 }

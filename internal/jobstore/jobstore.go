@@ -19,9 +19,11 @@
 // implementations ship:
 //
 //   - FileStore: one file per job written with atomic write-then-rename
-//     (the layout the manager used before the interface existed, so a
-//     pre-existing checkpoint directory recovers unchanged). Its Sync
-//     fsyncs the directory, which makes renames and removes durable;
+//     (writeAtomic: temp file, fsync, rename; the layout the manager used
+//     before the interface existed, so a pre-existing checkpoint directory
+//     recovers unchanged). Its Sync fsyncs the directory, which makes
+//     renames and removes durable. WALStore compacts through the same
+//     writeAtomic;
 //   - WALStore: a single append-only write-ahead log of CRC-guarded
 //     records and background-free compaction — one fsync per Sync
 //     instead of a file create+rename per write, and group commit under

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/fileio"
 )
 
 // walFileName is the log file inside the store directory.
@@ -308,7 +306,7 @@ func (s *WALStore) compact() error {
 		content = appendWALRecord(content, opPut, id, s.live[id])
 	}
 	mFsyncs.Inc()
-	if err := fileio.WriteAtomic(s.path, content, 0o644); err != nil {
+	if err := writeAtomic(s.path, content, 0o644); err != nil {
 		return err
 	}
 	f, err := openWALFile(s.path)
@@ -319,7 +317,7 @@ func (s *WALStore) compact() error {
 	s.f = f
 	s.totalBytes = len(content) - len(walMagic)
 	s.liveBytes = s.totalBytes
-	// The compacted file is durable (WriteAtomic fsyncs before renaming),
+	// The compacted file is durable (writeAtomic fsyncs before renaming),
 	// so everything appended so far, lazy records included, is covered.
 	s.syncedGen.Store(s.appendGen.Load())
 	return nil

@@ -19,8 +19,9 @@ import (
 //     streams stays legal, and rand.New(noise.NewSource(seed)) is the
 //     sanctioned way to (the stdlib generator bit for bit, seeded in O(1));
 //   - `range` over a map whose body writes state declared outside the
-//     loop: iteration order is deliberately randomized by the runtime, so
-//     such writes are ordered differently run to run.
+//     loop, or draws from a *rand.Rand declared outside it: iteration
+//     order is deliberately randomized by the runtime, so such writes, and
+//     which element gets which draw, differ run to run.
 //
 // Timing/observability code that legitimately reads clocks (metrics,
 // heartbeats) carries a line-scoped //optlint:nondeterministic-ok directive
@@ -42,6 +43,9 @@ var resultPackages = map[string]bool{
 	"dist":  true,
 	"pso":   true,
 	"stats": true,
+	"mw":    true,
+	"water": true,
+	"md":    true,
 }
 
 // wallClockFuncs are the time package reads that break run-to-run
@@ -93,7 +97,9 @@ func runDeterminism(p *Pass) error {
 // checkMapRange reports a map-range statement whose body writes state
 // declared outside the loop. The check is conservative and syntactic about
 // the write targets (assignments, ++/--, channel sends, and delete on an
-// outer map); mutation through method calls is not tracked.
+// outer map). Of the mutation through calls, only the draws are tracked: a
+// non-loop-local *rand.Rand passed as an argument or used as a method
+// receiver advances one stream in map order.
 func checkMapRange(p *Pass, rng *ast.RangeStmt) {
 	t := p.Info.TypeOf(rng.X)
 	if t == nil {
@@ -122,16 +128,25 @@ func checkMapRange(p *Pass, rng *ast.RangeStmt) {
 		}
 		return nil
 	}
-	var offender *ast.Ident
-	var verb string
+	var offender, verb string
 	found := func(id *ast.Ident, what string) bool {
-		if id != nil && offender == nil {
-			offender, verb = id, what
+		if id != nil && offender == "" {
+			offender, verb = id.Name, what
 		}
-		return offender != nil
+		return offender != ""
+	}
+	// draws reports e when it is a non-loop-local *rand.Rand.
+	draws := func(e ast.Expr) bool {
+		if !isRandPtr(p.Info.TypeOf(e)) || outer(e) == nil {
+			return false
+		}
+		if offender == "" {
+			offender, verb = types.ExprString(e), "draws from"
+		}
+		return true
 	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if offender != nil {
+		if offender != "" {
 			return false
 		}
 		switch s := n.(type) {
@@ -155,10 +170,32 @@ func checkMapRange(p *Pass, rng *ast.RangeStmt) {
 					return false
 				}
 			}
+			if sel, ok := ast.Unparen(s.Fun).(*ast.SelectorExpr); ok && p.Info.Selections[sel] != nil && draws(sel.X) {
+				return false
+			}
+			for _, arg := range s.Args {
+				if draws(arg) {
+					return false
+				}
+			}
 		}
 		return true
 	})
-	if offender != nil {
-		p.Reportf(rng.Pos(), "map iteration %s non-loop-local state %q: map order is randomized per run; iterate a sorted key slice, or annotate //optlint:nondeterministic-ok with why the result is order-independent", verb, offender.Name)
+	if offender != "" {
+		p.Reportf(rng.Pos(), "map iteration %s non-loop-local state %q: map order is randomized per run; iterate a sorted key slice, or annotate //optlint:nondeterministic-ok with why the result is order-independent", verb, offender)
 	}
+}
+
+// isRandPtr reports whether t is *rand.Rand of math/rand or math/rand/v2.
+func isRandPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Name() != "Rand" {
+		return false
+	}
+	path := named.Obj().Pkg().Path()
+	return path == "math/rand" || path == "math/rand/v2"
 }

@@ -4,11 +4,12 @@ package sim
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"time"
 )
 
 func clock() time.Duration {
-	t0 := time.Now() // want `time\.Now in result-affecting package sim`
+	t0 := time.Now()      // want `time\.Now in result-affecting package sim`
 	return time.Since(t0) // want `time\.Since in result-affecting package sim`
 }
 
@@ -69,5 +70,51 @@ func mapLoopLocalIsFine(m map[string]int) {
 		n := len(k)
 		n++
 		_ = n
+	}
+}
+
+type sampler struct{ rng *rand.Rand }
+
+// acc is a per-element accumulator; its methods mutate only itself.
+type acc struct{ sum float64 }
+
+func (a *acc) add(x float64)           { a.sum += x }
+func (a *acc) sample(r *rand.Rand)     { a.sum += r.Float64() }
+func (a *acc) sampleV2(r *randv2.Rand) { a.sum += r.Float64() }
+
+func mapDrawsAsReceiver(m map[string]*acc, r *rand.Rand) {
+	for _, a := range m { // want `map iteration draws from non-loop-local state "r"`
+		a.add(r.NormFloat64())
+	}
+}
+
+func (s *sampler) mapDrawsAsArgument(m map[string]*acc) {
+	for _, a := range m { // want `map iteration draws from non-loop-local state "s\.rng"`
+		a.sample(s.rng)
+	}
+}
+
+func mapDrawsFromV2(m map[string]*acc, r *randv2.Rand) {
+	for _, a := range m { // want `map iteration draws from non-loop-local state "r"`
+		a.sampleV2(r)
+	}
+}
+
+func mapLoopLocalRandIsFine(m map[string]*acc) {
+	for k, a := range m {
+		a.sample(rand.New(rand.NewSource(int64(len(k)))))
+	}
+}
+
+func sliceDrawsAreFine(as []*acc, r *rand.Rand) {
+	for _, a := range as {
+		a.sample(r)
+	}
+}
+
+func mapDrawsAnnotated(m map[string]*acc, r *rand.Rand) {
+	//optlint:nondeterministic-ok fixture: justified on the line above
+	for _, a := range m {
+		a.sample(r)
 	}
 }

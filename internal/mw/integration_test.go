@@ -60,7 +60,6 @@ func TestOptimizerOverMWMatchesLocalNoiseless(t *testing.T) {
 // The PC algorithm must run end-to-end over MW with noise, using all d+3
 // workers without deadlock, and make progress on Rosenbrock.
 func TestPCOverMWWithNoise(t *testing.T) {
-	var counts ProcessCounts
 	mwSpace, err := NewSpace(SpaceConfig{
 		Dim: 3,
 		Ns:  1,
@@ -71,14 +70,13 @@ func TestPCOverMWWithNoise(t *testing.T) {
 				Rng:    rand.New(rand.NewSource(int64(1000 + rank))),
 			}
 		},
-		Counts: &counts,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mwSpace.Shutdown()
 
-	if got, want := counts.Total(), int64(ExpectedProcesses(3, 1)); got != want {
+	if got, want := mwSpace.Processes().Total(), ExpectedProcesses(3, 1); got != want {
 		t.Fatalf("deployment size %d, want %d", got, want)
 	}
 
@@ -113,7 +111,6 @@ func TestPCOverMWWithNoise(t *testing.T) {
 // workers, 70 processes) must run DET iterations without deadlock.
 func TestMWScaleUpD20(t *testing.T) {
 	const d = 20
-	var counts ProcessCounts
 	mwSpace, err := NewSpace(SpaceConfig{
 		Dim: d,
 		Ns:  1,
@@ -124,13 +121,12 @@ func TestMWScaleUpD20(t *testing.T) {
 				Rng:    rand.New(rand.NewSource(int64(rank))),
 			}
 		},
-		Counts: &counts,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mwSpace.Shutdown()
-	if got := counts.Total(); got != 70 {
+	if got := mwSpace.Processes().Total(); got != 70 {
 		t.Fatalf("d=20 deployment size %d, want 70 (Table 3.3)", got)
 	}
 

@@ -2,242 +2,58 @@ package mw
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/testfunc"
 )
 
-// echoTask doubles a number on the worker.
-type echoTask struct {
-	In  float64
-	Out float64
-}
-
-func (t *echoTask) PackWork(b *mpi.Buffer) { b.PackFloat(t.In) }
-func (t *echoTask) UnpackWork(b *mpi.Buffer) error {
-	var err error
-	t.In, err = b.UnpackFloat()
-	return err
-}
-func (t *echoTask) PackResult(b *mpi.Buffer) { b.PackFloat(t.Out) }
-func (t *echoTask) UnpackResult(b *mpi.Buffer) error {
-	var err error
-	t.Out, err = b.UnpackFloat()
-	return err
-}
-
-// echoWorker doubles inputs; it can be told to fail the first n executions.
-type echoWorker struct {
-	mu        sync.Mutex
-	failFirst int
-	executed  int
-}
-
-func (w *echoWorker) Init(*mpi.Buffer) error { return nil }
-func (w *echoWorker) Execute(t Task) error {
-	w.mu.Lock()
-	w.executed++
-	fail := w.executed <= w.failFirst
-	w.mu.Unlock()
-	if fail {
-		return errors.New("injected failure")
-	}
-	et := t.(*echoTask)
-	et.Out = 2 * et.In
-	return nil
-}
-func (w *echoWorker) Close() {}
-
-func newEchoDriver(t *testing.T, workers, failFirst int) *Driver {
+// newSpace builds a Dim-dimensional space with ns clients per vertex slot.
+func newSpace(t *testing.T, dim, ns int, newSystem func(rank, sys int) SystemEvaluator) *Space {
 	t.Helper()
-	d, err := NewDriver(Config{
-		Workers:   workers,
-		NewTask:   func() Task { return &echoTask{} },
-		NewWorker: func(rank int) Worker { return &echoWorker{failFirst: failFirst} },
-	})
+	sp, err := NewSpace(SpaceConfig{Dim: dim, Ns: ns, NewSystem: newSystem})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(d.Shutdown)
-	return d
+	t.Cleanup(sp.Shutdown)
+	return sp
 }
 
-func TestDriverPooledTasks(t *testing.T) {
-	d := newEchoDriver(t, 4, 0)
-	const n = 50
-	pendings := make([]*Pending, n)
-	tasks := make([]*echoTask, n)
-	for i := 0; i < n; i++ {
-		tasks[i] = &echoTask{In: float64(i)}
-		p, err := d.Submit(tasks[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		pendings[i] = p
-	}
-	for i, p := range pendings {
-		if err := p.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if tasks[i].Out != 2*float64(i) {
-			t.Fatalf("task %d: Out = %v", i, tasks[i].Out)
-		}
-	}
-	if got := d.Stats().TasksCompleted; got != n {
-		t.Fatalf("TasksCompleted = %d, want %d", got, n)
-	}
-}
-
-func TestDriverTargetedSubmission(t *testing.T) {
-	d := newEchoDriver(t, 3, 0)
-	task := &echoTask{In: 21}
-	p, err := d.SubmitTo(2, task)
-	if err != nil {
+// sampleOne samples p once for dt and returns its estimate.
+func sampleOne(t *testing.T, sp *Space, p sim.Point, dt float64) sim.Estimate {
+	t.Helper()
+	if err := sp.SampleBatch(context.Background(), []sim.Point{p}, dt); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if task.Out != 42 {
-		t.Fatalf("Out = %v", task.Out)
-	}
-	if _, err := d.SubmitTo(99, &echoTask{}); err == nil {
-		t.Fatal("SubmitTo out-of-range rank accepted")
-	}
-}
-
-func TestDriverRetriesFailures(t *testing.T) {
-	// Single worker failing its first execution: the retry must succeed.
-	d := newEchoDriver(t, 1, 1)
-	task := &echoTask{In: 5}
-	p, err := d.Submit(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Wait(); err != nil {
-		t.Fatalf("task failed despite retries: %v", err)
-	}
-	if task.Out != 10 {
-		t.Fatalf("Out = %v", task.Out)
-	}
-	if s := d.Stats(); s.Retries != 1 {
-		t.Fatalf("Retries = %d, want 1", s.Retries)
-	}
-}
-
-func TestDriverGivesUpAfterMaxRetries(t *testing.T) {
-	d, err := NewDriver(Config{
-		Workers:    1,
-		MaxRetries: 2,
-		NewTask:    func() Task { return &echoTask{} },
-		NewWorker:  func(rank int) Worker { return &echoWorker{failFirst: 1 << 30} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Shutdown()
-	p, err := d.Submit(&echoTask{In: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Wait(); err == nil {
-		t.Fatal("always-failing task reported success")
-	}
-	if s := d.Stats(); s.TasksFailed != 1 || s.Retries != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestDriverRestart(t *testing.T) {
-	d := newEchoDriver(t, 2, 0)
-	task := &echoTask{In: 1}
-	p, _ := d.Submit(task)
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Restart(1); err != nil {
-		t.Fatal(err)
-	}
-	// The restarted worker must serve new tasks.
-	task2 := &echoTask{In: 3}
-	p2, err := d.SubmitTo(1, task2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if task2.Out != 6 {
-		t.Fatalf("Out after restart = %v", task2.Out)
-	}
-	if d.Stats().Restarts != 1 {
-		t.Fatalf("Restarts = %d", d.Stats().Restarts)
-	}
-}
-
-func TestDriverShutdownRejectsSubmissions(t *testing.T) {
-	d := newEchoDriver(t, 1, 0)
-	d.Shutdown()
-	if _, err := d.Submit(&echoTask{}); err == nil {
-		t.Fatal("Submit after shutdown accepted")
-	}
-	d.Shutdown() // idempotent
-}
-
-func TestDriverConfigValidation(t *testing.T) {
-	if _, err := NewDriver(Config{Workers: 0}); err == nil {
-		t.Fatal("Workers=0 accepted")
-	}
-	if _, err := NewDriver(Config{Workers: 1}); err == nil {
-		t.Fatal("missing factories accepted")
-	}
+	return p.Estimate()
 }
 
 func TestVertexPipelineAggregation(t *testing.T) {
 	// Two clients with noiseless objectives f and f+2: the aggregated mean
 	// must be f+1 and the variance 0.
-	vw, err := NewVertexWorker(VertexWorkerConfig{
-		Ns: 2,
-		NewSystem: func(sys int) SystemEvaluator {
-			offset := float64(2 * sys)
-			return &FuncSystem{
-				F:   func(x []float64) float64 { return testfunc.Sphere(x) + offset },
-				Rng: rand.New(rand.NewSource(int64(sys))),
-			}
-		},
+	sp := newSpace(t, 2, 2, func(rank, sys int) SystemEvaluator {
+		offset := float64(2 * sys)
+		return &FuncSystem{
+			F:   func(x []float64) float64 { return testfunc.Sphere(x) + offset },
+			Rng: rand.New(rand.NewSource(int64(sys))),
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vw.Close()
-
-	start := NewStartOp([]float64{1, 2})
-	if err := vw.Execute(start); err != nil {
-		t.Fatal(err)
-	}
-	samp := NewSampleOp(4)
-	if err := vw.Execute(samp); err != nil {
-		t.Fatal(err)
-	}
+	p := sp.NewPoint([]float64{1, 2})
+	e := sampleOne(t, sp, p, 4)
 	want := testfunc.Sphere([]float64{1, 2}) + 1
-	if math.Abs(samp.Mean-want) > 1e-12 {
-		t.Fatalf("aggregated mean = %v, want %v", samp.Mean, want)
+	if math.Abs(e.Mean-want) > 1e-12 {
+		t.Fatalf("aggregated mean = %v, want %v", e.Mean, want)
 	}
-	if samp.Variance != 0 {
-		t.Fatalf("noiseless variance = %v", samp.Variance)
+	if e.Sigma != 0 {
+		t.Fatalf("noiseless sigma = %v", e.Sigma)
 	}
-	if samp.Time != 4 {
-		t.Fatalf("time = %v, want 4", samp.Time)
+	if e.Time != 4 {
+		t.Fatalf("time = %v, want 4", e.Time)
 	}
-	if err := vw.Execute(NewStopOp()); err != nil {
-		t.Fatal(err)
-	}
+	p.Close()
 }
 
 func TestVertexPipelineNoiseVarianceScalesWithNs(t *testing.T) {
@@ -245,78 +61,17 @@ func TestVertexPipelineNoiseVarianceScalesWithNs(t *testing.T) {
 	// after time t is sigma0^2/(Ns*t).
 	const sigma0 = 10.0
 	const ns = 4
-	vw, err := NewVertexWorker(VertexWorkerConfig{
-		Ns: ns,
-		NewSystem: func(sys int) SystemEvaluator {
-			return &FuncSystem{
-				F:      testfunc.Sphere,
-				Sigma0: func([]float64) float64 { return sigma0 },
-				Rng:    rand.New(rand.NewSource(int64(100 + sys))),
-			}
-		},
+	sp := newSpace(t, 2, ns, func(rank, sys int) SystemEvaluator {
+		return &FuncSystem{
+			F:      testfunc.Sphere,
+			Sigma0: func([]float64) float64 { return sigma0 },
+			Rng:    rand.New(rand.NewSource(int64(100 + sys))),
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vw.Close()
-	if err := vw.Execute(NewStartOp([]float64{0, 0})); err != nil {
-		t.Fatal(err)
-	}
-	samp := NewSampleOp(25)
-	if err := vw.Execute(samp); err != nil {
-		t.Fatal(err)
-	}
+	e := sampleOne(t, sp, sp.NewPoint([]float64{0, 0}), 25)
 	want := sigma0 * sigma0 / (ns * 25.0)
-	if math.Abs(samp.Variance-want) > 1e-9 {
-		t.Fatalf("variance = %v, want %v", samp.Variance, want)
-	}
-}
-
-func TestVertexWorkerFileConduit(t *testing.T) {
-	vw, err := NewVertexWorker(VertexWorkerConfig{
-		Ns:       1,
-		SpoolDir: t.TempDir(),
-		NewSystem: func(sys int) SystemEvaluator {
-			return &FuncSystem{F: testfunc.Sphere, Rng: rand.New(rand.NewSource(1))}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vw.Close()
-	if err := vw.Execute(NewStartOp([]float64{3, 4})); err != nil {
-		t.Fatal(err)
-	}
-	samp := NewSampleOp(1)
-	if err := vw.Execute(samp); err != nil {
-		t.Fatal(err)
-	}
-	if samp.Mean != 25 {
-		t.Fatalf("mean over file conduit = %v, want 25", samp.Mean)
-	}
-}
-
-func TestVertexOpMarshalling(t *testing.T) {
-	op := NewStartOp([]float64{1, 2, 3})
-	b := mpi.NewBuffer()
-	op.PackWork(b)
-	var got VertexOp
-	if err := got.UnpackWork(mpi.NewBufferFrom(b.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != op.Op || len(got.X) != 3 || got.X[2] != 3 {
-		t.Fatalf("round trip = %+v", got)
-	}
-
-	res := &VertexOp{Mean: 1.5, Variance: 0.25, Time: 8}
-	rb := mpi.NewBuffer()
-	res.PackResult(rb)
-	var gotRes VertexOp
-	if err := gotRes.UnpackResult(mpi.NewBufferFrom(rb.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if gotRes.Mean != 1.5 || gotRes.Variance != 0.25 || gotRes.Time != 8 {
-		t.Fatalf("result round trip = %+v", gotRes)
+	if math.Abs(e.Sigma*e.Sigma-want) > 1e-9 {
+		t.Fatalf("variance = %v, want %v", e.Sigma*e.Sigma, want)
 	}
 }
 
@@ -335,23 +90,25 @@ func TestExpectedProcessesFormula(t *testing.T) {
 }
 
 func TestProcessAccountingMatchesFormula(t *testing.T) {
-	var counts ProcessCounts
 	sp, err := NewSpace(SpaceConfig{
 		Dim: 5,
 		Ns:  2,
 		NewSystem: func(rank, sys int) SystemEvaluator {
 			return &FuncSystem{F: testfunc.Sphere, Rng: rand.New(rand.NewSource(int64(rank*10 + sys)))}
 		},
-		Counts: &counts,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := counts.Total(), int64(ExpectedProcesses(5, 2)); got != want {
-		t.Fatalf("live processes = %d, want %d", got, want)
+	got := sp.Processes()
+	if want := (ProcessCounts{Masters: 1, Workers: 8, Servers: 8, Clients: 16}); got != want {
+		t.Fatalf("processes = %+v, want %+v", got, want)
+	}
+	if got.Total() != ExpectedProcesses(5, 2) {
+		t.Fatalf("live processes = %d, want %d", got.Total(), ExpectedProcesses(5, 2))
 	}
 	sp.Shutdown()
-	if got := counts.Total(); got != 0 {
+	if got := sp.Processes().Total(); got != 0 {
 		t.Fatalf("after shutdown, live processes = %d, want 0", got)
 	}
 }
@@ -418,4 +175,45 @@ func TestSpaceSlotReuseAfterClose(t *testing.T) {
 		}
 		p.Close()
 	}
+}
+
+// stopCounter is a noiseless client that counts its Stop calls.
+type stopCounter struct {
+	FuncSystem
+	stops *atomic.Int64
+}
+
+func (c *stopCounter) Stop() {
+	c.stops.Add(1)
+	c.FuncSystem.Stop()
+}
+
+// Shutdown stops the clients of the points still live, once; a point closed
+// afterwards stops nothing again, and the space then refuses new work.
+func TestSpaceShutdown(t *testing.T) {
+	var stops atomic.Int64
+	sp := newSpace(t, 1, 2, func(rank, sys int) SystemEvaluator {
+		return &stopCounter{FuncSystem: FuncSystem{F: testfunc.Sphere}, stops: &stops}
+	})
+	closed := sp.NewPoint([]float64{1})
+	closed.Close()
+	live := sp.NewPoint([]float64{2})
+	if got := stops.Load(); got != 2 {
+		t.Fatalf("after one Close, %d client stops, want 2", got)
+	}
+	sp.Shutdown()
+	sp.Shutdown()
+	if err := sp.SampleBatch(context.Background(), []sim.Point{live}, 1); err == nil {
+		t.Fatal("SampleBatch after Shutdown succeeded")
+	}
+	live.Close()
+	if got := stops.Load(); got != 4 {
+		t.Fatalf("after Shutdown, %d client stops, want 4", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewPoint after Shutdown did not panic")
+		}
+	}()
+	sp.NewPoint([]float64{3})
 }

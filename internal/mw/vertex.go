@@ -1,13 +1,8 @@
 package mw
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
-	"sync/atomic"
 
-	"repro/internal/fileio"
-	"repro/internal/mpi"
 	"repro/internal/noise"
 )
 
@@ -72,344 +67,3 @@ func (s *FuncSystem) Report() (float64, float64, float64) {
 
 // Stop implements SystemEvaluator.
 func (s *FuncSystem) Stop() { s.acc = nil }
-
-// Vertex pipeline op codes, spoken over the worker-server conduit and the
-// server-client MPI world.
-const (
-	opStart = iota + 1
-	opSample
-	opStop
-)
-
-// Server-client message tags in the child world.
-const (
-	ctagCmd = iota + 1
-	ctagReply
-)
-
-// ProcessCounts tracks the live simulated processes of a deployment,
-// reproducing the accounting of Table 3.3.
-type ProcessCounts struct {
-	Masters atomic.Int64
-	Workers atomic.Int64
-	Servers atomic.Int64
-	Clients atomic.Int64
-}
-
-// Total returns the current total process count.
-func (p *ProcessCounts) Total() int64 {
-	return p.Masters.Load() + p.Workers.Load() + p.Servers.Load() + p.Clients.Load()
-}
-
-// ExpectedProcesses evaluates the paper's formula for a d-dimensional
-// optimization with Ns simulations per vertex: 1 master, d+3 workers, d+3
-// servers and (d+3)*Ns clients, totalling d*Ns + 3*Ns + 2d + 7 (section 3.1).
-func ExpectedProcesses(d, ns int) int {
-	return d*ns + 3*ns + 2*d + 7
-}
-
-// VertexWorkerConfig configures the vertex-level deployment under one worker.
-type VertexWorkerConfig struct {
-	// Ns is the number of simulation clients under the vertex server.
-	Ns int
-	// NewSystem builds the evaluator for client sys (0-based) of this
-	// worker; called on the client "process".
-	NewSystem func(sys int) SystemEvaluator
-	// SpoolDir, if non-empty, makes the worker-server conduit file-backed
-	// (the paper's actual transport); otherwise an in-memory pair is used.
-	SpoolDir string
-	// Counts, if non-nil, receives process accounting.
-	Counts *ProcessCounts
-}
-
-// VertexWorker is the level-2 deployment beneath one MW worker: the worker
-// forwards ops over a file conduit to its server, which fans them out to Ns
-// clients over a private MPI world and aggregates their reports (Figure 3.2).
-type VertexWorker struct {
-	cfg     VertexWorkerConfig
-	toSrv   fileio.Conduit
-	srvSide fileio.Conduit
-	child   *mpi.World
-}
-
-// NewVertexWorker launches the server and client processes for one vertex.
-func NewVertexWorker(cfg VertexWorkerConfig) (*VertexWorker, error) {
-	if cfg.Ns < 1 {
-		return nil, errors.New("mw: VertexWorkerConfig.Ns must be >= 1")
-	}
-	if cfg.NewSystem == nil {
-		return nil, errors.New("mw: VertexWorkerConfig.NewSystem is required")
-	}
-	v := &VertexWorker{cfg: cfg}
-	if cfg.SpoolDir != "" {
-		a, b, err := fileio.NewFilePair(fileio.FilePairConfig{Dir: cfg.SpoolDir})
-		if err != nil {
-			return nil, err
-		}
-		v.toSrv, v.srvSide = a, b
-	} else {
-		v.toSrv, v.srvSide = fileio.NewMemPair()
-	}
-	v.child = mpi.NewWorld(cfg.Ns + 1)
-
-	if cfg.Counts != nil {
-		cfg.Counts.Workers.Add(1)
-		cfg.Counts.Servers.Add(1)
-		cfg.Counts.Clients.Add(int64(cfg.Ns))
-	}
-	for sys := 0; sys < cfg.Ns; sys++ {
-		go v.clientLoop(sys)
-	}
-	go v.serverLoop()
-	return v, nil
-}
-
-// clientLoop is one simulation client: it owns a SystemEvaluator and answers
-// its server's commands.
-func (v *VertexWorker) clientLoop(sys int) {
-	comm := v.child.Comm(sys + 1)
-	eval := v.cfg.NewSystem(sys)
-	started := false
-	for {
-		msg, err := comm.Recv(0, ctagCmd)
-		if err != nil {
-			if started {
-				eval.Stop()
-			}
-			return
-		}
-		op, err := msg.Buf.UnpackInt()
-		if err != nil {
-			continue
-		}
-		reply := mpi.NewBuffer()
-		switch op {
-		case opStart:
-			x, err := msg.Buf.UnpackFloats()
-			if err != nil {
-				continue
-			}
-			eval.Start(x)
-			started = true
-			reply.PackInt(opStart)
-		case opSample:
-			dt, err := msg.Buf.UnpackFloat()
-			if err != nil {
-				continue
-			}
-			eval.Sample(dt)
-			mean, variance, t := eval.Report()
-			reply.PackInt(opSample)
-			reply.PackFloat(mean)
-			reply.PackFloat(variance)
-			reply.PackFloat(t)
-		case opStop:
-			if started {
-				eval.Stop()
-				started = false
-			}
-			reply.PackInt(opStop)
-		}
-		_ = comm.Send(0, ctagReply, reply)
-	}
-}
-
-// serverLoop relays ops from the worker conduit to the clients and aggregates
-// replies: the vertex estimate is the mean of the client means, with variance
-// (1/Ns^2) * sum of client variances (independent systems).
-func (v *VertexWorker) serverLoop() {
-	comm := v.child.Comm(0)
-	ns := v.cfg.Ns
-	for {
-		data, err := v.srvSide.Recv()
-		if err != nil {
-			return
-		}
-		req := mpi.NewBufferFrom(data)
-		op, err := req.UnpackInt()
-		if err != nil {
-			continue
-		}
-		// Fan the command out to every client.
-		for c := 1; c <= ns; c++ {
-			fwd := mpi.NewBuffer()
-			fwd.PackInt(op)
-			switch op {
-			case opStart:
-				req.Rewind()
-				req.UnpackInt() // skip op
-				x, _ := req.UnpackFloats()
-				fwd.PackFloats(x)
-			case opSample:
-				req.Rewind()
-				req.UnpackInt()
-				dt, _ := req.UnpackFloat()
-				fwd.PackFloat(dt)
-			}
-			if err := comm.Send(c, ctagCmd, fwd); err != nil {
-				return
-			}
-		}
-		// Gather replies and aggregate.
-		var meanSum, varSum, tMin float64
-		tMin = -1
-		ok := true
-		for c := 1; c <= ns; c++ {
-			msg, err := comm.Recv(mpi.AnySource, ctagReply)
-			if err != nil {
-				return
-			}
-			rop, _ := msg.Buf.UnpackInt()
-			if rop == opSample {
-				m, _ := msg.Buf.UnpackFloat()
-				s2, _ := msg.Buf.UnpackFloat()
-				t, _ := msg.Buf.UnpackFloat()
-				meanSum += m
-				varSum += s2
-				if tMin < 0 || t < tMin {
-					tMin = t
-				}
-			} else if rop != op {
-				ok = false
-			}
-		}
-		resp := mpi.NewBuffer()
-		resp.PackBool(ok)
-		if op == opSample {
-			nsF := float64(ns)
-			resp.PackFloat(meanSum / nsF)
-			resp.PackFloat(varSum / (nsF * nsF))
-			resp.PackFloat(tMin)
-		}
-		if err := v.toSrvReply(resp); err != nil {
-			return
-		}
-	}
-}
-
-func (v *VertexWorker) toSrvReply(b *mpi.Buffer) error {
-	return v.srvSide.Send(b.Bytes())
-}
-
-// Init implements Worker. Vertex workers take no init payload: their
-// configuration arrives through NewVertexWorker.
-func (v *VertexWorker) Init(*mpi.Buffer) error { return nil }
-
-// Execute implements Worker: it relays a VertexOp through the conduit to the
-// server level and decodes the aggregated reply.
-func (v *VertexWorker) Execute(t Task) error {
-	op, ok := t.(*VertexOp)
-	if !ok {
-		return fmt.Errorf("mw: VertexWorker received %T, want *VertexOp", t)
-	}
-	req := mpi.NewBuffer()
-	req.PackInt(op.Op)
-	switch op.Op {
-	case opStart:
-		req.PackFloats(op.X)
-	case opSample:
-		req.PackFloat(op.Dt)
-	}
-	if err := v.toSrv.Send(req.Bytes()); err != nil {
-		return err
-	}
-	data, err := v.toSrv.Recv()
-	if err != nil {
-		return err
-	}
-	resp := mpi.NewBufferFrom(data)
-	okFlag, err := resp.UnpackBool()
-	if err != nil {
-		return err
-	}
-	if !okFlag {
-		return errors.New("mw: vertex server reported a client protocol error")
-	}
-	if op.Op == opSample {
-		if op.Mean, err = resp.UnpackFloat(); err != nil {
-			return err
-		}
-		if op.Variance, err = resp.UnpackFloat(); err != nil {
-			return err
-		}
-		if op.Time, err = resp.UnpackFloat(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close implements Worker: it tears down the conduit and the child world.
-func (v *VertexWorker) Close() {
-	v.toSrv.Close()
-	v.child.Close()
-	if v.cfg.Counts != nil {
-		v.cfg.Counts.Workers.Add(-1)
-		v.cfg.Counts.Servers.Add(-1)
-		v.cfg.Counts.Clients.Add(-int64(v.cfg.Ns))
-	}
-}
-
-// VertexOp is the task type spoken between the simplex master and vertex
-// workers: start sampling at a point, sample for dt, or stop.
-type VertexOp struct {
-	// Op is one of opStart/opSample/opStop (see NewStartOp etc.).
-	Op int
-	// X is the parameter point (opStart).
-	X []float64
-	// Dt is the sampling increment (opSample).
-	Dt float64
-
-	// Results of an opSample: aggregated mean, variance of the mean, and
-	// minimum accumulated sampling time across clients.
-	Mean, Variance, Time float64
-}
-
-// NewStartOp builds a start command for point x.
-func NewStartOp(x []float64) *VertexOp { return &VertexOp{Op: opStart, X: x} }
-
-// NewSampleOp builds a sampling command.
-func NewSampleOp(dt float64) *VertexOp { return &VertexOp{Op: opSample, Dt: dt} }
-
-// NewStopOp builds a stop command.
-func NewStopOp() *VertexOp { return &VertexOp{Op: opStop} }
-
-// PackWork implements Task.
-func (o *VertexOp) PackWork(b *mpi.Buffer) {
-	b.PackInt(o.Op)
-	b.PackFloats(o.X)
-	b.PackFloat(o.Dt)
-}
-
-// UnpackWork implements Task.
-func (o *VertexOp) UnpackWork(b *mpi.Buffer) error {
-	var err error
-	if o.Op, err = b.UnpackInt(); err != nil {
-		return err
-	}
-	if o.X, err = b.UnpackFloats(); err != nil {
-		return err
-	}
-	o.Dt, err = b.UnpackFloat()
-	return err
-}
-
-// PackResult implements Task.
-func (o *VertexOp) PackResult(b *mpi.Buffer) {
-	b.PackFloat(o.Mean)
-	b.PackFloat(o.Variance)
-	b.PackFloat(o.Time)
-}
-
-// UnpackResult implements Task.
-func (o *VertexOp) UnpackResult(b *mpi.Buffer) error {
-	var err error
-	if o.Mean, err = b.UnpackFloat(); err != nil {
-		return err
-	}
-	if o.Variance, err = b.UnpackFloat(); err != nil {
-		return err
-	}
-	o.Time, err = b.UnpackFloat()
-	return err
-}

@@ -17,9 +17,9 @@
 //     used by unit tests, the experiments, the jobs service, and as the leaf
 //     evaluator inside MW clients. Every point owns a private deterministic
 //     noise stream, so where an increment runs never changes results.
-//   - The mw package provides a Space that farms batches out to worker
-//     processes over the master-worker framework, reproducing the paper's
-//     parallel deployment.
+//   - The mw package provides a Space over the paper's parallel
+//     deployment: d+3 vertex slots, each pinned to one live point, whose Ns
+//     simulation-client evaluators it calls directly.
 package sim
 
 import (

@@ -50,7 +50,7 @@ type PartialSurrogate struct {
 	// Rng drives the sampling noise.
 	Rng *rand.Rand
 
-	accs map[Property]*noise.Accumulator
+	accs []*noise.Accumulator // accs[i] samples systemProperties[System][i]
 }
 
 var _ mw.SystemEvaluator = (*PartialSurrogate)(nil)
@@ -72,13 +72,15 @@ func (p *PartialSurrogate) Start(x []float64) {
 	theta := FromVec(x)
 	props := NoiseFreeProperties(theta)
 	sigmas := PropertySigma0(p.NoiseFactor)
-	p.accs = make(map[Property]*noise.Accumulator, len(systemProperties[p.System]))
+	p.accs = p.accs[:0]
 	for _, prop := range systemProperties[p.System] {
-		p.accs[prop] = noise.NewAccumulator(props[prop], sigmas[prop])
+		p.accs = append(p.accs, noise.NewAccumulator(props[prop], sigmas[prop]))
 	}
 }
 
-// Sample implements mw.SystemEvaluator.
+// Sample implements mw.SystemEvaluator. The properties draw from the one
+// stream in their fixed order, so the estimate is a pure function of the
+// seed.
 func (p *PartialSurrogate) Sample(dt float64) {
 	for _, acc := range p.accs {
 		acc.Sample(dt, p.Rng)
@@ -89,8 +91,8 @@ func (p *PartialSurrogate) Sample(dt float64) {
 // this system's partial cost, so the server's average reconstructs the full
 // eq-3.4 cost.
 func (p *PartialSurrogate) Report() (mean, variance, t float64) {
-	for _, prop := range systemProperties[p.System] {
-		acc := p.accs[prop]
+	for i, prop := range systemProperties[p.System] {
+		acc := p.accs[i]
 		r := (acc.Mean() - Targets[prop]) / Scales[prop]
 		w2 := Weights[prop] * Weights[prop]
 		mean += w2 * r * r

@@ -34,15 +34,15 @@
 // WithStrategy ("pc", "pc+mn", "pso", "hybrid", ...; Strategies lists
 // them), and plug in your own with RegisterStrategy.
 //
-// For the paper's parallel deployment (master, d+3 vertex workers, servers
-// and simulation clients over the MW framework), build a space with
-// NewMWSpace; both backends satisfy the same Space interface, so the
-// optimizer code is identical.
+// For the paper's parallel deployment (master, d+3 vertex workers, and Ns
+// simulation clients under each), build a space with NewMWSpace; both
+// backends satisfy the same Space interface, so the optimizer code is
+// identical.
 //
 // Both backends sample one batch of points concurrently per call to
 // Space.SampleBatch: the local one over the internal/sched worker pool
-// (LocalConfig.Workers bounds the in-process concurrency), the MW one across
-// its vertex workers. Every local point draws noise from a private
+// (LocalConfig.Workers bounds the in-process concurrency), the MW one with
+// one goroutine per simulation client of every point's vertex slot. Every local point draws noise from a private
 // deterministic stream, so results are bitwise identical for any worker
 // count. A canceled context stops any run within one sampling round with
 // Termination "canceled".
@@ -146,9 +146,12 @@ func NewLocalSpace(cfg LocalConfig) *LocalSpace { return sim.NewLocalSpace(cfg) 
 // ConstSigma adapts a constant eq-1.2 noise strength to LocalConfig.Sigma0.
 func ConstSigma(s float64) func([]float64) float64 { return sim.ConstSigma(s) }
 
-// NewMWSpace launches the paper's full parallel deployment: one master,
-// Dim+3 vertex workers, one server and Ns simulation clients per worker.
-// Call Shutdown on the returned space when done.
+// NewMWSpace builds the paper's full parallel deployment: one master and
+// Dim+3 vertex slots, each holding the Ns simulation clients that
+// cfg.NewSystem builds once. A point is pinned to one slot while it lives,
+// and its clients are called directly (no transport is simulated);
+// Processes reports the Table 3.3 accounting. Call Shutdown on the
+// returned space when done.
 func NewMWSpace(cfg MWSpaceConfig) (*mw.Space, error) { return mw.NewSpace(cfg) }
 
 // Checkpoint / resume: the paper's §1.3.5.1 restart strategy made durable.
