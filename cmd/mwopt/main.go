@@ -9,8 +9,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro"
@@ -18,28 +20,47 @@ import (
 	"repro/internal/optroot"
 )
 
-func main() {
-	var (
-		algName = flag.String("alg", "det", "algorithm: det, mn, pc, pc+mn, anderson")
-		iters   = flag.Int("iters", 50, "maximum simplex iterations")
-		tol     = flag.Float64("tol", 1e-6, "spread termination tolerance")
-		samples = flag.Float64("resample", 1, "sampling batches per wait round")
-		seed    = flag.Int64("seed", 1, "random seed, exported to user scripts as OPT_SEED")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mwopt [flags] <OPTROOT>")
-		os.Exit(2)
-	}
-	fmt.Printf("mwopt: seed=%d\n", *seed)
+// errUsage reports a malformed command line.
+var errUsage = errors.New("usage: mwopt [flags] <OPTROOT>")
 
-	root, err := optroot.Load(flag.Arg(0))
-	fatal(err)
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+	}
+	switch {
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		os.Exit(1)
+	}
+}
+
+// run is the whole program: it parses args, prints to stdout, and returns
+// the first fatal error.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("mwopt", flag.ContinueOnError)
+	var (
+		algName = fs.String("alg", "det", "algorithm: det, mn, pc, pc+mn, anderson")
+		iters   = fs.Int("iters", 50, "maximum simplex iterations")
+		tol     = fs.Float64("tol", 1e-6, "spread termination tolerance")
+		samples = fs.Float64("resample", 1, "sampling batches per wait round")
+		seed    = fs.Int64("seed", 1, "random seed, exported to user scripts as OPT_SEED")
+	)
+	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
+		return errUsage
+	}
+	fmt.Fprintf(stdout, "mwopt: seed=%d\n", *seed)
+
+	root, err := optroot.Load(fs.Arg(0))
+	if err != nil {
+		return err
+	}
 	root.Seed = *seed
-	fmt.Printf("OPTROOT %s\n", root.Dir)
-	fmt.Printf("parameters: %v (d=%d)\n", root.ParamNames, root.Dim())
-	fmt.Printf("systems: %d, properties: %d\n", len(root.Systems), len(root.Properties))
-	fmt.Printf("processor request: %d (one per run.sh)\n", root.Processors())
+	fmt.Fprintf(stdout, "OPTROOT %s\n", root.Dir)
+	fmt.Fprintf(stdout, "parameters: %v (d=%d)\n", root.ParamNames, root.Dim())
+	fmt.Fprintf(stdout, "systems: %d, properties: %d\n", len(root.Systems), len(root.Properties))
+	fmt.Fprintf(stdout, "processor request: %d (one per run.sh)\n", root.Processors())
 
 	// Show the section-4.2 machinefile allocation for the equivalent MW
 	// deployment (Ns = number of systems).
@@ -48,12 +69,14 @@ func main() {
 	need := mw.ExpectedProcesses(d, ns)
 	machines := mw.GenerateMachinefile(need/8+1, 8)
 	if alloc, allocErr := machines.Allocate(d, ns); allocErr == nil {
-		fmt.Printf("MW deployment: %d processes (1 master, %d workers, %d servers, %d clients) over %d nodes\n",
+		fmt.Fprintf(stdout, "MW deployment: %d processes (1 master, %d workers, %d servers, %d clients) over %d nodes\n",
 			alloc.Total(), d+3, d+3, (d+3)*ns, len(alloc.NodeUsage()))
 	}
 
 	alg, err := repro.ParseAlgorithm(*algName)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	cfg := repro.DefaultConfig(alg)
 	cfg.MaxIterations = *iters
 	cfg.Tol = *tol
@@ -65,25 +88,21 @@ func main() {
 		repro.WithConfig(cfg),
 		repro.WithInitialSimplex(root.InitialSimplex),
 		repro.WithTrace(func(e repro.TraceEvent) {
-			fmt.Printf("iter %4d  g(best)=%.6g  move=%s\n", e.Iter, e.Best, e.Move)
+			fmt.Fprintf(stdout, "iter %4d  g(best)=%.6g  move=%s\n", e.Iter, e.Best, e.Move)
 		}))
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	if serr := space.Err(); serr != nil {
 		fmt.Fprintf(os.Stderr, "warning: some evaluations failed: %v\n", serr)
 	}
 
-	fmt.Printf("\nterminated (%s) after %d iterations, %d evaluations\n",
+	fmt.Fprintf(stdout, "\nterminated (%s) after %d iterations, %d evaluations\n",
 		res.Termination, res.Iterations, res.Evaluations)
-	fmt.Printf("best cost: %.6g\n", res.BestG)
-	fmt.Println("best parameters:")
+	fmt.Fprintf(stdout, "best cost: %.6g\n", res.BestG)
+	fmt.Fprintln(stdout, "best parameters:")
 	for i, name := range root.ParamNames {
-		fmt.Printf("  %-12s %.6g\n", name, res.BestX[i])
+		fmt.Fprintf(stdout, "  %-12s %.6g\n", name, res.BestX[i])
 	}
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return nil
 }
