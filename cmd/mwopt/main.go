@@ -5,6 +5,15 @@
 // scripts.
 //
 //	mwopt -alg det -iters 50 /path/to/optroot
+//
+// The simplex samples on the section-3.1 MW deployment (mw.Space): d+3
+// vertex workers, each with one simulation client that runs the tree's
+// whole script batch (optroot.Evaluator). The batches of the vertices
+// sampled together run concurrently, each in its own par<N> directory
+// whose params.txt names its point; par numbers are unique but follow the
+// order in which batches start, so a reproducible script draws its
+// randomness from OPT_SEED and its PARAM_* values, never from the par
+// number.
 package main
 
 import (
@@ -47,7 +56,10 @@ func run(args []string, stdout io.Writer) error {
 		samples = fs.Float64("resample", 1, "sampling batches per wait round")
 		seed    = fs.Int64("seed", 1, "random seed, exported to user scripts as OPT_SEED")
 	)
-	if err := fs.Parse(args); err != nil || fs.NArg() != 1 {
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		return nil
+	case err != nil, fs.NArg() != 1:
 		return errUsage
 	}
 	fmt.Fprintf(stdout, "mwopt: seed=%d\n", *seed)
@@ -83,7 +95,12 @@ func run(args []string, stdout io.Writer) error {
 	cfg.Resample = *samples
 	cfg.MaxWalltime = 0
 
-	space := optroot.NewSpace(root)
+	space, err := mw.NewSpace(mw.SpaceConfig{Dim: d, Ns: 1,
+		NewSystem: func(int, int) mw.SystemEvaluator { return root.NewEvaluator() }})
+	if err != nil {
+		return err
+	}
+	defer space.Shutdown()
 	res, err := repro.Run(context.Background(), space,
 		repro.WithConfig(cfg),
 		repro.WithInitialSimplex(root.InitialSimplex),
@@ -93,7 +110,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if serr := space.Err(); serr != nil {
+	if serr := root.Err(); serr != nil {
 		fmt.Fprintf(os.Stderr, "warning: some evaluations failed: %v\n", serr)
 	}
 

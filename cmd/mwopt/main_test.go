@@ -71,7 +71,10 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 }
 
-func TestUsageErrors(t *testing.T) {
+func TestUsage(t *testing.T) {
+	if err := run([]string{"-h"}, &strings.Builder{}); err != nil {
+		t.Errorf("run(-h) = %v, want nil", err)
+	}
 	for _, args := range [][]string{nil, {"a", "b"}, {"-no-such-flag", "dir"}} {
 		if err := run(args, &strings.Builder{}); err != errUsage {
 			t.Errorf("run(%q) = %v, want errUsage", args, err)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/jobstore"
 	"repro/internal/serve"
 )
 
@@ -184,6 +185,17 @@ func TestOptdTraceDisconnectMidRun(t *testing.T) {
 	}
 }
 
+// openStore opens the job store in dir; the manager it is handed to closes
+// it.
+func openStore(t *testing.T, dir string) jobstore.Store {
+	t.Helper()
+	st, err := jobstore.Open("", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestOptdRecoverCorruptCheckpoint kills a manager mid-run, then vandalizes
 // the checkpoint directory with a truncated copy and a garbage file. The
 // restarted manager must recover the intact job, report (not swallow) the
@@ -192,7 +204,7 @@ func TestOptdRecoverCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 
 	// First life: run a checkpointing job and kill the manager mid-run.
-	mgr1, err := jobs.New(jobs.Config{MaxConcurrent: 1, CheckpointDir: dir, CheckpointEvery: 1})
+	mgr1, err := jobs.New(jobs.Config{MaxConcurrent: 1, Store: openStore(t, dir), CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +244,7 @@ func TestOptdRecoverCorruptCheckpoint(t *testing.T) {
 
 	// Second life: recover. The intact job must come back, the corrupt
 	// files must be reported and preserved.
-	mgr2, err := jobs.New(jobs.Config{MaxConcurrent: 1, CheckpointDir: dir, CheckpointEvery: 1})
+	mgr2, err := jobs.New(jobs.Config{MaxConcurrent: 1, Store: openStore(t, dir), CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

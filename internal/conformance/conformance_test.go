@@ -149,7 +149,6 @@ func caseSpec(c traceCase, trace func(core.TraceEvent)) core.RunSpec {
 	cfg.MaxIterations = 30
 	cfg.Speculative = c.mode.speculative
 	if c.mode.adaptive {
-		cfg.AdaptiveSamples = true
 		cfg.AdaptiveHalfWidth = 0.25
 	}
 	cfg.Trace = trace

@@ -26,8 +26,10 @@ type spaceBackend struct {
 	build    func(t *testing.T) sim.Space
 }
 
-// spaceBackends are the sim.Space implementations that need no script tree
-// (internal/optroot keeps its own rows of the same table).
+// spaceBackends are the sim.Space implementations, LocalSpace in three
+// configurations and mw.Space (internal/optroot runs the same rows over
+// mw.Space with its $OPTROOT script-batch evaluator, which needs a script
+// tree).
 func spaceBackends() []spaceBackend {
 	local := func(cfg sim.LocalConfig) func(t *testing.T) sim.Space {
 		return func(t *testing.T) sim.Space {

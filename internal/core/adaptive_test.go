@@ -24,7 +24,6 @@ func adaptiveSpace(workers int) *sim.LocalSpace {
 
 func adaptiveConfig() Config {
 	cfg := DefaultConfig(MN)
-	cfg.AdaptiveSamples = true
 	cfg.AdaptiveHalfWidth = 0.3 // needs t ~ (1.96/0.3)^2 ~ 43 >> InitialSample
 	cfg.MaxIterations = 6
 	cfg.Tol = 0 // run every leg to the iteration cap

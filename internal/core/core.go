@@ -232,24 +232,16 @@ type Config struct {
 	// prefetch and are rejected before any sampling.
 	Speculative bool
 
-	// AdaptiveSamples enables variance-adaptive resampling of fresh points:
-	// instead of the fixed InitialSample allotment, every new point samples
-	// in geometrically growing rounds until its confidence half-width
-	// (AdaptiveZ * sigma, Welford-estimated when the backend reports
-	// estimated sigmas) falls to AdaptiveHalfWidth. The driver remembers the
-	// largest allotment a point needed (the adaptive floor, persisted in
-	// snapshots) and starts subsequent points there, so the growth is paid
-	// once, not per point.
-	AdaptiveSamples bool
-	// AdaptiveHalfWidth is the target confidence half-width of a fresh
-	// point's estimate. Required (positive) when AdaptiveSamples is set.
+	// AdaptiveHalfWidth, when positive, enables variance-adaptive
+	// resampling of fresh points: instead of the fixed InitialSample
+	// allotment, every new point samples in geometrically growing rounds,
+	// at most MaxWaitRounds per fresh-point batch, until its 95% confidence
+	// half-width (1.96 sigma, Welford-estimated when the backend reports
+	// estimated sigmas) falls to AdaptiveHalfWidth. The driver remembers
+	// the largest allotment a point needed (the adaptive floor, persisted
+	// in snapshots) and starts subsequent points there, so the growth is
+	// paid once, not per point. Zero keeps the fixed allotment.
 	AdaptiveHalfWidth float64
-	// AdaptiveZ is the confidence multiplier of the half-width gate. Zero
-	// selects 1.96 (a 95% normal interval).
-	AdaptiveZ float64
-	// AdaptiveMaxRounds caps the growth rounds per fresh-point batch. Zero
-	// selects MaxWaitRounds.
-	AdaptiveMaxRounds int
 
 	// InitialSample is the virtual sampling time given to each new vertex.
 	InitialSample float64
@@ -356,14 +348,8 @@ func (c *Config) validate(dim int) error {
 	if c.MaxWaitRounds <= 0 {
 		return errors.New("core: Config.MaxWaitRounds must be positive")
 	}
-	if c.AdaptiveSamples && c.AdaptiveHalfWidth <= 0 {
-		return errors.New("core: Config.AdaptiveHalfWidth must be positive when AdaptiveSamples is set")
-	}
-	if c.AdaptiveZ < 0 {
-		return errors.New("core: Config.AdaptiveZ must be non-negative")
-	}
-	if c.AdaptiveMaxRounds < 0 {
-		return errors.New("core: Config.AdaptiveMaxRounds must be non-negative")
+	if c.AdaptiveHalfWidth < 0 {
+		return errors.New("core: Config.AdaptiveHalfWidth must be non-negative")
 	}
 	if dim < 1 {
 		return errors.New("core: dimension must be >= 1")
@@ -426,7 +412,7 @@ type Result struct {
 	ResampleRounds int
 	// AdaptiveRounds is the total variance-adaptive growth rounds spent
 	// bringing fresh points to the configured confidence half-width (zero
-	// unless Config.AdaptiveSamples is set).
+	// unless Config.AdaptiveHalfWidth is positive).
 	AdaptiveRounds int
 	// SpeculativeWaste counts speculative candidate evaluations that were
 	// discarded unused (zero unless Config.Speculative is set) — the

@@ -72,7 +72,7 @@ type optimizer struct {
 	xbuf  []float64    // the trial point being computed
 
 	// adaptiveFloor is the current initial-sampling allotment for fresh
-	// points under Config.AdaptiveSamples: it starts at InitialSample and is
+	// points under Config.AdaptiveHalfWidth: it starts at InitialSample and is
 	// raised to the largest total sampling time a fresh point needed to meet
 	// the confidence half-width, so later points receive the learned
 	// allotment up front instead of re-growing from the floor. It is part
@@ -162,22 +162,17 @@ func (o *optimizer) sampleBatch(points []sim.Point, dt float64) error {
 }
 
 // sampleFresh gives a batch of freshly created points their initial
-// allotment: the fixed InitialSample, or — under Config.AdaptiveSamples —
+// allotment: the fixed InitialSample, or — under Config.AdaptiveHalfWidth —
 // variance-adaptive growth from the current adaptive floor until every point
 // meets the confidence half-width.
 func (o *optimizer) sampleFresh(points []sim.Point) error {
-	if !o.cfg.AdaptiveSamples {
+	if o.cfg.AdaptiveHalfWidth <= 0 {
 		return o.sampleBatch(points, o.cfg.InitialSample)
-	}
-	maxRounds := o.cfg.AdaptiveMaxRounds
-	if maxRounds <= 0 {
-		maxRounds = o.cfg.MaxWaitRounds
 	}
 	plan := sim.AdaptivePlan{
 		HalfWidth: o.cfg.AdaptiveHalfWidth,
-		Z:         o.cfg.AdaptiveZ,
 		Grow:      o.cfg.ResampleGrowth,
-		MaxRounds: maxRounds,
+		MaxRounds: o.cfg.MaxWaitRounds,
 		Clamp:     o.clampDt,
 	}
 	dt0 := o.clampDt(o.adaptiveFloor)

@@ -46,23 +46,14 @@ type checkpointFile struct {
 	Snapshot *core.Snapshot `json:"snapshot"`
 }
 
-// initStore opens the manager's own store (Config.Store, or the
-// CheckpointDir shorthand) and reserves every stored ID, so fresh
-// submissions made before (or instead of) Recover can never take an ID
-// whose record is still durable — a collision would orphan the
-// recoverable run and eventually delete its record.
-func (m *Manager) initStore() error {
-	if m.cfg.Store != nil {
-		m.store = m.cfg.Store
-	} else if m.cfg.CheckpointDir != "" {
-		st, err := jobstore.Open("", m.cfg.CheckpointDir)
-		if err != nil {
-			return err
-		}
-		m.store = st
-	}
+// initStore takes the manager's own store (Config.Store) and reserves every
+// stored ID, so fresh submissions made before (or instead of) Recover can
+// never take an ID whose record is still durable — a collision would orphan
+// the recoverable run and eventually delete its record.
+func (m *Manager) initStore() {
+	m.store = m.cfg.Store
 	if m.store == nil {
-		return nil
+		return
 	}
 	// List errors are tolerated here (Recover surfaces them); whatever was
 	// readable still gets its ID reserved.
@@ -73,7 +64,6 @@ func (m *Manager) initStore() error {
 		m.bumpIDLocked(rec.ID)
 	}
 	m.mu.Unlock()
-	return nil
 }
 
 // bumpIDLocked keeps auto-assigned IDs clear of id if it is j<number>-form.

@@ -167,11 +167,6 @@ type Config struct {
 	// re-runs the job to the same result. The manager takes ownership and
 	// closes it on Close.
 	Store jobstore.Store
-	// CheckpointDir is shorthand for Store: when Store is nil and
-	// CheckpointDir is non-empty, the manager opens the jobstore rooted
-	// there in the layout the directory holds (jobstore.Open), one file
-	// per job for a new directory. The directory is created if missing.
-	CheckpointDir string
 	// CheckpointEvery is the snapshot period in simplex iterations.
 	// Zero selects 20.
 	CheckpointEvery int
@@ -311,9 +306,9 @@ var ErrNotFound = errors.New("jobs: no such job")
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("jobs: manager is closed")
 
-// New builds a Manager and starts its run pool. When cfg.CheckpointDir is
-// set, previously checkpointed jobs are NOT resumed automatically; call
-// Recover to pick them up.
+// New builds a Manager and starts its run pool. When cfg.Store is set,
+// previously checkpointed jobs are NOT resumed automatically; call Recover
+// to pick them up.
 func New(cfg Config) (*Manager, error) {
 	cfg.normalize()
 	var policy sched.Policy
@@ -334,10 +329,7 @@ func New(cfg Config) (*Manager, error) {
 		now:      time.Now,
 	}
 	m.cond = sync.NewCond(&m.mu)
-	if err := m.initStore(); err != nil {
-		m.pool.Close()
-		return nil, err
-	}
+	m.initStore()
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		m.wg.Add(1)
 		go m.runner()

@@ -352,7 +352,7 @@ func TestCheckpointRecoverDeterminism(t *testing.T) {
 
 			// Interrupted run: checkpoint every iteration, kill mid-flight.
 			dir := t.TempDir()
-			m1, err := New(Config{MaxConcurrent: 1, CheckpointDir: dir, CheckpointEvery: 1, Objectives: slow})
+			m1, err := New(Config{MaxConcurrent: 1, Store: openStore(t, "", dir), CheckpointEvery: 1, Objectives: slow})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,7 +385,7 @@ func TestCheckpointRecoverDeterminism(t *testing.T) {
 			}
 
 			// Fresh process: recover and run to completion.
-			m2 := newManager(t, Config{MaxConcurrent: 1, CheckpointDir: dir, CheckpointEvery: 1, Objectives: slow})
+			m2 := newManager(t, Config{MaxConcurrent: 1, Store: openStore(t, "", dir), CheckpointEvery: 1, Objectives: slow})
 			ids, err := m2.Recover()
 			if err != nil {
 				t.Fatal(err)
@@ -428,7 +428,7 @@ func TestRecoverSkipsGarbage(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "junk"+ckptSuffix), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m := newManager(t, Config{CheckpointDir: dir})
+	m := newManager(t, Config{Store: openStore(t, "", dir)})
 	ids, err := m.Recover()
 	if err == nil || !strings.Contains(err.Error(), "junk") {
 		t.Fatalf("garbage checkpoint not reported: ids=%v err=%v", ids, err)
@@ -484,7 +484,7 @@ func TestInitSweepsStaleTempFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	newManager(t, Config{CheckpointDir: dir})
+	newManager(t, Config{Store: openStore(t, "", dir)})
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale temp file not swept: %v", err)
 	}
@@ -532,7 +532,7 @@ func TestRecoverCollisionRejected(t *testing.T) {
 	}
 
 	// Organic path: a fresh submission on a dir holding j000001 gets j000002.
-	m := newManager(t, Config{CheckpointDir: dir})
+	m := newManager(t, Config{Store: openStore(t, "", dir)})
 	spec := smallSpec(1)
 	spec.MaxIterations = 5
 	id, err := m.Submit(spec)

@@ -256,10 +256,7 @@ func (spec Spec) runSpec() (core.RunSpec, error) {
 		cfg.MNK = spec.K
 	}
 	cfg.Speculative = spec.Speculative
-	if spec.AdaptiveHalfWidth > 0 {
-		cfg.AdaptiveSamples = true
-		cfg.AdaptiveHalfWidth = spec.AdaptiveHalfWidth
-	}
+	cfg.AdaptiveHalfWidth = spec.AdaptiveHalfWidth
 	return core.RunSpec{
 		Strategy:     strat.Name(),
 		Config:       cfg,

@@ -110,7 +110,7 @@ func TestSpecStrategyValidation(t *testing.T) {
 // checkpointing manager — it just completes without writing checkpoints.
 func TestPSOJobSkipsCheckpointing(t *testing.T) {
 	dir := t.TempDir()
-	m, err := New(Config{MaxConcurrent: 1, CheckpointDir: dir, CheckpointEvery: 1})
+	m, err := New(Config{MaxConcurrent: 1, Store: openStore(t, "", dir), CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,9 +306,9 @@ func TestSubmitTimeDurability(t *testing.T) {
 			}
 			m1.Close() // the "kill": queued job never started
 
-			// The directory names its own layout: CheckpointDir reopens it
+			// The directory names its own layout: jobstore.Open reopens it
 			// as the kind m1 wrote.
-			m2 := newManager(t, Config{MaxConcurrent: 2, CheckpointDir: dir,
+			m2 := newManager(t, Config{MaxConcurrent: 2, Store: openStore(t, "", dir),
 				Objectives: slowObjectives(time.Millisecond)})
 			if got := m2.Stats().Store; got != kind {
 				t.Fatalf("reopened store kind = %q, want %q", got, kind)
@@ -360,7 +360,7 @@ func TestSubmitTimeDurability(t *testing.T) {
 // out of the adopted store on completion.
 func TestRecoverFromAdoptsForeignStore(t *testing.T) {
 	deadDir := t.TempDir()
-	m1, err := New(Config{MaxConcurrent: 1, CheckpointDir: deadDir,
+	m1, err := New(Config{MaxConcurrent: 1, Store: openStore(t, "", deadDir),
 		Objectives: slowObjectives(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +377,7 @@ func TestRecoverFromAdoptsForeignStore(t *testing.T) {
 	m1.Close() // the dead replica
 
 	// The survivor has its own store and adopts the dead one's.
-	m2 := newManager(t, Config{MaxConcurrent: 2, CheckpointDir: t.TempDir(),
+	m2 := newManager(t, Config{MaxConcurrent: 2, Store: openStore(t, "", t.TempDir()),
 		Objectives: slowObjectives(time.Millisecond)})
 	st, err := jobstore.OpenFile(deadDir)
 	if err != nil {

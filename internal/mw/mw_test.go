@@ -2,8 +2,10 @@ package mw
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -216,4 +218,17 @@ func TestSpaceShutdown(t *testing.T) {
 		}
 	}()
 	sp.NewPoint([]float64{3})
+}
+
+// NewPoint refuses a point of the wrong dimension.
+func TestNewPointDimensionMismatchPanics(t *testing.T) {
+	sp := newSpace(t, 2, 1, func(rank, sys int) SystemEvaluator {
+		return &FuncSystem{F: testfunc.Sphere}
+	})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "dimension") {
+			t.Fatalf("NewPoint with 1 value on a 2-d space: panic %v, want a dimension mismatch", r)
+		}
+	}()
+	sp.NewPoint([]float64{1})
 }

@@ -14,6 +14,11 @@
 // $OPTROOT/systems directory") and are never treated as systems. Job sizing
 // follows the paper: one processor is requested per run.sh found.
 //
+// A Root evaluates the cost one script batch at a time (Evaluate). An
+// Evaluator runs those batches as one simulation client of the MW
+// deployment, so the optimizer samples a tree through mw.Space with Ns = 1,
+// as cmd/mwopt does; the batches of concurrently sampled points run at once.
+//
 // The cost function follows eq 1.3, where the weights are *inverse*
 // tolerances: g = sum_i (1/w_i^2) (p_i - p0_i)^2 / (p0_i)^2, so doubling w_i
 // halves the penalty of a given relative error. (The application chapter's
@@ -31,6 +36,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // parDirPattern matches the reserved evaluation-output directories.
@@ -83,7 +90,10 @@ type Root struct {
 	// the mwopt invocation that drove them.
 	Seed int64
 
-	evalSeq int
+	evalSeq atomic.Int64
+
+	mu  sync.Mutex
+	err error // first batch failure an Evaluator met, surfaced via Err
 }
 
 // Load parses an $OPTROOT directory.
@@ -266,6 +276,21 @@ func (r *Root) Processors() int {
 // Dim returns the parameter-space dimension.
 func (r *Root) Dim() int { return len(r.ParamNames) }
 
+// Err returns the first script failure an Evaluator of the tree met, if any.
+func (r *Root) Err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.err
+}
+
+func (r *Root) noteErr(err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err == nil {
+		r.err = err
+	}
+}
+
 // Evaluation is the result of one cost-function evaluation.
 type Evaluation struct {
 	// Dir is the par<N> directory the simulations ran in.
@@ -280,13 +305,13 @@ type Evaluation struct {
 // fresh par<N> directory, then runs the property calculators and assembles
 // the eq 1.3 cost. Scripts receive the parameters both as environment
 // variables (PARAM_<name>) and in a params.txt file, and run with their
-// phase directory as the working directory.
+// phase directory as the working directory. Concurrent calls are safe: each
+// claims the next par number as it starts.
 func (r *Root) Evaluate(x []float64) (*Evaluation, error) {
 	if len(x) != r.Dim() {
 		return nil, fmt.Errorf("optroot: evaluate with %d values, want %d", len(x), r.Dim())
 	}
-	r.evalSeq++
-	evalDir := filepath.Join(r.Dir, "systems", fmt.Sprintf("par%04d", r.evalSeq))
+	evalDir := filepath.Join(r.Dir, "systems", fmt.Sprintf("par%04d", r.evalSeq.Add(1)))
 	if err := os.MkdirAll(evalDir, 0o755); err != nil {
 		return nil, fmt.Errorf("optroot: %w", err)
 	}

@@ -225,10 +225,10 @@ func WithSpeculation() RunOption {
 // WithAdaptiveSamples replaces the fixed initial sampling allotment of fresh
 // points with variance-adaptive growth: every new point samples in
 // geometrically growing rounds until the confidence half-width of its
-// estimate (1.96 sigma; override via WithConfig's AdaptiveZ) falls to
-// halfWidth. The driver remembers the largest allotment a point needed and
-// starts subsequent points there, a counter that is part of the snapshot
-// state, so checkpoint/resume stays bitwise-exact. It applies to the
+// estimate (1.96 sigma) falls to halfWidth, in at most MaxWaitRounds growth
+// rounds per fresh batch. The driver remembers the largest allotment a point
+// needed and starts subsequent points there, a counter that is part of the
+// snapshot state, so checkpoint/resume stays bitwise-exact. It applies to the
 // NM-family strategies (and the simplex leg of the hybrid); the pso swarm
 // phase samples on its own schedule.
 func WithAdaptiveSamples(halfWidth float64) RunOption {
@@ -237,7 +237,6 @@ func WithAdaptiveSamples(halfWidth float64) RunOption {
 			o.errs = append(o.errs, fmt.Errorf("repro: WithAdaptiveSamples(%v): half-width must be positive", halfWidth))
 			return
 		}
-		o.spec.Config.AdaptiveSamples = true
 		o.spec.Config.AdaptiveHalfWidth = halfWidth
 	}
 }
