@@ -55,9 +55,8 @@ func BenchmarkFig318(b *testing.B)  { benchDriver(b, "Fig3.18") }
 func BenchmarkFig319(b *testing.B)  { benchDriver(b, "Fig3.19") }
 func BenchmarkFig320(b *testing.B)  { benchDriver(b, "Fig3.20") }
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the cost
-// of the stochastic decision machinery itself, per algorithm, on one fixed
-// noisy Rosenbrock workload.
+// Ablation benchmarks: the cost of the stochastic decision machinery itself,
+// per algorithm, on one fixed noisy Rosenbrock workload.
 func benchAlgorithm(b *testing.B, alg core.Algorithm) {
 	b.Helper()
 	initial := [][]float64{
@@ -95,36 +94,3 @@ func BenchmarkAlgorithmMN(b *testing.B)       { benchAlgorithm(b, core.MN) }
 func BenchmarkAlgorithmPC(b *testing.B)       { benchAlgorithm(b, core.PC) }
 func BenchmarkAlgorithmPCMN(b *testing.B)     { benchAlgorithm(b, core.PCMN) }
 func BenchmarkAlgorithmAnderson(b *testing.B) { benchAlgorithm(b, core.AndersonNM) }
-
-// Resample-scope ablation (DESIGN.md §5): all-active vs pair-only sampling
-// during indeterminate PC comparisons. The residual achieved within the
-// fixed budget is reported alongside the runtime cost.
-func benchScope(b *testing.B, scope core.ResampleScope) {
-	b.Helper()
-	initial := [][]float64{
-		{-3, -3, -3}, {4, -2, 1}, {-1, 3, -2}, {2, 2, 4},
-	}
-	resid := 0.0
-	for i := 0; i < b.N; i++ {
-		space := NewLocalSpace(LocalConfig{
-			Dim:      3,
-			F:        rosen3,
-			Sigma0:   ConstSigma(100),
-			Seed:     int64(i + 1),
-			Parallel: true,
-		})
-		cfg := DefaultConfig(core.PC)
-		cfg.Scope = scope
-		cfg.MaxWalltime = 2e4
-		cfg.Tol = 0
-		res, err := Run(context.Background(), space, WithConfig(cfg), WithInitialSimplex(initial))
-		if err != nil {
-			b.Fatal(err)
-		}
-		resid += rosen3(res.BestX)
-	}
-	b.ReportMetric(resid/float64(b.N), "residual/op")
-}
-
-func BenchmarkScopeActive(b *testing.B) { benchScope(b, core.ScopeActive) }
-func BenchmarkScopePair(b *testing.B)   { benchScope(b, core.ScopePair) }

@@ -130,29 +130,6 @@ func (m ConditionMask) String() string {
 	return s
 }
 
-// ResampleScope selects the sampling scope of indeterminate PC comparisons.
-type ResampleScope int
-
-const (
-	// ScopeActive samples every active point each resample round (the
-	// parallel-deployment semantics; default).
-	ScopeActive ResampleScope = iota
-	// ScopePair samples only the two points being compared.
-	ScopePair
-)
-
-// String implements fmt.Stringer.
-func (s ResampleScope) String() string {
-	switch s {
-	case ScopeActive:
-		return "active"
-	case ScopePair:
-		return "pair"
-	default:
-		return fmt.Sprintf("ResampleScope(%d)", int(s))
-	}
-}
-
 // Move identifies a simplex transformation.
 type Move int
 
@@ -206,13 +183,6 @@ type Config struct {
 
 	// ErrorBars selects which PC conditions apply the error-bar comparison.
 	ErrorBars ConditionMask
-	// Scope selects which points accrue sampling while a PC comparison is
-	// indeterminate. The default (ScopeActive) models the paper's
-	// deployment, where a dedicated worker keeps every active vertex
-	// sampling; ScopePair samples only the two compared points, a
-	// serial-machine semantics kept for the ablation study (it materially
-	// weakens PC relative to MN — see EXPERIMENTS.md note 2).
-	Scope ResampleScope
 
 	// Speculative enables batch-speculative candidate evaluation: each
 	// simplex step submits the reflection, expansion and contraction

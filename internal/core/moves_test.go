@@ -149,43 +149,3 @@ func TestPCNoiselessMatchesDET(t *testing.T) {
 		t.Fatalf("noiseless PC resampled %d times", pc.ResampleRounds)
 	}
 }
-
-// ScopePair must confine sampling to the compared points: under the same
-// seed and budget it performs fewer evaluations per resample round than
-// ScopeActive (which samples all d+1+trials points every round).
-func TestScopePairSamplesFewerPoints(t *testing.T) {
-	runScope := func(scope ResampleScope) (evals int64, rounds int) {
-		sp := sim.NewLocalSpace(sim.LocalConfig{
-			Dim: 3, F: testfunc.Rosenbrock, Sigma0: sim.ConstSigma(100),
-			Seed: 5, Parallel: true,
-		})
-		cfg := DefaultConfig(PC)
-		cfg.Scope = scope
-		cfg.MaxIterations = 25
-		cfg.Tol = 0
-		cfg.MaxWalltime = 0
-		res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{
-			{-2, 1, 0}, {1, 2, -1}, {0, -2, 2}, {2, 0, 1},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Evaluations, res.ResampleRounds
-	}
-	pairEvals, pairRounds := runScope(ScopePair)
-	activeEvals, activeRounds := runScope(ScopeActive)
-	if pairRounds == 0 || activeRounds == 0 {
-		t.Skip("no resampling occurred; cannot compare scopes")
-	}
-	perPair := float64(pairEvals) / float64(pairRounds)
-	perActive := float64(activeEvals) / float64(activeRounds)
-	if perPair >= perActive {
-		t.Fatalf("pair scope %.1f evals/round not below active scope %.1f", perPair, perActive)
-	}
-}
-
-func TestResampleScopeString(t *testing.T) {
-	if ScopeActive.String() != "active" || ScopePair.String() != "pair" {
-		t.Fatal("scope names wrong")
-	}
-}

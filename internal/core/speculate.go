@@ -208,8 +208,8 @@ func (cs *candidateSet) collapse() error {
 }
 
 // refresh refills o.trials with the candidate points still under
-// consideration — the step's trial set for ScopeActive resampling, in the
-// fixed candidate order.
+// consideration — the step's trial set for resampling, in the fixed
+// candidate order.
 func (cs *candidateSet) refresh() {
 	trials := cs.o.trials[:0]
 	for _, p := range [...]sim.Point{cs.ref, cs.exp, cs.con} {

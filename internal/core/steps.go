@@ -228,17 +228,16 @@ func (o *optimizer) confidentlyGEq(a, b sim.Point, cond int) bool {
 	return ea.Mean >= eb.Mean
 }
 
-// resample gives the points of an indeterminate comparison one more round of
-// concurrent sampling. Under ScopeActive (default), every active point — the
-// d+1 vertices plus live trial points — accrues: in the paper's deployment a
-// worker is dedicated to each active vertex, so while a comparison is
-// pending all of them keep accumulating precision at no extra wall-clock
-// cost ("objective function evaluations must be kept active on each of the
-// d+1 vertices until it is certain that they are no longer needed"). Under
-// ScopePair only the two compared points sample. Returns false when the
-// budget or the round cap is exhausted and the decision must be forced, or
-// when the batch errored (cancellation) and the iteration must be abandoned.
-func (o *optimizer) resample(a, b sim.Point, dt *float64, dec *decisionClock) (bool, error) {
+// resample gives an indeterminate comparison one more round of concurrent
+// sampling. Every active point — the d+1 vertices plus live trial points —
+// accrues: in the paper's deployment a worker is dedicated to each active
+// vertex, so while a comparison is pending all of them keep accumulating
+// precision at no extra wall-clock cost ("objective function evaluations
+// must be kept active on each of the d+1 vertices until it is certain that
+// they are no longer needed"). Returns false when the budget or the round
+// cap is exhausted and the decision must be forced, or when the batch
+// errored (cancellation) and the iteration must be abandoned.
+func (o *optimizer) resample(dt *float64, dec *decisionClock) (bool, error) {
 	step, ok, forced := dec.allow(*dt)
 	if !ok {
 		if forced {
@@ -248,11 +247,7 @@ func (o *optimizer) resample(a, b sim.Point, dt *float64, dec *decisionClock) (b
 	}
 	// No backend retains the batch slice past the call, so every round
 	// refills the same scratch.
-	if o.cfg.Scope == ScopePair {
-		o.batch = append(o.batch[:0], a, b)
-	} else {
-		o.batch = append(append(o.batch[:0], o.verts...), o.trials...)
-	}
+	o.batch = append(append(o.batch[:0], o.verts...), o.trials...)
 	if err := o.sampleBatch(o.batch, step); err != nil {
 		return false, err
 	}
@@ -311,7 +306,7 @@ func (o *optimizer) stepPC(withMaxNoise bool) error {
 		default:
 			// Indeterminate band between c1 and c5: resample "until
 			// condition 1 or 5 is satisfied" (all active points accrue).
-			ok, err := o.resample(ref, smax, &dt, &dec)
+			ok, err := o.resample(&dt, &dec)
 			if err != nil {
 				return err
 			}
@@ -359,7 +354,7 @@ func (o *optimizer) pcExpansion(cs *candidateSet, ref sim.Point) error {
 			o.res.Moves.Reflections++
 			return nil
 		default:
-			ok, err := o.resample(exp, ref, &dt, &dec)
+			ok, err := o.resample(&dt, &dec)
 			if err != nil {
 				return err
 			}
@@ -408,7 +403,7 @@ func (o *optimizer) pcContraction(cs *candidateSet, ref, max sim.Point) error {
 			o.lastMove = MoveCollapse
 			return nil
 		default:
-			ok, err := o.resample(con, max, &dt, &dec)
+			ok, err := o.resample(&dt, &dec)
 			if err != nil {
 				return err
 			}

@@ -132,8 +132,8 @@ func TestFig35PCvsMNShape(t *testing.T) {
 // Fig 3.5c claim: the PC+MN vs PC distribution is near-symmetric with a
 // slight PC+MN edge ("performs slightly better at all noise levels, but only
 // by a small margin"). The paper's companion step-count asymmetry (178 vs
-// 900 steps) does not reproduce under parallel all-active sampling — see
-// EXPERIMENTS.md — so the robust assertions are the accuracy relation and
+// 900 steps) does not reproduce under parallel all-active sampling, so the
+// robust assertions are the accuracy relation and
 // the mechanism itself: PC+MN runs the max-noise gate (wait rounds > 0)
 // while plain PC never does.
 func TestPCMNvsPCShape(t *testing.T) {
@@ -162,7 +162,7 @@ func TestPCMNvsPCShape(t *testing.T) {
 
 func TestAblationRatiosRun(t *testing.T) {
 	tiny := Options{Quick: true, Seed: 3}
-	ratios, err := AblationRatios(tiny, core.Conditions(1), core.AllConditions)
+	ratios, err := ablationRatios(tiny, core.Conditions(1), core.AllConditions)
 	if err != nil {
 		t.Fatal(err)
 	}

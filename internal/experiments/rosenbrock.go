@@ -348,24 +348,18 @@ func Fig37(opt Options) (string, error) {
 	return ratioHistogram("Fig 3.7: PC k=1 vs k=2, sigma0=1000", ratios), nil
 }
 
-// conditionAblation compares two PC error-bar masks under the Fig 3.8-3.17
-// protocol (Rosenbrock 4-d, sigma0 = 1000).
+// conditionAblation renders the histogram of ablationRatios.
 func conditionAblation(opt Options, title string, maskNum, maskDen core.ConditionMask) (string, error) {
-	rosen, _ := testfunc.ByName("rosenbrock")
-	num := comparisonConfig(core.PC, opt)
-	num.ErrorBars = maskNum
-	den := comparisonConfig(core.PC, opt)
-	den.ErrorBars = maskDen
-	ratios, _, _, err := pairComparison(opt, rosen, 4, 1000, num, den, -5, 5)
+	ratios, err := ablationRatios(opt, maskNum, maskDen)
 	if err != nil {
 		return "", err
 	}
 	return ratioHistogram(title, ratios), nil
 }
 
-// AblationRatios exposes the raw log-ratios of a mask-vs-mask comparison for
-// the tests and benchmarks.
-func AblationRatios(opt Options, maskNum, maskDen core.ConditionMask) ([]float64, error) {
+// ablationRatios returns the per-seed log-ratios of two PC error-bar masks
+// under the Fig 3.8-3.17 protocol (Rosenbrock 4-d, sigma0 = 1000).
+func ablationRatios(opt Options, maskNum, maskDen core.ConditionMask) ([]float64, error) {
 	rosen, _ := testfunc.ByName("rosenbrock")
 	num := comparisonConfig(core.PC, opt)
 	num.ErrorBars = maskNum

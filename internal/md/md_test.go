@@ -129,6 +129,16 @@ func TestDensityGivesExpectedBox(t *testing.T) {
 	}
 }
 
+// TestDensityMatchesConfig: the box NewSystem sizes holds the configured
+// mass density, rho = N*M / (V * 0.60221408) in g/cm^3 with V in A^3.
+func TestDensityMatchesConfig(t *testing.T) {
+	s := buildSystem(t, 64, 25)
+	rho := float64(s.N) * WaterMolarMass / (s.Box.Volume() * 0.60221408)
+	if math.Abs(rho-0.997) > 1e-6 {
+		t.Fatalf("density = %v, want 0.997", rho)
+	}
+}
+
 func TestMSitePosition(t *testing.T) {
 	s := buildSystem(t, 8, 4)
 	s.UpdateMSites()

@@ -103,8 +103,6 @@ type Config struct {
 	T float64
 	// Cutoff in angstrom (0 selects min(box/2, 8.5)).
 	Cutoff float64
-	// Alpha is the DSF damping (0 selects 0.2).
-	Alpha float64
 	// Seed seeds velocity and orientation randomization.
 	Seed int64
 }
@@ -151,10 +149,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if s.Cutoff > L/2 {
 		return nil, fmt.Errorf("md: cutoff %.2f exceeds half box %.2f", s.Cutoff, L/2)
 	}
-	s.Alpha = cfg.Alpha
-	if s.Alpha == 0 {
-		s.Alpha = 0.2
-	}
+	s.Alpha = 0.2
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	spacing := L / float64(side)

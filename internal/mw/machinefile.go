@@ -55,9 +55,6 @@ func GenerateMachinefile(nodes, coresPerNode int) *Machinefile {
 	return m
 }
 
-// Len returns the number of processor slots.
-func (m *Machinefile) Len() int { return len(m.entries) }
-
 // Allocation maps every process of a deployment to a processor slot, in the
 // order section 4.2 describes. Worker restarts reuse the same slots ("when a
 // worker is restarted by the master; it is restarted on the same

@@ -12,8 +12,8 @@ func TestParseMachinefile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", m.Len())
+	if len(m.entries) != 3 {
+		t.Fatalf("%d entries, want 3", len(m.entries))
 	}
 }
 
@@ -25,8 +25,8 @@ func TestParseEmptyMachinefile(t *testing.T) {
 
 func TestGenerateMachinefile(t *testing.T) {
 	m := GenerateMachinefile(3, 8)
-	if m.Len() != 24 {
-		t.Fatalf("Len = %d, want 24", m.Len())
+	if len(m.entries) != 24 {
+		t.Fatalf("%d entries, want 24", len(m.entries))
 	}
 	if m.entries[0] != "node000" || m.entries[8] != "node001" {
 		t.Fatalf("node layout wrong: %v, %v", m.entries[0], m.entries[8])

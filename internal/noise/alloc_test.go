@@ -1,7 +1,6 @@
 package noise
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -16,20 +15,14 @@ func TestPerDrawAllocFree(t *testing.T) {
 	s := NewStream(1.0, 0.5, 42)
 	a := NewAccumulator(1.0, 0.5)
 	rng := rand.New(rand.NewSource(7))
-	zs := make([]float64, 16)
-	for i := range zs {
-		zs[i] = rng.NormFloat64()
-	}
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"Stream.Sample", func() { s.Sample(0.01) }},
 		{"Stream.ApplyDraw", func() { s.ApplyDraw(0.01, 0.3) }},
-		{"Stream.ApplyDraws/16", func() { s.ApplyDraws(0.01, zs) }},
 		{"Accumulator.Sample", func() { a.Sample(0.01, rng) }},
 		{"Accumulator.ApplyDraw", func() { a.ApplyDraw(0.01, 0.3) }},
-		{"Accumulator.ApplyDraws/16", func() { a.ApplyDraws(0.01, zs) }},
 	}
 	for _, c := range cases {
 		if allocs := testing.AllocsPerRun(200, c.fn); allocs != 0 {
@@ -44,13 +37,11 @@ func TestPerDrawAllocFree(t *testing.T) {
 // increment); the generator lives inside the stream, and its state vector is
 // not built before draw 274.
 func TestStreamFirstTouchAllocs(t *testing.T) {
-	zs := []float64{0.3, -0.2, 1.1}
 	cases := []struct {
 		name string
 		fn   func(*Stream)
 	}{
 		{"first ApplyDraw", func(s *Stream) { s.ApplyDraw(0.01, 0.3) }},
-		{"first ApplyDraws", func(s *Stream) { s.ApplyDraws(0.01, zs) }},
 		{"first Sample", func(s *Stream) { s.Sample(0.01) }},
 		{"first Sample after Restore", func(s *Stream) { s.Restore(State{T: 0.03, N: 3}); s.Sample(0.01) }},
 	}
@@ -88,37 +79,5 @@ func TestStreamInitMatchesNewStream(t *testing.T) {
 	}
 	if got, want := owner.stream.State(), ref.State(); got != want {
 		t.Fatalf("embedded stream %+v, NewStream %+v", got, want)
-	}
-}
-
-// TestApplyDrawsMatchesSequential pins the batched fold's bitwise contract:
-// ApplyDraws(dt, zs) must leave a stream in exactly the state len(zs)
-// sequential ApplyDraw calls would — same accumulator moments, same RNG
-// position — including when batches interleave with local Sample calls.
-func TestApplyDrawsMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	seq := NewStream(2.5, 1.25, 1234)
-	bat := NewStream(2.5, 1.25, 1234)
-	for round := 0; round < 50; round++ {
-		dt := 0.001 * float64(1+rng.Intn(100))
-		zs := make([]float64, rng.Intn(20))
-		for i := range zs {
-			zs[i] = rng.NormFloat64()
-		}
-		for _, z := range zs {
-			seq.ApplyDraw(dt, z)
-		}
-		bat.ApplyDraws(dt, zs)
-		if round%7 == 0 { // interleave local draws: RNG positions must agree
-			seq.Sample(dt)
-			bat.Sample(dt)
-		}
-		ss, bs := seq.State(), bat.State()
-		if ss != bs {
-			t.Fatalf("round %d: batched state diverged from sequential\nseq: %+v\nbat: %+v", round, ss, bs)
-		}
-		if b1, b2 := math.Float64bits(seq.Sigma()), math.Float64bits(bat.Sigma()); b1 != b2 {
-			t.Fatalf("round %d: sigma bits %x != %x", round, b1, b2)
-		}
 	}
 }

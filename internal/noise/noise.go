@@ -80,29 +80,6 @@ func (a *Accumulator) ApplyDraw(dt, z float64) {
 	a.n++
 }
 
-// ApplyDraws accrues len(zs) sampling increments of dt seconds each in one
-// call — the batched face of ApplyDraw. The scale factor sigma0*sqrt(dt) is
-// hoisted out of the loop and the Welford fold runs in one pass, but every
-// operation associates exactly as len(zs) sequential ApplyDraw calls would,
-// so the resulting state is bitwise identical. dt must be positive.
-//
-//optlint:noalloc
-func (a *Accumulator) ApplyDraws(dt float64, zs []float64) {
-	if len(zs) == 0 {
-		return
-	}
-	if dt <= 0 {
-		panic("noise: Sample requires dt > 0")
-	}
-	scale := a.sigma0 * math.Sqrt(dt)
-	for _, z := range zs {
-		a.w += scale * z
-		a.t += dt
-		a.z.Add(a.sigma0 * z)
-	}
-	a.n += len(zs)
-}
-
 // Mean returns the current running estimate of the objective value,
 // f + W(t)/t. Before any sampling it returns the underlying value (a point
 // that was never sampled carries no information; callers are expected to
@@ -177,9 +154,6 @@ func (a *Accumulator) restore(st State) {
 // optimization algorithms never call it.
 func (a *Accumulator) Underlying() float64 { return a.f }
 
-// Sigma0 returns the inherent noise strength sigma0_k.
-func (a *Accumulator) Sigma0() float64 { return a.sigma0 }
-
 // Increments returns the number of sampling increments taken so far.
 func (a *Accumulator) Increments() int { return a.n }
 
@@ -198,8 +172,8 @@ func (a *Accumulator) Increments() int { return a.n }
 //
 // The invariant is that a local draw for increment k is always variate k of
 // rand.New(NewSource(seed)). Increments that arrive with their draw attached
-// (the promoted Accumulator.ApplyDraw and ApplyDraws, computed by a remote
-// fleet worker replaying this stream's seed, and Restore) do not touch the
+// (the promoted Accumulator.ApplyDraw, whose draw a remote fleet worker
+// computed by replaying this stream's seed, and Restore) do not touch the
 // generator: they only widen the gap between the increment count and the
 // generator's position, and Sample closes the gap by discarding variates
 // before it draws. Local and remote sampling can therefore interleave on one

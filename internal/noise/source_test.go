@@ -185,13 +185,11 @@ func TestStreamInterleavedMatchesSampleOnly(t *testing.T) {
 					replica.NormFloat64()
 				case opApplyDraw:
 					got.ApplyDraw(dt, replica.NormFloat64())
-				case opApplyDraws:
+				case opApplyDraws: // a remote batch: k draws arrive together
 					k = choose.Intn(40)
-					zs := make([]float64, k)
-					for i := range zs {
-						zs[i] = replica.NormFloat64()
+					for i := 0; i < k; i++ {
+						got.ApplyDraw(dt, replica.NormFloat64())
 					}
-					got.ApplyDraws(dt, zs)
 				case opRestore:
 					k = 0
 					resumed := NewStream(2.5, 1.25, seed)
@@ -236,7 +234,7 @@ func TestStreamRestoreRequiresFreshStream(t *testing.T) {
 		{"fresh", func(*Stream) {}, false},
 		{"after Sample", func(s *Stream) { s.Sample(1) }, true},
 		{"after ApplyDraw", func(s *Stream) { s.ApplyDraw(1, 0.5) }, true},
-		{"after ApplyDraws", func(s *Stream) { s.ApplyDraws(1, []float64{0.5, -0.5}) }, true},
+		{"after ApplyDraws", func(s *Stream) { s.ApplyDraw(1, 0.5); s.ApplyDraw(1, -0.5) }, true},
 		{"after Restore", func(s *Stream) { s.Restore(snap) }, true},
 	}
 	for _, tc := range tests {

@@ -178,7 +178,13 @@ func TestSubmitWithIDAndQuota(t *testing.T) {
 		t.Fatalf("duplicate id: code %d body %v", code, body)
 	}
 
-	// One queued job fits the quota; the next is a 429.
+	// One queued job fits the quota; the next is a 429. The quota counts
+	// queued jobs, so j1 must have left the queue before j2 is posted.
+	waitFor(t, "shard0-j1 running", func() bool {
+		var st map[string]any
+		get(t, ts.URL+"/v1/jobs/shard0-j1", &st)
+		return st["state"] == "running"
+	})
 	if code, body = post(t, ts.URL+"/v1/jobs?id=shard0-j2", blocker); code != http.StatusAccepted {
 		t.Fatalf("queued submit: code %d body %v", code, body)
 	}

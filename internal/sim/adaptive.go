@@ -7,20 +7,21 @@ import (
 
 // Adaptive sampling: instead of a fixed initial allotment, a fresh point is
 // sampled in geometrically growing rounds until the confidence half-width of
-// its estimate (z * sigma, with sigma the backend's Welford-based estimate
-// under SigmaEstimated) meets a target. The gate reads only completed-batch
-// state, so which points continue is a pure function of the noise streams —
-// deterministic at any worker count.
+// its estimate (adaptiveZ * sigma, with sigma the backend's Welford-based
+// estimate under SigmaEstimated) meets a target. The gate reads only
+// completed-batch state, so which points continue is a pure function of the
+// noise streams — deterministic at any worker count.
+
+// adaptiveZ is the confidence multiplier of the half-width gate: a 95%
+// normal interval.
+const adaptiveZ = 1.96
 
 // AdaptivePlan configures variance-adaptive sampling of a batch of fresh
 // points.
 type AdaptivePlan struct {
 	// HalfWidth is the target confidence half-width: a point is resolved
-	// when Z * Estimate().Sigma <= HalfWidth. Must be positive.
+	// when 1.96 * Estimate().Sigma <= HalfWidth. Must be positive.
 	HalfWidth float64
-	// Z is the confidence multiplier. Zero selects 1.96 (a 95% normal
-	// interval).
-	Z float64
 	// Grow multiplies the sampling increment after each round (values < 1
 	// are treated as 1), so reaching a 1/sqrt(t) noise target takes O(log)
 	// rounds.
@@ -33,14 +34,6 @@ type AdaptivePlan struct {
 	// its walltime-budget clamp). A clamped increment of <= 0 stops the
 	// growth loop.
 	Clamp func(dt float64) float64
-}
-
-// z returns the effective confidence multiplier.
-func (p *AdaptivePlan) z() float64 {
-	if p.Z <= 0 {
-		return 1.96
-	}
-	return p.Z
 }
 
 // grow returns the effective per-round growth factor.
@@ -57,7 +50,7 @@ func (p *AdaptivePlan) resolved(pt Point) bool {
 	if math.IsInf(sigma, 1) {
 		return false
 	}
-	return p.z()*sigma <= p.HalfWidth
+	return adaptiveZ*sigma <= p.HalfWidth
 }
 
 // SampleAdaptive gives a batch of fresh points a variance-adaptive sampling

@@ -21,7 +21,7 @@ func adaptiveTestSpace(workers int) *LocalSpace {
 // far above the half-width target and must grow their sampling until
 // z*sigma <= target, identically at every worker count.
 func TestSampleAdaptiveReachesHalfWidth(t *testing.T) {
-	plan := AdaptivePlan{HalfWidth: 0.5, Z: 2, Grow: 2, MaxRounds: 30}
+	plan := AdaptivePlan{HalfWidth: 0.5, Grow: 2, MaxRounds: 30}
 	var ref []Estimate
 	var refRounds int
 	for _, workers := range []int{1, 4, 8} {
@@ -37,7 +37,7 @@ func TestSampleAdaptiveReachesHalfWidth(t *testing.T) {
 		ests := make([]Estimate, len(pts))
 		for i, p := range pts {
 			ests[i] = p.Estimate()
-			if got := plan.Z * ests[i].Sigma; got > plan.HalfWidth {
+			if got := adaptiveZ * ests[i].Sigma; got > plan.HalfWidth {
 				t.Errorf("workers=%d point %d: half-width %v above target %v", workers, i, got, plan.HalfWidth)
 			}
 		}

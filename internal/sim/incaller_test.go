@@ -23,7 +23,7 @@ func entryPoints(s *LocalSpace) ([]Estimate, error) {
 	}
 	err := s.SampleBatch(ctx, pts, 0.5)
 	if err == nil {
-		_, err = SampleAdaptive(ctx, s, pts, 1, AdaptivePlan{HalfWidth: 0.5, Z: 2, Grow: 2, MaxRounds: 30})
+		_, err = SampleAdaptive(ctx, s, pts, 1, AdaptivePlan{HalfWidth: 0.5, Grow: 2, MaxRounds: 30})
 	}
 	out := make([]Estimate, len(pts))
 	for i, p := range pts {

@@ -247,14 +247,6 @@ func (s *LocalSpace) Close() {
 	}
 }
 
-// Workers returns the real concurrency bound of batch sampling.
-func (s *LocalSpace) Workers() int {
-	if s.pool == nil {
-		return 1
-	}
-	return s.pool.Workers()
-}
-
 // Dim implements Space.
 func (s *LocalSpace) Dim() int { return s.cfg.Dim }
 

@@ -37,9 +37,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs)-1)
 }
 
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the median of xs (NaN for empty input).
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
@@ -58,34 +55,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Min and Max return the extrema (NaN for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs (NaN for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // FractionBelow returns the fraction of values strictly below the threshold.
@@ -163,12 +132,6 @@ func (h *Histogram) AddAll(xs []float64) {
 	for _, x := range xs {
 		h.Add(x)
 	}
-}
-
-// BinCenter returns the center of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
 }
 
 // MaxCount returns the largest bin count.
@@ -253,11 +216,6 @@ func (w *Welford) StdErr() float64 {
 	}
 	return w.StdDev() / math.Sqrt(float64(w.n))
 }
-
-// HalfWidth returns the z-scaled confidence half-width of the running mean,
-// z * StdErr. A mean is resolved to half-width h at confidence z when
-// HalfWidth(z) <= h; the adaptive resampling gate keeps sampling until it is.
-func (w *Welford) HalfWidth(z float64) float64 { return z * w.StdErr() }
 
 // Merge folds another accumulator's observations into w, as if every
 // observation both accumulators saw had been Added to w (Chan et al.'s

@@ -19,7 +19,7 @@ func TestMeanVariance(t *testing.T) {
 
 func TestEmptyInputs(t *testing.T) {
 	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Variance(nil)) ||
-		!math.IsNaN(Median(nil)) || !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
+		!math.IsNaN(Median(nil)) || !math.IsNaN(FractionBelow(nil, 0)) {
 		t.Fatal("empty-input statistics should be NaN")
 	}
 }
@@ -50,9 +50,6 @@ func TestQuantileDoesNotMutate(t *testing.T) {
 
 func TestMinMaxFraction(t *testing.T) {
 	xs := []float64{-1, 5, 2}
-	if Min(xs) != -1 || Max(xs) != 5 {
-		t.Fatalf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
 	if f := FractionBelow(xs, 2); math.Abs(f-1.0/3.0) > 1e-12 {
 		t.Fatalf("FractionBelow = %v", f)
 	}
@@ -97,9 +94,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.MaxCount() != 3 {
 		t.Fatalf("MaxCount = %d", h.MaxCount())
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Fatalf("BinCenter(0) = %v, want 1", c)
 	}
 }
 

@@ -52,8 +52,6 @@ type Series struct {
 	Name string
 	// X, Y are the data coordinates (equal length).
 	X, Y []float64
-	// Marker is the plot character; zero selects one automatically.
-	Marker byte
 }
 
 // XYOptions tune XY plot rendering.
@@ -69,7 +67,8 @@ type XYOptions struct {
 	XLabel, YLabel string
 }
 
-var defaultMarkers = []byte{'*', '+', 'o', 'x', '@', '%', '&', '~', '^', '='}
+// markers are the plot characters, one per series in order (cycling).
+var markers = []byte{'*', '+', 'o', 'x', '@', '%', '&', '~', '^', '='}
 
 // XY renders the series on a shared grid with axis ranges spanning all data.
 func XY(series []Series, opt XYOptions) string {
@@ -127,10 +126,7 @@ func XY(series []Series, opt XYOptions) string {
 		grid[r] = []byte(strings.Repeat(" ", opt.Width))
 	}
 	for si, s := range series {
-		marker := s.Marker
-		if marker == 0 {
-			marker = defaultMarkers[si%len(defaultMarkers)]
-		}
+		marker := markers[si%len(markers)]
 		for i := range s.X {
 			x, okx := tx(s.X[i])
 			y, oky := ty(s.Y[i])
@@ -172,11 +168,7 @@ func XY(series []Series, opt XYOptions) string {
 		fmt.Fprintf(&b, "x: %s   y: %s\n", opt.XLabel, opt.YLabel)
 	}
 	for si, s := range series {
-		marker := s.Marker
-		if marker == 0 {
-			marker = defaultMarkers[si%len(defaultMarkers)]
-		}
-		fmt.Fprintf(&b, "  %c %s\n", marker, s.Name)
+		fmt.Fprintf(&b, "  %c %s\n", markers[si%len(markers)], s.Name)
 	}
 	return b.String()
 }

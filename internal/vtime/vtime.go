@@ -40,20 +40,3 @@ func (c *Clock) Advance(dt float64) {
 // Reset rewinds the clock to zero. Experiments reuse clocks across repeated
 // optimization runs with different seeds.
 func (c *Clock) Reset() { c.now = 0 }
-
-// Stopwatch measures a span of virtual time against a Clock.
-type Stopwatch struct {
-	clock *Clock
-	start float64
-}
-
-// NewStopwatch starts a stopwatch at the clock's current time.
-func NewStopwatch(c *Clock) *Stopwatch {
-	return &Stopwatch{clock: c, start: c.Now()}
-}
-
-// Elapsed returns the virtual seconds since the stopwatch was started.
-func (s *Stopwatch) Elapsed() float64 { return s.clock.Now() - s.start }
-
-// Restart resets the stopwatch's origin to the clock's current time.
-func (s *Stopwatch) Restart() { s.start = s.clock.Now() }

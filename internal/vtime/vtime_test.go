@@ -74,21 +74,3 @@ func TestClockMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestStopwatch(t *testing.T) {
-	var c Clock
-	c.Advance(5)
-	sw := NewStopwatch(&c)
-	c.Advance(3)
-	if got := sw.Elapsed(); got != 3 {
-		t.Fatalf("Elapsed() = %v, want 3", got)
-	}
-	sw.Restart()
-	if got := sw.Elapsed(); got != 0 {
-		t.Fatalf("after Restart Elapsed() = %v, want 0", got)
-	}
-	c.Advance(2)
-	if got := sw.Elapsed(); got != 2 {
-		t.Fatalf("Elapsed() = %v, want 2", got)
-	}
-}

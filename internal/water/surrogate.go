@@ -1,7 +1,6 @@
 package water
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/mw"
@@ -148,19 +147,4 @@ func (s *Surrogate) Stop() {
 func NoiseFreeCost(x []float64) float64 {
 	props := NoiseFreeProperties(FromVec(x))
 	return Cost(props)
-}
-
-// CostSigma0 approximates the sampling-noise strength of the cost estimate
-// at x for the given noise factor, via gradient propagation of the
-// per-property sigma0s. It lets the plain sim.LocalSpace backend stand in
-// for the full property pipeline in cheap experiments.
-func CostSigma0(x []float64, noiseFactor float64) float64 {
-	props := NoiseFreeProperties(FromVec(x))
-	sigmas := PropertySigma0(noiseFactor)
-	v := 0.0
-	for i := Property(0); i < NumProperties; i++ {
-		g := costGradient(props, i)
-		v += g * g * sigmas[i] * sigmas[i]
-	}
-	return math.Sqrt(v)
 }

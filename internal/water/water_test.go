@@ -176,16 +176,6 @@ func TestPropertyEstimates(t *testing.T) {
 	}
 }
 
-func TestCostSigma0Positive(t *testing.T) {
-	s := CostSigma0(TIP4PParams().Vec(), 1.0)
-	if s <= 0 {
-		t.Fatalf("CostSigma0 = %v", s)
-	}
-	if s2 := CostSigma0(TIP4PParams().Vec(), 2.0); s2 <= s {
-		t.Fatalf("CostSigma0 not increasing in noise factor: %v vs %v", s2, s)
-	}
-}
-
 func TestModelRDFRespondsToParameters(t *testing.T) {
 	// Larger sigma must shift the gOO first peak outward.
 	peakPos := func(theta Params) float64 {
