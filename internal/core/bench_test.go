@@ -18,24 +18,34 @@ var start3 = [][]float64{{-3, -3, -3}, {4, -2, 1}, {-1, 3, -2}, {2, 2, 4}}
 // BenchmarkIterationDET measures the cost of one deterministic simplex
 // iteration including sampling bookkeeping.
 func BenchmarkIterationDET(b *testing.B) {
-	benchIterations(b, DET, 0, start3, 50)
+	benchIterations(b, DET, 0, start3, 50, nil)
 }
 
 // BenchmarkIterationMN includes the max-noise wait machinery.
 func BenchmarkIterationMN(b *testing.B) {
-	benchIterations(b, MN, 50, start3, 50)
+	benchIterations(b, MN, 50, start3, 50, nil)
 }
 
 // BenchmarkIterationPC includes the confidence comparisons and resampling.
 // The dim8-400 row is one job of the shape ckpt_stream runs (400 pc
-// iterations); with -benchmem its B/op and allocs/op are per job.
+// iterations); with -benchmem its B/op and allocs/op are per job. The
+// dim8-400-traced row adds a Trace callback that keeps its own copy of each
+// event, as the jobs layer does for its subscribers, so the per-iteration
+// trace is on the measured path too.
 func BenchmarkIterationPC(b *testing.B) {
-	b.Run("dim3-50", func(b *testing.B) { benchIterations(b, PC, 50, start3, 50) })
+	b.Run("dim3-50", func(b *testing.B) { benchIterations(b, PC, 50, start3, 50, nil) })
 	start8 := initSimplex(8, -3, 3, rand.New(noise.NewSource(8)))
-	b.Run("dim8-400", func(b *testing.B) { benchIterations(b, PC, 50, start8, 400) })
+	b.Run("dim8-400", func(b *testing.B) { benchIterations(b, PC, 50, start8, 400, nil) })
+	b.Run("dim8-400-traced", func(b *testing.B) {
+		benchIterations(b, PC, 50, start8, 400, func(e TraceEvent) { lastTrace = &e })
+	})
 }
 
-func benchIterations(b *testing.B, alg Algorithm, sigma float64, start [][]float64, iterations int) {
+// lastTrace holds the traced benchmark's latest event, so the copy escapes as
+// the jobs layer's does.
+var lastTrace *TraceEvent
+
+func benchIterations(b *testing.B, alg Algorithm, sigma float64, start [][]float64, iterations int, trace func(TraceEvent)) {
 	b.Helper()
 	b.ReportAllocs()
 	iters := 0
@@ -45,6 +55,7 @@ func benchIterations(b *testing.B, alg Algorithm, sigma float64, start [][]float
 		cfg.MaxIterations = iterations
 		cfg.Tol = 0
 		cfg.MaxWalltime = 0
+		cfg.Trace = trace
 		res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: start})
 		if err != nil {
 			b.Fatal(err)

@@ -66,10 +66,11 @@ type optimizer struct {
 
 	// Step scratch, reused by every iteration; no backend keeps a batch
 	// slice past the call, and NewPoint copies its coordinates.
-	cs    candidateSet // the step's candidates, reset by newCandidates
-	batch []sim.Point  // one sampling call: a resample round, a lone fresh point, a collapse's vertices
-	cent  []float64    // the step's centroid
-	xbuf  []float64    // the trial point being computed
+	cs    candidateSet   // the step's candidates, reset by newCandidates
+	batch []sim.Point    // one sampling call: a resample round, a lone fresh point, a collapse's vertices
+	est   []sim.Estimate // the vertices' estimates, read once per decision (see estimates)
+	cent  []float64      // the step's centroid
+	xbuf  []float64      // the trial point being computed
 
 	// adaptiveFloor is the current initial-sampling allotment for fresh
 	// points under Config.AdaptiveHalfWidth: it starts at InitialSample and is
@@ -93,6 +94,7 @@ func newOptimizer(ctx context.Context, space sim.Space, cfg Config, d int) *opti
 		space: space, cfg: cfg, d: d, clock: space.Clock(), ctx: ctx,
 		trials: make([]sim.Point, 0, 3+d),
 		batch:  make([]sim.Point, 0, 4+2*d),
+		est:    make([]sim.Estimate, 0, d+1),
 		cent:   geom[:d:d],
 		xbuf:   geom[d:],
 	}
@@ -206,12 +208,34 @@ func (o *optimizer) stepOverhead() {
 
 func (o *optimizer) elapsed() float64 { return o.clock.Now() - o.start }
 
+// estimates reads every vertex's estimate once into the o.est scratch. A
+// decision reads the vertices through it rather than calling Estimate per
+// comparison: nothing samples while a decision compares, so one read per
+// vertex gives the very values repeated calls would.
+func (o *optimizer) estimates() []sim.Estimate {
+	o.est = o.est[:0]
+	for _, v := range o.verts {
+		o.est = append(o.est, v.Estimate())
+	}
+	return o.est
+}
+
 // spread returns max_i |g_i - g_min| over the current estimates (eq 2.9).
 func (o *optimizer) spread() float64 {
+	_, spread := bestAndSpread(o.estimates())
+	return spread
+}
+
+// bestAndSpread returns, in one pass over est, the index order reports as
+// imin (the first lowest mean) and max_i |g_i - g_min| (eq 2.9).
+func bestAndSpread(est []sim.Estimate) (imin int, spread float64) {
 	min := math.Inf(1)
 	max := math.Inf(-1)
-	for _, v := range o.verts {
-		g := v.Estimate().Mean
+	for i, e := range est {
+		g := e.Mean
+		if g < est[imin].Mean {
+			imin = i
+		}
 		if g < min {
 			min = g
 		}
@@ -219,7 +243,7 @@ func (o *optimizer) spread() float64 {
 			max = g
 		}
 	}
-	return max - min
+	return imin, max - min
 }
 
 func (o *optimizer) checkTermination() bool {
@@ -265,16 +289,18 @@ func (o *optimizer) clampDt(dt float64) float64 {
 }
 
 // order returns the indices of the worst (imax), second-worst (ismax) and
-// best (imin) vertices by current estimate.
+// best (imin) vertices by current estimate. It leaves the estimates it
+// compared in o.est.
 func (o *optimizer) order() (imax, ismax, imin int) {
-	n := len(o.verts)
+	est := o.estimates()
+	n := len(est)
 	imax, imin = 0, 0
 	for i := 1; i < n; i++ {
-		gi := o.verts[i].Estimate().Mean
-		if gi > o.verts[imax].Estimate().Mean {
+		gi := est[i].Mean
+		if gi > est[imax].Mean {
 			imax = i
 		}
-		if gi < o.verts[imin].Estimate().Mean {
+		if gi < est[imin].Mean {
 			imin = i
 		}
 	}
@@ -283,7 +309,7 @@ func (o *optimizer) order() (imax, ismax, imin int) {
 		if i == imax {
 			continue
 		}
-		if ismax == -1 || o.verts[i].Estimate().Mean > o.verts[ismax].Estimate().Mean {
+		if ismax == -1 || est[i].Mean > est[ismax].Mean {
 			ismax = i
 		}
 	}
@@ -416,7 +442,7 @@ func (o *optimizer) emitTrace() {
 	if o.cfg.Trace == nil {
 		return
 	}
-	_, _, imin := o.order()
+	imin, spread := bestAndSpread(o.estimates())
 	best := o.verts[imin]
 	underlying := math.NaN()
 	if f, ok := sim.Underlying(best); ok {
@@ -425,32 +451,31 @@ func (o *optimizer) emitTrace() {
 	o.cfg.Trace(TraceEvent{
 		Iter:             o.res.Iterations,
 		Time:             o.elapsed(),
-		Best:             best.Estimate().Mean,
+		Best:             o.est[imin].Mean,
 		BestX:            append([]float64(nil), best.X()...),
 		BestUnderlying:   underlying,
-		Spread:           o.spread(),
+		Spread:           spread,
 		Move:             o.lastMove,
 		ContractionLevel: o.level,
 	})
 }
 
 func (o *optimizer) finish() {
-	_, _, imin := o.order()
-	best := o.verts[imin]
-	est := best.Estimate()
-	o.res.BestX = append([]float64(nil), best.X()...)
-	o.res.BestG = est.Mean
-	o.res.BestSigma = est.Sigma
+	est := o.estimates()
+	imin, spread := bestAndSpread(est)
+	o.res.BestX = append([]float64(nil), o.verts[imin].X()...)
+	o.res.BestG = est[imin].Mean
+	o.res.BestSigma = est[imin].Sigma
 	o.res.Walltime = o.elapsed()
 	o.res.Evaluations = o.space.Evaluations()
 	o.res.Termination = o.term
-	o.res.FinalSpread = o.spread()
+	o.res.FinalSpread = spread
 	o.res.ContractionLevel = o.level
 	o.res.FinalSimplex = make([][]float64, len(o.verts))
 	o.res.FinalValues = make([]float64, len(o.verts))
 	for i, v := range o.verts {
 		o.res.FinalSimplex[i] = append([]float64(nil), v.X()...)
-		o.res.FinalValues[i] = v.Estimate().Mean
+		o.res.FinalValues[i] = est[i].Mean
 		v.Close()
 	}
 }

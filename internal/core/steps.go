@@ -99,9 +99,9 @@ func (o *optimizer) waitConditionHolds(policy waitPolicy) bool {
 		maxVar := 0.0
 		avgVar := 0.0
 		mean := 0.0
-		n := float64(len(o.verts))
-		for _, v := range o.verts {
-			est := v.Estimate()
+		ests := o.estimates()
+		n := float64(len(ests))
+		for _, est := range ests {
 			s2 := est.Sigma * est.Sigma
 			if s2 > maxVar {
 				maxVar = s2
@@ -110,8 +110,8 @@ func (o *optimizer) waitConditionHolds(policy waitPolicy) bool {
 			mean += est.Mean / n
 		}
 		observed := 0.0
-		for _, v := range o.verts {
-			d := v.Estimate().Mean - mean
+		for _, est := range ests {
+			d := est.Mean - mean
 			observed += d * d / n
 		}
 		internal := observed - avgVar
@@ -147,8 +147,8 @@ func (o *optimizer) stepNM(policy waitPolicy) error {
 
 	imax, _, imin := o.order()
 	o.centroid(imax)
-	gmax := o.verts[imax].Estimate().Mean
-	gmin := o.verts[imin].Estimate().Mean
+	gmax := o.est[imax].Mean
+	gmin := o.est[imin].Mean
 
 	cs, err := o.newCandidates(imax, imin)
 	if err != nil {

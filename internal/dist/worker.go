@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -43,9 +42,6 @@ type WorkerConfig struct {
 	// the work the fleet exists to farm out. It must be safe for concurrent
 	// calls.
 	SampleCost func(x []float64, dt float64)
-	// Dial overrides the connection to the coordinator (tests); nil dials
-	// Addr over TCP.
-	Dial func(ctx context.Context) (net.Conn, error)
 	// Events, when non-nil, receives structured agent events
 	// (session_start after each handshake, session_end with the error and
 	// reconnect delay). nil is silent.
@@ -78,13 +74,15 @@ type Worker struct {
 	streams map[int64]*streamPos
 }
 
-// streamPos is a cached RNG with the number of draws it has produced. Each
-// entry carries its own lock so a cache-miss replay — thousands of discarded
-// variates for a far-ahead skip — serializes only tasks of the same stream,
-// not the whole agent.
+// streamPos is a cached generator with the number of variates it has
+// produced. It draws through Source.NormFloat64, the method a local
+// noise.Stream draws through, so a fleet draw is a local draw by
+// construction. Each entry carries its own lock so a cache-miss replay —
+// thousands of discarded variates for a far-ahead skip — serializes only
+// tasks of the same stream, not the whole agent.
 type streamPos struct {
 	mu  sync.Mutex
-	rng *rand.Rand
+	src noise.Source
 	pos int
 }
 
@@ -320,9 +318,6 @@ func (w *Worker) RunLoop(ctx context.Context) error {
 // the rotation parked on the address that worked, so a healthy coordinator
 // keeps its workers until it actually fails.
 func (w *Worker) dial(ctx context.Context) (net.Conn, error) {
-	if w.cfg.Dial != nil {
-		return w.cfg.Dial(ctx)
-	}
 	if len(w.addrs) == 0 {
 		return nil, errors.New("dist: no coordinator address configured")
 	}
@@ -376,7 +371,8 @@ func (w *Worker) draw(seed int64, skip int) float64 {
 		if len(w.streams) >= maxCachedStreams {
 			w.streams = make(map[int64]*streamPos)
 		}
-		sp = &streamPos{rng: rand.New(noise.NewSource(seed))}
+		sp = new(streamPos)
+		sp.src.Seed(seed)
 		w.streams[seed] = sp
 	}
 	w.mu.Unlock()
@@ -384,14 +380,14 @@ func (w *Worker) draw(seed int64, skip int) float64 {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if sp.pos > skip {
-		sp.rng.Seed(seed)
+		sp.src.Seed(seed)
 		sp.pos = 0
 		mWorkerReseeds.Inc()
 	}
 	for ; sp.pos < skip; sp.pos++ {
-		sp.rng.NormFloat64()
+		sp.src.NormFloat64()
 	}
-	z := sp.rng.NormFloat64()
+	z := sp.src.NormFloat64()
 	sp.pos++
 	return z
 }

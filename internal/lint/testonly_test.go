@@ -37,10 +37,6 @@ var testOnlyWaivers = []struct {
 	// An MD physics parameter that tests change.
 	{"md.Config.Cutoff", "physics parameter: TestCellListMatchesDirectPairs shrinks it so the cell list engages"},
 
-	// A dead knob: no file sets it, tests included. Deleting it edits the
-	// worker's dial path, which the fleet_compute benchmark workload runs.
-	{"dist.WorkerConfig.Dial", "dead knob on the fleet_compute workload's path"},
-
 	// Fair-share observation, which ROADMAP item 4 (one dispatch engine)
 	// moves onto the coordinator.
 	{"sched.Scheduler.Dispatched", "fair-share observation; moves with ROADMAP item 4"},

@@ -33,12 +33,15 @@ type Accumulator struct {
 
 	t float64 // accumulated sampling time
 	w float64 // accumulated Brownian noise integral, Var = sigma0^2 * t
+	n int     // number of increments
 
 	// Statistics for estimating sigma0 from the observed increments, used
 	// when the optimizer is not told the true noise strength (the paper:
 	// "there is no expectation that this variance is known ahead of time").
-	n int           // number of increments
-	z stats.Welford // online moments of the normalized increments
+	// They are folded only once EstimateSigma is called: an owner that
+	// reports the true sigma never pays for moments it does not read.
+	fold bool
+	z    stats.Welford // online moments of the normalized increments
 }
 
 // NewAccumulator returns an accumulator for a point whose noise-free value is
@@ -73,12 +76,20 @@ func (a *Accumulator) ApplyDraw(dt, z float64) {
 	}
 	a.w += a.sigma0 * math.Sqrt(dt) * z
 	a.t += dt
+	a.n++
 
 	// Each increment's value, normalized, is an N(0, sigma0^2) draw:
 	// (dW/dt)*sqrt(dt) = sigma0 * z. Track it to estimate sigma0.
-	a.z.Add(a.sigma0 * z)
-	a.n++
+	if a.fold {
+		a.z.Add(a.sigma0 * z)
+	}
 }
+
+// EstimateSigma makes the accumulator fold every later increment into the
+// moments SigmaEst reads. Call it before the first increment (or before
+// restoring a state that was folded): increments applied earlier are not in
+// the moments.
+func (a *Accumulator) EstimateSigma() { a.fold = true }
 
 // Mean returns the current running estimate of the objective value,
 // f + W(t)/t. Before any sampling it returns the underlying value (a point
@@ -104,8 +115,13 @@ func (a *Accumulator) Sigma() float64 {
 // running mean, computed only from observed increments (no knowledge of the
 // true sigma0). With fewer than two increments it falls back to the true
 // value, mirroring a practitioner's use of a prior guess until batch
-// statistics exist.
+// statistics exist. It panics unless EstimateSigma was called: the moments
+// of an accumulator that does not fold are empty, and reading them would
+// silently report the true sigma instead.
 func (a *Accumulator) SigmaEst() float64 {
+	if !a.fold {
+		panic("noise: SigmaEst on an accumulator that does not fold its increments (call EstimateSigma first)")
+	}
 	if a.z.N() < 2 || a.t == 0 {
 		return a.Sigma()
 	}
@@ -128,7 +144,8 @@ type State struct {
 	W float64 `json:"w"`
 	// N is the number of sampling increments (== normal draws consumed).
 	N int `json:"n"`
-	// ZMean, ZM2 and ZCount are the Welford statistics behind SigmaEst.
+	// ZMean, ZM2 and ZCount are the Welford statistics behind SigmaEst;
+	// all zero when the accumulator does not fold (see EstimateSigma).
 	ZMean  float64 `json:"z_mean"`
 	ZM2    float64 `json:"z_m2"`
 	ZCount int     `json:"z_count"`
@@ -143,10 +160,13 @@ func (a *Accumulator) State() State {
 
 // restore overwrites the accumulator's sampling state. The identity fields
 // (f, sigma0) are not part of State; they are reconstructed by the caller
-// from the point's coordinates.
+// from the point's coordinates. An accumulator that does not fold keeps its
+// moments empty, whatever the state carries.
 func (a *Accumulator) restore(st State) {
 	a.t, a.w, a.n = st.T, st.W, st.N
-	a.z.Restore(stats.WelfordState{N: st.ZCount, Mean: st.ZMean, M2: st.ZM2})
+	if a.fold {
+		a.z.Restore(stats.WelfordState{N: st.ZCount, Mean: st.ZMean, M2: st.ZM2})
+	}
 }
 
 // Underlying returns the noise-free value f. It exists for harness-side
@@ -165,25 +185,25 @@ func (a *Accumulator) Increments() int { return a.n }
 //
 // A stream has one owner at a time and takes no lock: it is sampled by one
 // goroutine at a time, which the batch paths guarantee by refusing a batch
-// that lists a point twice. A Stream holds its generator by value, pointing
-// into itself, so it must not be copied once initialized; embed it in the
-// object that owns it and call Init there. Seeding is O(1) (see Source), so
-// Init does it eagerly.
+// that lists a point twice. A Stream holds its generator by value, and the
+// generator's state vector by pointer, so a copy would share that vector:
+// embed a Stream in the object that owns it and call Init there. Seeding is
+// O(1) (see Source), so Init does it eagerly.
 //
 // The invariant is that a local draw for increment k is always variate k of
-// rand.New(NewSource(seed)). Increments that arrive with their draw attached
-// (the promoted Accumulator.ApplyDraw, whose draw a remote fleet worker
-// computed by replaying this stream's seed, and Restore) do not touch the
-// generator: they only widen the gap between the increment count and the
-// generator's position, and Sample closes the gap by discarding variates
-// before it draws. Local and remote sampling can therefore interleave on one
+// NewSource(seed).NormFloat64, which is variate k of rand.New(NewSource(seed))
+// too. Increments that arrive with their draw attached (the promoted
+// Accumulator.ApplyDraw, whose draw a remote fleet worker computed by
+// replaying this stream's seed with the same method, and Restore) do not
+// touch the generator: they only widen the gap between the increment count
+// and the generator's position, and Sample closes the gap by discarding
+// variates before it draws. Local and remote sampling can therefore interleave on one
 // point, and a restored stream stays exact; a fleet master, whose every draw
 // is computed by a worker, never runs the generator at all.
 type Stream struct {
 	Accumulator
-	pos int       // normal variates rng has produced, <= Increments()
-	src Source    // seeded by Init: O(1), and nothing is drawn until Sample
-	rng rand.Rand // rand.New(&src), by value
+	pos int    // normal variates src has produced, <= Increments()
+	src Source // seeded by Init: O(1), and nothing is drawn until Sample
 }
 
 // NewStream builds the sampling stream for a point with noise-free value f,
@@ -203,7 +223,6 @@ func (s *Stream) Init(f, sigma0 float64, seed int64) {
 	}
 	*s = Stream{Accumulator: Accumulator{f: f, sigma0: sigma0}}
 	s.src.Seed(seed)
-	s.rng = *rand.New(&s.src)
 }
 
 // Sample accrues dt additional seconds of sampling, drawing the noise
@@ -214,7 +233,7 @@ func (s *Stream) Sample(dt float64) {
 	if s.pos != s.n {
 		s.catchUp()
 	}
-	s.Accumulator.Sample(dt, &s.rng)
+	s.ApplyDraw(dt, s.src.NormFloat64())
 	s.pos++
 }
 
@@ -224,7 +243,7 @@ func (s *Stream) Sample(dt float64) {
 // only be reached by drawing.)
 func (s *Stream) catchUp() {
 	for ; s.pos < s.n; s.pos++ {
-		s.rng.NormFloat64()
+		s.src.NormFloat64()
 	}
 }
 

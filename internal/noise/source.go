@@ -4,14 +4,16 @@ package noise
 // NewSource, with O(1) seeding. Every value it returns is bit for bit the
 // value the stdlib source returns for the same seed at the same position, so
 // rand.New(noise.NewSource(seed)) is a drop-in *rand.Rand: same Int63, same
-// NormFloat64, same Perm.
+// NormFloat64, same Perm. Source.NormFloat64 (normal.go) draws the same normal
+// variates without the rand.Rand, and is what sampling streams use.
 //
 // What differs is when the 607-word state is computed. The stdlib fills it
 // eagerly by stepping the Lehmer LCG x -> 48271*x mod (2^31-1) 1841 times in
 // sequence, about 13 us, which a simplex trial point that then draws three
 // variates pays in full. But word i depends only on steps 21+3i .. 23+3i of
 // that chain, and step k is x0 * 48271^k mod (2^31-1): with the powers
-// tabulated once at init, any word is two multiplications away from the seed.
+// tabulated once at init, any word is three independent multiplications away
+// from the seed.
 //
 // The draw order is fixed — draw n adds words 334-n and 607-n and stores the
 // sum in the former — so the first 273 draws read only words no draw has
@@ -24,14 +26,16 @@ package noise
 // the early phase hides behind the feed-index wrap test that draw already
 // carries.
 //
-// A Source is not safe for concurrent use, like the stdlib's.
+// A Source is not safe for concurrent use, like the stdlib's. Its indices are
+// int32 (they stay below 607): a Source lives inside every sampled point's
+// Stream, and the narrow fields keep a point a size class smaller.
 type Source struct {
-	tap  int // index of the lagged word; counts down, wrapping below 0
-	feed int // index of the word being replaced; counts down
+	tap  int32 // index of the lagged word; counts down, wrapping below 0
+	feed int32 // index of the word being replaced; counts down
 	// live is the feed index below which a draw leaves the plain path:
 	// rngLen-rngTap while the stream is still computed from the seed (every
 	// draw), 0 once vec is built (only the wrap of feed from -1 to 606).
-	live int
+	live int32
 	x0   uint64         // the seed reduced into the LCG's domain [1, 2^31-2]
 	vec  *[rngLen]int64 // nil until draw 274; kept across Seed for reuse
 }
@@ -45,15 +49,16 @@ const (
 	lcgMul = 48271
 )
 
-// lcgPow[i] is 48271^(21+3i) mod (2^31-1): the multiplier that carries a seed
-// to the first of the three LCG outputs packed into state word i. (The stdlib
-// discards 20 outputs, then spends three per word.)
-var lcgPow = func() (pow [rngLen]uint64) {
+// lcgPow[i] holds 48271^(21+3i+j) mod (2^31-1) for j = 0, 1, 2: the
+// multipliers that carry a seed to the three LCG outputs packed into state
+// word i. (The stdlib discards 20 outputs, then spends three per word.) Every
+// residue is below 2^31, so uint32 holds it.
+var lcgPow = func() (pow [rngLen][3]uint32) {
 	p := uint64(1)
-	for k := 1; k <= 21+3*(rngLen-1); k++ {
+	for k := 1; k <= 23+3*(rngLen-1); k++ {
 		p = mulmod(p, lcgMul)
-		if k >= 21 && (k-21)%3 == 0 {
-			pow[(k-21)/3] = p
+		if k >= 21 {
+			pow[(k-21)/3][(k-21)%3] = uint32(p)
 		}
 	}
 	return pow
@@ -132,7 +137,7 @@ func (s *Source) slow() int64 {
 	case s.live == 0:
 		s.feed += rngLen
 	case s.tap >= rngLen-rngTap:
-		return s.word(s.feed) + s.word(s.tap)
+		return s.word(int(s.feed)) + s.word(int(s.tap))
 	default:
 		s.build()
 	}
@@ -160,11 +165,14 @@ func (s *Source) build() {
 
 // word computes initial state word i from the seed alone: LCG outputs
 // 21+3i, 22+3i and 23+3i packed at bit offsets 40, 20 and 0, XOR the cooked
-// constant — exactly what the stdlib's sequential fill leaves in vec[i].
+// constant — exactly what the stdlib's sequential fill leaves in vec[i]. Each
+// output is its own power of the multiplier applied to the seed, so the three
+// multiplications are independent rather than a chain that waits on each.
 func (s *Source) word(i int) int64 {
-	x1 := mulmod(s.x0, lcgPow[i])
-	x2 := mulmod(x1, lcgMul)
-	x3 := mulmod(x2, lcgMul)
+	p := &lcgPow[i]
+	x1 := mulmod(s.x0, uint64(p[0]))
+	x2 := mulmod(s.x0, uint64(p[1]))
+	x3 := mulmod(s.x0, uint64(p[2]))
 	return int64(x1<<40^x2<<20^x3) ^ rngCooked[i]
 }
 

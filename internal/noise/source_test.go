@@ -8,46 +8,62 @@ import (
 )
 
 // This file is the equivalence contract of Source: for every seed, at every
-// position, through every rand.Rand method, it returns the bits
-// rand.New(rand.NewSource(seed)) returns. math/rand is the reference and
-// nothing else is: no expected values are recorded here, so the contract
-// holds against whatever toolchain runs the tests.
+// position, through every rand.Rand method and its own NormFloat64, it
+// returns the bits rand.New(rand.NewSource(seed)) returns. math/rand is the
+// reference and nothing else is: no expected values are recorded here, so
+// the contract holds against whatever toolchain runs the tests.
 
-// drawMethods are the rand.Rand methods the contract is checked through, in
-// method-mask bit order. Each reduces one call to a comparable bit pattern.
+// drawMethods are the methods the contract is checked through, in
+// method-mask bit order. Each reduces one call to a comparable bit pattern:
+// bits on the stdlib side, and on Source's side too unless direct is set,
+// in which case Source's side calls direct on the Source itself.
 var drawMethods = []struct {
-	name string
-	bits func(*rand.Rand) uint64
+	name   string
+	bits   func(*rand.Rand) uint64
+	direct func(*Source) uint64
 }{
-	{"Int63", func(r *rand.Rand) uint64 { return uint64(r.Int63()) }},
-	{"Uint64", func(r *rand.Rand) uint64 { return r.Uint64() }},
-	{"NormFloat64", func(r *rand.Rand) uint64 { return math.Float64bits(r.NormFloat64()) }},
-	{"ExpFloat64", func(r *rand.Rand) uint64 { return math.Float64bits(r.ExpFloat64()) }},
-	{"Float64", func(r *rand.Rand) uint64 { return math.Float64bits(r.Float64()) }},
+	{"Int63", func(r *rand.Rand) uint64 { return uint64(r.Int63()) }, nil},
+	{"Uint64", func(r *rand.Rand) uint64 { return r.Uint64() }, nil},
+	{"NormFloat64", func(r *rand.Rand) uint64 { return math.Float64bits(r.NormFloat64()) }, nil},
+	{"ExpFloat64", func(r *rand.Rand) uint64 { return math.Float64bits(r.ExpFloat64()) }, nil},
+	{"Float64", func(r *rand.Rand) uint64 { return math.Float64bits(r.Float64()) }, nil},
 	{"Perm", func(r *rand.Rand) uint64 {
 		h := uint64(0)
 		for _, v := range r.Perm(5) {
 			h = h*8 + uint64(v)
 		}
 		return h
-	}},
+	}, nil},
+	{"Source.NormFloat64",
+		func(r *rand.Rand) uint64 { return math.Float64bits(r.NormFloat64()) },
+		func(s *Source) uint64 { return math.Float64bits(s.NormFloat64()) }},
 }
 
-const allMethods = 1<<6 - 1
+const (
+	allMethods   = 1<<7 - 1
+	directNormal = 1 << 6 // the Source.NormFloat64 row
+)
 
 // diverge draws n values from both generators, cycling through the methods
 // mask enables (none enabled means all), and describes the first draw whose
 // bits differ; "" means none did.
-func diverge(got, want *rand.Rand, n int, mask uint8) string {
+func diverge(got *Source, want *rand.Rand, n int, mask uint8) string {
 	if mask&allMethods == 0 {
 		mask = allMethods
 	}
+	gotRand := rand.New(got)
 	for i, k := 0, 0; i < n; k++ {
 		m := k % len(drawMethods)
 		if mask&(1<<m) == 0 {
 			continue
 		}
-		if g, w := drawMethods[m].bits(got), drawMethods[m].bits(want); g != w {
+		g := uint64(0)
+		if direct := drawMethods[m].direct; direct != nil {
+			g = direct(got)
+		} else {
+			g = drawMethods[m].bits(gotRand)
+		}
+		if w := drawMethods[m].bits(want); g != w {
 			return fmt.Sprintf("draw %d (%s): %#x, stdlib %#x", i, drawMethods[m].name, g, w)
 		}
 		i++
@@ -84,18 +100,68 @@ func TestSourceMatchesStdlib(t *testing.T) {
 		{"ExpFloat64", 1 << 3},
 		{"Float64", 1 << 4},
 		{"Perm", 1 << 5},
+		{"Source.NormFloat64", directNormal},
 		{"Int63+Uint64", 1<<0 | 1<<1},
+		{"NormFloat64+Source.NormFloat64", 1<<2 | directNormal},
+		{"Float64+Source.NormFloat64", 1<<4 | directNormal},
 		{"all", allMethods},
 	}
 	for _, mix := range mixes {
 		t.Run(mix.name, func(t *testing.T) {
 			for _, seed := range seedClasses() {
-				got, want := rand.New(NewSource(seed)), rand.New(rand.NewSource(seed))
+				got, want := NewSource(seed), rand.New(rand.NewSource(seed))
 				if d := diverge(got, want, 3100, mix.mask); d != "" {
 					t.Fatalf("seed %d: %s", seed, d)
 				}
 			}
 		})
+	}
+}
+
+// wordTape is a rand.Source that records the words it hands out.
+type wordTape struct {
+	rand.Source
+	words []int64
+}
+
+func (t *wordTape) Int63() int64 {
+	x := t.Source.Int63()
+	t.words = append(t.words, x)
+	return x
+}
+
+// TestSourceNormFloat64Branches draws Source.NormFloat64 over the seed
+// classes and, from the stdlib reference's first word of each variate,
+// counts the variates that left the ziggurat's fast path for the base strip
+// (i == 0, the tail) and for a wedge test. Equality on fast-path variates
+// alone would leave the two rarely taken branches, where the copy differs
+// from a plain transcription, unchecked; the test fails if either count is
+// zero, so the draws it compares always reach both.
+func TestSourceNormFloat64Branches(t *testing.T) {
+	const draws = 3100
+	var base, wedge int
+	for _, seed := range seedClasses() {
+		got, tape := NewSource(seed), &wordTape{Source: rand.NewSource(seed)}
+		want := rand.New(tape)
+		for n := 0; n < draws; n++ {
+			tape.words = tape.words[:0]
+			w := want.NormFloat64()
+			if g := got.NormFloat64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d, variate %d: %v, stdlib %v", seed, n, g, w)
+			}
+			j := int32(uint32(tape.words[0] >> 31))
+			switch i := j & 0x7F; {
+			case absInt32(j) < kn[i]:
+			case i == 0:
+				base++
+			default:
+				wedge++
+			}
+		}
+	}
+	t.Logf("%d base-strip and %d wedge variates", base, wedge)
+	if base == 0 || wedge == 0 {
+		t.Fatalf("%d base-strip and %d wedge variates: both branches must be reached", base, wedge)
 	}
 }
 
@@ -105,7 +171,7 @@ func TestSourceMatchesStdlib(t *testing.T) {
 func TestSourceReseedMidStream(t *testing.T) {
 	for _, before := range boundaryCounts {
 		for _, after := range boundaryCounts {
-			got, want := rand.New(NewSource(11)), rand.New(rand.NewSource(11))
+			got, want := NewSource(11), rand.New(rand.NewSource(11))
 			if d := diverge(got, want, before, 1<<0); d != "" {
 				t.Fatalf("before re-seed at %d: %s", before, d)
 			}
@@ -128,9 +194,10 @@ func TestSourceReseedMidStream(t *testing.T) {
 func FuzzSourceMatchesStdlib(f *testing.F) {
 	f.Add(int64(0), uint16(700), uint8(allMethods))
 	f.Add(int64(math.MinInt64), uint16(1300), uint8(1<<2))
+	f.Add(int64(-97), uint16(1214), uint8(directNormal))
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16, methodMask uint8) {
 		n := int(draws) % 4096
-		got, want := rand.New(NewSource(seed)), rand.New(rand.NewSource(seed))
+		got, want := NewSource(seed), rand.New(rand.NewSource(seed))
 		if d := diverge(got, want, n, methodMask); d != "" {
 			t.Fatalf("seed %d, %d draws, mask %#x: %s", seed, n, methodMask, d)
 		}
@@ -172,8 +239,12 @@ func TestStreamInterleavedMatchesSampleOnly(t *testing.T) {
 	for ti, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			seed := int64(1000 + ti)
-			ref := NewStream(2.5, 1.25, seed)
-			got := NewStream(2.5, 1.25, seed)
+			folding := func() *Stream { // so the compared state holds the SigmaEst moments too
+				s := NewStream(2.5, 1.25, seed)
+				s.EstimateSigma()
+				return s
+			}
+			ref, got := folding(), folding()
 			replica := rand.New(rand.NewSource(seed))
 			choose := rand.New(rand.NewSource(int64(ti)))
 			for n := 0; n < increments; {
@@ -192,7 +263,7 @@ func TestStreamInterleavedMatchesSampleOnly(t *testing.T) {
 					}
 				case opRestore:
 					k = 0
-					resumed := NewStream(2.5, 1.25, seed)
+					resumed := folding()
 					resumed.Restore(got.State())
 					got = resumed
 				}

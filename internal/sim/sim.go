@@ -295,6 +295,9 @@ func (s *LocalSpace) newPoint(xc []float64, idx int64) *localPoint {
 	}
 	p := &localPoint{space: s, x: xc, streamIdx: idx}
 	p.stream.Init(s.cfg.F(xc), sigma0, sched.StreamSeed(s.cfg.Seed, idx))
+	if s.cfg.Mode == SigmaEstimated {
+		p.stream.EstimateSigma() // Estimate reads SigmaEst
+	}
 	return p
 }
 
@@ -325,7 +328,9 @@ func (s *LocalSpace) SampleBatch(ctx context.Context, points []Point, dt float64
 
 // sampleInCaller is the whole batch path of a cost-free space. Nothing
 // queues, and a batch is a few dozen draws of tens of nanoseconds, so the
-// context is checked once, on entry.
+// context is checked once, on entry, and the batch counts its evaluations
+// once, at the end. validateBatch has refused closed points, and a cost-free
+// increment is the draw alone, so each point is one Stream.Sample.
 //
 //optlint:noalloc
 func (s *LocalSpace) sampleInCaller(ctx context.Context, points []Point, dt float64) error {
@@ -334,8 +339,9 @@ func (s *LocalSpace) sampleInCaller(ctx context.Context, points []Point, dt floa
 		return err
 	}
 	for _, p := range points {
-		p.(*localPoint).sample(dt)
+		p.(*localPoint).stream.Sample(dt)
 	}
+	s.evals.Add(int64(len(points)))
 	s.advanceBatch(len(points), dt)
 	return nil
 }
@@ -416,10 +422,11 @@ func (p *localPoint) Estimate() Estimate {
 	return Estimate{Mean: p.stream.Mean(), Sigma: sigma, Time: p.stream.Time()}
 }
 
-// sample performs one increment: the (optional) simulated CPU cost, the
+// sample performs one pool increment: the (optional) simulated CPU cost, the
 // noise draw from the point's private stream, and the evaluation count. It
 // is the unit of work dispatched to the sched pool and touches no state
-// shared across points except the atomic counter.
+// shared across points except the atomic counter, which it bumps per
+// increment so a canceled pool batch still counts exactly what ran.
 //
 //optlint:noalloc
 func (p *localPoint) sample(dt float64) {
