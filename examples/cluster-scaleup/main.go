@@ -13,6 +13,7 @@ import (
 
 	"repro"
 	"repro/internal/mw"
+	"repro/internal/noise"
 	"repro/internal/testfunc"
 )
 
@@ -26,7 +27,7 @@ func main() {
 				return &mw.FuncSystem{
 					F:      testfunc.Rosenbrock,
 					Sigma0: func([]float64) float64 { return 1 },
-					Rng:    rand.New(rand.NewSource(int64(rank))),
+					Rng:    noise.NewSource(int64(rank)),
 				}
 			},
 		})

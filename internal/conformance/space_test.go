@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/mw"
+	"repro/internal/noise"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/testfunc"
@@ -58,7 +58,7 @@ func spaceBackends() []spaceBackend {
 					return &mw.FuncSystem{
 						F:      testfunc.Sphere,
 						Sigma0: sim.ConstSigma(1),
-						Rng:    rand.New(rand.NewSource(int64(100*rank + sys))),
+						Rng:    noise.NewSource(int64(100*rank + sys)),
 					}
 				},
 			})

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mw"
+	"repro/internal/noise"
 	"repro/internal/testfunc"
 	"repro/internal/textplot"
 )
@@ -32,7 +33,7 @@ func Table33(opt Options) (string, error) {
 			Dim: d,
 			Ns:  1,
 			NewSystem: func(rank, sys int) mw.SystemEvaluator {
-				return &mw.FuncSystem{F: testfunc.Rosenbrock, Rng: rand.New(rand.NewSource(int64(rank)))}
+				return &mw.FuncSystem{F: testfunc.Rosenbrock, Rng: noise.NewSource(int64(rank))}
 			},
 		})
 		if err != nil {
@@ -83,7 +84,7 @@ func ScaleUpRuns(opt Options) ([]*ScaleRun, error) {
 				return &mw.FuncSystem{
 					F:      testfunc.Rosenbrock,
 					Sigma0: func([]float64) float64 { return 1 },
-					Rng:    rand.New(rand.NewSource(opt.Seed + int64(rank*31))),
+					Rng:    noise.NewSource(opt.Seed + int64(rank*31)),
 				}
 			},
 		})

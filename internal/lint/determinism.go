@@ -98,8 +98,8 @@ func runDeterminism(p *Pass) error {
 // declared outside the loop. The check is conservative and syntactic about
 // the write targets (assignments, ++/--, channel sends, and delete on an
 // outer map). Of the mutation through calls, only the draws are tracked: a
-// non-loop-local *rand.Rand passed as an argument or used as a method
-// receiver advances one stream in map order.
+// non-loop-local generator (see isRandPtr) passed as an argument or used as
+// a method receiver advances one stream in map order.
 func checkMapRange(p *Pass, rng *ast.RangeStmt) {
 	t := p.Info.TypeOf(rng.X)
 	if t == nil {
@@ -135,7 +135,7 @@ func checkMapRange(p *Pass, rng *ast.RangeStmt) {
 		}
 		return offender != ""
 	}
-	// draws reports e when it is a non-loop-local *rand.Rand.
+	// draws reports e when it is a non-loop-local generator.
 	draws := func(e ast.Expr) bool {
 		if !isRandPtr(p.Info.TypeOf(e)) || outer(e) == nil {
 			return false
@@ -186,16 +186,22 @@ func checkMapRange(p *Pass, rng *ast.RangeStmt) {
 	}
 }
 
-// isRandPtr reports whether t is *rand.Rand of math/rand or math/rand/v2.
+// isRandPtr reports whether t is a pointer to a generator: *rand.Rand of
+// math/rand or math/rand/v2, or a pointer to a named type with an Int63
+// method (a rand.Source, such as noise.Source).
 func isRandPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
 	}
 	named, ok := ptr.Elem().(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Name() != "Rand" {
+	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	path := named.Obj().Pkg().Path()
-	return path == "math/rand" || path == "math/rand/v2"
+	if path := named.Obj().Pkg().Path(); named.Obj().Name() == "Rand" && (path == "math/rand" || path == "math/rand/v2") {
+		return true
+	}
+	m, _, _ := types.LookupFieldOrMethod(ptr, false, named.Obj().Pkg(), "Int63")
+	_, ok = m.(*types.Func)
+	return ok
 }

@@ -100,6 +100,19 @@ func mapDrawsFromV2(m map[string]*acc, r *randv2.Rand) {
 	}
 }
 
+// lfg stands in for noise.Source: a rand.Source the streams draw from
+// directly, without a rand.Rand.
+type lfg struct{ x int64 }
+
+func (g *lfg) Int63() int64        { g.x++; return g.x }
+func (a *acc) sampleSource(g *lfg) { a.sum += float64(g.Int63()) }
+
+func mapDrawsFromSource(m map[string]*acc, g *lfg) {
+	for _, a := range m { // want `map iteration draws from non-loop-local state "g"`
+		a.sampleSource(g)
+	}
+}
+
 func mapLoopLocalRandIsFine(m map[string]*acc) {
 	for k, a := range m {
 		a.sample(rand.New(rand.NewSource(int64(len(k)))))

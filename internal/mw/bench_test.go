@@ -2,9 +2,9 @@ package mw
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
+	"repro/internal/noise"
 	"repro/internal/sim"
 	"repro/internal/testfunc"
 )
@@ -20,7 +20,7 @@ func BenchmarkSpaceSampleBatch(b *testing.B) {
 			return &FuncSystem{
 				F:      testfunc.Rosenbrock,
 				Sigma0: func([]float64) float64 { return 1 },
-				Rng:    rand.New(rand.NewSource(int64(rank))),
+				Rng:    noise.NewSource(int64(rank)),
 			}
 		},
 	})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/noise"
 	"repro/internal/sim"
 	"repro/internal/testfunc"
 )
@@ -32,7 +33,7 @@ func TestOptimizerOverMWMatchesLocalNoiseless(t *testing.T) {
 		Dim: 2,
 		Ns:  1,
 		NewSystem: func(rank, sys int) SystemEvaluator {
-			return &FuncSystem{F: testfunc.Rosenbrock, Rng: rand.New(rand.NewSource(int64(rank)))}
+			return &FuncSystem{F: testfunc.Rosenbrock, Rng: noise.NewSource(int64(rank))}
 		},
 	})
 	if err != nil {
@@ -67,7 +68,7 @@ func TestPCOverMWWithNoise(t *testing.T) {
 			return &FuncSystem{
 				F:      testfunc.Rosenbrock,
 				Sigma0: func([]float64) float64 { return 10 },
-				Rng:    rand.New(rand.NewSource(int64(1000 + rank))),
+				Rng:    noise.NewSource(int64(1000 + rank)),
 			}
 		},
 	})
@@ -118,7 +119,7 @@ func TestMWScaleUpD20(t *testing.T) {
 			return &FuncSystem{
 				F:      testfunc.Rosenbrock,
 				Sigma0: func([]float64) float64 { return 1 },
-				Rng:    rand.New(rand.NewSource(int64(rank))),
+				Rng:    noise.NewSource(int64(rank)),
 			}
 		},
 	})

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/noise"
 	"repro/internal/sim"
 	"repro/internal/testfunc"
 )
@@ -40,7 +40,7 @@ func TestVertexPipelineAggregation(t *testing.T) {
 		offset := float64(2 * sys)
 		return &FuncSystem{
 			F:   func(x []float64) float64 { return testfunc.Sphere(x) + offset },
-			Rng: rand.New(rand.NewSource(int64(sys))),
+			Rng: noise.NewSource(int64(sys)),
 		}
 	})
 	p := sp.NewPoint([]float64{1, 2})
@@ -67,7 +67,7 @@ func TestVertexPipelineNoiseVarianceScalesWithNs(t *testing.T) {
 		return &FuncSystem{
 			F:      testfunc.Sphere,
 			Sigma0: func([]float64) float64 { return sigma0 },
-			Rng:    rand.New(rand.NewSource(int64(100 + sys))),
+			Rng:    noise.NewSource(int64(100 + sys)),
 		}
 	})
 	e := sampleOne(t, sp, sp.NewPoint([]float64{0, 0}), 25)
@@ -96,7 +96,7 @@ func TestProcessAccountingMatchesFormula(t *testing.T) {
 		Dim: 5,
 		Ns:  2,
 		NewSystem: func(rank, sys int) SystemEvaluator {
-			return &FuncSystem{F: testfunc.Sphere, Rng: rand.New(rand.NewSource(int64(rank*10 + sys)))}
+			return &FuncSystem{F: testfunc.Sphere, Rng: noise.NewSource(int64(rank*10 + sys))}
 		},
 	})
 	if err != nil {
@@ -120,7 +120,7 @@ func TestSpaceSamplingMatchesLocalSemantics(t *testing.T) {
 		Dim: 2,
 		Ns:  1,
 		NewSystem: func(rank, sys int) SystemEvaluator {
-			return &FuncSystem{F: testfunc.Sphere, Rng: rand.New(rand.NewSource(int64(rank)))}
+			return &FuncSystem{F: testfunc.Sphere, Rng: noise.NewSource(int64(rank))}
 		},
 	})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestSpaceSlotReuseAfterClose(t *testing.T) {
 		NewSystem: func(rank, sys int) SystemEvaluator {
 			return &FuncSystem{
 				F:   func(x []float64) float64 { return x[0] * x[0] },
-				Rng: rand.New(rand.NewSource(int64(rank))),
+				Rng: noise.NewSource(int64(rank)),
 			}
 		},
 	})

@@ -1,10 +1,6 @@
 package mw
 
-import (
-	"math/rand"
-
-	"repro/internal/noise"
-)
+import "repro/internal/noise"
 
 // SystemEvaluator is one simulation system running on a client process (the
 // bottom level of Figure 3.2). Each of the Ns clients under a vertex server
@@ -34,7 +30,7 @@ type FuncSystem struct {
 	// Sigma0 maps a point to its inherent noise strength; nil = noiseless.
 	Sigma0 func(x []float64) float64
 	// Rng is the client's private noise stream.
-	Rng *rand.Rand
+	Rng *noise.Source
 
 	acc *noise.Accumulator
 }

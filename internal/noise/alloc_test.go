@@ -1,9 +1,6 @@
 package noise
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // This file is the allocation-budget regression layer over the per-draw hot
 // path. A single sampling increment — one noise draw folded into one
@@ -14,14 +11,14 @@ import (
 func TestPerDrawAllocFree(t *testing.T) {
 	s := NewStream(1.0, 0.5, 42)
 	a := NewAccumulator(1.0, 0.5)
-	rng := rand.New(rand.NewSource(7))
+	src := NewSource(7)
 	cases := []struct {
 		name string
 		fn   func()
 	}{
 		{"Stream.Sample", func() { s.Sample(0.01) }},
 		{"Stream.ApplyDraw", func() { s.ApplyDraw(0.01, 0.3) }},
-		{"Accumulator.Sample", func() { a.Sample(0.01, rng) }},
+		{"Accumulator.Sample", func() { a.Sample(0.01, src) }},
 		{"Accumulator.ApplyDraw", func() { a.ApplyDraw(0.01, 0.3) }},
 	}
 	for _, c := range cases {

@@ -19,7 +19,6 @@ package noise
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/stats"
 )
@@ -55,11 +54,12 @@ func NewAccumulator(f, sigma0 float64) *Accumulator {
 }
 
 // Sample accrues dt additional seconds of sampling, drawing the noise
-// increment from rng. dt must be positive.
+// increment from src with Source.NormFloat64, the draw a Stream makes. dt
+// must be positive.
 //
 //optlint:noalloc
-func (a *Accumulator) Sample(dt float64, rng *rand.Rand) {
-	a.ApplyDraw(dt, rng.NormFloat64())
+func (a *Accumulator) Sample(dt float64, src *Source) {
+	a.ApplyDraw(dt, src.NormFloat64())
 }
 
 // ApplyDraw accrues dt additional seconds of sampling using an externally

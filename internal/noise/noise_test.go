@@ -8,10 +8,10 @@ import (
 )
 
 func TestNoiselessAccumulator(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	src := NewSource(1)
 	a := NewAccumulator(3.5, 0)
 	for i := 0; i < 10; i++ {
-		a.Sample(1, rng)
+		a.Sample(1, src)
 	}
 	if got := a.Mean(); got != 3.5 {
 		t.Fatalf("noiseless Mean() = %v, want 3.5", got)
@@ -32,24 +32,24 @@ func TestSigmaBeforeSampling(t *testing.T) {
 }
 
 func TestSigmaDecaysAsSqrtT(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	src := NewSource(2)
 	a := NewAccumulator(0, 10)
-	a.Sample(4, rng)
+	a.Sample(4, src)
 	if got, want := a.Sigma(), 10.0/2.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Sigma at t=4: got %v, want %v", got, want)
 	}
-	a.Sample(12, rng) // t = 16
+	a.Sample(12, src) // t = 16
 	if got, want := a.Sigma(), 10.0/4.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Sigma at t=16: got %v, want %v", got, want)
 	}
 }
 
 func TestTimeAccumulates(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	src := NewSource(3)
 	a := NewAccumulator(0, 1)
-	a.Sample(0.5, rng)
-	a.Sample(1.5, rng)
-	a.Sample(2.0, rng)
+	a.Sample(0.5, src)
+	a.Sample(1.5, src)
+	a.Sample(2.0, src)
 	if got := a.Time(); math.Abs(got-4.0) > 1e-12 {
 		t.Fatalf("Time() = %v, want 4.0", got)
 	}
@@ -65,7 +65,7 @@ func TestSamplePanicsOnNonPositiveDt(t *testing.T) {
 		}
 	}()
 	a := NewAccumulator(0, 1)
-	a.Sample(0, rand.New(rand.NewSource(4)))
+	a.Sample(0, NewSource(4))
 }
 
 func TestNegativeSigma0Panics(t *testing.T) {
@@ -91,7 +91,7 @@ func TestVarianceLaw(t *testing.T) {
 		{0.5, 0.5, 3, 4},         // irregular increments
 	}
 	for si, sched := range schedules {
-		rng := rand.New(rand.NewSource(int64(100 + si)))
+		src := NewSource(int64(100 + si))
 		total := 0.0
 		for _, dt := range sched {
 			total += dt
@@ -100,7 +100,7 @@ func TestVarianceLaw(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			a := NewAccumulator(0, sigma0)
 			for _, dt := range sched {
-				a.Sample(dt, rng)
+				a.Sample(dt, src)
 			}
 			m := a.Mean()
 			sum += m
@@ -123,16 +123,16 @@ func TestVarianceLaw(t *testing.T) {
 // converging toward f (strong-law behaviour), so |mean - f| at large t should
 // be much smaller than at small t on average.
 func TestConvergenceTowardUnderlying(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	src := NewSource(7)
 	const f = 42.0
 	var earlyErr, lateErr float64
 	const trials = 500
 	for i := 0; i < trials; i++ {
 		a := NewAccumulator(f, 100)
-		a.Sample(1, rng)
+		a.Sample(1, src)
 		earlyErr += math.Abs(a.Mean() - f)
 		for j := 0; j < 99; j++ {
-			a.Sample(1, rng)
+			a.Sample(1, src)
 		}
 		lateErr += math.Abs(a.Mean() - f)
 	}
@@ -142,11 +142,11 @@ func TestConvergenceTowardUnderlying(t *testing.T) {
 }
 
 func TestSigmaEstApproximatesTrueSigma(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	src := NewSource(11)
 	a := NewAccumulator(0, 7)
 	a.EstimateSigma()
 	for i := 0; i < 2000; i++ {
-		a.Sample(0.25, rng)
+		a.Sample(0.25, src)
 	}
 	est, want := a.SigmaEst(), a.Sigma()
 	if rel := math.Abs(est-want) / want; rel > 0.10 {
@@ -155,10 +155,10 @@ func TestSigmaEstApproximatesTrueSigma(t *testing.T) {
 }
 
 func TestSigmaEstFallsBackBeforeStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
+	src := NewSource(12)
 	a := NewAccumulator(0, 3)
 	a.EstimateSigma()
-	a.Sample(1, rng)
+	a.Sample(1, src)
 	if got, want := a.SigmaEst(), a.Sigma(); got != want {
 		t.Fatalf("SigmaEst with 1 increment = %v, want fallback %v", got, want)
 	}
@@ -173,7 +173,7 @@ func TestAccumulatorInvariantsProperty(t *testing.T) {
 		if math.IsNaN(sigma0) || math.IsInf(sigma0, 0) || sigma0 > 1e6 {
 			return true // skip pathological generator output
 		}
-		rng := rand.New(rand.NewSource(seed))
+		src := NewSource(seed)
 		a := NewAccumulator(1.25, sigma0)
 		total := 0.0
 		for _, r := range rawDts {
@@ -181,7 +181,7 @@ func TestAccumulatorInvariantsProperty(t *testing.T) {
 			if dt == 0 || math.IsNaN(dt) || math.IsInf(dt, 0) || dt > 1e6 {
 				continue
 			}
-			a.Sample(dt, rng)
+			a.Sample(dt, src)
 			total += dt
 		}
 		if total == 0 {
@@ -203,11 +203,11 @@ func TestAccumulatorInvariantsProperty(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []float64 {
-		rng := rand.New(rand.NewSource(99))
+		src := NewSource(99)
 		a := NewAccumulator(0, 2)
 		out := make([]float64, 0, 10)
 		for i := 0; i < 10; i++ {
-			a.Sample(1, rng)
+			a.Sample(1, src)
 			out = append(out, a.Mean())
 		}
 		return out
@@ -228,7 +228,7 @@ func TestStreamMatchesAccumulator(t *testing.T) {
 	acc := NewAccumulator(3.5, 2)
 	for i := 0; i < 25; i++ {
 		st.Sample(0.5)
-		acc.Sample(0.5, rng)
+		acc.ApplyDraw(0.5, rng.NormFloat64())
 		if st.Mean() != acc.Mean() || st.Sigma() != acc.Sigma() {
 			t.Fatalf("step %d: stream (%v, %v) != accumulator (%v, %v)",
 				i, st.Mean(), st.Sigma(), acc.Mean(), acc.Sigma())

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/sched"
@@ -96,6 +97,37 @@ func TestNewPointAllocBudget(t *testing.T) {
 	})
 	if lifecycle > 1 {
 		t.Errorf("NewPoint + 3 draws: %.2f allocs, want <= 1", lifecycle)
+	}
+}
+
+// TestPointRecycleAllocBudget caps the bytes the trial-point shape costs
+// once a space is warm: a closed point's body serves the next point, so a
+// create, three draws and a discard allocate the new point's 16-byte handle
+// and nothing else.
+func TestPointRecycleAllocBudget(t *testing.T) {
+	const cycles, budget = 1000, 16
+	s := NewLocalSpace(LocalConfig{Dim: 8, F: func(x []float64) float64 { return x[0] * x[0] }, Sigma0: ConstSigma(0.5), Seed: 3})
+	x := make([]float64, 8)
+	ctx := context.Background()
+	batch := make([]Point, 1)
+	cycle := func() {
+		batch[0] = s.NewPoint(x)
+		for i := 0; i < 3; i++ {
+			if err := s.SampleBatch(ctx, batch, 0.01); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch[0].Close()
+	}
+	cycle() // warm: one body on the free list
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if perCycle := float64(after.TotalAlloc-before.TotalAlloc) / cycles; perCycle > budget {
+		t.Errorf("NewPoint + 3 draws + Close on a warm space: %.1f B per cycle, budget %d", perCycle, budget)
 	}
 }
 

@@ -66,7 +66,7 @@ type FleetSampler interface {
 // (and so dispatched) in point order, results applied to the points' streams
 // in the same order. The virtual-clock accounting is identical to the
 // in-process path. A context canceled on entry enqueues nothing.
-func (s *LocalSpace) sampleFleet(ctx context.Context, lps []*localPoint, dt float64) error {
+func (s *LocalSpace) sampleFleet(ctx context.Context, lps []*pointBody, dt float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}

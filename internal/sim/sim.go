@@ -24,7 +24,6 @@ package sim
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -72,7 +71,10 @@ type Point interface {
 	// Close releases the resources (worker assignment, file handles)
 	// associated with the point. The paper keeps objective evaluations
 	// "active on each of the d+1 vertices until it is certain that they are
-	// no longer needed"; Close is that certainty signal.
+	// no longer needed"; Close is that certainty signal. A second Close is a
+	// no-op. X and Estimate are undefined after Close (LocalSpace panics on
+	// them: it reuses a closed point's storage for a later point), and a
+	// slice X returned earlier may change.
 	Close()
 }
 
@@ -119,9 +121,10 @@ const (
 
 // LocalConfig configures a LocalSpace.
 type LocalConfig struct {
-	// Dim is the parameter-space dimension. A point is one allocation plus
-	// Dim coordinates carved from a slab the space grows geometrically,
-	// starting at Dim+1 points (one simplex).
+	// Dim is the parameter-space dimension. A point's storage is one
+	// allocation plus Dim coordinates carved from a slab the space grows
+	// geometrically, starting at Dim+1 points (one simplex); a closed
+	// point's storage is reused by a later one (see LocalSpace).
 	Dim int
 	// F is the underlying deterministic objective.
 	F func(x []float64) float64
@@ -192,6 +195,10 @@ func ConstSigma(s float64) func([]float64) float64 {
 //
 // Every batch path refuses a point listed twice, so each stream has a single
 // owner for the batch's duration and is sampled without a lock.
+//
+// A point is a handle on a recycled body (see pointBody): Close frees the
+// body for the next NewPoint or RestorePoint, and a handle issued for an
+// earlier use of a body counts as closed.
 type LocalSpace struct {
 	cfg   LocalConfig
 	clock vtime.Clock
@@ -203,8 +210,9 @@ type LocalSpace struct {
 
 	mu         sync.Mutex
 	nextStream int64
-	slab       []float64 // guarded by mu: coordinates not yet carved by a point
-	slabPoints int       // guarded by mu: points the current slab was sized for
+	slab       []float64  // guarded by mu: coordinates not yet carved by a body
+	slabPoints int        // guarded by mu: bodies the current slab was sized for
+	free       *pointBody // guarded by mu: closed bodies, linked through next
 }
 
 // maxSlabPoints caps slab growth: a live point keeps its whole slab alive,
@@ -262,13 +270,22 @@ func (s *LocalSpace) NewPoint(x []float64) Point {
 		panic("sim: NewPoint dimension mismatch")
 	}
 	s.mu.Lock()
-	stream := s.nextStream
+	idx := s.nextStream
 	s.nextStream++
-	xc := s.carveLocked()
+	b := s.takeLocked()
 	s.mu.Unlock()
-	copy(xc, x)
 	mPoints.Inc()
-	return s.newPoint(xc, stream)
+	return s.issue(b, x, idx)
+}
+
+// takeLocked returns a body for a new point: the last one closed when there
+// is one, else a fresh one with its coordinates carved from the slab.
+func (s *LocalSpace) takeLocked() *pointBody {
+	if b := s.free; b != nil {
+		s.free, b.next = b.next, nil
+		return b
+	}
+	return &pointBody{space: s, x: s.carveLocked()}
 }
 
 // carveLocked cuts the next Dim coordinates off the slab, with a full slice
@@ -286,19 +303,50 @@ func (s *LocalSpace) carveLocked() []float64 {
 	return xc
 }
 
-// newPoint builds the point at coordinates xc (owned by the point from now
-// on) drawing noise from stream index idx: one allocation, stream included.
-func (s *LocalSpace) newPoint(xc []float64, idx int64) *localPoint {
+// issue makes body b the point at x drawing noise from stream index idx and
+// returns a handle of b's current generation. A fresh body's handle is the
+// one it holds inline, so a point whose body is never reused is one
+// allocation; a reused body costs a new handle.
+func (s *LocalSpace) issue(b *pointBody, x []float64, idx int64) *localPoint {
+	copy(b.x, x)
+	b.streamIdx = idx
 	sigma0 := 0.0
 	if s.cfg.Sigma0 != nil {
-		sigma0 = s.cfg.Sigma0(xc)
+		sigma0 = s.cfg.Sigma0(b.x)
 	}
-	p := &localPoint{space: s, x: xc, streamIdx: idx}
-	p.stream.Init(s.cfg.F(xc), sigma0, sched.StreamSeed(s.cfg.Seed, idx))
+	b.stream.Init(s.cfg.F(b.x), sigma0, sched.StreamSeed(s.cfg.Seed, idx))
 	if s.cfg.Mode == SigmaEstimated {
-		p.stream.EstimateSigma() // Estimate reads SigmaEst
+		b.stream.EstimateSigma() // Estimate reads SigmaEst
 	}
-	return p
+	if b.gen == 0 {
+		b.own = localPoint{b: b}
+		return &b.own
+	}
+	return &localPoint{b: b, gen: b.gen}
+}
+
+// release is Close: on a live handle it ends the generation of the handle's
+// body and, unless the space has a fleet, puts the body on the free list; on
+// a closed handle it does nothing. Under mu, so a handle closed twice, even
+// concurrently, frees its body once.
+//
+// In-caller and pool batches are done with a body when SampleBatch returns:
+// sched.DoNAs drains every index it claimed before it returns, canceled or
+// not. A fleet batch is not: dist's dispatch frames alias FleetRequest.X,
+// the body's coordinates, in the coordinator's send queue, and may be encoded
+// after a canceled SampleFleet returns, so a fleet space never reuses a body.
+func (s *LocalSpace) release(h *localPoint) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if h.closed() {
+		return
+	}
+	b := h.b
+	b.gen++
+	if s.cfg.Fleet == nil {
+		b.next = s.free
+		s.free = b
+	}
 }
 
 // SampleBatch implements Space: the per-point sampling runs concurrently on
@@ -318,7 +366,7 @@ func (s *LocalSpace) SampleBatch(ctx context.Context, points []Point, dt float64
 	// pool's fixed dispatch overhead regardless of size.
 	s.validateBatch(points)
 	if err := s.pool.DoNAs(ctx, s.cfg.Tenant, len(points), func(i int) {
-		points[i].(*localPoint).sample(dt)
+		points[i].(*localPoint).b.sample(dt)
 	}); err != nil {
 		return err
 	}
@@ -339,7 +387,7 @@ func (s *LocalSpace) sampleInCaller(ctx context.Context, points []Point, dt floa
 		return err
 	}
 	for _, p := range points {
-		p.(*localPoint).stream.Sample(dt)
+		p.(*localPoint).b.stream.Sample(dt)
 	}
 	s.evals.Add(int64(len(points)))
 	s.advanceBatch(len(points), dt)
@@ -356,33 +404,34 @@ func (s *LocalSpace) validateBatch(points []Point) {
 	}
 }
 
-// checkBatch is validateBatch returning the typed points.
-func (s *LocalSpace) checkBatch(points []Point) []*localPoint {
+// checkBatch is validateBatch returning the points' bodies.
+func (s *LocalSpace) checkBatch(points []Point) []*pointBody {
 	stamp := s.batches.Add(1)
-	lps := make([]*localPoint, len(points))
+	bs := make([]*pointBody, len(points))
 	for i, p := range points {
-		lps[i] = s.check(p, stamp)
+		bs[i] = s.check(p, stamp)
 	}
-	return lps
+	return bs
 }
 
 // check asserts p is a live point of this space that the batch stamped
-// stamp has not listed yet, and marks it listed: O(1) per point, no set.
-// Stamps are unique per space, so a mark left by an earlier batch never
-// matches.
-func (s *LocalSpace) check(p Point, stamp uint64) *localPoint {
-	lp, ok := p.(*localPoint)
-	if !ok || lp.space != s {
+// stamp has not listed yet, marks it listed and returns its body: O(1) per
+// point, no set. Stamps are unique per space, so a mark left by an earlier
+// batch, or by an earlier use of a reused body, never matches.
+func (s *LocalSpace) check(p Point, stamp uint64) *pointBody {
+	h, ok := p.(*localPoint)
+	if !ok || h.b.space != s {
 		panic("sim: SampleBatch received a foreign Point")
 	}
-	if lp.closed() {
+	if h.closed() {
 		panic("sim: SampleBatch on closed point")
 	}
-	if lp.stamp == stamp {
+	b := h.b
+	if b.stamp == stamp {
 		panic("sim: a point appears twice in one batch")
 	}
-	lp.stamp = stamp
-	return lp
+	b.stamp = stamp
+	return b
 }
 
 // advanceBatch applies the virtual-clock accounting of one completed batch:
@@ -397,57 +446,75 @@ func (s *LocalSpace) advanceBatch(n int, dt float64) {
 	}
 }
 
-// localPoint is one allocation: its stream lives inside it and its
-// coordinates in the space's slab.
-type localPoint struct {
+// pointBody is the storage of a LocalSpace point, reused across points: its
+// coordinates live in the space's slab and its stream inside it. A body
+// serves one point per generation; Close ends the generation and frees the
+// body, and the next NewPoint or RestorePoint may take it.
+type pointBody struct {
 	space     *LocalSpace
 	x         []float64
-	streamIdx int64  // seeds the stream: sched.StreamSeed(space seed, streamIdx)
-	stamp     uint64 // the last batch that listed the point (see check), or closedStamp
+	streamIdx int64      // seeds the stream: sched.StreamSeed(space seed, streamIdx)
+	stamp     uint64     // the last batch that listed the body (see check)
+	gen       uint64     // the generation of the live handle; bumped by Close
+	next      *pointBody // the next free body, while this one is free
+	own       localPoint // the body's first handle (generation 0)
 	stream    noise.Stream
 }
 
-// closedStamp is the stamp of a closed point; no batch is ever given it.
-const closedStamp = math.MaxUint64
-
-func (p *localPoint) closed() bool { return p.stamp == closedStamp }
-
-func (p *localPoint) X() []float64 { return p.x }
-
-func (p *localPoint) Estimate() Estimate {
-	sigma := p.stream.Sigma()
-	if p.space.cfg.Mode == SigmaEstimated {
-		sigma = p.stream.SigmaEst()
-	}
-	return Estimate{Mean: p.stream.Mean(), Sigma: sigma, Time: p.stream.Time()}
+// localPoint is the handle a LocalSpace point is: its body and the
+// generation it was issued for. A handle whose generation the body has left
+// is closed for good, whatever point the body serves now.
+type localPoint struct {
+	b   *pointBody
+	gen uint64
 }
 
+func (p *localPoint) closed() bool { return p.gen != p.b.gen }
+
+// body returns the handle's body, panicking if the handle is closed: a
+// reused body would answer for another point.
+func (p *localPoint) body() *pointBody {
+	if p.closed() {
+		panic("sim: use of a closed point")
+	}
+	return p.b
+}
+
+func (p *localPoint) X() []float64 { return p.body().x }
+
+func (p *localPoint) Estimate() Estimate {
+	b := p.body()
+	sigma := b.stream.Sigma()
+	if b.space.cfg.Mode == SigmaEstimated {
+		sigma = b.stream.SigmaEst()
+	}
+	return Estimate{Mean: b.stream.Mean(), Sigma: sigma, Time: b.stream.Time()}
+}
+
+func (p *localPoint) Close() { p.b.space.release(p) }
+
 // sample performs one pool increment: the (optional) simulated CPU cost, the
-// noise draw from the point's private stream, and the evaluation count. It
+// noise draw from the body's private stream, and the evaluation count. It
 // is the unit of work dispatched to the sched pool and touches no state
 // shared across points except the atomic counter, which it bumps per
 // increment so a canceled pool batch still counts exactly what ran.
+// validateBatch has refused closed points.
 //
 //optlint:noalloc
-func (p *localPoint) sample(dt float64) {
-	if p.closed() {
-		panic("sim: Sample on closed point")
+func (b *pointBody) sample(dt float64) {
+	if b.space.cfg.SampleCost != nil {
+		b.space.cfg.SampleCost(b.x, dt)
 	}
-	if p.space.cfg.SampleCost != nil {
-		p.space.cfg.SampleCost(p.x, dt)
-	}
-	p.stream.Sample(dt)
-	p.space.evals.Add(1)
+	b.stream.Sample(dt)
+	b.space.evals.Add(1)
 }
-
-func (p *localPoint) Close() { p.stamp = closedStamp }
 
 // Underlying reports the noise-free objective value of a point when the
 // backend knows it (LocalSpace does). Experiment harnesses use it for the R
 // performance measure; optimizers must not.
 func Underlying(p Point) (float64, bool) {
 	if lp, ok := p.(*localPoint); ok {
-		return lp.stream.Underlying(), true
+		return lp.body().stream.Underlying(), true
 	}
 	return 0, false
 }

@@ -85,17 +85,18 @@ func (s *LocalSpace) RestoreState(st SpaceState) error {
 
 // ExportPoint implements Snapshotter.
 func (s *LocalSpace) ExportPoint(p Point) (PointState, error) {
-	lp, ok := p.(*localPoint)
+	h, ok := p.(*localPoint)
 	if !ok {
 		return PointState{}, fmt.Errorf("sim: ExportPoint received a foreign Point %T", p)
 	}
-	if lp.closed() {
+	if h.closed() {
 		return PointState{}, fmt.Errorf("sim: ExportPoint on closed point")
 	}
+	b := h.b
 	return PointState{
-		X:      append([]float64(nil), lp.x...),
-		Stream: lp.streamIdx,
-		Noise:  lp.stream.State(),
+		X:      append([]float64(nil), b.x...),
+		Stream: b.streamIdx,
+		Noise:  b.stream.State(),
 	}, nil
 }
 
@@ -108,11 +109,10 @@ func (s *LocalSpace) RestorePoint(st PointState) (Point, error) {
 		return nil, fmt.Errorf("sim: invalid point state %+v", st)
 	}
 	s.mu.Lock()
-	xc := s.carveLocked()
+	b := s.takeLocked()
 	s.mu.Unlock()
-	copy(xc, st.X)
-	p := s.newPoint(xc, st.Stream)
-	p.stream.Restore(st.Noise)
+	p := s.issue(b, st.X, st.Stream)
+	b.stream.Restore(st.Noise)
 	mPoints.Inc()
 	return p, nil
 }

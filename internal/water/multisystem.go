@@ -2,7 +2,6 @@ package water
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/mw"
 	"repro/internal/noise"
@@ -48,7 +47,7 @@ type PartialSurrogate struct {
 	// NoiseFactor scales the property sigma0s.
 	NoiseFactor float64
 	// Rng drives the sampling noise.
-	Rng *rand.Rand
+	Rng *noise.Source
 
 	accs []*noise.Accumulator // accs[i] samples systemProperties[System][i]
 }
@@ -63,7 +62,7 @@ func NewPartialSurrogate(system int, noiseFactor float64, seed int64) *PartialSu
 	return &PartialSurrogate{
 		System:      system,
 		NoiseFactor: noiseFactor,
-		Rng:         rand.New(rand.NewSource(seed)),
+		Rng:         noise.NewSource(seed),
 	}
 }
 

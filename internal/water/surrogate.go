@@ -1,8 +1,6 @@
 package water
 
 import (
-	"math/rand"
-
 	"repro/internal/mw"
 	"repro/internal/noise"
 )
@@ -80,7 +78,7 @@ type Surrogate struct {
 	// NoiseFactor scales every property's sigma0; zero means noiseless.
 	NoiseFactor float64
 	// Rng drives the sampling noise.
-	Rng *rand.Rand
+	Rng *noise.Source
 
 	theta Params
 	accs  [NumProperties]*noise.Accumulator
@@ -90,7 +88,7 @@ var _ mw.SystemEvaluator = (*Surrogate)(nil)
 
 // NewSurrogate builds a surrogate evaluator with its own noise stream.
 func NewSurrogate(noiseFactor float64, seed int64) *Surrogate {
-	return &Surrogate{NoiseFactor: noiseFactor, Rng: rand.New(rand.NewSource(seed))}
+	return &Surrogate{NoiseFactor: noiseFactor, Rng: noise.NewSource(seed)}
 }
 
 // Start implements mw.SystemEvaluator.

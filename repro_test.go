@@ -2,10 +2,10 @@ package repro
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"repro/internal/mw"
+	"repro/internal/noise"
 	"repro/internal/testfunc"
 )
 
@@ -38,7 +38,7 @@ func TestFacadeMWOptimization(t *testing.T) {
 		Dim: 2,
 		Ns:  1,
 		NewSystem: func(rank, sys int) SystemEvaluator {
-			return &mw.FuncSystem{F: testfunc.Sphere, Rng: rand.New(rand.NewSource(int64(rank)))}
+			return &mw.FuncSystem{F: testfunc.Sphere, Rng: noise.NewSource(int64(rank))}
 		},
 	})
 	if err != nil {
