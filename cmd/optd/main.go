@@ -54,10 +54,9 @@ import (
 const readHeaderTimeout = 10 * time.Second
 
 // idleTimeout closes a kept-alive connection left idle this long. It outlasts
-// the 90 s net/http clients keep an idle connection (http.DefaultTransport's
-// IdleConnTimeout, which optrouter's shard client inherits), so the client
-// side closes first and never reuses a connection the server is closing
-// under it.
+// the 90 s after which optrouter's shard hop stops reusing an idle
+// connection, so the router closes its side first and never writes into a
+// connection the shard is closing under it.
 const idleTimeout = 2 * time.Minute
 
 func main() {

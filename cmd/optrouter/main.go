@@ -42,10 +42,10 @@ import (
 // headers, so connections that never finish a request cannot pile up.
 const readHeaderTimeout = 10 * time.Second
 
-// idleTimeout closes a kept-alive connection left idle this long. It outlasts
-// the 90 s net/http clients keep an idle connection (http.DefaultTransport's
-// IdleConnTimeout, which the router's own shard client inherits), so the
-// client side closes first and never reuses a connection the server is
+// idleTimeout closes a kept-alive connection left idle this long: optd's
+// value, with the same margin over the 90 s after which the router's own
+// shard hop stops reusing an idle connection. A client that pools like the
+// hop closes its side first and never reuses a connection the router is
 // closing under it.
 const idleTimeout = 2 * time.Minute
 

@@ -708,11 +708,16 @@ func (m *Manager) finishLocked(j *job, res *core.Result, err error, state State)
 		mRunningGauge.Dec()
 		mRunSeconds.Observe(j.finished.Sub(j.started).Seconds())
 	}
-	m.tenantLocked(j.tenant).finishLocked(prev)
-	if prev == StateRunning {
-		// A tenant that was at its running cap may have queued jobs a
-		// runner skipped; wake the pool to re-scan the queue.
-		m.cond.Broadcast()
+	ts := m.tenantLocked(j.tenant)
+	wasCapped := prev == StateRunning && ts.atRunCapLocked()
+	ts.finishLocked(prev)
+	if wasCapped && len(m.queue) > 0 {
+		// The tenant was at its running cap, so the queue may hold a job of
+		// its that an idle runner skipped. The slot just freed fits one such
+		// job: wake one runner to take it now rather than after this runner
+		// settles the job. Any other runnable job an idle runner would
+		// already have taken, and this runner rescans the queue anyway.
+		m.cond.Signal()
 	}
 	switch state {
 	case StateDone:
@@ -984,14 +989,16 @@ func (m *Manager) Subscribe(id string) (<-chan Event, func(), error) {
 	if !ok {
 		return nil, nil, ErrNotFound
 	}
-	ch := make(chan Event, m.cfg.TraceBuffer)
 	if j.state.Terminal() {
 		// Deliver the terminal state and close immediately: late subscribers
-		// see a consistent (if short) stream.
+		// see a consistent (if short) stream. One event needs one slot, not
+		// a live subscriber's TraceBuffer.
+		ch := make(chan Event, 1)
 		ch <- Event{JobID: j.id, Type: "state", State: j.state}
 		close(ch)
 		return ch, func() {}, nil
 	}
+	ch := make(chan Event, m.cfg.TraceBuffer)
 	sub := j.nextSub
 	j.nextSub++
 	j.subs[sub] = ch

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -69,6 +70,48 @@ func slowSpec(seed int64) Spec {
 	spec.Objective = "slowrosen"
 	spec.MaxIterations = 0
 	return spec
+}
+
+// TestTerminalSubscribeAllocBudget: subscribing to a finished job costs
+// the one slot its terminal event needs, not a live subscriber's
+// TraceBuffer (256 here, optd's default).
+func TestTerminalSubscribeAllocBudget(t *testing.T) {
+	const (
+		rounds = 200
+		budget = 1024 // bytes per Subscribe
+	)
+	m := newManager(t, Config{MaxConcurrent: 1, TraceBuffer: 256})
+	id, err := m.Submit(smallSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	subscribe := func() {
+		ch, cancel, err := m.Subscribe(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for range ch {
+			n++
+		}
+		cancel()
+		if n != 1 {
+			t.Fatalf("a finished job's stream carried %d events, want its terminal state alone", n)
+		}
+	}
+	subscribe() // warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		subscribe()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / rounds; per > budget {
+		t.Errorf("Subscribe to a finished job: %.0f B per call, budget %d", per, budget)
+	}
 }
 
 func TestSubmitWaitResult(t *testing.T) {

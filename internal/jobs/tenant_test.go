@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/jobstore"
 	"repro/internal/jobstore/storetest"
+	"repro/internal/testfunc"
 )
 
 // waitJobState polls until the job reaches the wanted state.
@@ -125,6 +126,69 @@ func TestTenantMaxRunningNoHeadOfLineBlocking(t *testing.T) {
 	}
 	waitJobState(t, m, secondID, StateRunning)
 	if err := m.Cancel(secondID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFinishWakesRunnerForCappedTenant: when a job of a tenant at its
+// running cap ends, an idle runner starts the tenant's job the cap held
+// back, while the finishing runner is still settling the first (its record
+// drop held on the disk). Only the finishing runner's own rescan would
+// start it otherwise, once the drop returns.
+func TestFinishWakesRunnerForCappedTenant(t *testing.T) {
+	st, _ := faultyWAL(t)
+	gate, hold := make(chan struct{}), make(chan struct{})
+	entered := st.Hold(storetest.OpDelete, 1, hold) // the first job's record drop
+	m := newManager(t, Config{
+		MaxConcurrent: 2,
+		Store:         st,
+		TenantQuotas:  map[string]Quota{"capped": {MaxRunning: 1}},
+		Objectives: map[string]func([]float64) float64{
+			"gate": func(x []float64) float64 { <-gate; return testfunc.Rosenbrock(x) },
+		},
+	})
+	var gateOnce, holdOnce sync.Once
+	openGate := func() { gateOnce.Do(func() { close(gate) }) }
+	release := func() { holdOnce.Do(func() { close(hold) }) }
+	t.Cleanup(func() { openGate(); release() }) // before the manager's Close
+
+	first := tenantSpec("capped", 1)
+	first.Objective = "gate"
+	firstID, err := m.Submit(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJobState(t, m, firstID, StateRunning)
+	secondID, err := m.Submit(tenantSpec("capped", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := m.Get(secondID); st.State != StateQueued {
+		t.Fatalf("second capped job is %s while the first runs, want queued", st.State)
+	}
+
+	openGate()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first job never reached its record drop")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s, err := m.Get(secondID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.State != StateQueued {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the capped tenant's queued job waited for the finishing runner's held record drop: no idle runner was woken for the freed slot")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	release()
+	if _, err := m.Wait(secondID); err != nil {
 		t.Fatal(err)
 	}
 }

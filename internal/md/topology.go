@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/noise"
 )
 
 // WaterModel holds the TIP4P-family force-field parameters the optimizer
@@ -151,7 +153,11 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	s.Alpha = 0.2
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	// Normals come from the Source's own ziggurat, which no compiler can
+	// fuse into a different rounding; uniforms still go through the
+	// rand.Rand over the same Source, so the sequence is the stdlib's.
+	src := noise.NewSource(cfg.Seed)
+	rng := rand.New(src)
 	spacing := L / float64(side)
 	mol := 0
 	for i := 0; i < side; i++ {
@@ -162,7 +168,7 @@ func NewSystem(cfg Config) (*System, error) {
 					(float64(j) + 0.5) * spacing,
 					(float64(k) + 0.5) * spacing,
 				}
-				s.placeMolecule(mol, center, rng)
+				s.placeMolecule(mol, center, src, rng)
 				mol++
 			}
 		}
@@ -177,7 +183,7 @@ func NewSystem(cfg Config) (*System, error) {
 	// clashes whose Coulomb energy would flash-heat the system; a short
 	// constrained steepest descent removes them before velocities exist.
 	s.Minimize(60, 0.05)
-	s.initVelocities(cfg.T, rng)
+	s.initVelocities(cfg.T, src)
 	s.UpdateMSites()
 	return s, nil
 }
@@ -216,8 +222,8 @@ func (s *System) Minimize(steps int, maxDisp float64) {
 }
 
 // placeMolecule positions one rigid water with a uniformly random
-// orientation about the given oxygen position.
-func (s *System) placeMolecule(mol int, oPos Vec3, rng *rand.Rand) {
+// orientation about the given oxygen position. rng is a rand.Rand over src.
+func (s *System) placeMolecule(mol int, oPos Vec3, src *noise.Source, rng *rand.Rand) {
 	m := s.Model
 	half := m.ThetaHOH / 2 * math.Pi / 180
 	// Local geometry: O at origin, H's in the xz-plane.
@@ -225,7 +231,7 @@ func (s *System) placeMolecule(mol int, oPos Vec3, rng *rand.Rand) {
 	h2 := Vec3{-m.ROH * math.Sin(half), 0, m.ROH * math.Cos(half)}
 
 	// Random rotation: uniform axis + angle (adequate for initialization).
-	axis := Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Normalize()
+	axis := Vec3{src.NormFloat64(), src.NormFloat64(), src.NormFloat64()}.Normalize()
 	if axis.Norm() == 0 {
 		axis = Vec3{0, 0, 1}
 	}
@@ -250,13 +256,13 @@ func rotate(v, axis Vec3, angle float64) Vec3 {
 // removes the center-of-mass drift, projects out the components violating
 // the rigid constraints, and rescales to hit T exactly on the constrained
 // degrees of freedom.
-func (s *System) initVelocities(T float64, rng *rand.Rand) {
+func (s *System) initVelocities(T float64, src *noise.Source) {
 	for i := range s.Vel {
 		sd := math.Sqrt(Boltzmann * T * KcalPerMolToInternal / s.Mass[i])
 		s.Vel[i] = Vec3{
-			sd * rng.NormFloat64(),
-			sd * rng.NormFloat64(),
-			sd * rng.NormFloat64(),
+			sd * src.NormFloat64(),
+			sd * src.NormFloat64(),
+			sd * src.NormFloat64(),
 		}
 	}
 	s.RemoveDrift()

@@ -430,14 +430,22 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	var line []byte
 	for {
+		var e jobs.Event
+		var ok bool
 		select {
 		case <-r.Context().Done():
 			return
-		case e, ok := <-ch:
+		case e, ok = <-ch:
+		}
+		// Write every event already queued, then flush once. A closed
+		// channel ends the stream unflushed: net/http then writes what is
+		// buffered together with the end of the body.
+		for more := true; more; {
 			if !ok {
 				return
 			}
-			if line, ok = appendTraceLine(line[:0], &e); ok {
+			var fast bool
+			if line, fast = appendTraceLine(line[:0], &e); fast {
 				_, err = w.Write(line)
 			} else {
 				err = enc.Encode(e)
@@ -445,9 +453,14 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return
 			}
-			if flusher != nil && len(ch) == 0 {
-				flusher.Flush()
+			select {
+			case e, ok = <-ch:
+			default:
+				more = false
 			}
+		}
+		if flusher != nil {
+			flusher.Flush()
 		}
 	}
 }

@@ -404,10 +404,13 @@ func TestHealthzAndStrategies(t *testing.T) {
 	}
 }
 
-// streamRecorder is a ResponseRecorder that announces its WriteHeader call.
+// streamRecorder is a ResponseRecorder that announces its WriteHeader call
+// and its first Flush.
 type streamRecorder struct {
 	*httptest.ResponseRecorder
-	header chan struct{}
+	header  chan struct{}
+	flushed chan struct{}
+	once    sync.Once
 }
 
 func (s *streamRecorder) WriteHeader(code int) {
@@ -415,17 +418,28 @@ func (s *streamRecorder) WriteHeader(code int) {
 	close(s.header)
 }
 
+func (s *streamRecorder) Flush() {
+	s.ResponseRecorder.Flush()
+	s.once.Do(func() { close(s.flushed) })
+}
+
 // TestResultAndTrace is the read side of a job's life over HTTP: unknown
 // IDs are 404 on every job-scoped route, /result refuses (409) until the job
-// is terminal, /trace streams NDJSON events and ends by itself when the job
-// does, and /result then serves exactly the manager's result.
+// is terminal, /trace streams NDJSON events, flushing them while the job
+// still runs, and ends by itself when the job does, and /result then serves
+// exactly the manager's result.
 func TestResultAndTrace(t *testing.T) {
-	gate := make(chan struct{})
+	// The gated objective takes one evaluation per step until the gate
+	// opens, then runs free.
+	step, gate := make(chan struct{}), make(chan struct{})
 	ts, mgr := startServer(t, jobs.Config{
 		MaxConcurrent: 1,
 		Objectives: map[string]func([]float64) float64{
 			"gate": func(x []float64) float64 {
-				<-gate
+				select {
+				case <-step:
+				case <-gate:
+				}
 				return x[0]*x[0] + x[1]*x[1]
 			},
 		},
@@ -479,7 +493,7 @@ func TestResultAndTrace(t *testing.T) {
 	// only with the first event, so over a real connection a client cannot
 	// tell when it is safe to let the job go. Serve this one request
 	// in-process, where the header write is observable.
-	rec := &streamRecorder{ResponseRecorder: httptest.NewRecorder(), header: make(chan struct{})}
+	rec := &streamRecorder{ResponseRecorder: httptest.NewRecorder(), header: make(chan struct{}), flushed: make(chan struct{})}
 	ended := make(chan struct{})
 	go func() {
 		defer close(ended)
@@ -488,6 +502,39 @@ func TestResultAndTrace(t *testing.T) {
 	<-rec.header
 	if ct := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || ct != "application/x-ndjson" {
 		t.Fatalf("trace: code %d content-type %q", rec.Code, ct)
+	}
+
+	// Step the job until a subscriber of its own sees the first iteration's
+	// trace event, then hold it there: the stream must flush that event while
+	// the job is still held, not when it ends.
+	direct, unsubscribe, err := mgr.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unsubscribe()
+	timeout := time.After(10 * time.Second)
+	for traced := false; !traced; {
+		select {
+		case e := <-direct: // an event already out wins over another step
+			traced = e.Type == "trace"
+			continue
+		default:
+		}
+		select {
+		case e := <-direct:
+			traced = e.Type == "trace"
+		case step <- struct{}{}:
+		case <-timeout:
+			t.Fatal("the job never finished its first iteration")
+		}
+	}
+	select {
+	case <-rec.flushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first iteration's trace event was not flushed while the job was held")
+	}
+	if s, err := mgr.Get(id); err != nil || s.State != jobs.StateRunning {
+		t.Fatalf("job state %q (%v) when its first trace event was flushed, want running", s.State, err)
 	}
 	release()
 	<-ended // the stream ends by itself once the job is terminal
@@ -504,9 +551,6 @@ func TestResultAndTrace(t *testing.T) {
 			t.Fatalf("trace line %d is for job %q", len(events), e.JobID)
 		}
 		events = append(events, e)
-	}
-	if !rec.Flushed {
-		t.Error("trace events were never flushed to the client")
 	}
 	traces := 0
 	for _, e := range events {

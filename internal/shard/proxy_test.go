@@ -47,11 +47,11 @@ func newRouter(t testing.TB, deadAfter time.Duration, addrs ...string) *httptest
 // instead of going out chunked.
 //
 // The check counts proxied requests that got a reused connection
-// (httptrace GotConnInfo.Reused, traced through the router's request
-// context) after a warm-up, not the shard's dials: when a request finds
-// every connection busy, net/http's transport dials and also waits for one
-// to come back to the idle pool, and a put-back that wins leaves the
-// finished dial parked unused. How many such dials happen depends on
+// (httptrace GotConnInfo.Reused, which the router's hop reports through the
+// request context) after a warm-up. It does not count the shard's dials,
+// because an injected net/http client dials and also waits for a busy
+// connection to come back to its idle pool, and a put-back that wins leaves
+// the finished dial parked unused. How many such dials happen depends on
 // scheduling, not on keep-alive, so a dial count is no stable measure.
 func TestRouterReusesShardConnections(t *testing.T) {
 	mgr, err := jobs.New(jobs.Config{MaxConcurrent: 2})

@@ -82,9 +82,10 @@ type Config struct {
 	// IDPrefix namespaces router-assigned job IDs (default "r"). Routers
 	// sharing shards must use distinct prefixes.
 	IDPrefix string
-	// Client issues proxy and probe requests; the router sets their
-	// deadlines. nil uses http.DefaultTransport keeping 64 idle connections
-	// per shard (net/http keeps 2), with compression off.
+	// Client issues proxy, probe, merge and adoption requests; the router
+	// sets their deadlines. nil uses the router's own synchronous HTTP/1.1
+	// hop, which keeps up to 64 idle connections per shard and asks for no
+	// compression.
 	Client *http.Client
 	// Events, when non-nil, receives shard lifecycle events.
 	Events *obs.Logger
@@ -147,11 +148,7 @@ func New(cfg Config) (*Router, error) {
 		mProxyErr: obs.Default().Counter("shard_proxy_error_total"),
 	}
 	if r.client == nil {
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConns = 0 // no overall cap: the per-shard cap bounds it over a fixed table
-		t.MaxIdleConnsPerHost = idleConnsPerShard
-		t.DisableCompression = true
-		r.client = &http.Client{Transport: t}
+		r.client = &http.Client{Transport: newHop()}
 	}
 	r.probeAll() // synchronous first sweep so Handler starts with real state
 	r.wg.Add(1)
@@ -159,10 +156,14 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Close stops the prober.
+// Close stops the prober and closes the default client's idle shard
+// connections.
 func (r *Router) Close() {
 	close(r.done)
 	r.wg.Wait()
+	if h, ok := r.client.Transport.(*hop); ok {
+		h.closeAll()
+	}
 }
 
 func (r *Router) probeLoop() {
@@ -586,7 +587,8 @@ func (r *Router) getJSON(ctx context.Context, i int, path string, out any) error
 // names id (a submit's minted ID) so the client can poll for that job rather
 // than resubmit it. A trace lives as long as its job and is bounded only by
 // its client. An NDJSON answer is flushed per chunk so traces pass through
-// live; any other keeps the shard's Content-Length and leaves in one write.
+// live, all but its last, which leaves with the end of the body; any other
+// keeps the shard's Content-Length and leaves in one write.
 func (r *Router) proxy(w http.ResponseWriter, req *http.Request, i int, path, id string) {
 	ctx := req.Context()
 	if req.Pattern != traceRoute {
@@ -636,7 +638,9 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, i int, path, id
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return
 			}
-			if flusher != nil {
+			// The last chunk is not flushed: net/http writes it together
+			// with the end of the body once the handler returns.
+			if flusher != nil && rerr == nil {
 				flusher.Flush()
 			}
 		}
