@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -48,16 +47,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
-
-// readHeaderTimeout bounds how long a client may take to send its request
-// headers, so connections that never finish a request cannot pile up.
-const readHeaderTimeout = 10 * time.Second
-
-// idleTimeout closes a kept-alive connection left idle this long. It outlasts
-// the 90 s after which optrouter's shard hop stops reusing an idle
-// connection, so the router closes its side first and never writes into a
-// connection the shard is closing under it.
-const idleTimeout = 2 * time.Minute
 
 func main() {
 	var (
@@ -186,11 +175,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("optd listening on %s\n", ln.Addr())
-	srv := &http.Server{
-		Handler:           serve.New(serve.Config{Mgr: mgr, Fleet: fleet, DefaultSeed: *seed, Events: events}),
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
-	}
+	srv := serve.NewServer(serve.New(serve.Config{Mgr: mgr, Fleet: fleet, DefaultSeed: *seed, Events: events}))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -35,19 +34,9 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/shard"
 )
-
-// readHeaderTimeout bounds how long a client may take to send its request
-// headers, so connections that never finish a request cannot pile up.
-const readHeaderTimeout = 10 * time.Second
-
-// idleTimeout closes a kept-alive connection left idle this long: optd's
-// value, with the same margin over the 90 s after which the router's own
-// shard hop stops reusing an idle connection. A client that pools like the
-// hop closes its side first and never reuses a connection the router is
-// closing under it.
-const idleTimeout = 2 * time.Minute
 
 func main() {
 	var shards []shard.Shard
@@ -90,7 +79,7 @@ func main() {
 	}
 	// Scripts and the e2e harness parse this line, like optd's.
 	fmt.Printf("optrouter listening on %s\n", ln.Addr())
-	srv := &http.Server{Handler: r.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	srv := serve.NewServer(r.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -39,6 +38,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // Exit codes: startup misconfiguration fails fast with a distinct code and a
@@ -87,7 +87,7 @@ func main() {
 			os.Exit(exitSession)
 		}
 		fmt.Printf("optworker debug listening on %s (/metrics, /debug/pprof)\n", ln.Addr())
-		go http.Serve(ln, obs.Default().DebugMux())
+		go serve.NewServer(obs.Default().DebugMux()).Serve(ln)
 	}
 
 	w := dist.NewWorker(dist.WorkerConfig{

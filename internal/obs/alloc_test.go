@@ -1,6 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"io"
+	"testing"
+	"time"
+)
 
 // This file is the allocation-budget layer for the metric hot path.
 // Counter/Gauge/Histogram ops sit inside the sampling inner loops
@@ -30,3 +34,26 @@ func TestMetricOpsAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// jobState stands in for jobs.State: a value of string kind with no methods.
+type jobState string
+
+// TestEventAllocBudget: a job_state line as the job manager writes it, three
+// key/value pairs with a string-kind state, encodes without allocating in
+// the logger. The boxed values are package variables, so the caller's
+// conversions to any allocate nothing either.
+func TestEventAllocBudget(t *testing.T) {
+	l := NewLogger(io.Discard)
+	l.now = func() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC) }
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.Event("job_state", "job", budgetJob, "state", budgetState, "resumed", budgetResumed)
+	}); allocs != 0 {
+		t.Errorf("Event with three pairs: %.1f allocs, want 0", allocs)
+	}
+}
+
+var (
+	budgetJob     any = "j000123"
+	budgetState   any = jobState("running")
+	budgetResumed any = false
+)

@@ -1,10 +1,12 @@
 package obs
 
 import (
-	"bytes"
+	"encoding"
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -21,7 +23,7 @@ type Logger struct {
 	mu  sync.Mutex
 	w   io.Writer
 	now func() time.Time // test hook; nil = time.Now
-	buf bytes.Buffer
+	buf []byte
 }
 
 // NewLogger returns a Logger writing NDJSON lines to w. A nil w yields a
@@ -37,7 +39,8 @@ func NewLogger(w io.Writer) *Logger {
 // "job_state", ...); kv is alternating key, value pairs. Non-string keys
 // and a trailing odd value are tolerated (rendered via fmt) rather than
 // dropped, so a malformed call site still leaves evidence in the log.
-// Values marshal as JSON; errors and fmt.Stringers render as strings.
+// Values encode as json.Marshal would; errors and fmt.Stringers render as
+// strings.
 func (l *Logger) Event(typ string, kv ...any) {
 	if l == nil {
 		return
@@ -48,24 +51,23 @@ func (l *Logger) Event(typ string, kv ...any) {
 	if l.now != nil {
 		now = l.now
 	}
-	b := &l.buf
-	b.Reset()
-	b.WriteString(`{"ts":`)
-	writeJSON(b, now().UTC().Format(time.RFC3339Nano))
-	b.WriteString(`,"event":`)
-	writeJSON(b, typ)
+	b := append(l.buf[:0], `{"ts":"`...)
+	b = now().UTC().AppendFormat(b, time.RFC3339Nano)
+	b = append(b, `","event":`...)
+	b = appendString(b, typ)
 	for i := 0; i < len(kv); i += 2 {
-		b.WriteByte(',')
-		writeJSON(b, keyString(kv[i]))
-		b.WriteByte(':')
+		b = append(b, ',')
+		b = appendString(b, keyString(kv[i]))
+		b = append(b, ':')
 		if i+1 < len(kv) {
-			writeJSON(b, eventValue(kv[i+1]))
+			b = appendJSON(b, eventValue(kv[i+1]))
 		} else {
-			b.WriteString("null")
+			b = append(b, "null"...)
 		}
 	}
-	b.WriteString("}\n")
-	l.w.Write(b.Bytes())
+	b = append(b, "}\n"...)
+	l.buf = b
+	l.w.Write(b)
 }
 
 // keyString coerces an event key to a string.
@@ -90,13 +92,50 @@ func eventValue(v any) any {
 	return v
 }
 
-// writeJSON appends the JSON encoding of v, falling back to a quoted
-// fmt rendering if v does not marshal (a logger must not drop events
-// over an unmarshalable field).
-func writeJSON(b *bytes.Buffer, v any) {
+// appendJSON appends the JSON encoding of v, byte for byte what json.Marshal
+// writes. Strings that need no escaping, values of string kind, integers and
+// booleans are encoded here; everything else goes through json.Marshal,
+// falling back to a quoted fmt rendering if v does not marshal (a logger
+// must not drop events over an unmarshalable field).
+func appendJSON(b []byte, v any) []byte {
+	switch t := v.(type) {
+	case string:
+		return appendString(b, t)
+	case json.Marshaler, encoding.TextMarshaler:
+		return appendMarshal(b, v)
+	}
+	switch rv := reflect.ValueOf(v); rv.Kind() {
+	case reflect.String:
+		return appendString(b, rv.String())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return strconv.AppendInt(b, rv.Int(), 10)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return strconv.AppendUint(b, rv.Uint(), 10)
+	case reflect.Bool:
+		return strconv.AppendBool(b, rv.Bool())
+	}
+	return appendMarshal(b, v)
+}
+
+// appendString quotes s, leaving to json.Marshal any string with a byte
+// outside printable ASCII (control characters, invalid UTF-8, U+2028 and
+// U+2029 are rewritten) or one it escapes: quotes, backslashes and HTML's <,
+// > and &.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return appendMarshal(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+func appendMarshal(b []byte, v any) []byte {
 	enc, err := json.Marshal(v)
 	if err != nil {
 		enc, _ = json.Marshal(fmt.Sprintf("%v", v))
 	}
-	b.Write(enc)
+	return append(b, enc...)
 }

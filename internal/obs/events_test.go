@@ -123,3 +123,92 @@ func (b *syncBuffer) String() string {
 	defer b.mu.Unlock()
 	return b.buf.String()
 }
+
+// quotedKind is a string-kind type with its own JSON encoding, which the
+// fast path must leave to json.Marshal.
+type quotedKind string
+
+func (q quotedKind) MarshalJSON() ([]byte, error) { return []byte(`"q:` + string(q) + `"`), nil }
+
+// textKind is a string-kind type with a text encoding.
+type textKind string
+
+func (k textKind) MarshalText() ([]byte, error) { return []byte("t:" + string(k)), nil }
+
+type plainInt int16
+
+type stringer struct{}
+
+func (stringer) String() string { return "<stringer & co>" }
+
+// TestEventMatchesMarshal: every event line is byte for byte the line
+// json.Marshal would build, whichever way a value is encoded: the direct
+// path (plain strings, string kinds, integers, booleans) or the fallback
+// (strings that must be escaped, errors, Stringers, durations, and the
+// rest).
+func TestEventMatchesMarshal(t *testing.T) {
+	tests := []struct {
+		name  string
+		key   any
+		value any
+	}{
+		{"plain string", "job", "j000123"},
+		{"empty string", "job", ""},
+		{"string kind", "state", jobState("running")},
+		{"quote", "msg", `say "hi"`},
+		{"backslash", "path", `C:\dir`},
+		{"control character", "msg", "tab\tnewline\n"},
+		{"HTML characters", "msg", "<a href='x'>&</a>"},
+		{"non-ASCII", "name", "naïve"},
+		{"line separator", "msg", "a\u2028b"},
+		{"invalid UTF-8", "msg", "bad\xffbyte"},
+		{"DEL", "msg", "a\x7fb"},
+		{"escaped string kind", "state", jobState("<x>")},
+		{"string kind with MarshalJSON", "state", quotedKind("x")},
+		{"string kind with MarshalText", "state", textKind("x")},
+		{"int", "n", 42},
+		{"negative int64", "n", int64(-1 << 62)},
+		{"int8", "n", int8(-7)},
+		{"named int16", "n", plainInt(300)},
+		{"uint64", "n", uint64(1<<64 - 1)},
+		{"uint8", "n", uint8(255)},
+		{"bool", "ok", true},
+		{"false", "ok", false},
+		{"error", "err", errors.New(`dial "x": <refused>`)},
+		{"nil error", "err", error(nil)},
+		{"Stringer", "who", stringer{}},
+		{"duration", "backoff", 1500 * time.Millisecond},
+		{"float", "best", 0.1},
+		{"large float", "best", 1e21},
+		{"slice", "ids", []string{"a", "b"}},
+		{"map", "m", map[string]int{"b": 2, "a": 1}},
+		{"non-string key", 7, "seven"},
+		{"non-string key escaped", 1.5, "x"},
+	}
+	stamp := time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			l := NewLogger(&buf)
+			l.now = func() time.Time { return stamp }
+			l.Event("job_state", tt.key, tt.value)
+			want := marshalLine(t, stamp, "job_state", keyString(tt.key), eventValue(tt.value))
+			if got := buf.String(); got != want {
+				t.Errorf("line\n%s\nwant (json.Marshal)\n%s", got, want)
+			}
+		})
+	}
+}
+
+// marshalLine builds an event line with json.Marshal for every field.
+func marshalLine(t *testing.T, stamp time.Time, typ, key string, value any) string {
+	t.Helper()
+	m := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	return `{"ts":` + m(stamp.UTC().Format(time.RFC3339Nano)) + `,"event":` + m(typ) + `,` + m(key) + `:` + m(value) + "}\n"
+}

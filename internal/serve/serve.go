@@ -438,8 +438,9 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 		case e, ok = <-ch:
 		}
 		// Write every event already queued, then flush once. A closed
-		// channel ends the stream unflushed: net/http then writes what is
-		// buffered together with the end of the body.
+		// channel ends the stream unflushed: the server writes what is
+		// buffered together with the end of the body, so a trace that
+		// ends before its first flush leaves as one known-length answer.
 		for more := true; more; {
 			if !ok {
 				return

@@ -13,9 +13,10 @@ import (
 )
 
 // hopIdleTimeout is how long a pooled shard connection may sit idle and
-// still be reused: below both servers' 2-minute IdleTimeout, so the router
-// closes its side first and never writes into a connection the shard is
-// closing. A variable so tests can shorten it.
+// still be reused: below the 2-minute idle timeout of serve.Server, which
+// both servers run, so the router closes its side first and never writes
+// into a connection the shard is closing. A variable so tests can shorten
+// it.
 var hopIdleTimeout = 90 * time.Second
 
 // aLongTimeAgo is the deadline a fired context sets on its connection, so a

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -337,24 +339,132 @@ func TestRouterTraceStreamsLive(t *testing.T) {
 	}
 }
 
+// TestRouterFinishedTraceKeepsLength: a trace that reaches its job's end
+// before its first flush is a known-length answer (serve's loop sends it
+// with a Content-Length up to 4 KiB), and the router passes that length on
+// instead of flushing the answer per chunk into a chunked stream. The shard
+// here records the whole trace of a job it subscribed to before the job
+// ran, then sends it with its length; the trace is longer than one read of
+// the router's shard connection, so the router copies it in several chunks.
+func TestRouterFinishedTraceKeepsLength(t *testing.T) {
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	mgr, err := jobs.New(jobs.Config{MaxConcurrent: 1, Objectives: map[string]func([]float64) float64{
+		"gate": func(x []float64) float64 { <-gate; return testfunc.Rosenbrock(x) },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subscribed := make(chan struct{})
+	var once sync.Once
+	h := serve.New(serve.Config{Mgr: mgr, DefaultSeed: 1})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasSuffix(r.URL.Path, "/trace") {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(subscribedWriter{rec, &once, subscribed}, r)
+		maps.Copy(w.Header(), rec.Header())
+		w.Header().Set("Content-Length", strconv.Itoa(rec.Body.Len()))
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		mgr.Close()
+	})
+	rt := newRouter(t, 10*time.Second, strings.TrimPrefix(ts.URL, "http://"))
+	t.Cleanup(func() { gateOnce.Do(func() { close(gate) }) })
+	code, body := postJSON(t, rt.URL+"/v1/jobs", `{"objective":"gate","dim":2,"algorithm":"pc","sigma0":1,"seed":5,"tol":-1,"max_iterations":60}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
+	id := body["id"].(string)
+
+	type traced struct {
+		resp  *http.Response
+		trace []byte
+		err   error
+	}
+	done := make(chan traced, 1)
+	go func() {
+		resp, err := http.Get(rt.URL + "/v1/jobs/" + id + "/trace")
+		if err != nil {
+			done <- traced{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		trace, err := io.ReadAll(resp.Body)
+		done <- traced{resp, trace, err}
+	}()
+	select {
+	case <-subscribed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the trace request never reached the shard")
+	}
+	gateOnce.Do(func() { close(gate) })
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	resp, trace := got.resp, got.trace
+	if len(trace) <= 8<<10 {
+		t.Fatalf("the trace is %d bytes, too short to cross the router in more than one read", len(trace))
+	}
+	if resp.ContentLength != int64(len(trace)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("a known-length trace arrived with Content-Length %d and Transfer-Encoding %v for %d bytes, want its length",
+			resp.ContentLength, resp.TransferEncoding, len(trace))
+	}
+	lines := strings.Split(strings.TrimSpace(string(trace)), "\n")
+	var last jobs.Event
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Type != "state" || last.State != jobs.StateDone {
+		t.Errorf("the trace ends with %q (%v), want the done state", lines[len(lines)-1], err)
+	}
+}
+
+// serveH1 serves h through serve's keep-alive loop, as optd and optrouter
+// do, and returns its base URL.
+func serveH1(tb testing.TB, h http.Handler) string {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := serve.NewServer(h)
+	go srv.Serve(ln)
+	tb.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	return "http://" + ln.Addr().String()
+}
+
 // BenchmarkRouterProxy prices one hop through the router: a client request
-// proxied over loopback to one serve shard and relayed back.
+// proxied over loopback to one serve shard and relayed back. The router and
+// the shard are both served by serve's keep-alive loop, as deployed.
 func BenchmarkRouterProxy(b *testing.B) {
 	mgr, err := jobs.New(jobs.Config{MaxConcurrent: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts := httptest.NewServer(serve.New(serve.Config{Mgr: mgr, DefaultSeed: 1}))
-	b.Cleanup(func() {
-		ts.Close()
-		mgr.Close()
+	b.Cleanup(mgr.Close)
+	shardURL := serveH1(b, serve.New(serve.Config{Mgr: mgr, DefaultSeed: 1}))
+	r, err := shard.New(shard.Config{
+		Shards: []shard.Shard{{Addr: strings.TrimPrefix(shardURL, "http://")}},
+		Probe:  time.Hour, DeadAfter: 10 * time.Second,
 	})
-	rt := newRouter(b, 10*time.Second, strings.TrimPrefix(ts.URL, "http://"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(r.Close)
+	routerURL := serveH1(b, r.Handler())
 	spec := `{"objective":"rosenbrock","dim":2,"algorithm":"pc","sigma0":1,"seed":5,"tol":-1,"max_iterations":1}`
 	client := &http.Client{Transport: &http.Transport{}}
 	b.Cleanup(client.CloseIdleConnections)
 	do := func(b *testing.B, method, path, body string, want int) {
-		req, err := http.NewRequest(method, rt.URL+path, strings.NewReader(body))
+		req, err := http.NewRequest(method, routerURL+path, strings.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -368,7 +478,7 @@ func BenchmarkRouterProxy(b *testing.B) {
 			b.Fatalf("%s %s: code %d, want %d", method, path, resp.StatusCode, want)
 		}
 	}
-	resp, err := client.Post(rt.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+	resp, err := client.Post(routerURL+"/v1/jobs", "application/json", strings.NewReader(spec))
 	if err != nil {
 		b.Fatal(err)
 	}

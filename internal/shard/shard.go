@@ -586,9 +586,10 @@ func (r *Router) getJSON(ctx context.Context, i int, path string, out any) error
 // DeadAfter, like getJSON: a shard that never answers gets a 504, whose body
 // names id (a submit's minted ID) so the client can poll for that job rather
 // than resubmit it. A trace lives as long as its job and is bounded only by
-// its client. An NDJSON answer is flushed per chunk so traces pass through
-// live, all but its last, which leaves with the end of the body; any other
-// keeps the shard's Content-Length and leaves in one write.
+// its client. A chunked answer (a live trace) is flushed per chunk so it
+// passes through live, all but its last chunk, which leaves with the end of
+// the body; an answer with a Content-Length (a finished job's trace
+// included) keeps it and leaves in one write.
 func (r *Router) proxy(w http.ResponseWriter, req *http.Request, i int, path, id string) {
 	ctx := req.Context()
 	if req.Pattern != traceRoute {
@@ -624,9 +625,9 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, i int, path, id
 		w.Header().Set("Content-Type", ct)
 	}
 	var flusher http.Flusher
-	if ct == "application/x-ndjson" {
+	if resp.ContentLength < 0 {
 		flusher, _ = w.(http.Flusher)
-	} else if resp.ContentLength >= 0 {
+	} else {
 		w.Header()["Content-Length"] = resp.Header["Content-Length"]
 	}
 	w.WriteHeader(resp.StatusCode)
@@ -638,7 +639,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, i int, path, id
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return
 			}
-			// The last chunk is not flushed: net/http writes it together
+			// The last chunk is not flushed: the server writes it together
 			// with the end of the body once the handler returns.
 			if flusher != nil && rerr == nil {
 				flusher.Flush()
