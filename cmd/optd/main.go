@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/h1"
 	"repro/internal/jobs"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
@@ -175,7 +176,7 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("optd listening on %s\n", ln.Addr())
-	srv := serve.NewServer(serve.New(serve.Config{Mgr: mgr, Fleet: fleet, DefaultSeed: *seed, Events: events}))
+	srv := h1.NewServer(serve.New(serve.Config{Mgr: mgr, Fleet: fleet, DefaultSeed: *seed, Events: events}))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

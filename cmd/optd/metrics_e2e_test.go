@@ -108,6 +108,29 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 	return series
 }
 
+// metricFamilies scrapes url and returns the metric families its # TYPE
+// lines name.
+func metricFamilies(t *testing.T, url string) []string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var families []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			families = append(families, name)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return families
+}
+
 // sumSeries totals every series whose name starts with base (covering all
 // label combinations of one metric).
 func sumSeries(series map[string]float64, base string) float64 {
@@ -232,6 +255,16 @@ func TestOptdMetricsE2E(t *testing.T) {
 	// cached position, so the restart counter must be exposed but may read 0.
 	if _, ok := agentSeries["dist_worker_stream_reseeds_total"]; !ok {
 		t.Error("optworker /metrics: dist_worker_stream_reseeds_total missing")
+	}
+
+	// The agent runs no job manager, store or optimizer, so their families
+	// must not reach its scrape.
+	for _, family := range metricFamilies(t, "http://"+debugAddr+"/metrics") {
+		for _, foreign := range []string{"jobs_", "jobstore_", "core_"} {
+			if strings.HasPrefix(family, foreign) {
+				t.Errorf("optworker /metrics lists %s, a family of a package the agent does not run", family)
+			}
+		}
 	}
 
 	// pprof rides the same mux on both processes.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -241,6 +242,37 @@ func TestOptrouterProcessE2E(t *testing.T) {
 	if err := getJSON(base+"/v1/tenants", &tl); err != nil || len(tl.Tenants) == 0 {
 		t.Fatalf("merged tenants after failover: %v %v", err, tl.Tenants)
 	}
+
+	// The router's /metrics lists what the router counts and nothing of the
+	// engine it proxies to.
+	want := []string{"shard_alive", "shard_failover_total", "shard_proxy_error_total"}
+	if got := metricFamilies(t, base+"/metrics"); !slices.Equal(got, want) {
+		t.Errorf("router /metrics families %v, want exactly %v", got, want)
+	}
+}
+
+// metricFamilies scrapes url and returns the metric families its # TYPE
+// lines name, sorted.
+func metricFamilies(t *testing.T, url string) []string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var families []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			families = append(families, name)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(families)
+	return families
 }
 
 // poll retries cond until it holds or the deadline passes.

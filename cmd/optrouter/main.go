@@ -33,8 +33,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/h1"
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/shard"
 )
 
@@ -79,7 +79,7 @@ func main() {
 	}
 	// Scripts and the e2e harness parse this line, like optd's.
 	fmt.Printf("optrouter listening on %s\n", ln.Addr())
-	srv := serve.NewServer(r.Handler())
+	srv := h1.NewServer(r.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

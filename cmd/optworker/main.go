@@ -37,8 +37,8 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/h1"
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // Exit codes: startup misconfiguration fails fast with a distinct code and a
@@ -87,7 +87,7 @@ func main() {
 			os.Exit(exitSession)
 		}
 		fmt.Printf("optworker debug listening on %s (/metrics, /debug/pprof)\n", ln.Addr())
-		go serve.NewServer(obs.Default().DebugMux()).Serve(ln)
+		go h1.NewServer(obs.Default().DebugMux()).Serve(ln)
 	}
 
 	w := dist.NewWorker(dist.WorkerConfig{

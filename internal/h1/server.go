@@ -1,9 +1,16 @@
-package serve
+// Package h1 is the HTTP/1.1 that optd, optrouter and optworker speak: the
+// keep-alive Server they serve their handlers from, the Transport the router
+// reaches its shards through, and the JSON reply helpers both servers use.
+// It imports only the standard library.
+package h1
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"math"
@@ -11,6 +18,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,12 +32,16 @@ import (
 // tests can shorten it.
 var readHeaderTimeout = 10 * time.Second
 
-// idleTimeout closes a kept-alive connection left idle this long between
-// requests. It outlasts the 90 s after which optrouter's shard hop stops
-// reusing an idle connection, so the router closes its side first and never
-// writes into a connection the shard is closing under it. A variable so
-// tests can shorten it.
-var idleTimeout = 2 * time.Minute
+// The idle limits of the two ends of a kept-alive connection. The Server
+// closes a connection left idle idleTimeout between requests; a Transport
+// stops reusing a pooled connection idle hopIdleTimeout. The Transport's
+// limit stays below the Server's, so the client closes its side first and
+// never writes into a connection the server is closing under it
+// (TestHopIdleBelowServerIdle). Variables so tests can shorten them.
+var (
+	idleTimeout    = 2 * time.Minute
+	hopIdleTimeout = 90 * time.Second
+)
 
 const (
 	// maxHeadBytes bounds a request line and its headers: net/http's default
@@ -48,7 +60,14 @@ const (
 	lingerTime = 500 * time.Millisecond
 )
 
-// aLongTimeAgo is the read deadline that aborts a blocked read at once.
+// hasToken reports whether token is one of v's words split at spaces, tabs
+// and commas, as net/http's server reads Connection and Expect.
+func hasToken(v, token string) bool {
+	return slices.ContainsFunc(strings.FieldsFunc(v, func(r rune) bool { return r == ' ' || r == ',' || r == '\t' }),
+		func(w string) bool { return strings.EqualFold(w, token) })
+}
+
+// aLongTimeAgo is the deadline that aborts a blocked read or write at once.
 var aLongTimeAgo = time.Unix(1, 0)
 
 // Connection states: waiting for a request's first byte, serving one, or
@@ -167,6 +186,7 @@ type conn struct {
 	bw     *bufio.Writer
 	w      response
 	body   body
+	post   bool // the last request was a POST: net/http skips CR and LF after one
 
 	// The close detector: watching is closed when it has exited, and gone
 	// (written before that) reports that the client went away.
@@ -229,31 +249,54 @@ func (c *conn) linger() {
 
 // fail answers a request that could not be read, as net/http does; the
 // connection closes after it.
-func (c *conn) fail(status string) {
-	c.rwc.Write([]byte("HTTP/1.1 " + status + "\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n" + status))
+func (c *conn) fail(status, body string) {
+	c.rwc.Write([]byte("HTTP/1.1 " + status + "\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n" + body))
 }
 
 // serveRequest reads one request, runs the handler and finishes its answer.
 // It reports whether the connection may carry another request.
 func (c *conn) serveRequest() bool {
+	if c.post {
+		peek, _ := c.br.Peek(4)
+		c.br.Discard(len(peek) - len(bytes.TrimLeft(peek, "\r\n")))
+	}
 	req, err := http.ReadRequest(c.br)
 	if err != nil {
-		var ne net.Error
+		var ne *net.OpError // not net.Error: a *url.Error is one too
 		switch {
 		case c.lr.N <= 0:
-			c.fail("431 Request Header Fields Too Large")
+			c.fail("431 Request Header Fields Too Large", "431 Request Header Fields Too Large")
 			c.linger()
-		case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.As(err, &ne):
+		case errors.Is(err, io.EOF) || errors.As(err, &ne):
 			// The client went away or timed out: nobody to answer.
+		case strings.HasPrefix(err.Error(), "unsupported transfer encoding"):
+			c.fail("501 Not Implemented", "Unsupported transfer encoding")
 		default:
-			c.fail("400 Bad Request")
+			c.fail("400 Bad Request", "400 Bad Request")
 		}
 		return false
 	}
-	if req.ProtoAtLeast(1, 1) && req.Host == "" {
-		c.fail("400 Bad Request")
+	// net/http's server checks past http.ReadRequest, the first failing in
+	// its order wins. http.ReadRequest has dropped the Host header, so
+	// req.Host stands for it.
+	bad := ""
+	for k := range req.Header { // http.ReadRequest refuses control bytes, not spaces
+		if strings.Contains(k, " ") {
+			bad = "400 Bad Request: invalid header name"
+		}
+	}
+	if req.ProtoMajor != 1 && !(req.ProtoMajor == 2 && req.ProtoMinor == 0 && req.Method == "PRI" && req.RequestURI == "*") {
+		bad = "505 HTTP Version Not Supported: unsupported protocol version"
+	} else if req.ProtoAtLeast(1, 1) && req.Host == "" && req.Method != "CONNECT" {
+		bad = "400 Bad Request: missing required Host header"
+	} else if strings.Trim(req.Host, "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ!$%&'()*+,-.:;=[]_~") != "" {
+		bad = "400 Bad Request: malformed Host header"
+	}
+	if bad != "" {
+		c.fail(bad, bad)
 		return false
 	}
+	c.post = req.Method == http.MethodPost
 	c.lr.N = math.MaxInt64
 	c.rwc.SetReadDeadline(time.Time{})
 
@@ -268,7 +311,7 @@ func (c *conn) serveRequest() bool {
 		b.rc, req.Body = req.Body, b
 	}
 	if exp := req.Header.Get("Expect"); exp != "" {
-		if !strings.EqualFold(strings.TrimSpace(exp), "100-continue") {
+		if !hasToken(exp, "100-continue") {
 			w.Header().Set("Connection", "close")
 			w.WriteHeader(http.StatusExpectationFailed)
 			w.finish()
@@ -517,8 +560,9 @@ func (w *response) commit(done bool, next []byte) {
 	case !head:
 		w.close = true // HTTP/1.0 cannot chunk: the end of the body is the close
 	}
-	keepAlive10 := !req.ProtoAtLeast(1, 1) && !req.Close && (cl >= 0 || head || !bodyOK)
-	if req.Close && !keepAlive10 || c.srv.closing.Load() || c.body.unread || h.Get("Connection") == "close" {
+	conn := req.Header.Get("Connection")
+	keepAlive10 := req.ProtoMajor == 1 && req.ProtoMinor == 0 && hasToken(conn, "keep-alive") && (cl >= 0 || head || !bodyOK)
+	if !keepAlive10 && (!req.ProtoAtLeast(1, 1) || req.Close || hasToken(conn, "close")) || c.srv.closing.Load() || c.body.unread || h.Get("Connection") == "close" {
 		w.close = true
 	}
 
@@ -600,4 +644,23 @@ func (w *response) writeBody(p []byte) (int, error) {
 // bodyAllowed reports whether an answer with this status may have a body.
 func bodyAllowed(status int) bool {
 	return status >= 200 && status != http.StatusNoContent && status != http.StatusNotModified
+}
+
+// MethodNotAllowed builds the 405 handler for one path: the Allow header
+// lists the methods the path does serve.
+func MethodNotAllowed(allow ...string) http.HandlerFunc {
+	allowed := strings.Join(allow, ", ")
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Allow", allowed)
+		WriteJSON(w, http.StatusMethodNotAllowed, map[string]string{
+			"error": fmt.Sprintf("method %s not allowed; allowed: %s", r.Method, allowed),
+		})
+	}
+}
+
+// WriteJSON sends one JSON response.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
 }

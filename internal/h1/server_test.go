@@ -1,4 +1,4 @@
-package serve
+package h1
 
 import (
 	"bufio"
@@ -21,7 +21,7 @@ import (
 // startH1 serves h through the keep-alive loop on a loopback port. logf,
 // when non-nil, receives what the server logs. Cleanup shuts the server
 // down and waits for every connection goroutine to exit.
-func startH1(t *testing.T, h http.Handler, logf func(string, ...any)) (*Server, string) {
+func startH1(t testing.TB, h http.Handler, logf func(string, ...any)) (*Server, string) {
 	t.Helper()
 	srv := NewServer(h)
 	srv.logf = func(string, ...any) {}
@@ -48,7 +48,7 @@ func startH1(t *testing.T, h http.Handler, logf func(string, ...any)) (*Server, 
 }
 
 // startNetHTTP serves h through net/http.Server, the reference.
-func startNetHTTP(t *testing.T, h http.Handler) string {
+func startNetHTTP(t testing.TB, h http.Handler) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -66,9 +66,15 @@ func conformanceHandler() http.Handler {
 	mux.HandleFunc("/known", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "hello\n")
 	})
+	// A request body replaces "hello", so a body of another length
+	// answers shorter or longer than the declared five bytes.
 	mux.HandleFunc("/declared", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", "5")
-		io.WriteString(w, "hello")
+		if r.Body == http.NoBody {
+			io.WriteString(w, "hello")
+			return
+		}
+		io.Copy(w, r.Body)
 	})
 	mux.HandleFunc("/echo", func(w http.ResponseWriter, r *http.Request) {
 		b, err := io.ReadAll(r.Body)
@@ -165,49 +171,56 @@ func roundTrip(t *testing.T, addr, raw string, finals int) exchange {
 	return ex
 }
 
+// conformanceRows is TestH1Conformance's table: the raw bytes a row sends,
+// how many final answers it reads, and the differences from net/http it
+// allows. FuzzH1Server's seed corpus is these rows.
+var conformanceRows = []struct {
+	name   string
+	raw    string
+	finals int
+	loop   func(ex *exchange) // the allowed differences; nil = none
+}{
+	{"known-length GET", "GET /known HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
+	{"declared Content-Length", "GET /declared HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
+	{"POST with a body", "POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello", 1, nil},
+	{"chunked request body", "POST /echo HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n", 1, nil},
+	{"Expect: 100-continue", "POST /echo HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: 5\r\n\r\nhello", 1, nil},
+	{"unknown Expect", "GET /known HTTP/1.1\r\nHost: x\r\nExpect: teapot\r\n\r\n", 1, nil},
+	{"HEAD", "HEAD /known HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
+	// net/http writes no Connection header to an HTTP/1.0 client; the
+	// loop says it closes.
+	{"HTTP/1.0", "GET /known HTTP/1.0\r\n\r\n", 1, func(ex *exchange) {
+		ex.answers[0].header.Set("Connection", "close")
+	}},
+	{"HTTP/1.0 keep-alive", "GET /known HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", 1, nil},
+	{"Connection: close", "GET /known HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", 1, nil},
+	{"two pipelined requests", "GET /known HTTP/1.1\r\nHost: x\r\n\r\nPOST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 3\r\n\r\nabc", 2, nil},
+	{"unread small body is drained", "POST /ignore HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello", 1, nil},
+	{"unread body past the drain limit closes", "POST /ignore HTTP/1.1\r\nHost: x\r\nContent-Length: " + strconv.Itoa(len(big)) + "\r\n\r\n" + big, 1, nil},
+	{"malformed request line", "GARBAGE\r\n\r\n", 1, nil},
+	{"header over 1 MiB", "GET /known HTTP/1.1\r\nHost: x\r\nX-Big: " + strings.Repeat("a", 1<<20+8<<10) + "\r\n\r\n", 1, nil},
+	{"flushed NDJSON stream", "GET /ndjson HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
+	// net/http holds back 2,048 bytes before it chunks, the loop 4 KiB:
+	// a 3,000-byte answer keeps its length here.
+	{"unflushed body between 2 and 4 KiB", "GET /size/3000 HTTP/1.1\r\nHost: x\r\n\r\n", 1, func(ex *exchange) {
+		a := &ex.answers[0]
+		a.te, a.length = nil, 3000
+		a.header.Set("Content-Length", "3000")
+	}},
+	{"unflushed body over 4 KiB", "GET /size/5000 HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
+	{"handler panic", "GET /panic HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
+}
+
+// big is the body of the row whose unread body passes the drain limit.
+var big = strings.Repeat("b", 300<<10)
+
 // TestH1Conformance is the differential table: each row sends the same raw
 // bytes to net/http.Server and to the keep-alive loop, both running
 // conformanceHandler, and compares status, headers but Date, body and
 // whether the connection stays open. A row's loop function states the
 // differences allowed on that row, applied to net/http's exchange.
 func TestH1Conformance(t *testing.T) {
-	big := strings.Repeat("b", 300<<10)
-	tests := []struct {
-		name   string
-		raw    string
-		finals int
-		loop   func(ex *exchange) // the allowed differences; nil = none
-	}{
-		{"known-length GET", "GET /known HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
-		{"declared Content-Length", "GET /declared HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
-		{"POST with a body", "POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello", 1, nil},
-		{"chunked request body", "POST /echo HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n", 1, nil},
-		{"Expect: 100-continue", "POST /echo HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: 5\r\n\r\nhello", 1, nil},
-		{"unknown Expect", "GET /known HTTP/1.1\r\nHost: x\r\nExpect: teapot\r\n\r\n", 1, nil},
-		{"HEAD", "HEAD /known HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
-		// net/http writes no Connection header to an HTTP/1.0 client; the
-		// loop says it closes.
-		{"HTTP/1.0", "GET /known HTTP/1.0\r\n\r\n", 1, func(ex *exchange) {
-			ex.answers[0].header.Set("Connection", "close")
-		}},
-		{"HTTP/1.0 keep-alive", "GET /known HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", 1, nil},
-		{"Connection: close", "GET /known HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n", 1, nil},
-		{"two pipelined requests", "GET /known HTTP/1.1\r\nHost: x\r\n\r\nPOST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 3\r\n\r\nabc", 2, nil},
-		{"unread small body is drained", "POST /ignore HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello", 1, nil},
-		{"unread body past the drain limit closes", "POST /ignore HTTP/1.1\r\nHost: x\r\nContent-Length: " + strconv.Itoa(len(big)) + "\r\n\r\n" + big, 1, nil},
-		{"malformed request line", "GARBAGE\r\n\r\n", 1, nil},
-		{"header over 1 MiB", "GET /known HTTP/1.1\r\nHost: x\r\nX-Big: " + strings.Repeat("a", 1<<20+8<<10) + "\r\n\r\n", 1, nil},
-		{"flushed NDJSON stream", "GET /ndjson HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
-		// net/http holds back 2,048 bytes before it chunks, the loop 4 KiB:
-		// a 3,000-byte answer keeps its length here.
-		{"unflushed body between 2 and 4 KiB", "GET /size/3000 HTTP/1.1\r\nHost: x\r\n\r\n", 1, func(ex *exchange) {
-			a := &ex.answers[0]
-			a.te, a.length = nil, 3000
-			a.header.Set("Content-Length", "3000")
-		}},
-		{"unflushed body over 4 KiB", "GET /size/5000 HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
-		{"handler panic", "GET /panic HTTP/1.1\r\nHost: x\r\n\r\n", 1, nil},
-	}
+	tests := conformanceRows
 	ref := startNetHTTP(t, conformanceHandler())
 	_, loop := startH1(t, conformanceHandler(), nil)
 	for _, tt := range tests {
@@ -488,5 +501,14 @@ func TestH1Faults(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, tt.run)
+	}
+}
+
+// TestHopIdleBelowServerIdle: a Transport stops reusing an idle connection
+// before a Server closes it, so a client never writes into a connection the
+// server is closing under it.
+func TestHopIdleBelowServerIdle(t *testing.T) {
+	if hopIdleTimeout >= idleTimeout {
+		t.Errorf("a Transport reuses connections idle up to %v, a Server closes them at %v", hopIdleTimeout, idleTimeout)
 	}
 }

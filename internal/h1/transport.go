@@ -1,4 +1,4 @@
-package shard
+package h1
 
 import (
 	"bufio"
@@ -12,37 +12,26 @@ import (
 	"time"
 )
 
-// hopIdleTimeout is how long a pooled shard connection may sit idle and
-// still be reused: below the 2-minute idle timeout of serve.Server, which
-// both servers run, so the router closes its side first and never writes
-// into a connection the shard is closing. A variable so tests can shorten
-// it.
-var hopIdleTimeout = 90 * time.Second
+// idleConnsPerShard is how many idle connections a Transport keeps to each
+// shard: well above any client concurrency, so proxied requests ride
+// kept-alive connections instead of dialing one every few requests.
+const idleConnsPerShard = 64
 
-// aLongTimeAgo is the deadline a fired context sets on its connection, so a
-// blocked read or write returns at once.
-var aLongTimeAgo = time.Unix(1, 0)
-
-// hop is the router's default shard transport: an HTTP/1.1 round trip on the
-// caller's own goroutine. It writes the request into a kept-alive connection
-// with one flush and reads the answer itself; there is no reader or writer
-// goroutine and no channel per request, so a proxied request wakes no other
-// goroutine. A connection goes back to its shard's LIFO idle stack once its
-// body reached EOF, unless the answer closes it or its context fired.
-type hop struct {
-	dialer net.Dialer
-
+// Transport is the router's default shard transport: an HTTP/1.1 round trip
+// on the caller's own goroutine. It writes the request into a kept-alive
+// connection with one flush and reads the answer itself; there is no reader
+// or writer goroutine and no channel per request, so a proxied request wakes
+// no other goroutine. A connection goes back to its shard's LIFO idle stack
+// once its body reached EOF, unless the answer closes it or its context
+// fired. The zero Transport is ready for use.
+type Transport struct {
 	mu     sync.Mutex
 	idle   map[string][]*hopConn // guarded by mu: per address, most recently pooled last
-	closed bool                  // guarded by mu: closeAll ran; nothing is pooled again
+	closed bool                  // guarded by mu: CloseIdleConnections ran; nothing is pooled again
 }
 
-func newHop() *hop {
-	return &hop{
-		dialer: net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second},
-		idle:   make(map[string][]*hopConn),
-	}
-}
+// dialer dials every Transport's shard connections.
+var dialer = net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}
 
 // hopConn is one kept-alive shard connection with its buffers.
 type hopConn struct {
@@ -58,7 +47,7 @@ type hopConn struct {
 // shard closed while it sat idle (a restart), and is sent once more on a
 // fresh dial. Any other method is not: a replayed submit's minted ?id= would
 // collide on the shard.
-func (h *hop) RoundTrip(req *http.Request) (*http.Response, error) {
+func (h *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	ctx, addr := req.Context(), req.URL.Host
 	pc, reused, err := h.get(ctx, addr)
 	if err != nil {
@@ -81,7 +70,7 @@ func (h *hop) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // get pops the most recently pooled connection to addr, or dials one.
-func (h *hop) get(ctx context.Context, addr string) (*hopConn, bool, error) {
+func (h *Transport) get(ctx context.Context, addr string) (*hopConn, bool, error) {
 	h.mu.Lock()
 	stack := h.idle[addr]
 	n := len(stack)
@@ -102,8 +91,8 @@ func (h *hop) get(ctx context.Context, addr string) (*hopConn, bool, error) {
 	return pc, false, err
 }
 
-func (h *hop) dial(ctx context.Context, addr string) (*hopConn, error) {
-	c, err := h.dialer.DialContext(ctx, "tcp", addr)
+func (h *Transport) dial(ctx context.Context, addr string) (*hopConn, error) {
+	c, err := dialer.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		if ctx.Err() == nil {
 			h.closeIdle(addr)
@@ -115,7 +104,7 @@ func (h *hop) dial(ctx context.Context, addr string) (*hopConn, error) {
 
 // send writes req on pc and reads the answer's header. answered reports
 // whether any byte of the answer arrived. On an error pc is gone.
-func (h *hop) send(pc *hopConn, req *http.Request, reused bool) (resp *http.Response, answered bool, err error) {
+func (h *Transport) send(pc *hopConn, req *http.Request, reused bool) (resp *http.Response, answered bool, err error) {
 	ctx := req.Context()
 	if trace := httptrace.ContextClientTrace(ctx); trace != nil && trace.GotConn != nil {
 		trace.GotConn(httptrace.GotConnInfo{Conn: pc.Conn, Reused: reused})
@@ -155,7 +144,7 @@ func (h *hop) send(pc *hopConn, req *http.Request, reused bool) (resp *http.Resp
 // the past), closed otherwise. A failure of the connection's own, not of a
 // fired context, also closes every idle connection to the same shard:
 // whatever broke this one (a restart, a crash) most likely broke them too.
-func (h *hop) done(pc *hopConn, stop func() bool, reusable, failed bool) {
+func (h *Transport) done(pc *hopConn, stop func() bool, reusable, failed bool) {
 	fired := !stop()
 	if reusable && !fired {
 		h.put(pc)
@@ -167,10 +156,13 @@ func (h *hop) done(pc *hopConn, stop func() bool, reusable, failed bool) {
 	}
 }
 
-func (h *hop) put(pc *hopConn) {
+func (h *Transport) put(pc *hopConn) {
 	pc.idleAt = time.Now()
 	h.mu.Lock()
 	if stack := h.idle[pc.addr]; !h.closed && len(stack) < idleConnsPerShard {
+		if h.idle == nil {
+			h.idle = make(map[string][]*hopConn)
+		}
 		h.idle[pc.addr] = append(stack, pc)
 		h.mu.Unlock()
 		return
@@ -180,7 +172,7 @@ func (h *hop) put(pc *hopConn) {
 }
 
 // closeIdle closes the idle connections to addr.
-func (h *hop) closeIdle(addr string) {
+func (h *Transport) closeIdle(addr string) {
 	h.mu.Lock()
 	stack := h.idle[addr]
 	delete(h.idle, addr)
@@ -190,8 +182,9 @@ func (h *hop) closeIdle(addr string) {
 	}
 }
 
-// closeAll closes every idle connection, and any handed back later.
-func (h *hop) closeAll() {
+// CloseIdleConnections closes every idle connection, and any handed back
+// later.
+func (h *Transport) CloseIdleConnections() {
 	h.mu.Lock()
 	idle := h.idle
 	h.idle, h.closed = nil, true
@@ -207,7 +200,7 @@ func (h *hop) closeAll() {
 // connection at EOF, on a read error, or on a Close before EOF, which leaves
 // unread bytes on the connection and so closes it.
 type hopBody struct {
-	h    *hop
+	h    *Transport
 	pc   *hopConn // nil once settled
 	body io.ReadCloser
 	stop func() bool

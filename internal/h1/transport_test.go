@@ -1,4 +1,4 @@
-package shard
+package h1_test
 
 import (
 	"bytes"
@@ -13,6 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/h1"
+	"repro/internal/shard"
 )
 
 // hopShard is a stand-in shard for the hop's fault table: a plain handler
@@ -112,17 +115,15 @@ func hopDo(t *testing.T, h http.Handler, method, path, body string) hopCall {
 	return c
 }
 
+// router is a shard router over a Transport the test holds.
+type router struct {
+	*shard.Router
+	tr *h1.Transport
+}
+
 // pooled reports whether c sits on the router's idle stack for addr.
-func (r *Router) pooled(addr string, c net.Conn) bool {
-	h := r.client.Transport.(*hop)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, pc := range h.idle[addr] {
-		if pc.Conn == c {
-			return true
-		}
-	}
-	return false
+func (r *router) pooled(addr string, c net.Conn) bool {
+	return r.tr.Pooled(addr, c)
 }
 
 // flushRecorder announces its first Flush.
@@ -143,9 +144,9 @@ func (f *flushRecorder) Flush() {
 func TestHopFaults(t *testing.T) {
 	tests := []struct {
 		name string
-		run  func(t *testing.T, s *hopShard, r *Router, h http.Handler)
+		run  func(t *testing.T, s *hopShard, r *router, h http.Handler)
 	}{
-		{"shard restarted behind pooled connections", func(t *testing.T, s *hopShard, r *Router, h http.Handler) {
+		{"shard restarted behind pooled connections", func(t *testing.T, s *hopShard, r *router, h http.Handler) {
 			s.restart()
 			// A status read meets the dead pooled connection before any
 			// answer byte and is sent again on a fresh dial.
@@ -167,7 +168,7 @@ func TestHopFaults(t *testing.T) {
 				t.Errorf("the shard answered %d submits, want 1", n)
 			}
 		}},
-		{"Connection: close answer", func(t *testing.T, s *hopShard, r *Router, h http.Handler) {
+		{"Connection: close answer", func(t *testing.T, s *hopShard, r *router, h http.Handler) {
 			c := hopDo(t, h, http.MethodGet, "/v1/jobs/closing", "")
 			if c.code != http.StatusOK {
 				t.Fatalf("code %d, want 200", c.code)
@@ -179,7 +180,7 @@ func TestHopFaults(t *testing.T) {
 				t.Fatal("the next request reused the closed connection")
 			}
 		}},
-		{"trace client gone mid-stream", func(t *testing.T, s *hopShard, r *Router, h http.Handler) {
+		{"trace client gone mid-stream", func(t *testing.T, s *hopShard, r *router, h http.Handler) {
 			var conn net.Conn
 			ctx, cancel := context.WithCancel(httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
 				GotConn: func(ci httptrace.GotConnInfo) { conn = ci.Conn },
@@ -208,7 +209,7 @@ func TestHopFaults(t *testing.T) {
 				t.Fatal("a connection abandoned mid-stream went back to the pool")
 			}
 		}},
-		{"answer over 1 MiB", func(t *testing.T, s *hopShard, r *Router, h http.Handler) {
+		{"answer over 1 MiB", func(t *testing.T, s *hopShard, r *router, h http.Handler) {
 			c := hopDo(t, h, http.MethodGet, "/v1/jobs/r000001/result", "")
 			if c.code != http.StatusOK || !bytes.Equal(c.body, s.big) {
 				t.Fatalf("code %d, %d bytes; want 200 and the shard's %d bytes unchanged", c.code, len(c.body), len(s.big))
@@ -217,9 +218,9 @@ func TestHopFaults(t *testing.T) {
 				t.Fatal("the connection that carried a whole answer was not pooled")
 			}
 		}},
-		{"connection idle past the limit", func(t *testing.T, s *hopShard, r *Router, h http.Handler) {
-			defer func(d time.Duration) { hopIdleTimeout = d }(hopIdleTimeout)
-			hopIdleTimeout = 100 * time.Millisecond
+		{"connection idle past the limit", func(t *testing.T, s *hopShard, r *router, h http.Handler) {
+			defer func(d time.Duration) { *h1.HopIdleTimeout = d }(*h1.HopIdleTimeout)
+			*h1.HopIdleTimeout = 100 * time.Millisecond
 			hopDo(t, h, http.MethodGet, "/v1/jobs/r000001", "")
 			if c := hopDo(t, h, http.MethodGet, "/v1/jobs/r000001", ""); !c.reused[0] {
 				t.Fatal("a connection idle under the limit was not reused")
@@ -236,12 +237,14 @@ func TestHopFaults(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			s := newHopShard(t)
-			r, err := New(Config{Shards: []Shard{{Addr: s.addr}}, Probe: time.Hour, DeadAfter: 5 * time.Second})
+			tr := &h1.Transport{}
+			r, err := shard.New(shard.Config{Shards: []shard.Shard{{Addr: s.addr}}, Probe: time.Hour, DeadAfter: 5 * time.Second,
+				Client: &http.Client{Transport: tr}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(r.Close)
-			tt.run(t, s, r, r.Handler())
+			tt.run(t, s, &router{r, tr}, r.Handler())
 		})
 	}
 }

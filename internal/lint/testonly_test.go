@@ -51,8 +51,6 @@ var testOnlyWaivers = []struct {
 	// is queued under ROADMAP item 10 for a change of its own.
 	{"mw.Allocation.WorkerSlots", "queued: its deletion retires TestWorkerSlotsStableForRestart"},
 	{"mw.ParseMachinefile", "queued: its deletion retires the two TestParse*Machinefile tests"},
-	{"obs.HistogramView.Mean", "queued: its deletion retires TestHistogramMean"},
-	{"obs.HistogramView.Quantile", "queued: its deletion retires TestHistogramQuantiles and its eight cases"},
 	{"stats.LogRatios", "queued: its deletion retires TestLogRatiosMismatchPanics"},
 	{"stats.Welford.AddBatch", "queued: its deletion retires the two TestWelfordAddBatch tests"},
 	{"stats.Welford.Merge", "queued: its deletion retires the three TestWelfordMerge tests"},

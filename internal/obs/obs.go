@@ -169,58 +169,13 @@ func (h *Histogram) View() HistogramView {
 
 // HistogramView is a point-in-time copy of a histogram. Counts is
 // per-bucket (not cumulative) and one longer than Bounds; the final entry
-// is the overflow bucket. Count is derived from Counts so quantiles stay
-// internally consistent even if the snapshot raced with writers.
+// is the overflow bucket. Count is derived from Counts so the two agree
+// even if the snapshot raced with writers.
 type HistogramView struct {
 	Count  uint64    `json:"count"`
 	Sum    float64   `json:"sum"`
 	Bounds []float64 `json:"bounds"`
 	Counts []uint64  `json:"counts"`
-}
-
-// Mean returns Sum/Count, or 0 for an empty histogram.
-func (v HistogramView) Mean() float64 {
-	if v.Count == 0 {
-		return 0
-	}
-	return v.Sum / float64(v.Count)
-}
-
-// Quantile estimates the q-th quantile (0 <= q <= 1) by linear
-// interpolation within the bucket containing that rank, assuming values
-// are uniform inside a bucket — the standard Prometheus histogram_quantile
-// estimate. The first bucket interpolates from 0; ranks landing in the
-// overflow bucket clamp to the last finite bound. An empty histogram
-// returns 0.
-func (v HistogramView) Quantile(q float64) float64 {
-	if v.Count == 0 || len(v.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(v.Count)
-	cum := 0.0
-	for i, c := range v.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(v.Bounds) {
-			break // overflow bucket: clamp below
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = v.Bounds[i-1]
-		}
-		upper := v.Bounds[i]
-		return lower + (upper-lower)*(rank-prev)/float64(c)
-	}
-	return v.Bounds[len(v.Bounds)-1]
 }
 
 // Registry owns a namespace of metrics. Lookups are get-or-create and

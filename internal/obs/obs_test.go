@@ -111,56 +111,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantiles is the quantile-extraction table: known
-// observation sets against the linear-interpolation estimates the view
-// must produce, including the clamp-to-last-bound overflow rule and the
-// empty-histogram zero.
-func TestHistogramQuantiles(t *testing.T) {
-	cases := []struct {
-		name   string
-		bounds []float64
-		obs    []float64
-		q      float64
-		want   float64
-	}{
-		// 10 values uniformly filling one bucket (0,10]: p50 ranks 5 of
-		// 10 into the bucket, interpolating to 0 + 10*(5/10) = 5.
-		{"single-bucket-p50", []float64{10}, seq(1, 10), 0.5, 5},
-		{"single-bucket-p90", []float64{10}, seq(1, 10), 0.9, 9},
-		// Two buckets, 5 values in each: p50 is exactly the first bound.
-		{"two-buckets-p50", []float64{5, 10}, seq(1, 10), 0.5, 5},
-		// p75 ranks 7.5: 2.5 of the 5 values into (5,10] -> 5 + 5*(2.5/5).
-		{"two-buckets-p75", []float64{5, 10}, seq(1, 10), 0.75, 7.5},
-		// Everything above the last bound clamps to it.
-		{"overflow-clamps", []float64{1, 2}, []float64{50, 60, 70}, 0.99, 2},
-		// q<=0 interpolates to the bottom of the first occupied bucket.
-		{"q-zero", []float64{5, 10}, seq(1, 10), 0, 0},
-		// q>=1 lands at the top of the last occupied bucket.
-		{"q-one", []float64{5, 10}, seq(1, 10), 1, 10},
-		{"empty", []float64{1, 2}, nil, 0.5, 0},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			h := newHistogram(c.bounds)
-			for _, v := range c.obs {
-				h.Observe(v)
-			}
-			if got := h.View().Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
-				t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-			}
-		})
-	}
-}
-
-// seq returns the floats lo..hi inclusive.
-func seq(lo, hi int) []float64 {
-	out := make([]float64, 0, hi-lo+1)
-	for v := lo; v <= hi; v++ {
-		out = append(out, float64(v))
-	}
-	return out
-}
-
 // TestSnapshotIsolation: mutating metrics after taking a snapshot must
 // not alter the snapshot — views are copies, not aliases.
 func TestSnapshotIsolation(t *testing.T) {
@@ -228,18 +178,5 @@ func TestSplitName(t *testing.T) {
 		if _, _, err := splitName(name); err == nil {
 			t.Errorf("splitName(%q) did not error", name)
 		}
-	}
-}
-
-// TestHistogramMean sanity-checks the derived mean.
-func TestHistogramMean(t *testing.T) {
-	h := newHistogram([]float64{10})
-	if got := h.View().Mean(); got != 0 {
-		t.Errorf("empty mean = %v, want 0", got)
-	}
-	h.Observe(2)
-	h.Observe(4)
-	if got := h.View().Mean(); got != 3 {
-		t.Errorf("mean = %v, want 3", got)
 	}
 }

@@ -1,8 +1,7 @@
 // Package serve is the optd HTTP/JSON layer: it adapts a jobs.Manager
 // (and optionally a dist.Coordinator fleet) to the REST surface cmd/optd
-// exposes and the shard router (internal/shard) proxies. Extracted from
-// cmd/optd so the router, the serve bench harness and tests can embed the
-// exact production handler in-process.
+// exposes and the shard router (internal/shard) proxies over the wire. The
+// bench harness and tests embed the exact production handler in-process.
 package serve
 
 import (
@@ -12,12 +11,12 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/h1"
 	"repro/internal/jobs"
 	"repro/internal/jobstore"
 	"repro/internal/obs"
@@ -104,37 +103,18 @@ func New(cfg Config) http.Handler {
 	obs.Default().RegisterDebug(mux)
 	// Method-less fallbacks: less specific than the method patterns above,
 	// they match only requests whose method is not served on that path.
-	mux.HandleFunc("/healthz", MethodNotAllowed("GET"))
-	mux.HandleFunc("/strategies", MethodNotAllowed("GET"))
-	mux.HandleFunc("/v1/jobs", MethodNotAllowed("GET", "POST"))
-	mux.HandleFunc("/v1/jobs/{id}", MethodNotAllowed("GET", "DELETE"))
-	mux.HandleFunc("/v1/jobs/{id}/result", MethodNotAllowed("GET"))
-	mux.HandleFunc("/v1/jobs/{id}/trace", MethodNotAllowed("GET"))
-	mux.HandleFunc("/v1/jobs/{id}/cancel", MethodNotAllowed("POST"))
-	mux.HandleFunc("/v1/tenants", MethodNotAllowed("GET"))
-	mux.HandleFunc("/v1/tenants/{tenant}/jobs", MethodNotAllowed("GET", "POST"))
-	mux.HandleFunc("/v1/failover", MethodNotAllowed("POST"))
-	mux.HandleFunc("/metrics", MethodNotAllowed("GET"))
+	mux.HandleFunc("/healthz", h1.MethodNotAllowed("GET"))
+	mux.HandleFunc("/strategies", h1.MethodNotAllowed("GET"))
+	mux.HandleFunc("/v1/jobs", h1.MethodNotAllowed("GET", "POST"))
+	mux.HandleFunc("/v1/jobs/{id}", h1.MethodNotAllowed("GET", "DELETE"))
+	mux.HandleFunc("/v1/jobs/{id}/result", h1.MethodNotAllowed("GET"))
+	mux.HandleFunc("/v1/jobs/{id}/trace", h1.MethodNotAllowed("GET"))
+	mux.HandleFunc("/v1/jobs/{id}/cancel", h1.MethodNotAllowed("POST"))
+	mux.HandleFunc("/v1/tenants", h1.MethodNotAllowed("GET"))
+	mux.HandleFunc("/v1/tenants/{tenant}/jobs", h1.MethodNotAllowed("GET", "POST"))
+	mux.HandleFunc("/v1/failover", h1.MethodNotAllowed("POST"))
+	mux.HandleFunc("/metrics", h1.MethodNotAllowed("GET"))
 	return mux
-}
-
-// MethodNotAllowed builds the 405 handler for one path: the Allow header
-// lists the methods the path does serve.
-func MethodNotAllowed(allow ...string) http.HandlerFunc {
-	allowed := strings.Join(allow, ", ")
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allowed)
-		WriteJSON(w, http.StatusMethodNotAllowed, map[string]string{
-			"error": fmt.Sprintf("method %s not allowed; allowed: %s", r.Method, allowed),
-		})
-	}
-}
-
-// WriteJSON sends one JSON response.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }
 
 // WriteErr maps manager errors to HTTP statuses.
@@ -148,7 +128,7 @@ func WriteErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, jobs.ErrQuotaExceeded), errors.Is(err, jobs.ErrRateLimited):
 		code = http.StatusTooManyRequests
 	}
-	WriteJSON(w, code, map[string]string{"error": err.Error()})
+	h1.WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // maxBodyBytes bounds a request body. A job spec or a failover request is a
@@ -169,12 +149,12 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 func writeBodyErr(w http.ResponseWriter, what string, err error) {
 	var tooLong *http.MaxBytesError
 	if errors.As(err, &tooLong) {
-		WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+		h1.WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
 			"error": fmt.Sprintf("%s: body exceeds %d bytes", what, tooLong.Limit),
 		})
 		return
 	}
-	WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("%s: %v", what, err)})
+	h1.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("%s: %v", what, err)})
 }
 
 // buildInfo extracts the Go toolchain version and VCS revision baked into
@@ -221,14 +201,14 @@ func (s *server) health(w http.ResponseWriter, r *http.Request) {
 		body["fleet"] = s.cfg.Fleet.Status()
 	}
 	body["metrics"] = obs.Default().Snapshot()
-	WriteJSON(w, http.StatusOK, body)
+	h1.WriteJSON(w, http.StatusOK, body)
 }
 
 // strategies lists what this server can run: every strategy in the core
 // registry, with aliases and resumability (resumable strategies support
 // durable checkpoint/recover across server restarts).
 func (s *server) strategies(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]any{"strategies": core.StrategyInfos()})
+	h1.WriteJSON(w, http.StatusOK, map[string]any{"strategies": core.StrategyInfos()})
 }
 
 // submit serves POST /v1/jobs and POST /v1/tenants/{tenant}/jobs. The
@@ -244,7 +224,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	if tenant := r.PathValue("tenant"); tenant != "" {
 		if spec.Tenant != "" && spec.Tenant != tenant {
-			WriteJSON(w, http.StatusBadRequest, map[string]string{
+			h1.WriteJSON(w, http.StatusBadRequest, map[string]string{
 				"error": fmt.Sprintf("spec tenant %q conflicts with path tenant %q", spec.Tenant, tenant),
 			})
 			return
@@ -266,10 +246,10 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 			WriteErr(w, err)
 			return
 		}
-		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		h1.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, map[string]string{"id": id})
+	h1.WriteJSON(w, http.StatusAccepted, map[string]string{"id": id})
 }
 
 // list serves GET /v1/jobs (all jobs) and GET /v1/tenants/{tenant}/jobs
@@ -285,11 +265,11 @@ func (s *server) list(w http.ResponseWriter, r *http.Request) {
 		}
 		all = scoped
 	}
-	WriteJSON(w, http.StatusOK, all)
+	h1.WriteJSON(w, http.StatusOK, all)
 }
 
 func (s *server) tenants(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]any{"tenants": s.cfg.Mgr.Tenants()})
+	h1.WriteJSON(w, http.StatusOK, map[string]any{"tenants": s.cfg.Mgr.Tenants()})
 }
 
 // failoverRequest is the POST /v1/failover body.
@@ -335,14 +315,14 @@ func (s *server) failover(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case !a.opened:
-		WriteJSON(w, http.StatusBadRequest, map[string]string{"error": a.err.Error()})
+		h1.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": a.err.Error()})
 	case a.err != nil && len(a.ids) == 0:
 		WriteErr(w, a.err)
 	case a.err != nil:
 		// Partial adoption: report what was recovered and what was not.
-		WriteJSON(w, http.StatusOK, map[string]any{"adopted": a.ids, "error": a.err.Error()})
+		h1.WriteJSON(w, http.StatusOK, map[string]any{"adopted": a.ids, "error": a.err.Error()})
 	default:
-		WriteJSON(w, http.StatusOK, map[string]any{"adopted": a.ids})
+		h1.WriteJSON(w, http.StatusOK, map[string]any{"adopted": a.ids})
 	}
 }
 
@@ -372,7 +352,7 @@ func (s *server) status(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, st)
+	h1.WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *server) result(w http.ResponseWriter, r *http.Request) {
@@ -383,7 +363,7 @@ func (s *server) result(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !st.State.Terminal() {
-		WriteJSON(w, http.StatusConflict, map[string]string{
+		h1.WriteJSON(w, http.StatusConflict, map[string]string{
 			"error": fmt.Sprintf("job %s is %s", id, st.State),
 		})
 		return
@@ -397,10 +377,10 @@ func (s *server) result(w http.ResponseWriter, r *http.Request) {
 		}
 		// Terminal without a result (failed, or canceled before starting):
 		// surface the run error with the status.
-		WriteJSON(w, http.StatusOK, map[string]any{"state": st.State, "error": err.Error()})
+		h1.WriteJSON(w, http.StatusOK, map[string]any{"state": st.State, "error": err.Error()})
 		return
 	}
-	WriteJSON(w, http.StatusOK, map[string]any{"state": st.State, "result": res})
+	h1.WriteJSON(w, http.StatusOK, map[string]any{"state": st.State, "result": res})
 }
 
 func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
@@ -408,7 +388,7 @@ func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, map[string]string{"status": "canceling"})
+	h1.WriteJSON(w, http.StatusAccepted, map[string]string{"status": "canceling"})
 }
 
 // trace streams the job's progress as NDJSON: one jobs.Event per line,

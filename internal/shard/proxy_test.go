@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/h1"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -423,7 +424,7 @@ func TestRouterFinishedTraceKeepsLength(t *testing.T) {
 	}
 }
 
-// serveH1 serves h through serve's keep-alive loop, as optd and optrouter
+// serveH1 serves h through h1's keep-alive loop, as optd and optrouter
 // do, and returns its base URL.
 func serveH1(tb testing.TB, h http.Handler) string {
 	tb.Helper()
@@ -431,7 +432,7 @@ func serveH1(tb testing.TB, h http.Handler) string {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := serve.NewServer(h)
+	srv := h1.NewServer(h)
 	go srv.Serve(ln)
 	tb.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -443,7 +444,7 @@ func serveH1(tb testing.TB, h http.Handler) string {
 
 // BenchmarkRouterProxy prices one hop through the router: a client request
 // proxied over loopback to one serve shard and relayed back. The router and
-// the shard are both served by serve's keep-alive loop, as deployed.
+// the shard are both served by h1's keep-alive loop, as deployed.
 func BenchmarkRouterProxy(b *testing.B) {
 	mgr, err := jobs.New(jobs.Config{MaxConcurrent: 2})
 	if err != nil {

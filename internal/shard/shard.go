@@ -15,15 +15,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/jobs"
+	"repro/internal/h1"
 	"repro/internal/obs"
-	"repro/internal/serve"
 )
 
 // Hash is 64-bit FNV-1a over the job ID — the placement function. It is
@@ -46,11 +48,6 @@ func Hash(id string) uint64 {
 func Pick(id string, n int) int {
 	return int(Hash(id) % uint64(n))
 }
-
-// idleConnsPerShard is how many idle connections the default client keeps to
-// each shard: well above any client concurrency, so proxied requests ride
-// kept-alive connections instead of dialing one every few requests.
-const idleConnsPerShard = 64
 
 // traceRoute is the one proxied route whose answer is a stream.
 const traceRoute = "GET /v1/jobs/{id}/trace"
@@ -83,9 +80,9 @@ type Config struct {
 	// sharing shards must use distinct prefixes.
 	IDPrefix string
 	// Client issues proxy, probe, merge and adoption requests; the router
-	// sets their deadlines. nil uses the router's own synchronous HTTP/1.1
-	// hop, which keeps up to 64 idle connections per shard and asks for no
-	// compression.
+	// sets their deadlines, and Close closes its idle connections. nil uses
+	// an h1.Transport, a synchronous HTTP/1.1 hop that keeps up to 64 idle
+	// connections per shard and asks for no compression.
 	Client *http.Client
 	// Events, when non-nil, receives shard lifecycle events.
 	Events *obs.Logger
@@ -148,7 +145,7 @@ func New(cfg Config) (*Router, error) {
 		mProxyErr: obs.Default().Counter("shard_proxy_error_total"),
 	}
 	if r.client == nil {
-		r.client = &http.Client{Transport: newHop()}
+		r.client = &http.Client{Transport: &h1.Transport{}}
 	}
 	r.probeAll() // synchronous first sweep so Handler starts with real state
 	r.wg.Add(1)
@@ -156,14 +153,11 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Close stops the prober and closes the default client's idle shard
-// connections.
+// Close stops the prober and closes the client's idle shard connections.
 func (r *Router) Close() {
 	close(r.done)
 	r.wg.Wait()
-	if h, ok := r.client.Transport.(*hop); ok {
-		h.closeAll()
-	}
+	r.client.CloseIdleConnections()
 }
 
 func (r *Router) probeLoop() {
@@ -374,16 +368,16 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/tenants/{tenant}/jobs", r.submit)
 	mux.HandleFunc("GET /v1/tenants/{tenant}/jobs", r.list)
 	obs.Default().RegisterDebug(mux)
-	mux.HandleFunc("/healthz", serve.MethodNotAllowed("GET"))
-	mux.HandleFunc("/strategies", serve.MethodNotAllowed("GET"))
-	mux.HandleFunc("/v1/jobs", serve.MethodNotAllowed("GET", "POST"))
-	mux.HandleFunc("/v1/jobs/{id}", serve.MethodNotAllowed("GET", "DELETE"))
-	mux.HandleFunc("/v1/jobs/{id}/result", serve.MethodNotAllowed("GET"))
-	mux.HandleFunc("/v1/jobs/{id}/trace", serve.MethodNotAllowed("GET"))
-	mux.HandleFunc("/v1/jobs/{id}/cancel", serve.MethodNotAllowed("POST"))
-	mux.HandleFunc("/v1/tenants", serve.MethodNotAllowed("GET"))
-	mux.HandleFunc("/v1/tenants/{tenant}/jobs", serve.MethodNotAllowed("GET", "POST"))
-	mux.HandleFunc("/metrics", serve.MethodNotAllowed("GET"))
+	mux.HandleFunc("/healthz", h1.MethodNotAllowed("GET"))
+	mux.HandleFunc("/strategies", h1.MethodNotAllowed("GET"))
+	mux.HandleFunc("/v1/jobs", h1.MethodNotAllowed("GET", "POST"))
+	mux.HandleFunc("/v1/jobs/{id}", h1.MethodNotAllowed("GET", "DELETE"))
+	mux.HandleFunc("/v1/jobs/{id}/result", h1.MethodNotAllowed("GET"))
+	mux.HandleFunc("/v1/jobs/{id}/trace", h1.MethodNotAllowed("GET"))
+	mux.HandleFunc("/v1/jobs/{id}/cancel", h1.MethodNotAllowed("POST"))
+	mux.HandleFunc("/v1/tenants", h1.MethodNotAllowed("GET"))
+	mux.HandleFunc("/v1/tenants/{tenant}/jobs", h1.MethodNotAllowed("GET", "POST"))
+	mux.HandleFunc("/metrics", h1.MethodNotAllowed("GET"))
 	return mux
 }
 
@@ -400,7 +394,7 @@ func (r *Router) health(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		code = http.StatusServiceUnavailable
 	}
-	serve.WriteJSON(w, code, map[string]any{"ok": ok, "role": "router", "shards": shards})
+	h1.WriteJSON(w, code, map[string]any{"ok": ok, "role": "router", "shards": shards})
 }
 
 // anyAlive proxies the request verbatim to the first alive shard — for
@@ -415,7 +409,7 @@ func (r *Router) anyAlive(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no alive shards"})
+	h1.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no alive shards"})
 }
 
 // submit mints the job ID, hashes it to its home shard and forwards the
@@ -425,7 +419,7 @@ func (r *Router) submit(w http.ResponseWriter, req *http.Request) {
 	id := r.NextID()
 	target := r.Place(id)
 	if target < 0 {
-		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no alive shards"})
+		h1.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no alive shards"})
 		return
 	}
 	path := "/v1/jobs"
@@ -441,7 +435,7 @@ func (r *Router) submit(w http.ResponseWriter, req *http.Request) {
 func (r *Router) byID(w http.ResponseWriter, req *http.Request) {
 	target := r.Place(req.PathValue("id"))
 	if target < 0 {
-		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no alive shards"})
+		h1.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no alive shards"})
 		return
 	}
 	r.proxy(w, req, target, req.URL.RequestURI(), "")
@@ -470,16 +464,17 @@ func (r *Router) fetchShard(ctx context.Context, targets []int, i int, path stri
 	return r.getJSON(ctx, j, path, out) == nil
 }
 
-// list merges the job lists of every serving shard, sorted by ID. If a
-// shard dies mid-merge and its failover chain cannot answer either, the
-// healthy shards' merge is still returned, wrapped with a "degraded" field
-// naming the unreachable shards — partial answers beat a blanket 502.
+// list merges the job lists of every serving shard, sorted by ID, each job
+// as its shard wrote it. If a shard dies mid-merge and its failover chain
+// cannot answer either, the healthy shards' merge is still returned, wrapped
+// with a "degraded" field naming the unreachable shards — partial answers
+// beat a blanket 502.
 func (r *Router) list(w http.ResponseWriter, req *http.Request) {
-	var merged []jobs.Status
+	merged := []listed{}
 	var degraded []string
 	targets := r.serving()
 	for _, i := range targets {
-		var page []jobs.Status
+		var page []listed
 		if !r.fetchShard(req.Context(), targets, i, req.URL.RequestURI(), &page) {
 			degraded = append(degraded, r.cfg.Shards[i].Addr)
 			continue
@@ -487,27 +482,25 @@ func (r *Router) list(w http.ResponseWriter, req *http.Request) {
 		merged = append(merged, page...)
 	}
 	sort.Slice(merged, func(a, b int) bool { return merged[a].ID < merged[b].ID })
-	if merged == nil {
-		merged = []jobs.Status{}
-	}
 	if len(degraded) > 0 {
-		serve.WriteJSON(w, http.StatusOK, map[string]any{"jobs": merged, "degraded": degraded})
+		h1.WriteJSON(w, http.StatusOK, map[string]any{"jobs": merged, "degraded": degraded})
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, merged)
+	h1.WriteJSON(w, http.StatusOK, merged)
 }
 
-// tenants merges per-tenant accounting across shards: counters sum; the
-// quota shown is the first shard's (the fleet is deployed homogeneous).
+// tenants merges per-tenant accounting across shards: the four counters
+// sum; every other member, the quota among them, is the first shard's entry
+// as that shard wrote it (the fleet is deployed homogeneous).
 // Like list, a shard unreachable through its failover chain degrades the
 // merge (reported in "degraded") instead of failing it.
 func (r *Router) tenants(w http.ResponseWriter, req *http.Request) {
-	sum := map[string]*jobs.TenantStats{}
+	sum := map[string]*tenantRow{}
 	var degraded []string
 	targets := r.serving()
 	for _, i := range targets {
 		var page struct {
-			Tenants []jobs.TenantStats `json:"tenants"`
+			Tenants []tenantRow `json:"tenants"`
 		}
 		if !r.fetchShard(req.Context(), targets, i, "/v1/tenants", &page) {
 			degraded = append(degraded, r.cfg.Shards[i].Addr)
@@ -516,8 +509,7 @@ func (r *Router) tenants(w http.ResponseWriter, req *http.Request) {
 		for _, ts := range page.Tenants {
 			acc, ok := sum[ts.Tenant]
 			if !ok {
-				c := ts
-				sum[ts.Tenant] = &c
+				sum[ts.Tenant] = &ts
 				continue
 			}
 			acc.Queued += ts.Queued
@@ -526,21 +518,57 @@ func (r *Router) tenants(w http.ResponseWriter, req *http.Request) {
 			acc.Rejected += ts.Rejected
 		}
 	}
-	names := make([]string, 0, len(sum))
-	for name := range sum {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]jobs.TenantStats, 0, len(names))
-	for _, name := range names {
+	out := make([]tenantRow, 0, len(sum))
+	for _, name := range slices.Sorted(maps.Keys(sum)) {
 		out = append(out, *sum[name])
 	}
 	if len(degraded) > 0 {
-		serve.WriteJSON(w, http.StatusOK, map[string]any{"tenants": out, "degraded": degraded})
+		h1.WriteJSON(w, http.StatusOK, map[string]any{"tenants": out, "degraded": degraded})
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"tenants": out})
+	h1.WriteJSON(w, http.StatusOK, map[string]any{"tenants": out})
 }
+
+// tenantRow is one tenant of a shard's /v1/tenants page: the counters the
+// merge sums, and every member as the shard wrote it.
+type tenantRow struct {
+	Tenant                               string
+	Queued, Running, Submitted, Rejected int
+	members                              map[string]json.RawMessage
+}
+
+func (t *tenantRow) UnmarshalJSON(b []byte) error {
+	type fields tenantRow // without this method
+	if err := json.Unmarshal(b, &t.members); err != nil {
+		return err
+	}
+	return json.Unmarshal(b, (*fields)(t))
+}
+
+// MarshalJSON writes the shard's members, with the four counters set to t's.
+func (t tenantRow) MarshalJSON() ([]byte, error) {
+	m := map[string]json.RawMessage{}
+	maps.Copy(m, t.members)
+	for k, v := range map[string]int{"queued": t.Queued, "running": t.Running, "submitted": t.Submitted, "rejected": t.Rejected} {
+		m[k] = json.RawMessage(strconv.Itoa(v))
+	}
+	return json.Marshal(m)
+}
+
+// listed is one job of a shard's list page: its ID, the merge's sort key,
+// and the entry as the shard wrote it, which the merge relays unchanged.
+type listed struct {
+	ID  string
+	raw json.RawMessage
+}
+
+func (l *listed) UnmarshalJSON(b []byte) error {
+	type fields listed // without this method
+	l.raw = append(l.raw[:0], b...)
+	return json.Unmarshal(b, (*fields)(l))
+}
+
+func (l listed) MarshalJSON() ([]byte, error) { return l.raw, nil }
 
 // serving lists the shard indexes currently serving a hash range (alive,
 // not failed over).
@@ -599,7 +627,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, i int, path, id
 	}
 	out, err := http.NewRequestWithContext(ctx, req.Method, "http://"+r.cfg.Shards[i].Addr+path, req.Body)
 	if err != nil {
-		serve.WriteJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
+		h1.WriteJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
 	}
 	out.ContentLength = req.ContentLength
@@ -616,7 +644,7 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request, i int, path, id
 				body["id"] = id
 			}
 		}
-		serve.WriteJSON(w, code, body)
+		h1.WriteJSON(w, code, body)
 		return
 	}
 	defer resp.Body.Close()
