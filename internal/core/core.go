@@ -206,11 +206,11 @@ type Config struct {
 	// resampling of fresh points: instead of the fixed InitialSample
 	// allotment, every new point samples in geometrically growing rounds,
 	// at most MaxWaitRounds per fresh-point batch, until its 95% confidence
-	// half-width (1.96 sigma, Welford-estimated when the backend reports
-	// estimated sigmas) falls to AdaptiveHalfWidth. The driver remembers
-	// the largest allotment a point needed (the adaptive floor, persisted
-	// in snapshots) and starts subsequent points there, so the growth is
-	// paid once, not per point. Zero keeps the fixed allotment.
+	// half-width (1.96 times the sigma the space reports) falls to
+	// AdaptiveHalfWidth. The driver remembers the largest allotment a point
+	// needed (the adaptive floor, persisted in snapshots) and starts
+	// subsequent points there, so the growth is paid once, not per point.
+	// Zero keeps the fixed allotment.
 	AdaptiveHalfWidth float64
 
 	// InitialSample is the virtual sampling time given to each new vertex.

@@ -58,27 +58,3 @@ func TestLocationDependentNoiseNeedsRestarts(t *testing.T) {
 		t.Fatalf("restarts did not help: %d vs %d seeds solved", solvedRestarted, solvedPlain)
 	}
 }
-
-// With estimated (rather than known) sigma, the PC algorithm must still make
-// progress: the practitioner's regime where sigma0 is learned from batch
-// statistics.
-func TestEstimatedSigmaMode(t *testing.T) {
-	sp := sim.NewLocalSpace(sim.LocalConfig{
-		Dim:      2,
-		F:        testfunc.Sphere,
-		Sigma0:   sim.ConstSigma(20),
-		Seed:     4,
-		Mode:     sim.SigmaEstimated,
-		Parallel: true,
-	})
-	cfg := DefaultConfig(PC)
-	cfg.MaxWalltime = 5e4
-	cfg.Tol = 0
-	res, err := Run(context.Background(), sp, RunSpec{Strategy: cfg.Algorithm.String(), Config: cfg, Initial: [][]float64{{8, 8}, {9, 8}, {8, 9}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := testfunc.Sphere(res.BestX); f >= testfunc.Sphere([]float64{8, 8}) {
-		t.Fatalf("no progress with estimated sigma: f=%v", f)
-	}
-}

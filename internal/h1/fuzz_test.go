@@ -211,10 +211,13 @@ func allowDifferences(behaviour string, got, want []fuzzAnswer) ([]fuzzAnswer, [
 // whole body, or only its first partial bytes before it closes it. Then a
 // second request goes out: if it rides the connection the first answer
 // left pooled, it must get its own answer, never a leftover byte of the
-// first. The stand-in sends an answer as http.ReadResponse frames it (a
-// shard never writes past its own framing) and then closes, unless the
-// answer keeps the connection alive. 1xx answers are skipped: a shard
-// sends none, since the router never sends Expect.
+// first. The stand-in sends the whole input, so the bytes past the answer's
+// framing follow it in the same write, and then closes unless the answer
+// keeps the connection alive. An input over the hop's 4 KiB read buffer
+// goes without those bytes: the hop sees only stray bytes it has buffered
+// by the body's end, and a larger answer's may still be in flight. 1xx
+// answers are skipped: a shard sends none, since the router never sends
+// Expect.
 func FuzzH1Hop(f *testing.F) {
 	for _, seed := range []string{
 		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
@@ -225,6 +228,7 @@ func FuzzH1Hop(f *testing.F) {
 		"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 5\r\n\r\nhello",
 		"HTTP/1.1 204 No Content\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhiHTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfirst",
 	} {
 		f.Add([]byte(seed), uint16(0))
 		f.Add([]byte(seed), uint16(3))
@@ -234,6 +238,9 @@ func FuzzH1Hop(f *testing.F) {
 		sent, keep, ok := frame(answer)
 		if !ok {
 			t.Skip("a 1xx answer")
+		}
+		if len(answer) <= 4096 {
+			sent = answer
 		}
 		shard.set(sent, keep)
 		hop := &Transport{}

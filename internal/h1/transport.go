@@ -22,8 +22,8 @@ const idleConnsPerShard = 64
 // connection with one flush and reads the answer itself; there is no reader
 // or writer goroutine and no channel per request, so a proxied request wakes
 // no other goroutine. A connection goes back to its shard's LIFO idle stack
-// once its body reached EOF, unless the answer closes it or its context
-// fired. The zero Transport is ready for use.
+// once its body reached EOF, unless the answer closes it, its context fired
+// or the shard wrote past the answer. The zero Transport is ready for use.
 type Transport struct {
 	mu     sync.Mutex
 	idle   map[string][]*hopConn // guarded by mu: per address, most recently pooled last
@@ -140,13 +140,17 @@ func (h *Transport) send(pc *hopConn, req *http.Request, reused bool) (resp *htt
 }
 
 // done settles pc once its exchange is over: back on the idle stack when
-// reusable and its context never fired (a fired one left the deadline in
-// the past), closed otherwise. A failure of the connection's own, not of a
-// fired context, also closes every idle connection to the same shard:
-// whatever broke this one (a restart, a crash) most likely broke them too.
+// reusable, its context never fired (a fired one left the deadline in the
+// past) and its reader holds no byte past the answer's framing (the next
+// request would read them as its answer), closed otherwise. Bytes that
+// arrive after the body's end was read are not seen here: catching them
+// would take a read syscall per reuse. A failure of the connection's own,
+// not of a fired context, also closes every idle connection to the same
+// shard: whatever broke this one (a restart, a crash) most likely broke
+// them too.
 func (h *Transport) done(pc *hopConn, stop func() bool, reusable, failed bool) {
 	fired := !stop()
-	if reusable && !fired {
+	if reusable && !fired && pc.br.Buffered() == 0 {
 		h.put(pc)
 		return
 	}

@@ -53,8 +53,19 @@ func (s *hopShard) start() {
 		w.Write([]byte(`{"ok":true}`))
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if r.PathValue("id") == "closing" {
+		switch r.PathValue("id") {
+		case "closing":
 			w.Header().Set("Connection", "close")
+		case "overrun": // a foreign shard that writes past its answer's framing
+			c, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				s.t.Error(err)
+				return
+			}
+			io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"+
+				"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfirst")
+			c.Close()
+			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"state":"done"}`))
@@ -178,6 +189,18 @@ func TestHopFaults(t *testing.T) {
 			}
 			if c = hopDo(t, h, http.MethodGet, "/v1/jobs/r000001", ""); c.reused[0] {
 				t.Fatal("the next request reused the closed connection")
+			}
+		}},
+		{"answer followed by stray bytes", func(t *testing.T, s *hopShard, r *router, h http.Handler) {
+			c := hopDo(t, h, http.MethodGet, "/v1/jobs/overrun", "")
+			if c.code != http.StatusOK || string(c.body) != "hi" {
+				t.Fatalf("code %d, body %q; want 200 \"hi\"", c.code, c.body)
+			}
+			// The connection still holds the stray answer, so it is closed:
+			// the next request must not read that answer as its own.
+			c = hopDo(t, h, http.MethodGet, "/v1/jobs/r000001", "")
+			if c.code != http.StatusOK || string(c.body) != `{"state":"done"}` || c.reused[0] {
+				t.Fatalf("next status: code %d, body %q on connections reused %v; want the shard's own 200 on a fresh dial", c.code, c.body, c.reused)
 			}
 		}},
 		{"trace client gone mid-stream", func(t *testing.T, s *hopShard, r *router, h http.Handler) {

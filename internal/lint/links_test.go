@@ -15,7 +15,7 @@ var linkTable = []struct {
 	links  []string
 }{
 	{"cmd/optd", []string{"internal/core", "internal/dist", "internal/h1", "internal/jobs", "internal/jobstore", "internal/noise",
-		"internal/obs", "internal/pso", "internal/sched", "internal/serve", "internal/sim", "internal/stats", "internal/testfunc", "internal/vtime"}},
+		"internal/obs", "internal/pso", "internal/sched", "internal/serve", "internal/sim", "internal/testfunc", "internal/vtime"}},
 	{"cmd/optrouter", []string{"internal/h1", "internal/obs", "internal/shard"}},
 	{"cmd/optworker", []string{"internal/dist", "internal/h1", "internal/noise", "internal/obs", "internal/testfunc"}},
 	{"internal/h1", nil},
@@ -31,7 +31,6 @@ var linkWaivers = []struct {
 	{"cmd/optworker", "internal/sim", "dist implements sim.FleetSampler; goes when the fleet is the one dispatch engine behind the one Space (ROADMAP items 4 and 11)"},
 	{"cmd/optworker", "internal/sched", "linked through sim; goes with it (ROADMAP items 4 and 11)"},
 	{"cmd/optworker", "internal/vtime", "linked through sim; goes with it (ROADMAP items 4 and 11)"},
-	{"cmd/optworker", "internal/stats", "linked through noise's master-side Accumulator, which sim drives; goes with sim (ROADMAP items 4 and 11)"},
 }
 
 // TestLinkTable fails when a target of linkTable links a repro/ package that

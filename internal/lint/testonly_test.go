@@ -41,19 +41,6 @@ var testOnlyWaivers = []struct {
 	// moves onto the coordinator.
 	{"sched.Scheduler.Dispatched", "fair-share observation; moves with ROADMAP item 4"},
 	{"sched.Scheduler.Shares", "fair-share observation; moves with ROADMAP item 4"},
-
-	// Persisted format: the estimated-sigma z-moments are in the snapshot,
-	// so Mode goes only after ROADMAP item 15 pins the formats.
-	{"sim.LocalConfig.Mode", "persisted format: SigmaEstimated's z-moments are in the snapshot (ROADMAP item 15 first)"},
-	{"sim.SigmaKnown", "the zero Mode; goes with sim.LocalConfig.Mode"},
-
-	// Test-only helpers whose deletion also deletes a block of tests; each
-	// is queued under ROADMAP item 10 for a change of its own.
-	{"mw.Allocation.WorkerSlots", "queued: its deletion retires TestWorkerSlotsStableForRestart"},
-	{"mw.ParseMachinefile", "queued: its deletion retires the two TestParse*Machinefile tests"},
-	{"stats.LogRatios", "queued: its deletion retires TestLogRatiosMismatchPanics"},
-	{"stats.Welford.AddBatch", "queued: its deletion retires the two TestWelfordAddBatch tests"},
-	{"stats.Welford.Merge", "queued: its deletion retires the three TestWelfordMerge tests"},
 }
 
 // TestNoTestOnlyAPI fails when an exported declaration under internal/ is

@@ -1,11 +1,8 @@
 package mw
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"strings"
 )
 
 // Machinefile models the $PBS_NODEFILE processor list of section 4.2: one
@@ -15,27 +12,6 @@ import (
 // required number of processors next available in the machinefile".
 type Machinefile struct {
 	entries []string
-}
-
-// ParseMachinefile reads one hostname per line, ignoring blanks and
-// #-comments.
-func ParseMachinefile(r io.Reader) (*Machinefile, error) {
-	var entries []string
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		entries = append(entries, line)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("mw: reading machinefile: %w", err)
-	}
-	if len(entries) == 0 {
-		return nil, errors.New("mw: machinefile is empty")
-	}
-	return &Machinefile{entries: entries}, nil
 }
 
 // GenerateMachinefile fabricates a PBS-style machinefile: coresPerNode
@@ -110,18 +86,6 @@ func (a *Allocation) Total() int {
 		n += len(c)
 	}
 	return n
-}
-
-// WorkerSlots returns every processor belonging to the worker of the given
-// 1-based rank (the worker itself, its server, its clients) — the slots a
-// restart reuses.
-func (a *Allocation) WorkerSlots(rank int) ([]string, error) {
-	if rank < 1 || rank > len(a.Workers) {
-		return nil, fmt.Errorf("mw: rank %d out of range [1,%d]", rank, len(a.Workers))
-	}
-	out := []string{a.Workers[rank-1], a.Servers[rank-1]}
-	out = append(out, a.Clients[rank-1]...)
-	return out, nil
 }
 
 // NodeUsage counts allocated slots per host, for placement reports.

@@ -1,27 +1,9 @@
 package mw
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestParseMachinefile(t *testing.T) {
-	in := "node001\nnode001\n# comment\n\nnode002\n"
-	m, err := ParseMachinefile(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.entries) != 3 {
-		t.Fatalf("%d entries, want 3", len(m.entries))
-	}
-}
-
-func TestParseEmptyMachinefile(t *testing.T) {
-	if _, err := ParseMachinefile(strings.NewReader("# nothing\n")); err == nil {
-		t.Fatal("empty machinefile accepted")
-	}
-}
 
 func TestGenerateMachinefile(t *testing.T) {
 	m := GenerateMachinefile(3, 8)
@@ -79,30 +61,6 @@ func TestAllocateExhaustion(t *testing.T) {
 	}
 	if _, err := m.Allocate(0, 1); err == nil {
 		t.Fatal("d=0 accepted")
-	}
-}
-
-func TestWorkerSlotsStableForRestart(t *testing.T) {
-	m := GenerateMachinefile(10, 8)
-	a, err := m.Allocate(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := a.WorkerSlots(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := a.WorkerSlots(2)
-	if len(s1) != 1+1+2 {
-		t.Fatalf("worker slots = %v", s1)
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatal("restart slots not stable")
-		}
-	}
-	if _, err := a.WorkerSlots(99); err == nil {
-		t.Fatal("bad rank accepted")
 	}
 }
 

@@ -19,8 +19,6 @@ package noise
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
 )
 
 // Accumulator tracks the sampling state of one point in parameter space.
@@ -33,14 +31,6 @@ type Accumulator struct {
 	t float64 // accumulated sampling time
 	w float64 // accumulated Brownian noise integral, Var = sigma0^2 * t
 	n int     // number of increments
-
-	// Statistics for estimating sigma0 from the observed increments, used
-	// when the optimizer is not told the true noise strength (the paper:
-	// "there is no expectation that this variance is known ahead of time").
-	// They are folded only once EstimateSigma is called: an owner that
-	// reports the true sigma never pays for moments it does not read.
-	fold bool
-	z    stats.Welford // online moments of the normalized increments
 }
 
 // NewAccumulator returns an accumulator for a point whose noise-free value is
@@ -77,19 +67,7 @@ func (a *Accumulator) ApplyDraw(dt, z float64) {
 	a.w += a.sigma0 * math.Sqrt(dt) * z
 	a.t += dt
 	a.n++
-
-	// Each increment's value, normalized, is an N(0, sigma0^2) draw:
-	// (dW/dt)*sqrt(dt) = sigma0 * z. Track it to estimate sigma0.
-	if a.fold {
-		a.z.Add(a.sigma0 * z)
-	}
 }
-
-// EstimateSigma makes the accumulator fold every later increment into the
-// moments SigmaEst reads. Call it before the first increment (or before
-// restoring a state that was folded): increments applied earlier are not in
-// the moments.
-func (a *Accumulator) EstimateSigma() { a.fold = true }
 
 // Mean returns the current running estimate of the objective value,
 // f + W(t)/t. Before any sampling it returns the underlying value (a point
@@ -111,23 +89,6 @@ func (a *Accumulator) Sigma() float64 {
 	return a.sigma0 / math.Sqrt(a.t)
 }
 
-// SigmaEst returns an estimate of the standard deviation of the current
-// running mean, computed only from observed increments (no knowledge of the
-// true sigma0). With fewer than two increments it falls back to the true
-// value, mirroring a practitioner's use of a prior guess until batch
-// statistics exist. It panics unless EstimateSigma was called: the moments
-// of an accumulator that does not fold are empty, and reading them would
-// silently report the true sigma instead.
-func (a *Accumulator) SigmaEst() float64 {
-	if !a.fold {
-		panic("noise: SigmaEst on an accumulator that does not fold its increments (call EstimateSigma first)")
-	}
-	if a.z.N() < 2 || a.t == 0 {
-		return a.Sigma()
-	}
-	return a.z.StdDev() / math.Sqrt(a.t)
-}
-
 // Time returns the accumulated sampling time t_k.
 func (a *Accumulator) Time() float64 { return a.t }
 
@@ -144,30 +105,21 @@ type State struct {
 	W float64 `json:"w"`
 	// N is the number of sampling increments (== normal draws consumed).
 	N int `json:"n"`
-	// ZMean, ZM2 and ZCount are the Welford statistics behind SigmaEst;
-	// all zero when the accumulator does not fold (see EstimateSigma).
-	ZMean  float64 `json:"z_mean"`
-	ZM2    float64 `json:"z_m2"`
-	ZCount int     `json:"z_count"`
+	// ZCount is never written. A state taken under the retired
+	// estimated-sigma mode carries the count of increments folded into its
+	// sigma estimate here, so a reader can refuse it instead of resuming it
+	// under the true sigma; the z_mean and z_m2 beside it are ignored.
+	ZCount int `json:"z_count,omitempty"`
 }
 
 // State exports the accumulator's sampling state. It performs no RNG draws,
 // so taking a snapshot never perturbs the run being snapshotted.
-func (a *Accumulator) State() State {
-	z := a.z.State()
-	return State{T: a.t, W: a.w, N: a.n, ZMean: z.Mean, ZM2: z.M2, ZCount: z.N}
-}
+func (a *Accumulator) State() State { return State{T: a.t, W: a.w, N: a.n} }
 
 // restore overwrites the accumulator's sampling state. The identity fields
 // (f, sigma0) are not part of State; they are reconstructed by the caller
-// from the point's coordinates. An accumulator that does not fold keeps its
-// moments empty, whatever the state carries.
-func (a *Accumulator) restore(st State) {
-	a.t, a.w, a.n = st.T, st.W, st.N
-	if a.fold {
-		a.z.Restore(stats.WelfordState{N: st.ZCount, Mean: st.ZMean, M2: st.ZM2})
-	}
-}
+// from the point's coordinates.
+func (a *Accumulator) restore(st State) { a.t, a.w, a.n = st.T, st.W, st.N }
 
 // Underlying returns the noise-free value f. It exists for harness-side
 // accounting (computing the R performance measure of section 3.2); the

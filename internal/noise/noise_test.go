@@ -141,29 +141,6 @@ func TestConvergenceTowardUnderlying(t *testing.T) {
 	}
 }
 
-func TestSigmaEstApproximatesTrueSigma(t *testing.T) {
-	src := NewSource(11)
-	a := NewAccumulator(0, 7)
-	a.EstimateSigma()
-	for i := 0; i < 2000; i++ {
-		a.Sample(0.25, src)
-	}
-	est, want := a.SigmaEst(), a.Sigma()
-	if rel := math.Abs(est-want) / want; rel > 0.10 {
-		t.Fatalf("SigmaEst = %v, true = %v (rel err %.3f)", est, want, rel)
-	}
-}
-
-func TestSigmaEstFallsBackBeforeStats(t *testing.T) {
-	src := NewSource(12)
-	a := NewAccumulator(0, 3)
-	a.EstimateSigma()
-	a.Sample(1, src)
-	if got, want := a.SigmaEst(), a.Sigma(); got != want {
-		t.Fatalf("SigmaEst with 1 increment = %v, want fallback %v", got, want)
-	}
-}
-
 // Property: for any positive sigma0 and any positive sampling schedule the
 // invariants hold: t equals the sum of increments, Sigma is sigma0/sqrt(t),
 // and Underlying is preserved.
@@ -250,100 +227,22 @@ func TestStreamStateRestore(t *testing.T) {
 	// A stream rebuilt from State must continue the exact draw sequence of
 	// the original: Restore replays the recorded number of normal draws.
 	orig := NewStream(1.5, 4, 99)
-	orig.EstimateSigma()
 	for i := 0; i < 7; i++ {
 		orig.Sample(0.3 * float64(i+1))
 	}
 	st := orig.State()
 
 	resumed := NewStream(1.5, 4, 99)
-	resumed.EstimateSigma()
 	resumed.Restore(st)
-	if resumed.Mean() != orig.Mean() || resumed.SigmaEst() != orig.SigmaEst() ||
+	if resumed.Mean() != orig.Mean() || resumed.Sigma() != orig.Sigma() ||
 		resumed.Time() != orig.Time() || resumed.Increments() != orig.Increments() {
 		t.Fatalf("restored stream state differs: mean %v vs %v", resumed.Mean(), orig.Mean())
 	}
 	for i := 0; i < 10; i++ {
 		orig.Sample(0.9)
 		resumed.Sample(0.9)
-		if resumed.Mean() != orig.Mean() || resumed.SigmaEst() != orig.SigmaEst() {
+		if resumed.Mean() != orig.Mean() || resumed.Sigma() != orig.Sigma() {
 			t.Fatalf("post-restore draw %d diverged: %v vs %v", i, resumed.Mean(), orig.Mean())
 		}
-	}
-}
-
-// TestFoldChangesNothingElse: folding the increments into the SigmaEst
-// moments is the only thing EstimateSigma changes. A stream that does not
-// fold matches a folding one bit for bit in Mean, Sigma, Time and Increments
-// through local draws, applied draws and restores, and the state it exports
-// carries zero moments (the snapshot layout is unchanged).
-func TestFoldChangesNothingElse(t *testing.T) {
-	const seed = 31
-	plain, folding := NewStream(-2, 3.5, seed), NewStream(-2, 3.5, seed)
-	folding.EstimateSigma()
-	replica := rand.New(rand.NewSource(seed))
-	choose := rand.New(rand.NewSource(5))
-	bits := func(s *Stream) [4]uint64 {
-		return [4]uint64{math.Float64bits(s.Mean()), math.Float64bits(s.Sigma()),
-			math.Float64bits(s.Time()), uint64(s.Increments())}
-	}
-	for step := 0; step < 700; step++ {
-		dt := 0.01 * float64(1+choose.Intn(50))
-		switch choose.Intn(4) {
-		case 0, 1:
-			plain.Sample(dt)
-			folding.Sample(dt)
-			replica.NormFloat64()
-		case 2:
-			z := replica.NormFloat64()
-			plain.ApplyDraw(dt, z)
-			folding.ApplyDraw(dt, z)
-		case 3:
-			p, f := NewStream(-2, 3.5, seed), NewStream(-2, 3.5, seed)
-			f.EstimateSigma()
-			p.Restore(plain.State())
-			f.Restore(folding.State())
-			plain, folding = p, f
-		}
-		if g, w := bits(plain), bits(folding); g != w {
-			t.Fatalf("step %d: stream that does not fold %v, folding stream %v", step, g, w)
-		}
-		if st := plain.State(); st.ZMean != 0 || st.ZM2 != 0 || st.ZCount != 0 {
-			t.Fatalf("step %d: stream that does not fold exports moments %+v", step, st)
-		}
-	}
-	if folding.State().ZCount != folding.Increments() {
-		t.Fatalf("folding stream: %d moments for %d increments", folding.State().ZCount, folding.Increments())
-	}
-	// A state that carries moments, restored where nothing folds, leaves none.
-	p := NewStream(-2, 3.5, seed)
-	p.Restore(folding.State())
-	if st := p.State(); st.ZMean != 0 || st.ZM2 != 0 || st.ZCount != 0 {
-		t.Fatalf("restored stream that does not fold exports moments %+v", st)
-	}
-}
-
-// TestSigmaEstRequiresFold pins the loud failure: SigmaEst on an accumulator
-// that does not fold panics instead of falling back to the true sigma.
-func TestSigmaEstRequiresFold(t *testing.T) {
-	tests := []struct {
-		name string
-		acc  *Accumulator
-	}{
-		{"Accumulator", NewAccumulator(1, 2)},
-		{"Stream", &NewStream(1, 2, 3).Accumulator},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			for i := 0; i < 3; i++ {
-				tc.acc.ApplyDraw(0.5, 0.25)
-			}
-			defer func() {
-				if recover() == nil {
-					t.Fatal("SigmaEst without EstimateSigma did not panic")
-				}
-			}()
-			tc.acc.SigmaEst()
-		})
 	}
 }

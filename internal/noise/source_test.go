@@ -239,12 +239,8 @@ func TestStreamInterleavedMatchesSampleOnly(t *testing.T) {
 	for ti, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			seed := int64(1000 + ti)
-			folding := func() *Stream { // so the compared state holds the SigmaEst moments too
-				s := NewStream(2.5, 1.25, seed)
-				s.EstimateSigma()
-				return s
-			}
-			ref, got := folding(), folding()
+			fresh := func() *Stream { return NewStream(2.5, 1.25, seed) }
+			ref, got := fresh(), fresh()
 			replica := rand.New(rand.NewSource(seed))
 			choose := rand.New(rand.NewSource(int64(ti)))
 			for n := 0; n < increments; {
@@ -263,7 +259,7 @@ func TestStreamInterleavedMatchesSampleOnly(t *testing.T) {
 					}
 				case opRestore:
 					k = 0
-					resumed := folding()
+					resumed := fresh()
 					resumed.Restore(got.State())
 					got = resumed
 				}

@@ -7,10 +7,9 @@ import (
 
 // Adaptive sampling: instead of a fixed initial allotment, a fresh point is
 // sampled in geometrically growing rounds until the confidence half-width of
-// its estimate (adaptiveZ * sigma, with sigma the backend's Welford-based
-// estimate under SigmaEstimated) meets a target. The gate reads only
-// completed-batch state, so which points continue is a pure function of the
-// noise streams — deterministic at any worker count.
+// its estimate (adaptiveZ * Estimate().Sigma) meets a target. The gate reads
+// only completed-batch state, so which points continue is a pure function of
+// the noise streams — deterministic at any worker count.
 
 // adaptiveZ is the confidence multiplier of the half-width gate: a 95%
 // normal interval.

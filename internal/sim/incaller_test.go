@@ -48,7 +48,6 @@ func TestCostFreeSpaceStaysOffThePool(t *testing.T) {
 		F:        func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] },
 		Sigma0:   ConstSigma(2),
 		Seed:     5,
-		Mode:     SigmaEstimated,
 		Parallel: true,
 	}
 	ctx := context.Background()

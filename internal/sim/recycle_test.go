@@ -32,15 +32,14 @@ func bodyOf(p Point) *pointBody { return p.(*localPoint).b }
 // NewPoint has given its body to another point, and the point on the reused
 // body draws exactly what the point with the same stream index draws on a
 // fresh body, whatever the body's previous point left in it (generator
-// position, folded moments, a built state vector).
+// position, a built state vector).
 func TestStaleHandleStaysClosed(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  LocalConfig
 	}{
 		{"in-caller", LocalConfig{Dim: 3, F: testfunc.Rosenbrock, Sigma0: ConstSigma(25), Seed: 5, Parallel: true}},
-		{"in-caller-estimated", LocalConfig{Dim: 3, F: testfunc.Rosenbrock, Sigma0: ConstSigma(25), Seed: 5, Mode: SigmaEstimated}},
-		{"pool-estimated", LocalConfig{Dim: 3, F: testfunc.Rosenbrock, Sigma0: ConstSigma(25), Seed: 5, Mode: SigmaEstimated, Workers: 1, SampleCost: noCost}},
+		{"pool", LocalConfig{Dim: 3, F: testfunc.Rosenbrock, Sigma0: ConstSigma(25), Seed: 5, Workers: 1, SampleCost: noCost}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewLocalSpace(tc.cfg)

@@ -53,8 +53,8 @@ var (
 type Estimate struct {
 	// Mean is the current running estimate of g(theta).
 	Mean float64
-	// Sigma is the standard deviation of Mean. Depending on the backend's
-	// SigmaMode it is either the true sigma0/sqrt(t) or a batch estimate.
+	// Sigma is the standard deviation of Mean: on LocalSpace the true
+	// sigma0/sqrt(t) of eq 1.2, on mw.Space what its evaluators report.
 	Sigma float64
 	// Time is the accumulated sampling time t of the point.
 	Time float64
@@ -107,18 +107,6 @@ type Space interface {
 	Evaluations() int64
 }
 
-// SigmaMode selects which noise estimate a backend reports to the optimizer.
-type SigmaMode int
-
-const (
-	// SigmaKnown reports the true sigma0/sqrt(t) (the controlled-noise
-	// studies of sections 3.2-3.3 inject noise of known strength).
-	SigmaKnown SigmaMode = iota
-	// SigmaEstimated reports a batch-statistics estimate, modelling real
-	// applications where sigma0 "is not known ahead of time" (section 1.1).
-	SigmaEstimated
-)
-
 // LocalConfig configures a LocalSpace.
 type LocalConfig struct {
 	// Dim is the parameter-space dimension. A point's storage is one
@@ -134,8 +122,6 @@ type LocalConfig struct {
 	Sigma0 func(x []float64) float64
 	// Seed seeds the deterministic noise stream.
 	Seed int64
-	// Mode selects true or estimated sigma reporting.
-	Mode SigmaMode
 	// Parallel, if true, advances the wall clock once per sampled batch
 	// (concurrent vertices); if false each point's sampling is serialized
 	// on the clock. This is a virtual-time accounting choice, independent of
@@ -315,9 +301,6 @@ func (s *LocalSpace) issue(b *pointBody, x []float64, idx int64) *localPoint {
 		sigma0 = s.cfg.Sigma0(b.x)
 	}
 	b.stream.Init(s.cfg.F(b.x), sigma0, sched.StreamSeed(s.cfg.Seed, idx))
-	if s.cfg.Mode == SigmaEstimated {
-		b.stream.EstimateSigma() // Estimate reads SigmaEst
-	}
 	if b.gen == 0 {
 		b.own = localPoint{b: b}
 		return &b.own
@@ -484,11 +467,7 @@ func (p *localPoint) X() []float64 { return p.body().x }
 
 func (p *localPoint) Estimate() Estimate {
 	b := p.body()
-	sigma := b.stream.Sigma()
-	if b.space.cfg.Mode == SigmaEstimated {
-		sigma = b.stream.SigmaEst()
-	}
-	return Estimate{Mean: b.stream.Mean(), Sigma: sigma, Time: b.stream.Time()}
+	return Estimate{Mean: b.stream.Mean(), Sigma: b.stream.Sigma(), Time: b.stream.Time()}
 }
 
 func (p *localPoint) Close() { p.b.space.release(p) }

@@ -107,25 +107,6 @@ func TestSigmaShrinksWithSampling(t *testing.T) {
 	}
 }
 
-func TestEstimatedSigmaMode(t *testing.T) {
-	s := NewLocalSpace(LocalConfig{
-		Dim:    3,
-		F:      testfunc.Rosenbrock,
-		Sigma0: ConstSigma(10),
-		Seed:   3,
-		Mode:   SigmaEstimated,
-	})
-	p := s.NewPoint([]float64{0, 0, 0})
-	for i := 0; i < 500; i++ {
-		mustSample(t, s, []Point{p}, 0.1)
-	}
-	est := p.Estimate()
-	trueSigma := 10.0 / math.Sqrt(est.Time)
-	if rel := math.Abs(est.Sigma-trueSigma) / trueSigma; rel > 0.25 {
-		t.Fatalf("estimated sigma %v too far from true %v", est.Sigma, trueSigma)
-	}
-}
-
 func TestClosedPointPanics(t *testing.T) {
 	s := newRosenSpace(false, 1)
 	p := s.NewPoint([]float64{0, 0, 0})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/noise"
@@ -100,6 +101,11 @@ func (s *LocalSpace) ExportPoint(p Point) (PointState, error) {
 	}, nil
 }
 
+// ErrRetiredEstimatedSigma refuses a point state written by a space that
+// reported Welford-estimated sigmas, a mode since retired: resumed under the
+// true sigma it would continue a different run.
+var ErrRetiredEstimatedSigma = errors.New("sim: point state written under the retired estimated-sigma mode")
+
 // RestorePoint implements Snapshotter.
 func (s *LocalSpace) RestorePoint(st PointState) (Point, error) {
 	if len(st.X) != s.cfg.Dim {
@@ -107,6 +113,9 @@ func (s *LocalSpace) RestorePoint(st PointState) (Point, error) {
 	}
 	if st.Stream < 0 || st.Noise.N < 0 {
 		return nil, fmt.Errorf("sim: invalid point state %+v", st)
+	}
+	if st.Noise.ZCount != 0 {
+		return nil, fmt.Errorf("%w (stream %d, z_count %d)", ErrRetiredEstimatedSigma, st.Stream, st.Noise.ZCount)
 	}
 	s.mu.Lock()
 	b := s.takeLocked()

@@ -1,13 +1,8 @@
 package sim
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
-	"repro/internal/noise"
-	"repro/internal/sched"
-	"repro/internal/stats"
 	"repro/internal/testfunc"
 )
 
@@ -61,63 +56,6 @@ func TestPointExportRestore(t *testing.T) {
 	}
 	if fresh.Clock().Now() != orig.Clock().Now() {
 		t.Fatalf("clock diverged: %v != %v", fresh.Clock().Now(), orig.Clock().Now())
-	}
-}
-
-// TestSigmaEstimatedMatchesWelford: under SigmaEstimated a point reports, bit
-// for bit, what a reference stats.Welford over sigma0 times the point's own
-// normal draws gives (its standard deviation over sqrt(t)), before a
-// snapshot round trip and after it.
-func TestSigmaEstimatedMatchesWelford(t *testing.T) {
-	const sigma0 = 25 // snapCfg's
-	cfg := snapCfg(11)
-	cfg.Mode = SigmaEstimated
-	orig := NewLocalSpace(cfg)
-	p := orig.NewPoint([]float64{1, 2, -1})
-	draws := rand.New(noise.NewSource(sched.StreamSeed(cfg.Seed, 0))) // the first point's stream
-	var ref stats.Welford
-	elapsed := 0.0
-	step := func(dt float64) {
-		ref.Add(sigma0 * draws.NormFloat64())
-		elapsed += dt
-	}
-	check := func(pt Point, when string) {
-		t.Helper()
-		want := sigma0 / math.Sqrt(elapsed) // SigmaEst's fallback below two increments
-		if ref.N() >= 2 {
-			want = ref.StdDev() / math.Sqrt(elapsed)
-		}
-		if got := pt.Estimate(); math.Float64bits(got.Sigma) != math.Float64bits(want) || got.Time != elapsed {
-			t.Fatalf("%s, %d increments: sigma %v at t=%v, reference Welford %v at t=%v",
-				when, ref.N(), got.Sigma, got.Time, want, elapsed)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		dt := 0.25 * float64(i+1)
-		mustSample(t, orig, []Point{p}, dt)
-		step(dt)
-		check(p, "before the snapshot")
-	}
-
-	st, err := orig.ExportPoint(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewLocalSpace(cfg)
-	if err := fresh.RestoreState(orig.ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	q, err := fresh.RestorePoint(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(q, "restored")
-	for i := 0; i < 6; i++ {
-		mustSample(t, orig, []Point{p}, 0.5)
-		mustSample(t, fresh, []Point{q}, 0.5)
-		step(0.5)
-		check(p, "original after the snapshot")
-		check(q, "restored after the snapshot")
 	}
 }
 

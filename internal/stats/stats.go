@@ -86,18 +86,6 @@ func LogRatio(a, b, eps float64) float64 {
 	return math.Log10(a / b)
 }
 
-// LogRatios applies LogRatio pairwise.
-func LogRatios(as, bs []float64, eps float64) []float64 {
-	if len(as) != len(bs) {
-		panic("stats: LogRatios length mismatch")
-	}
-	out := make([]float64, len(as))
-	for i := range as {
-		out[i] = LogRatio(as[i], bs[i], eps)
-	}
-	return out
-}
-
 // Histogram is a fixed-width binned count over [Lo, Hi); values outside the
 // range are clamped into the first/last bin, as the figures do.
 type Histogram struct {
@@ -146,10 +134,10 @@ func (h *Histogram) MaxCount() int {
 }
 
 // Welford is a streaming mean/variance accumulator. It is the online-moment
-// engine behind the noise layer's sigma estimation and the adaptive-sampling
-// confidence gate: observations fold in one at a time, and the running
-// moments are exact (no catastrophic cancellation) regardless of how the
-// stream was split into increments.
+// engine behind optroot's estimate of a batch cost's variance, the paper's
+// regime where sigma0 "is not known ahead of time": observations fold in one
+// at a time, and the running moments are exact (no catastrophic
+// cancellation).
 type Welford struct {
 	n    int
 	mean float64
@@ -164,25 +152,6 @@ func (w *Welford) Add(x float64) {
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
-}
-
-// AddBatch folds a slice of observations in one call, the batched face of
-// Add for hot loops: the moments stay in registers across the slice instead
-// of a load/store round-trip per observation. The fold is the exact
-// sequential recurrence of Add — batching changes call overhead, never
-// arithmetic — so the result is bitwise identical to adding the observations
-// one at a time, which is what the determinism contract requires.
-//
-//optlint:noalloc
-func (w *Welford) AddBatch(xs []float64) {
-	n, mean, m2 := w.n, w.mean, w.m2
-	for _, x := range xs {
-		n++
-		d := x - mean
-		mean += d / float64(n)
-		m2 += d * (x - mean)
-	}
-	w.n, w.mean, w.m2 = n, mean, m2
 }
 
 // N returns the number of observations.
@@ -216,41 +185,3 @@ func (w *Welford) StdErr() float64 {
 	}
 	return w.StdDev() / math.Sqrt(float64(w.n))
 }
-
-// Merge folds another accumulator's observations into w, as if every
-// observation both accumulators saw had been Added to w (Chan et al.'s
-// parallel combination of partial moments). Merging the per-shard
-// accumulators of a partitioned stream agrees with a single sequential pass
-// up to floating-point reassociation; the moments remain exact in the
-// Welford sense (no catastrophic cancellation).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	na, nb := float64(w.n), float64(o.n)
-	n := na + nb
-	d := o.mean - w.mean
-	w.mean += d * nb / n
-	w.m2 += o.m2 + d*d*na*nb/n
-	w.n += o.n
-}
-
-// WelfordState is the serializable state of a Welford accumulator, used by
-// the noise layer's checkpoint format. The three moments round-trip exactly
-// through JSON (Go float64 encoding is lossless), preserving bitwise
-// determinism across a snapshot/restore cycle.
-type WelfordState struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-}
-
-// State exports the accumulator's moments.
-func (w *Welford) State() WelfordState { return WelfordState{N: w.n, Mean: w.mean, M2: w.m2} }
-
-// Restore overwrites the accumulator's moments from a snapshot.
-func (w *Welford) Restore(st WelfordState) { w.n, w.mean, w.m2 = st.N, st.Mean, st.M2 }

@@ -70,15 +70,6 @@ func TestLogRatio(t *testing.T) {
 	}
 }
 
-func TestLogRatiosMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatch")
-		}
-	}()
-	LogRatios([]float64{1}, []float64{1, 2}, 1e-12)
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	h.AddAll([]float64{0, 1.9, 2, 5, 9.99, -3, 100})
@@ -124,6 +115,15 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWelfordAllocFree is the allocation budget on Add, which folds one
+// batch cost per optroot script batch.
+func TestWelfordAllocFree(t *testing.T) {
+	var w Welford
+	if allocs := testing.AllocsPerRun(200, func() { w.Add(1.5) }); allocs != 0 {
+		t.Errorf("Welford.Add: %.1f allocs per call, want 0", allocs)
 	}
 }
 
